@@ -6,7 +6,8 @@ Commands
   orbit        annihilator count e and the orbit generators
   verify       the full theorem-verification suite
 
-Exit codes: 0 success, 2 parse/load error, 3 inconclusive result,
+Exit codes: 0 success, 2 parse/load error, 3 inconclusive result (including
+a rank profile that moves under order escalation, for every command),
 4 theorem-check failure, 5 internal consistency error.  JSON output is
 byte-deterministic for a fixed seed and configuration; the SEGRE_SEED
 environment variable overrides --seed.
@@ -30,15 +31,19 @@ from .errors import (
     SegreError,
 )
 from .expressions import GenericManifold, load_manifold_file
-from .fields import lie_hull_dimension
-from .orbit import VerificationReport, verify_all
-from .rank import rank_profile
+from .fields import LieHullReport, lie_hull_dimension
+from .maps import SegreMapping
+from .orbit import VerificationReport, orbit_annihilator, verify_all
+from .rank import RankProfile, rank_profile
 
 EXIT_OK = 0
 EXIT_LOAD = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_CHECK_FAILED = 4
 EXIT_INTERNAL = 5
+
+# layout version of every JSON report
+SCHEMA = 2
 
 FIXTURES = ("h", "flat", "l4", "c2")
 
@@ -126,7 +131,7 @@ def _manifold_json(manifold: GenericManifold) -> dict:
 
 def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "manifold": _manifold_json(manifold),
         "config": _config_json(report.config, manifold),
         "ranks": list(report.profile.ranks),
@@ -138,7 +143,6 @@ def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
         "orbit_generators": report.orbit.generator_texts(report.dims),
         "mirror": {
             "annihilates": report.mirror.annihilates,
-            "literal_annihilates": report.mirror.literal_annihilates,
             "rank": report.mirror.rank_certificate.rank,
             "generators": report.mirror.generator_texts(report.dims.n),
         },
@@ -147,6 +151,31 @@ def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
             for name, check in report.checks.items()
         },
     }
+
+
+def _exit_code(passed: bool, profile: RankProfile, lie: Optional[LieHullReport] = None) -> int:
+    """The exit-code policy shared by every command.
+
+    4 when a check failed or the finite-type routes disagree; otherwise 3
+    when a rank moved under order escalation (or, when ``lie`` is given, the
+    bracket closure did not stabilize), with the reason on stderr; otherwise 0.
+    """
+    if not passed:
+        return EXIT_CHECK_FAILED
+    reasons = []
+    moved = [
+        f"Rk v^{j} = {cert.rank} from order {cert.kappa_used}"
+        for j, cert in enumerate(profile.certificates, start=1)
+        if not cert.stable
+    ]
+    if moved:
+        reasons.append(f"ranks moved under order escalation ({', '.join(moved)})")
+    if lie is not None and not lie.stable:
+        reasons.append(f"dim g(0) still grew at bracket depth {lie.bracket_depth_used}")
+    if reasons:
+        print(f"inconclusive: {'; '.join(reasons)}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK
 
 
 def _rank_table(manifold: GenericManifold, profile) -> List[str]:
@@ -165,7 +194,7 @@ def cmd_rank(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": 1,
+                "schema": SCHEMA,
                 "manifold": _manifold_json(manifold),
                 "config": _config_json(config, manifold),
                 "ranks": list(profile.ranks),
@@ -175,7 +204,7 @@ def cmd_rank(args) -> int:
         )
     else:
         print("\n".join(_rank_table(manifold, profile)))
-    return EXIT_OK if profile.stable else EXIT_INCONCLUSIVE
+    return _exit_code(True, profile)
 
 
 def cmd_finite_type(args) -> int:
@@ -188,7 +217,7 @@ def cmd_finite_type(args) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": 1,
+                "schema": SCHEMA,
                 "manifold": _manifold_json(manifold),
                 "config": _config_json(config, manifold),
                 "ranks": list(profile.ranks),
@@ -207,22 +236,28 @@ def cmd_finite_type(args) -> int:
               f" (k0 = {profile.k0})"
               f" -> finite type: {'yes' if finite_segre else 'no'}")
         print(f"routes agree: {'yes' if finite_lie == finite_segre else 'NO'}")
-    if finite_lie != finite_segre:
-        return EXIT_CHECK_FAILED
-    if not (profile.stable and lie.stable):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return _exit_code(finite_lie == finite_segre, profile, lie)
 
 
 def cmd_orbit(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
-    report = verify_all(manifold, config)
-    orbit = report.orbit
+    segre = SegreMapping(manifold)
+    profile = rank_profile(
+        manifold, config.resolve_jmax(manifold.d), config.rank_options(), segre=segre
+    )
+    lie = lie_hull_dimension(manifold, config.resolve_depth())
+    orbit = orbit_annihilator(
+        manifold,
+        profile,
+        config.resolve_degree(),
+        segre=segre,
+        lie_dim=lie.dim_g0 if lie.stable else None,
+    )
     if args.json:
         _emit_json(
             {
-                "schema": 1,
+                "schema": SCHEMA,
                 "manifold": _manifold_json(manifold),
                 "config": _config_json(config, manifold),
                 "e": orbit.e,
@@ -244,7 +279,7 @@ def cmd_orbit(args) -> int:
             print("no annihilators: the intrinsic complexification is the whole space")
         for name, check in orbit.checks.items():
             print(f"[{'pass' if check.passed else 'FAIL'}] {name}: {check.witness}")
-    return EXIT_OK
+    return _exit_code(all(check.passed for check in orbit.checks.values()), profile)
 
 
 def cmd_verify(args) -> int:
@@ -261,7 +296,7 @@ def cmd_verify(args) -> int:
             check = report.checks[name]
             print(f"[{'pass' if check.passed else 'FAIL'}] {name}: {check.witness}")
         print(f"result: {'all checks passed' if report.passed else 'CHECKS FAILED'}")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _exit_code(report.passed, report.profile)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 DEFAULT_SEED = 0x5E62E
@@ -30,8 +30,6 @@ class RunConfig:
     degree_bound: Optional[int] = None
     seed: int = DEFAULT_SEED
     jobs: int = 1
-    escalation_step: int = 4
-    escalations: int = 2
     pushforward_samples: int = 20
 
     def __post_init__(self):
@@ -54,11 +52,4 @@ class RunConfig:
         return min(4, self.kappa // 2)
 
     def rank_options(self) -> RankOptions:
-        return RankOptions(
-            seed=self.seed,
-            escalation_step=self.escalation_step,
-            escalations=self.escalations,
-        )
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, seed=seed)
+        return RankOptions(seed=self.seed)

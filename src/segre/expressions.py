@@ -32,6 +32,8 @@ from .series import (
     GaussianRational,
     TruncatedSeries,
     I,
+    compose_many,
+    unit_exponent,
 )
 
 
@@ -355,18 +357,15 @@ def _finish_load(
             raise RealityError(
                 f"defining ideal is not real: reality identity fails at {witness}", witness or ""
             )
-        # mutual membership of the two generator families in the truncated ideal
-        from .series import compose_many
-
+        # membership of the graph generators in the truncated ideal; rho's own
+        # membership is either this same test (graph input, rho = graph.rho())
+        # or the final check of solve_graph (rho input)
         membership = graph.membership_map()
-        for image in compose_many(list(rho.components), membership):
-            if not image.is_zero():
-                raise ManifoldError("rho generators do not lie in the graph ideal")
         for image in compose_many(list(graph.rho().components), membership):
             if not image.is_zero():
                 raise ManifoldError("graph generators fail the membership test")
     linear = [
-        [rho.component(j).coefficient(_unit(dims.ambient_arity, c)) for c in range(dims.N)]
+        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
         for j in range(dims.d)
     ]
     if linalg.rank(linear) != dims.d:
@@ -413,7 +412,7 @@ def manifold_from_rho_series(
             raise ManifoldError("the manifold must pass through the origin (rho has a constant term)")
         raw.append(component.truncate(min(component.kappa, kappa)).with_order(kappa))
     linear = [
-        [raw[j].coefficient(_unit(dims.ambient_arity, c)) for c in range(dims.N)]
+        [raw[j].coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
         for j in range(dims.d)
     ]
     if linalg.rank(linear) != dims.d:
@@ -475,9 +474,3 @@ def load_manifold_file(path: Union[str, Path], kappa: int) -> GenericManifold:
     path = Path(path)
     spec = ManifoldSpec.from_file(path)
     return load_manifold(spec, kappa, label=path.stem)
-
-
-def _unit(arity: int, index: int) -> Tuple[int, ...]:
-    exp = [0] * arity
-    exp[index] = 1
-    return tuple(exp)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from . import linalg
 from .coords import Dims
 from .errors import SplitError
-from .series import FormalMap, TruncatedSeries, compose_many, grlex_key
+from .series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
     if rho.target_arity != dims.d:
         raise ValueError("rho needs d components")
     matrix = [
-        [rho.component(j).coefficient(_unit(dims.ambient_arity, dims.w(l))) for l in range(dims.d)]
+        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(dims.d)]
         for j in range(dims.d)
     ]
     try:
@@ -195,9 +195,3 @@ def ideal_member(g: TruncatedSeries, graph: GraphForm) -> bool:
     if g.arity != graph.dims.ambient_arity:
         raise ValueError("ideal membership expects a series in the ambient ring")
     return g.compose(graph.membership_map()).is_zero()
-
-
-def _unit(arity: int, index: int) -> Tuple[int, ...]:
-    exp = [0] * arity
-    exp[index] = 1
-    return tuple(exp)

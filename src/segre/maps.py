@@ -23,7 +23,7 @@ from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .fields import FormalVectorField
 from .implicit import GraphForm
-from .series import FormalMap, TruncatedSeries, compose_many, series_match
+from .series import FormalMap, TruncatedSeries, compose_many, series_match, unit_exponent
 
 
 class VariableCapError(SegreError):
@@ -31,7 +31,12 @@ class VariableCapError(SegreError):
 
 
 class SegreMapping:
-    """The graph-special Segre variety mapping of a manifold, with iterate cache."""
+    """The graph-special Segre variety mapping of a manifold, with iterate cache.
+
+    One mapping owns the truncation orders of a run: ``at_kappa`` lifts it to
+    a higher order once, and every lifted copy shares the same table of
+    orders, so iterates and theta/phi pairs are built once per order.
+    """
 
     convention = "graph-special"
 
@@ -46,6 +51,24 @@ class SegreMapping:
         self.var_cap = var_cap
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
+        self._theta_phi: Dict[int, ThetaPhi] = {}
+        self._levels: Dict[int, SegreMapping] = {self.kappa: self}
+
+    def at_kappa(self, level: int) -> "SegreMapping":
+        """The same mapping rebuilt from the manifold source at order ``level``."""
+        lifted = self._levels.get(level)
+        if lifted is None:
+            lifted = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
+            lifted._levels = self._levels
+            self._levels[level] = lifted
+        return lifted
+
+    def theta_phi(self, j: int) -> "ThetaPhi":
+        """The verified theta/phi pair of index j at this order, built once."""
+        pair = self._theta_phi.get(j)
+        if pair is None:
+            pair = self._theta_phi[j] = make_theta_phi(self, j)
+        return pair
 
     def _build_gamma(self) -> FormalMap:
         """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring."""
@@ -63,7 +86,7 @@ class SegreMapping:
             if not image.is_zero():
                 raise InternalConsistencyError("gamma does not annihilate the defining functions")
         jac = [
-            [component.coefficient(_unit(arity, dims.N + i)) for i in range(dims.n)]
+            [component.coefficient(unit_exponent(arity, dims.N + i)) for i in range(dims.n)]
             for component in gamma.components
         ]
         if linalg.rank(jac) != dims.n:
@@ -230,7 +253,7 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
                     f"chain generator pair {(a, b)} does not annihilate under T^{k}"
                 )
     jac = [
-        [component.coefficient(_unit(arity, col)) for col in range(arity)]
+        [component.coefficient(unit_exponent(arity, col)) for col in range(arity)]
         for component in mapping.components
     ]
     if linalg.rank(jac) != arity:
@@ -330,9 +353,3 @@ def pushforward_residuals(
             rhs = fields_l[l].apply(f).compose(phi_inner)
             residuals.append(lhs.truncate(min(lhs.kappa, rhs.kappa)) - rhs)
     return residuals
-
-
-def _unit(arity: int, index: int) -> Tuple[int, ...]:
-    exp = [0] * arity
-    exp[index] = 1
-    return tuple(exp)

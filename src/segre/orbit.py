@@ -10,9 +10,9 @@ reported as inconclusive rather than resolved silently.
 
 The mirror construction at the end builds the linear locus on which the
 doubled iterate collapses to the origin while retaining the stabilized rank.
-Two index conventions are constructed: the one matching this engine's
-argument order (last block is the z-part), and the reversed one; which of
-the two annihilates is recorded per manifold.
+Its index pattern is the reflection that matches this engine's argument
+order (the last block is the z-part); whether it annihilates is verified per
+manifold, not assumed.
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold, manifold_from_rho_series
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
-from .maps import (
-    SegreMapping,
-    ThetaPhi,
-    iterate,
-    make_T,
-    make_theta_phi,
-    pushforward_residuals,
-)
+from .maps import SegreMapping, iterate, make_T, pushforward_residuals
 from .rank import RankCertificate, RankProfile, generic_rank, jacobian, rank_profile
 from .series import (
     FormalMap,
@@ -43,6 +36,7 @@ from .series import (
     TruncatedSeries,
     compose_many,
     grlex_key,
+    unit_exponent,
 )
 
 
@@ -216,7 +210,7 @@ def _orbit_annihilator_at(
     for j in range(dims.d):
         rows.append(
             [
-                manifold.rho.component(j).coefficient(_unit(dims.ambient_arity, c))
+                manifold.rho.component(j).coefficient(unit_exponent(dims.ambient_arity, c))
                 for c in range(dims.ambient_arity)
             ]
         )
@@ -276,7 +270,6 @@ def orbit_ideal_in_M(
     orbit: OrbitReport,
     degree_bound: Optional[int] = None,
     segre: Optional[SegreMapping] = None,
-    theta_phi: Optional[ThetaPhi] = None,
 ) -> OrbitIdealReport:
     """Generators of the orbit ideal modulo truncation, via the phi annihilator.
 
@@ -291,9 +284,7 @@ def orbit_ideal_in_M(
         degree_bound = min(4, kappa // 2)
     if segre is None:
         segre = SegreMapping(manifold)
-    if theta_phi is None:
-        theta_phi = make_theta_phi(segre, k0 + 1)
-    phi = theta_phi.phi
+    phi = segre.theta_phi(k0 + 1).phi
     assert phi is not None
     generators, _, linear_rank = _kernel_series(
         list(phi.components), dims.ambient_arity, degree_bound, kappa
@@ -335,9 +326,10 @@ class MirrorManifold:
     """Linear locus of dimension n*k0 on which the doubled iterate collapses.
 
     ``generators`` cut the locus inside the 2*k0 blocks of t-variables and
-    ``parametrization`` is the mirrored linear embedding; the reversed
-    ("literal") index pattern is carried alongside, and which of the two
-    annihilates the doubled iterate is recorded, not assumed.
+    ``parametrization`` is the reflected linear embedding (t-block b is
+    s-block b for b <= k0, s-block 2*k0 - b for k0 < b < 2*k0, and zero for
+    b = 2*k0); whether it annihilates the doubled iterate is recorded, not
+    assumed.
     """
 
     k0: int
@@ -346,9 +338,6 @@ class MirrorManifold:
     annihilates: bool
     rank_certificate: RankCertificate
     expected_rank: int
-    literal_generators: Tuple[TruncatedSeries, ...]
-    literal_parametrization: FormalMap
-    literal_annihilates: bool
 
     @property
     def rank_matches(self) -> bool:
@@ -359,27 +348,19 @@ class MirrorManifold:
         return [g.to_text(names) for g in self.generators]
 
 
-def _mirror_parametrization(dims: Dims, k0: int, kappa: int, reflected: bool) -> FormalMap:
-    """Linear map of s-blocks onto t-blocks realizing one mirror pattern."""
+def _mirror_parametrization(dims: Dims, k0: int, kappa: int) -> FormalMap:
+    """Linear map of s-blocks onto t-blocks realizing the mirror pattern."""
     n = dims.n
     source = k0 * n
     target_blocks = 2 * k0
     components: List[TruncatedSeries] = []
     for b in range(1, target_blocks + 1):
-        if reflected:
-            if b <= k0:
-                s_block: Optional[int] = b
-            elif b < 2 * k0:
-                s_block = 2 * k0 - b
-            else:
-                s_block = None
+        if b <= k0:
+            s_block: Optional[int] = b
+        elif b < 2 * k0:
+            s_block = 2 * k0 - b
         else:
-            if b == 1:
-                s_block = None
-            elif b <= k0 + 1:
-                s_block = b - 1
-            else:
-                s_block = 2 * k0 - b + 1
+            s_block = None
         for i in range(n):
             if s_block is None:
                 components.append(TruncatedSeries.zero(source, kappa))
@@ -390,7 +371,7 @@ def _mirror_parametrization(dims: Dims, k0: int, kappa: int, reflected: bool) ->
     return FormalMap(components)
 
 
-def _mirror_generators(dims: Dims, k0: int, kappa: int, reflected: bool) -> List[TruncatedSeries]:
+def _mirror_generators(dims: Dims, k0: int, kappa: int) -> List[TruncatedSeries]:
     n = dims.n
     arity = 2 * k0 * n
     gens: List[TruncatedSeries] = []
@@ -398,18 +379,11 @@ def _mirror_generators(dims: Dims, k0: int, kappa: int, reflected: bool) -> List
     def t_var(block: int, i: int) -> TruncatedSeries:
         return TruncatedSeries.variable(arity, kappa, (block - 1) * n + i)
 
-    if reflected:
+    for i in range(n):
+        gens.append(t_var(2 * k0, i))
+    for j in range(k0 - 1):
         for i in range(n):
-            gens.append(t_var(2 * k0, i))
-        for j in range(k0 - 1):
-            for i in range(n):
-                gens.append(t_var(2 * k0 - 1 - j, i) - t_var(1 + j, i))
-    else:
-        for i in range(n):
-            gens.append(t_var(1, i))
-        for j in range(k0 - 1):
-            for i in range(n):
-                gens.append(t_var(2 * k0 - j, i) - t_var(2 + j, i))
+            gens.append(t_var(2 * k0 - 1 - j, i) - t_var(1 + j, i))
     return gens
 
 
@@ -423,8 +397,8 @@ def mirror_sigma(
 
     (a) the doubled iterate composes to zero along the parametrization, and
     (b) the rank of the doubled iterate's Jacobian along the locus equals
-    the stabilized rank.  Both index patterns are built; if neither pattern
-    satisfies (a) the engine is broken and an internal error is raised.
+    the stabilized rank.  Both are recorded; the verification suite reports
+    a failure of either as a failed check.
     """
     dims = manifold.dims
     config = config or RunConfig(kappa=manifold.kappa)
@@ -434,38 +408,27 @@ def mirror_sigma(
     kappa = manifold.kappa
     v2k = segre.v(2 * k0)
 
-    param = _mirror_parametrization(dims, k0, kappa, reflected=True)
-    literal_param = _mirror_parametrization(dims, k0, kappa, reflected=False)
-    gens = _mirror_generators(dims, k0, kappa, reflected=True)
-    literal_gens = _mirror_generators(dims, k0, kappa, reflected=False)
+    param = _mirror_parametrization(dims, k0, kappa)
+    gens = _mirror_generators(dims, k0, kappa)
 
-    for mapping in (param, literal_param):
-        jac = [
-            [component.coefficient(_unit(k0 * dims.n, col)) for col in range(k0 * dims.n)]
-            for component in mapping.components
-        ]
-        if linalg.rank(jac) != k0 * dims.n:
-            raise InternalConsistencyError("mirror parametrization is rank-deficient at 0")
-    for gens_list, mapping in ((gens, param), (literal_gens, literal_param)):
-        for g in gens_list:
-            if not g.compose(mapping).is_zero():
-                raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
+    jac = [
+        [component.coefficient(unit_exponent(k0 * dims.n, col)) for col in range(k0 * dims.n)]
+        for component in param.components
+    ]
+    if linalg.rank(jac) != k0 * dims.n:
+        raise InternalConsistencyError("mirror parametrization is rank-deficient at 0")
+    for g in gens:
+        if not g.compose(param).is_zero():
+            raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
 
     annihilates = all(c.compose(param).is_zero() for c in v2k.components)
-    literal_annihilates = all(c.compose(literal_param).is_zero() for c in v2k.components)
-    if not annihilates and not literal_annihilates:
-        raise InternalConsistencyError(
-            "neither mirror index pattern annihilates the doubled iterate"
-        )
-
-    chains: Dict[int, SegreMapping] = {kappa: segre}
 
     def builder(level: int):
-        if level not in chains:
-            chains[level] = SegreMapping(manifold.at_kappa(level))
-        chain = chains[level]
-        locus = _mirror_parametrization(dims, k0, level, reflected=True)
-        return [[entry.compose(locus) for entry in row] for row in jacobian(chain.v(2 * k0))]
+        locus = _mirror_parametrization(dims, k0, level)
+        return [
+            [entry.compose(locus) for entry in row]
+            for row in jacobian(segre.at_kappa(level).v(2 * k0))
+        ]
 
     cert = generic_rank(builder=builder, kappa=kappa, options=config.rank_options())
     return MirrorManifold(
@@ -475,9 +438,6 @@ def mirror_sigma(
         annihilates=annihilates,
         rank_certificate=cert,
         expected_rank=profile.rank_at_k0,
-        literal_generators=tuple(literal_gens),
-        literal_parametrization=literal_param,
-        literal_annihilates=literal_annihilates,
     )
 
 
@@ -547,8 +507,8 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     def record(name: str, passed: bool, witness: str = ""):
         checks[name] = CheckResult(name, passed, witness)
 
-    profile = rank_profile(manifold, config.resolve_jmax(dims.d), options)
     segre = SegreMapping(manifold)
+    profile = rank_profile(manifold, config.resolve_jmax(dims.d), options, segre=segre)
     k0 = profile.k0
     ranks_text = ", ".join(str(r) for r in profile.ranks)
     record("rank_monotone", True, f"ranks = ({ranks_text})")
@@ -577,32 +537,24 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
 
     lie = lie_hull_dimension(manifold, config.resolve_depth())
 
-    theta_phi: Dict[int, ThetaPhi] = {}
     try:
         for j in range(0, k0 + 2):
-            theta_phi[j] = make_theta_phi(segre, j)
+            segre.theta_phi(j)
         record("theta_phi_into_manifold", True, f"built for j <= {k0 + 1}")
     except InternalConsistencyError as exc:
         record("theta_phi_into_manifold", False, str(exc))
-
-    chains: Dict[int, SegreMapping] = {manifold.kappa: segre}
-
-    def chain(level: int) -> SegreMapping:
-        if level not in chains:
-            chains[level] = SegreMapping(manifold.at_kappa(level))
-        return chains[level]
 
     rank_relation_ok = True
     relation_notes = []
     theta_ranks: Dict[int, int] = {}
     for j in range(1, k0 + 2):
         theta_cert = generic_rank(
-            builder=lambda level, j=j: jacobian(make_theta_phi(chain(level), j).theta),
+            builder=lambda level, j=j: jacobian(segre.at_kappa(level).theta_phi(j).theta),
             kappa=manifold.kappa,
             options=options,
         )
         phi_cert = generic_rank(
-            builder=lambda level, j=j: jacobian(make_theta_phi(chain(level), j).phi),
+            builder=lambda level, j=j: jacobian(segre.at_kappa(level).theta_phi(j).phi),
             kappa=manifold.kappa,
             options=options,
         )
@@ -624,7 +576,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         for sample in range(config.pushforward_samples):
             f = _random_ambient_polynomial(dims, manifold.kappa, rng)
             for j in range(0, k0 + 1):
-                residuals = pushforward_residuals(segre, theta_phi[j], fields_l, fields_lt, f)
+                residuals = pushforward_residuals(segre, segre.theta_phi(j), fields_l, fields_lt, f)
                 if any(not r.is_zero() for r in residuals):
                     push_ok = False
                     push_note = f"sample {sample}, j={j}"
@@ -654,9 +606,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     for check in orbit.checks.values():
         checks[check.name] = check
 
-    ideal = orbit_ideal_in_M(
-        manifold, k0, orbit, config.resolve_degree(), segre=segre, theta_phi=theta_phi.get(k0 + 1)
-    )
+    ideal = orbit_ideal_in_M(manifold, k0, orbit, config.resolve_degree(), segre=segre)
     record(
         "orbit_ideal_membership",
         ideal.rho_in_kernel and ideal.annihilators_in_kernel,
@@ -698,8 +648,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     record(
         "mirror_annihilation",
         mirror.annihilates,
-        f"reflected pattern {'kills' if mirror.annihilates else 'misses'} the doubled iterate; "
-        f"reversed pattern {'kills' if mirror.literal_annihilates else 'misses'} it",
+        f"reflected pattern {'kills' if mirror.annihilates else 'misses'} the doubled iterate",
     )
     record(
         "mirror_rank",
@@ -778,9 +727,3 @@ def linear_coordinate_change(
     return manifold_from_rho_series(
         dims, transformed, manifold.kappa, label=f"{manifold.label}'", verify=False
     )
-
-
-def _unit(arity: int, index: int) -> Tuple[int, ...]:
-    exp = [0] * arity
-    exp[index] = 1
-    return tuple(exp)

@@ -269,13 +269,17 @@ def rank_profile(
     manifold: GenericManifold,
     J_max: Optional[int] = None,
     options: Optional[RankOptions] = None,
+    segre: Optional[SegreMapping] = None,
 ) -> RankProfile:
     """Certified ranks of v^1 .. v^J with detection of the stabilization index.
 
     Requires J_max >= d + 2 so the first repeated value is observable; the
     monotone and strict-increase laws are validated and any violation is
     reported as an internal-consistency error (it would indicate a
-    truncation artifact, not a property of the manifold).
+    truncation artifact, not a property of the manifold).  ``segre`` is the
+    run's mapping of this manifold; the escalated orders are taken from it
+    (``SegreMapping.at_kappa``), so a caller that passes its own mapping
+    shares the lifted iterates.  Without one, a mapping is built here.
     """
     dims = manifold.dims
     if J_max is None:
@@ -283,19 +287,14 @@ def rank_profile(
     if J_max < dims.d + 2:
         raise ValueError(f"J_max must be at least d + 2 = {dims.d + 2}")
     options = options or RankOptions()
-
-    chains = {}
-
-    def chain(kappa: int) -> SegreMapping:
-        if kappa not in chains:
-            chains[kappa] = SegreMapping(manifold.at_kappa(kappa))
-        return chains[kappa]
+    if segre is None:
+        segre = SegreMapping(manifold)
 
     certificates = []
     for j in range(1, J_max + 1):
         certificates.append(
             generic_rank(
-                builder=lambda kappa, j=j: jacobian(chain(kappa).v(j)),
+                builder=lambda kappa, j=j: jacobian(segre.at_kappa(kappa).v(j)),
                 kappa=manifold.kappa,
                 options=options,
             )

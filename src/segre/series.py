@@ -157,6 +157,13 @@ def grlex_key(exponent: Exponent) -> Tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
+def unit_exponent(arity: int, index: int) -> Exponent:
+    """The exponent of the single variable ``index``: a 1 there, 0 elsewhere."""
+    exp = [0] * arity
+    exp[index] = 1
+    return tuple(exp)
+
+
 class TruncatedSeries:
     """An element of C[[x_1..x_p]] carried modulo total degree > kappa."""
 

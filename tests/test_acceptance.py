@@ -220,4 +220,4 @@ def test_criterion_12_determinism():
                 outputs.append(buffer.getvalue().encode())
             assert outputs[0] == outputs[1]
             payload = json.loads(outputs[0])
-            assert payload["schema"] == 1
+            assert payload["schema"] == 2

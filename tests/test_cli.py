@@ -44,7 +44,7 @@ def test_rank_json_values(capsys):
         code, out, _ = run_cli(capsys, "rank", "--fixture", name, "--json")
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == cli.SCHEMA == 2
         assert payload["ranks"] == ranks
         assert payload["k0"] == k0
         assert payload["stable"] is True
@@ -126,7 +126,7 @@ def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixture", "h", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == cli.SCHEMA == 2
     assert set(payload) == {
         "schema",
         "manifold",
@@ -142,8 +142,8 @@ def test_verify_json_schema(capsys):
         "checks",
     }
     assert payload["finite_type"] == {"lie": True, "segre": True}
+    assert set(payload["mirror"]) == {"annihilates", "rank", "generators"}
     assert payload["mirror"]["annihilates"] is True
-    assert payload["mirror"]["literal_annihilates"] is False
     assert all(check["pass"] for check in payload["checks"].values())
 
 
@@ -225,6 +225,17 @@ def test_unstable_rank_exit_code(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "rank", "--fixture", "h")
     assert code == cli.EXIT_INCONCLUSIVE
     assert "no" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "orbit"])
+def test_unstable_profile_exits_inconclusive(capsys, command):
+    # at order 4, Rk v^3 of c2 reaches N = 3 only after escalating to order 8
+    code, out, err = run_cli(capsys, command, "--fixture", "c2", "--kappa", "4", "--json")
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert err.startswith("inconclusive: ranks moved under order escalation")
+    assert err.count("\n") == 1
+    payload = json.loads(out)
+    assert all(check["pass"] for check in payload["checks"].values())
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -162,7 +162,6 @@ def test_mirror_h(manifold_h):
     assert comps[2].terms == {(1, 0): gauss(1)}
     assert comps[3].is_zero()
     assert mirror.annihilates
-    assert not mirror.literal_annihilates
     assert mirror.rank_certificate.rank == 2 == mirror.expected_rank
     assert mirror.generator_texts(1) == ["t4", "t3 - t1"]
 
@@ -183,7 +182,6 @@ def test_mirror_c2(manifold_c2):
     mirror = mirror_sigma(manifold_c2, profile)
     assert mirror.k0 == 3
     assert mirror.annihilates
-    assert not mirror.literal_annihilates
     assert mirror.rank_certificate.rank == 3 == mirror.expected_rank
 
 
@@ -297,6 +295,37 @@ def test_central_identity_on_random_finite_type_manifolds():
 # ---------------------------------------------------------------------------
 # coordinate invariance
 # ---------------------------------------------------------------------------
+
+
+def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
+    from collections import Counter
+
+    from segre import expressions, maps, orbit
+
+    lifts = Counter()
+    pairs = Counter()
+    real_at_kappa = expressions.GenericManifold.at_kappa
+    real_theta_phi = maps.make_theta_phi
+
+    def counting_at_kappa(self, kappa, verify=False):
+        lifts[kappa] += 1
+        return real_at_kappa(self, kappa, verify)
+
+    def counting_theta_phi(gamma, j):
+        pairs[gamma.kappa, j] += 1
+        return real_theta_phi(gamma, j)
+
+    monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
+    monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
+    monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
+    report = verify_all(manifold_c2)
+    assert report.passed
+    k0 = report.profile.k0
+    assert lifts == {12: 1, 16: 1}
+    expected = {(8, j) for j in range(k0 + 2)}
+    expected |= {(level, j) for level in (12, 16) for j in range(1, k0 + 2)}
+    assert set(pairs) == expected
+    assert set(pairs.values()) == {1}
 
 
 def random_invertible(rng, size):
