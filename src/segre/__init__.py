@@ -10,6 +10,7 @@ identities exactly over the Gaussian rationals.
 from .config import DEFAULT_SEED, RankOptions, RunConfig
 from .coords import Dims
 from .errors import (
+    ConfigError,
     GenericityError,
     InconclusiveError,
     InternalConsistencyError,

@@ -6,11 +6,11 @@ Commands
   orbit        annihilator count e and the orbit generators
   verify       the full theorem-verification suite
 
-Exit codes: 0 success, 2 parse/load error, 3 inconclusive result (including
-a rank profile that moves under order escalation, for every command),
-4 theorem-check failure, 5 internal consistency error.  JSON output is
-byte-deterministic for a fixed seed and configuration; the SEGRE_SEED
-environment variable overrides --seed.
+Exit codes: 0 success, 2 usage, parse or load error (an option out of range
+included), 3 inconclusive result (including a rank profile that moves under
+order escalation, for every command), 4 theorem-check failure, 5 internal
+consistency error.  JSON output is byte-deterministic for a fixed seed and
+configuration; the SEGRE_SEED environment variable overrides --seed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import List, Optional
 
 from .config import DEFAULT_SEED, RunConfig
 from .errors import (
+    ConfigError,
     InconclusiveError,
     InternalConsistencyError,
     ManifoldError,
@@ -73,7 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--jmax", type=int, default=None, help="largest iterate (default d+2)")
         cmd.add_argument("--depth", type=int, default=None, help="bracket depth (default kappa)")
         cmd.add_argument("--degree", type=int, default=None, help="annihilator degree bound (default min(4, kappa/2))")
-        cmd.add_argument("--seed", type=int, default=DEFAULT_SEED, help="screening seed")
+        cmd.add_argument(
+            "--seed",
+            type=int,
+            default=DEFAULT_SEED,
+            help="seed of the random lines that certify each rank (a line misses a larger minor with probability at most order/2^17)",
+        )
         cmd.add_argument("--jobs", type=int, default=1, help="parallelism hint; output is independent of it")
         cmd.add_argument("--json", action="store_true", help="emit the JSON report")
     return parser
@@ -83,7 +89,10 @@ def _config_from_args(args) -> RunConfig:
     seed = args.seed
     env_seed = os.environ.get("SEGRE_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"SEGRE_SEED must be an integer, got {env_seed!r}") from None
     return RunConfig(
         kappa=args.kappa,
         J_max=args.jmax,
@@ -101,7 +110,10 @@ def _load(args, config: RunConfig) -> GenericManifold:
         path = Path(args.manifold)
     else:
         raise ManifoldError("provide a manifold file or --fixture")
-    return load_manifold_file(path, config.kappa)
+    manifold = load_manifold_file(path, config.kappa)
+    if config.resolve_jmax(manifold.d) < manifold.d + 2:
+        raise ConfigError(f"jmax must be at least d + 2 = {manifold.d + 2}")
+    return manifold
 
 
 def _emit_json(payload: dict) -> None:
@@ -310,7 +322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ManifoldError as exc:
+    except (ManifoldError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD
     except InconclusiveError as exc:

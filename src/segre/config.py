@@ -5,12 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import ConfigError
+
 DEFAULT_SEED = 0x5E62E
 
 
 @dataclass(frozen=True)
 class RankOptions:
-    """Knobs of the randomized rank screen and the escalation policy."""
+    """Knobs of the random-line rank certificates and the escalation policy.
+
+    Each certificate draws ``trials`` lines x = eps * x0 with nonzero integer
+    coordinates in [-value_bound, value_bound]; a line misses a larger
+    minor with probability at most K / (2 * value_bound) at order K.  The
+    order is escalated ``escalations`` times by ``escalation_step``.
+    """
 
     seed: int = DEFAULT_SEED
     trials: int = 3
@@ -18,11 +26,16 @@ class RankOptions:
     escalation_step: int = 4
     escalations: int = 2
 
+    def __post_init__(self):
+        if self.trials < 1 or self.value_bound < 1:
+            raise ConfigError("a rank certificate needs at least one line and value_bound >= 1")
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved defaults: J_max falls back to d + 2, bracket depth and degree
-    bound to values derived from the truncation order."""
+    bound to values derived from the truncation order.  Out-of-range values
+    raise ``ConfigError`` before any work starts."""
 
     kappa: int = 8
     J_max: Optional[int] = None
@@ -34,11 +47,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.kappa < 2:
-            raise ValueError("kappa must be at least 2")
+            raise ConfigError("kappa must be at least 2")
         if self.J_max is not None and self.J_max < 2:
-            raise ValueError("J_max must be at least 2")
+            raise ConfigError("J_max must be at least 2")
+        if self.bracket_depth is not None and self.bracket_depth < 1:
+            raise ConfigError("bracket depth must be at least 1")
+        if self.degree_bound is not None and not 1 <= self.degree_bound <= self.kappa // 2:
+            raise ConfigError(f"degree bound must lie in 1..kappa/2 = {self.kappa // 2}")
         if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+            raise ConfigError("jobs must be positive")
 
     def resolve_jmax(self, d: int) -> int:
         return self.J_max if self.J_max is not None else d + 2

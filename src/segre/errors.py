@@ -27,6 +27,10 @@ class RealityError(ManifoldError):
         self.witness = witness
 
 
+class ConfigError(SegreError, ValueError):
+    """A run option is out of range."""
+
+
 class InconclusiveError(SegreError):
     """A computation could not certify its result at the configured bounds."""
 

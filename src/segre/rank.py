@@ -1,36 +1,32 @@
 """Certified generic rank of formal mappings over the fraction field.
 
 The rank of a matrix of truncated series is the largest s such that some
-s x s minor is nonzero as a series.  The engine reports a certified lower
-bound in two phases: a randomized screen evaluates the matrix at integer
-points and takes exact constant ranks (cheap, and by the usual polynomial
-identity-testing argument very unlikely to undershoot), then the screened
-minor is re-expanded symbolically in truncated arithmetic; a nonzero
-truncated determinant forces a nonzero true determinant because truncation
-is a quotient homomorphism.  A final climb checks that every (r+1)-minor
-vanishes modulo the truncation order, which doubles as the fallback when the
-screen was unlucky.
-
-Because a minor could first become nonzero beyond the truncation order, the
-certificate also reports stability: the rank is recomputed with the order
-escalated twice, and ``stable`` records that nothing moved.
+s x s minor is nonzero as a series.  It is certified on random lines
+x = eps * x0, which map series modulo degree > K (K the smallest entry
+order) onto Q(i)[eps]/(eps^(K+1)); a minor nonzero on a line is nonzero as
+a series, so the lower bound is exact.  Only tightness is randomized: by the
+Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
+minor with probability at most K / (2 * value_bound).  Because a minor could
+first become nonzero beyond the truncation order, the rank is also
+recomputed with the order escalated twice, and ``stable`` records that
+nothing moved.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .config import RankOptions
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .maps import SegreMapping
-from .series import FormalMap, GaussianRational, TruncatedSeries
+from .series import FormalMap, GaussianRational, TruncatedSeries, compose_many
 
 Matrix = List[List[TruncatedSeries]]
+Pivot = Tuple[int, int, int, GaussianRational]
 
 
 def jacobian(mapping: FormalMap) -> Matrix:
@@ -43,121 +39,137 @@ def jacobian(mapping: FormalMap) -> Matrix:
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """A certified lower bound on generic rank with its witnessing minor.
+    """A certified lower bound on generic rank, witnessed on a line.
 
-    ``witness_exponent``/``witness_value`` cite a nonzero coefficient of the
-    symbolically expanded minor; re-expanding the cited minor in truncated
-    arithmetic reproduces it exactly (see ``verify``).  ``stable`` means the
-    rank survived two truncation-order escalations unchanged.
+    On the line x = eps * ``line_point``, modulo eps^(K+1), the minor on
+    ``minor_rows`` x ``minor_cols`` has lowest term ``witness_value`` *
+    eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
+    larger minor was missed at ``kappa_used``: (K / (2 value_bound))^trials,
+    or 0 when none exists.  ``stable``: two order escalations changed nothing.
     """
 
     rank: int
     minor_rows: Tuple[int, ...]
     minor_cols: Tuple[int, ...]
-    witness_exponent: Optional[Tuple[int, ...]]
+    line_point: Tuple[int, ...]
+    witness_exponent: Optional[int]
     witness_value: Optional[GaussianRational]
+    error_bound: Fraction
     kappa_used: int
     stable: bool
 
     def verify(self, matrix: Matrix) -> bool:
+        """Recompute the cited minor on the cited line: one univariate determinant."""
         if self.rank == 0:
             return all(entry.is_zero() for row in matrix for entry in row)
-        det = minor_determinant(matrix, self.minor_rows, self.minor_cols)
-        return det.coefficient(self.witness_exponent) == self.witness_value
+        rows, cols, point = self.minor_rows, self.minor_cols, self.line_point
+        in_range = all(0 <= i < len(matrix) for i in rows) and all(0 <= j < len(matrix[0]) for j in cols)
+        if not (len(rows) == len(cols) == self.rank and in_range and len(point) == matrix[0][0].arity):
+            return False
+        pivots = _eliminate(_on_line([[matrix[i][j] for j in cols] for i in rows], point, _order(matrix)))
+        return len(pivots) == self.rank and _witness(pivots) == (self.witness_exponent, self.witness_value)
 
 
 def minor_determinant(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> TruncatedSeries:
-    """Exact truncated determinant of the cited submatrix.
-
-    Cofactor expansion along the column with the most zero entries keeps the
-    work proportional to the sparsity actually present.
-    """
-    rows = list(rows)
-    cols = list(cols)
+    """Exact truncated determinant of the cited submatrix, by cofactor expansion."""
+    rows, cols = list(rows), list(cols)
     if len(rows) != len(cols) or not rows:
         raise ValueError("minor needs equally many, and at least one, rows and columns")
-
-    def expand(r: Tuple[int, ...], c: Tuple[int, ...]) -> TruncatedSeries:
-        if len(r) == 1:
-            return matrix[r[0]][c[0]]
-        zero_counts = [sum(1 for i in r if matrix[i][j].is_zero()) for j in c]
-        pivot = max(range(len(c)), key=lambda j: zero_counts[j])
-        col = c[pivot]
-        rest_cols = c[:pivot] + c[pivot + 1 :]
-        total: Optional[TruncatedSeries] = None
-        for position, i in enumerate(r):
-            entry = matrix[i][col]
-            if entry.is_zero():
-                continue
-            rest_rows = r[:position] + r[position + 1 :]
-            term = entry * expand(rest_rows, rest_cols)
-            if (position + pivot) % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            kappa = min(matrix[i][j].kappa for i in r for j in c)
-            return TruncatedSeries.zero(matrix[r[0]][c[0]].arity, kappa)
-        return total
-
-    return expand(tuple(rows), tuple(cols))
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    kappa = min(matrix[i][j].kappa for i in rows for j in cols)
+    total = TruncatedSeries.zero(matrix[rows[0]][cols[0]].arity, kappa)
+    for position, i in enumerate(rows):
+        entry = matrix[i][cols[0]]
+        if entry:
+            term = entry * minor_determinant(matrix, rows[:position] + rows[position + 1 :], cols[1:])
+            total = total - term if position % 2 else total + term
+    return total
 
 
-def _screen(matrix: Matrix, options: RankOptions, rng: random.Random):
-    """Evaluate at random integer points; return candidate minors, best first."""
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if matrix else 0
-    arity = matrix[0][0].arity if matrix and matrix[0] else 0
-    candidates = []
+def _order(matrix: Matrix) -> int:
+    return min(entry.kappa for row in matrix for entry in row)
+
+
+def _on_line(matrix: Matrix, point: Sequence[int], order: int) -> Matrix:
+    """Every entry restricted to x = eps * point: univariate, modulo eps^(order + 1)."""
+    line = FormalMap([TruncatedSeries(1, order, {(1,): value}) for value in point])
+    flat = iter(compose_many([entry for row in matrix for entry in row], line))
+    return [[next(flat) for _ in row] for row in matrix]
+
+
+def _divide(series: TruncatedSeries, divisor: TruncatedSeries, v: int) -> TruncatedSeries:
+    """Univariate series / divisor, where the divisor has valuation v and eps^v
+    divides the series; the quotient is exact to the shared order minus v."""
+    kappa = min(series.kappa, divisor.kappa) - v
+    out = {}
+    for k in range(kappa + 1):
+        total = series.coefficient((k + v,))
+        for (j,), c in divisor.terms.items():
+            if v < j <= k + v and k + v - j in out:
+                total = total - c * out[k + v - j]
+        if total:
+            out[k] = total / divisor.coefficient((v,))
+    return TruncatedSeries(1, kappa, {(k,): c for k, c in out.items()})
+
+
+def _eliminate(lines: Matrix) -> List[Pivot]:
+    """Pivots (row, column, valuation, lowest coefficient) of elimination over
+    Q(i)[eps]/(eps^(K+1)), K the entries' order: the Smith form over a
+    discrete valuation ring.
+
+    A pivot of least valuation v divides its whole row, so the Schur
+    complement a_ij - a_i,pc * (a_pr,j / a_pr,pc) is exact modulo
+    eps^(K-v+1): all that later minors can use.  The pivot count is the
+    largest s with an s-minor nonzero modulo eps^(K+1).
+    """
+    work = {(i, j): entry for i, row in enumerate(lines) for j, entry in enumerate(row) if entry}
+    pivots: List[Pivot] = []
+    while work:
+        v, pr, pc = min((entry.order(), i, j) for (i, j), entry in work.items())
+        pivot = work.pop((pr, pc))
+        pivots.append((pr, pc, v, pivot.coefficient((v,))))
+        order = pivot.kappa - v
+        ratios = {j: _divide(entry, pivot, v) for (i, j), entry in work.items() if i == pr}
+        column = {i: entry for (i, j), entry in work.items() if j == pc}
+        rest = {(i, j): entry.truncate(order) for (i, j), entry in work.items() if i != pr and j != pc}
+        for i, below in column.items():
+            for j, ratio in ratios.items():
+                rest[(i, j)] = rest.get((i, j), TruncatedSeries.zero(1, order)) - below * ratio
+        work = {key: entry for key, entry in rest.items() if entry}
+    return pivots
+
+
+def _witness(pivots: List[Pivot]) -> Tuple[int, GaussianRational]:
+    """Lowest term of the minor on the sorted pivot rows and columns: the product
+    of the pivots, signed by the parity of the two sorting permutations."""
+    rows, cols, valuations, leads = zip(*pivots)
+    swaps = sum(s[b] > s[a] for s in (rows, cols) for a in range(len(s)) for b in range(a))
+    value = GaussianRational(-1 if swaps % 2 else 1)
+    for lead in leads:
+        value = value * lead
+    return sum(valuations), value
+
+
+def _certified_rank(matrix: Matrix, options: RankOptions, rng: random.Random, level: int) -> RankCertificate:
+    """The most pivots over ``options.trials`` random lines, with their certificate."""
+    if not matrix or not matrix[0]:
+        return RankCertificate(0, (), (), (), None, None, Fraction(0), level, True)
+    order = _order(matrix)
+    full = min(len(matrix), len(matrix[0]))
+    best: Optional[Tuple[Tuple[int, ...], List[Pivot]]] = None
     for _ in range(options.trials):
-        point = []
-        for _ in range(arity):
-            value = 0
-            while value == 0:
-                value = rng.randint(-options.value_bound, options.value_bound)
-            point.append(GaussianRational(value))
-        constant = [[matrix[i][j].evaluate(point) for j in range(n_cols)] for i in range(n_rows)]
-        r, pivot_rows, pivot_cols = linalg.rank_with_pivots(constant)
-        if r:
-            candidates.append((r, tuple(pivot_rows), tuple(sorted(pivot_cols))))
-    candidates.sort(key=lambda item: -item[0])
-    return candidates
-
-
-def _certified_rank(matrix: Matrix, options: RankOptions, rng: random.Random):
-    """Largest s with a nonzero truncated s-minor, plus the witnessing minor."""
-    n_rows = len(matrix)
-    n_cols = len(matrix[0]) if matrix else 0
-    bound = min(n_rows, n_cols)
-    rank = 0
-    rows: Tuple[int, ...] = ()
-    cols: Tuple[int, ...] = ()
-    witness: Optional[Tuple[Tuple[int, ...], GaussianRational]] = None
-
-    for cand_rank, cand_rows, cand_cols in _screen(matrix, options, rng):
-        if cand_rank <= rank:
+        point = tuple(rng.choice((-1, 1)) * rng.randint(1, options.value_bound) for _ in range(matrix[0][0].arity))
+        pivots = _eliminate(_on_line(matrix, point, order))
+        if best is None or len(pivots) > len(best[1]):
+            best = (point, pivots)
+        if len(pivots) == full:
             break
-        det = minor_determinant(matrix, cand_rows, cand_cols)
-        if not det.is_zero():
-            rank, rows, cols = cand_rank, cand_rows, cand_cols
-            witness = det.leading_term()
-            break
-
-    while rank < bound:
-        found = None
-        for row_set in combinations(range(n_rows), rank + 1):
-            for col_set in combinations(range(n_cols), rank + 1):
-                det = minor_determinant(matrix, row_set, col_set)
-                if not det.is_zero():
-                    found = (row_set, col_set, det)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        rows, cols = found[0], found[1]
-        witness = found[2].leading_term()
-        rank += 1
-    return rank, rows, cols, witness
+    point, pivots = best
+    exponent, value = _witness(pivots) if pivots else (None, None)
+    error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * options.value_bound) ** options.trials
+    rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
+    return RankCertificate(len(pivots), rows, cols, point, exponent, value, error, level, True)
 
 
 def _exact_entry_builder(matrix: Matrix) -> Callable[[int], Matrix]:
@@ -190,38 +202,24 @@ def generic_rank(
             raise ValueError("need a matrix or a builder")
         builder = _exact_entry_builder(matrix)
         if kappa is None:
-            kappa = min(entry.kappa for row in matrix for entry in row)
+            kappa = _order(matrix)
     if kappa is None:
         raise ValueError("builder form needs an explicit base truncation order")
 
-    results = []
+    certificates = []
     for step in range(options.escalations + 1):
         level = kappa + step * options.escalation_step
-        work = builder(level)
-        if not work or not work[0]:
-            results.append((level, 0, (), (), None))
-            continue
         rng = random.Random(options.seed * 1000003 + level)
-        rank, rows, cols, witness = _certified_rank(work, options, rng)
-        results.append((level, rank, rows, cols, witness))
+        certificates.append(_certified_rank(builder(level), options, rng, level))
 
-    ranks = [r for _, r, _, _, _ in results]
+    ranks = [cert.rank for cert in certificates]
     if any(b < a for a, b in zip(ranks, ranks[1:])):
         raise InternalConsistencyError(
             f"certified rank decreased under order escalation: {ranks}"
         )
     final = max(ranks)
-    stable = all(r == final for r in ranks)
-    level, rank, rows, cols, witness = next(res for res in results if res[1] == final)
-    return RankCertificate(
-        rank=rank,
-        minor_rows=rows,
-        minor_cols=cols,
-        witness_exponent=witness[0] if witness else None,
-        witness_value=witness[1] if witness else None,
-        kappa_used=level,
-        stable=stable,
-    )
+    first = next(cert for cert in certificates if cert.rank == final)
+    return replace(first, stable=all(r == final for r in ranks))
 
 
 def rank_along(

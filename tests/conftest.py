@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from segre import (
     Dims,
@@ -18,6 +19,10 @@ from segre import (
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "segre" / "fixtures"
+
+# the same examples on every run, and no per-example deadline on a loaded host
+settings.register_profile("segre", derandomize=True, deadline=None)
+settings.load_profile("segre")
 
 
 def load_fixture(name: str, kappa: int = 8):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -236,6 +239,35 @@ def test_unstable_profile_exits_inconclusive(capsys, command):
     assert err.count("\n") == 1
     payload = json.loads(out)
     assert all(check["pass"] for check in payload["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["rank", "--fixture", "h", "--kappa", "1"], None),
+        (["orbit", "--fixture", "h", "--degree", "9"], None),
+        (["rank", "--fixture", "h", "--jobs", "0"], None),
+        (["rank", "--fixture", "h"], "abc"),
+        (["rank", "--fixture", "c2", "--jmax", "3"], None),
+        (["finite-type", "--fixture", "h", "--depth", "0"], None),
+    ],
+    ids=["kappa-1", "degree-9", "jobs-0", "seed-abc", "jmax-below-d-plus-2", "depth-0"],
+)
+def test_config_errors_exit_usage(argv, seed):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    env.pop("SEGRE_SEED", None)
+    if seed is not None:
+        env["SEGRE_SEED"] = seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "segre.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == cli.EXIT_LOAD
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from segre import (
     FormalMap,
@@ -76,6 +79,37 @@ def test_profile_certificates_verify_against_their_matrices(all_fixture_manifold
         for j, cert in enumerate(profile.certificates, start=1):
             chain = make_gamma(manifold.at_kappa(cert.kappa_used))
             assert cert.verify(jacobian(chain.v(j))), (manifold.label, j)
+
+
+def _corrupt(cert, field):
+    if field == "line_point":
+        return replace(cert, line_point=tuple(2 * x for x in cert.line_point))
+    if field == "witness_exponent":
+        return replace(cert, witness_exponent=cert.witness_exponent + 1)
+    if field == "witness_value":
+        return replace(cert, witness_value=cert.witness_value + gauss(1))
+    # the next index names another row (or column), a repeated one, or none
+    if field == "minor_rows":
+        return replace(cert, minor_rows=(cert.minor_rows[0] + 1,) + cert.minor_rows[1:])
+    return replace(cert, minor_cols=(cert.minor_cols[0] + 1,) + cert.minor_cols[1:])
+
+
+@pytest.mark.parametrize(
+    "field", ["line_point", "witness_exponent", "witness_value", "minor_rows", "minor_cols"]
+)
+def test_corrupted_certificates_are_rejected(all_fixture_manifolds, field):
+    checked = 0
+    for name in ("h", "l4", "c2"):
+        manifold = all_fixture_manifolds[name]
+        for j, cert in enumerate(rank_profile(manifold).certificates, start=1):
+            matrix = jacobian(make_gamma(manifold.at_kappa(cert.kappa_used)).v(j))
+            assert cert.verify(matrix), (name, j)
+            # a minor with a constant lowest term is the same on every line
+            if field == "line_point" and cert.witness_exponent == 0:
+                continue
+            assert not _corrupt(cert, field).verify(matrix), (name, j, field)
+            checked += 1
+    assert checked >= 3
 
 
 def test_generic_rank_certificate_reproducible_on_rebuilt_matrix(manifold_h):

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segre import (
+    ConfigError,
     FormalMap,
     RankOptions,
     TruncatedSeries,
@@ -18,6 +21,7 @@ from segre import (
     rank_along,
     rank_profile,
 )
+from segre.expressions import ManifoldSpec, load_manifold
 
 from conftest import random_real_rho_manifold, random_rigid_manifold
 from oracles import brute_force_rank, from_series
@@ -119,6 +123,73 @@ def test_generic_rank_matches_brute_force_oracle():
         assert generic_rank(matrix).rank == brute_force_rank(dense)
 
 
+# entries of total degree <= 3, so every minor of a 4x4 matrix lies below order 12
+_entry = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda exp: sum(exp) <= 3),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+    max_size=3,
+).map(lambda terms: TruncatedSeries(2, 12, {exp: gauss(*c) for exp, c in terms.items()}))
+
+
+@st.composite
+def _poly_matrices(draw):
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 4))
+    return [[draw(_entry) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@given(_poly_matrices())
+def test_generic_rank_property_against_oracle(matrix):
+    cert = generic_rank(matrix, options=RankOptions(escalations=0))
+    dense = [[from_series(e) for e in row] for row in matrix]
+    assert cert.rank == brute_force_rank(dense)
+    assert cert.verify(matrix)
+    if cert.rank:
+        # the witness is the lowest term of the cofactor-expanded minor on the line
+        det = minor_determinant(matrix, cert.minor_rows, cert.minor_cols)
+        on_line = [det.homogeneous_part(k).evaluate(cert.line_point) for k in range(cert.witness_exponent + 1)]
+        assert on_line == [gauss(0)] * cert.witness_exponent + [cert.witness_value]
+
+
+def _diagonal(a, b, kappa):
+    """diag(x1^a, x2^b): its only nonzero 2-minor is x1^a x2^b, of degree a + b."""
+    return [
+        [TruncatedSeries(2, kappa, {(a, 0): 1}), TruncatedSeries.zero(2, kappa)],
+        [TruncatedSeries.zero(2, kappa), TruncatedSeries(2, kappa, {(0, b): 1})],
+    ]
+
+
+def _cancelling(kappa):
+    """[[x1, x2], [x1, x2 + x1^3]]: every entry has valuation 1, the minor is x1^4."""
+    return [
+        [TruncatedSeries(2, kappa, {(1, 0): 1}), TruncatedSeries(2, kappa, {(0, 1): 1})],
+        [TruncatedSeries(2, kappa, {(1, 0): 1}), TruncatedSeries(2, kappa, {(0, 1): 1, (3, 0): 1})],
+    ]
+
+
+@pytest.mark.parametrize(
+    "matrix, rank, exponent",
+    [
+        (_diagonal(2, 3, 5), 2, 5),  # the minor has degree exactly K: it counts
+        (_diagonal(3, 3, 5), 1, 3),  # degree K + 1: it does not
+        (_cancelling(4), 2, 4),  # first pivot has valuation 1, the complement cancels to x1^3
+        (_cancelling(3), 1, 1),
+    ],
+    ids=["degree-K", "degree-K-plus-1", "positive-valuation", "positive-valuation-short"],
+)
+def test_generic_rank_at_the_truncation_order(matrix, rank, exponent):
+    cert = generic_rank(matrix, options=RankOptions(escalations=0))
+    assert cert.rank == rank
+    assert cert.witness_exponent == exponent
+    assert cert.verify(matrix)
+
+
+@pytest.mark.parametrize("field", ["trials", "value_bound"])
+def test_rank_options_need_a_line(field):
+    with pytest.raises(ConfigError):
+        RankOptions(**{field: 0})
+
+
 def test_generic_rank_determinism(manifold_h):
     gamma = make_gamma(manifold_h)
     matrix = jacobian(gamma.v(2))
@@ -171,6 +242,14 @@ def test_rank_profile_fixtures(all_fixture_manifolds):
         assert profile.k0 == k0, name
         assert profile.stable, name
         assert profile.rank_at(1) == manifold.n
+
+
+def test_rank_profile_levi_flat_n9():
+    spec = ManifoldSpec(N=9, d=1, form="graph", expressions=("ta1",))
+    profile = rank_profile(load_manifold(spec, 8))
+    assert profile.ranks == (8, 8, 8)
+    assert profile.k0 == 1
+    assert profile.stable
 
 
 def test_rank_profile_rejects_small_jmax(manifold_h):
