@@ -33,7 +33,7 @@ from .errors import (
 )
 from .expressions import GenericManifold, load_manifold_file
 from .fields import LieHullReport, lie_hull_dimension
-from .maps import SegreMapping
+from .maps import SegreMapping, default_var_cap
 from .orbit import VerificationReport, orbit_annihilator, verify_all
 from .rank import RankProfile, rank_profile
 
@@ -111,8 +111,12 @@ def _load(args, config: RunConfig) -> GenericManifold:
     else:
         raise ManifoldError("provide a manifold file or --fixture")
     manifold = load_manifold_file(path, config.kappa)
-    if config.resolve_jmax(manifold.d) < manifold.d + 2:
+    jmax = config.resolve_jmax(manifold.d)
+    if jmax < manifold.d + 2:
         raise ConfigError(f"jmax must be at least d + 2 = {manifold.d + 2}")
+    cap = default_var_cap(manifold.dims)
+    if jmax * manifold.n > cap:
+        raise ConfigError(f"jmax {jmax} needs {jmax * manifold.n} iterate variables, cap is {cap}")
     return manifold
 
 

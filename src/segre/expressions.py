@@ -51,6 +51,10 @@ class ParseError(ManifoldError):
 
 _OPERATORS = set("+-*/^()")
 
+MAX_NESTING = 100
+"""Deepest nesting of parentheses and unary minus the parser accepts; each
+level costs the recursive-descent parser at most five stack frames."""
+
 
 def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
     tokens: List[Tuple[str, Union[int, str], int]] = []
@@ -89,6 +93,7 @@ class _Parser:
         self.table = table
         self.arity = arity
         self.kappa = kappa
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -103,6 +108,11 @@ class _Parser:
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}", pos)
         return self.advance()
+
+    def nest(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", pos)
 
     def parse(self) -> TruncatedSeries:
         result = self.expr()
@@ -142,10 +152,13 @@ class _Parser:
                 return left
 
     def unary(self) -> TruncatedSeries:
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return -self.unary()
+            self.nest(pos)
+            operand = self.unary()
+            self.depth -= 1
+            return -operand
         return self.power()
 
     def power(self) -> TruncatedSeries:
@@ -174,8 +187,10 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return TruncatedSeries.variable(self.arity, self.kappa, index)
         if kind == "op" and value == "(":
+            self.nest(pos)
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)
@@ -255,7 +270,7 @@ class ManifoldSpec:
         path = Path(path)
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
             raise ManifoldError(f"cannot read manifold file {path}: {exc}") from exc
         return ManifoldSpec.from_json(data)
 

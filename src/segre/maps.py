@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
+from .coords import Dims
 from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .fields import FormalVectorField
@@ -28,6 +29,11 @@ from .series import FormalMap, TruncatedSeries, compose_many, series_match, unit
 
 class VariableCapError(SegreError):
     """An iterate would exceed the configured bound on source variables."""
+
+
+def default_var_cap(dims: Dims) -> int:
+    """The default bound on an iterate's source variables: 4 (d + 1) n."""
+    return 4 * (dims.d + 1) * dims.n
 
 
 class SegreMapping:
@@ -46,9 +52,7 @@ class SegreMapping:
         self.manifold = manifold
         self.graph: GraphForm = manifold.graph
         self.kappa = manifold.kappa
-        if var_cap is None:
-            var_cap = 4 * (dims.d + 1) * dims.n
-        self.var_cap = var_cap
+        self.var_cap = default_var_cap(dims) if var_cap is None else var_cap
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}

@@ -224,11 +224,12 @@ def _orbit_annihilator_at(
     )
 
     failures = []
-    for k, g in enumerate(f_generators):
+    if f_generators:
         for j in range(1, 2 * k0 + 1):
-            image = g.compose(segre.v(j))
-            if not image.is_zero():
-                failures.append((k + 1, j))
+            for k, image in enumerate(compose_many(f_generators, segre.v(j))):
+                if not image.is_zero():
+                    failures.append((k + 1, j))
+    failures.sort()
     if failures:
         raise InconclusiveError(
             f"annihilators fail to kill iterates at (generator, j) pairs {failures}; "
@@ -292,19 +293,15 @@ def orbit_ideal_in_M(
     expected = dims.d + orbit.e
     codimension_ok = linear_rank == expected
 
-    phi_inner = FormalMap(phi.components)
-    rho_ok = all(
-        manifold.rho.component(j).compose(phi_inner).is_zero() for j in range(dims.d)
-    )
-    ann_ok = True
-    for g in orbit.f_generators:
-        ambient = g.map_vars(dims.ambient_arity, dims.z_to_ambient())
-        if not ambient.compose(phi_inner).is_zero():
-            ann_ok = False
-    sigma_ok = True
-    for g in generators:
-        if not g.sigma(dims.N).compose(phi_inner).is_zero():
-            sigma_ok = False
+    # one composition shares its monomial memo across all three checks
+    rho = [manifold.rho.component(j) for j in range(dims.d)]
+    ambient = [g.map_vars(dims.ambient_arity, dims.z_to_ambient()) for g in orbit.f_generators]
+    mirrored = [g.sigma(dims.N) for g in generators]
+    images = compose_many(rho + ambient + mirrored, FormalMap(phi.components))
+    zero = [image.is_zero() for image in images]
+    rho_ok = all(zero[: len(rho)])
+    ann_ok = all(zero[len(rho) : len(rho) + len(ambient)])
+    sigma_ok = all(zero[len(rho) + len(ambient) :])
     return OrbitIdealReport(
         generators=tuple(generators),
         linear_rank=linear_rank,
@@ -417,18 +414,16 @@ def mirror_sigma(
     ]
     if linalg.rank(jac) != k0 * dims.n:
         raise InternalConsistencyError("mirror parametrization is rank-deficient at 0")
-    for g in gens:
-        if not g.compose(param).is_zero():
-            raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
-
-    annihilates = all(c.compose(param).is_zero() for c in v2k.components)
+    zero = [image.is_zero() for image in compose_many(gens + list(v2k.components), param)]
+    if not all(zero[: len(gens)]):
+        raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
+    annihilates = all(zero[len(gens) :])
 
     def builder(level: int):
         locus = _mirror_parametrization(dims, k0, level)
-        return [
-            [entry.compose(locus) for entry in row]
-            for row in jacobian(segre.at_kappa(level).v(2 * k0))
-        ]
+        rows = jacobian(segre.at_kappa(level).v(2 * k0))
+        images = iter(compose_many([entry for row in rows for entry in row], locus))
+        return [[next(images) for _ in row] for row in rows]
 
     cert = generic_rank(builder=builder, kappa=kappa, options=config.rank_options())
     return MirrorManifold(

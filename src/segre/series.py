@@ -1,5 +1,9 @@
 """Exact sparse truncated multivariate power series over the Gaussian rationals.
 
+Coefficients are ``GaussianRational`` values: one canonical integer triple
+(a, b, d) standing for (a + b*i)/d with d > 0 and gcd(a, b, d) == 1, so each
+field operation costs at most one gcd and equal values have equal triples.
+
 A series is stored as a dictionary mapping exponent tuples to nonzero
 ``GaussianRational`` coefficients, together with the number of variables
 (``arity``) and a truncation order ``kappa``: the series is an element of
@@ -24,8 +28,8 @@ Order bookkeeping follows three rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -50,54 +54,83 @@ def _fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts.
+    """A complex number (a + b*i)/d with exact integer parts.
 
-    ``fractions.Fraction`` keeps both parts in lowest terms with positive
-    denominators, so the field axioms hold exactly; there is no rounding
-    anywhere in the engine.
+    The triple is kept canonical: d > 0 and gcd(a, b, d) == 1, so zero is
+    (0, 0, 1) and equal values have equal triples.  Every sum, difference,
+    product and quotient costs one gcd; negation and conjugation cost none.
+    There is no rounding anywhere in the engine.  ``re`` and ``im`` give the
+    two parts as ``Fraction``s in lowest terms.
     """
 
-    re: Fraction
-    im: Fraction
+    # written once, at construction; no operation mutates a value
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _fraction(re))
-        object.__setattr__(self, "im", _fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _fraction(re), _fraction(im)
+        q, s = re.denominator, im.denominator
+        # lowest terms on both parts make gcd(a, b, lcm(q, s)) == 1 already
+        d = q if q == s else q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        # the hash of the (re, im) pair of Fractions, as before the triple form
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.re * other.re + other.im * other.im
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        norm = c * c + e * e
         if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a + b*i)/d * f/(c + e*i) = (a + b*i)(c - e*i)*f / (d*(c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * norm)
 
     def inverse(self) -> "GaussianRational":
         return ONE / self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if exponent < 0:
@@ -114,15 +147,37 @@ class GaussianRational:
         return result
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{_imag_str(abs(im))}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
+    value = _new(GaussianRational)
+    value._a, value._b, value._d = a, b, d
+    return value
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap (a + b*i)/d with d > 0, dividing out gcd(a, b, d)."""
+    value = _new(GaussianRational)
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    value._a, value._b, value._d = a, b, d
+    return value
 
 
 def _imag_str(im: Fraction) -> str:

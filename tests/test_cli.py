@@ -250,10 +250,23 @@ def test_unstable_profile_exits_inconclusive(capsys, command):
         (["rank", "--fixture", "h"], "abc"),
         (["rank", "--fixture", "c2", "--jmax", "3"], None),
         (["finite-type", "--fixture", "h", "--depth", "0"], None),
+        (["rank", "--fixture", "h", "--jmax", "40"], None),
     ],
-    ids=["kappa-1", "degree-9", "jobs-0", "seed-abc", "jmax-below-d-plus-2", "depth-0"],
+    ids=[
+        "kappa-1",
+        "degree-9",
+        "jobs-0",
+        "seed-abc",
+        "jmax-below-d-plus-2",
+        "depth-0",
+        "jmax-past-variable-cap",
+    ],
 )
 def test_config_errors_exit_usage(argv, seed):
+    assert_usage_error(run_cli_process(argv, seed))
+
+
+def run_cli_process(argv, seed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
@@ -261,13 +274,38 @@ def test_config_errors_exit_usage(argv, seed):
     env.pop("SEGRE_SEED", None)
     if seed is not None:
         env["SEGRE_SEED"] = seed
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "segre.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def assert_usage_error(proc):
     assert proc.returncode == cli.EXIT_LOAD
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def _graph_file(expression: str) -> str:
+    return json.dumps({"N": 2, "d": 1, "form": "graph", "expressions": [expression]})
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (_graph_file("ta1 + 2*i*" + "(" * 3000 + "z1*ch1" + ")" * 3000), "nested deeper than"),
+        (_graph_file("ta1 + 2*i*" + "-" * 3000 + "z1*ch1"), "nested deeper than"),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+        (b"\xff\xfe{}", "codec can't decode"),
+    ],
+    ids=["parentheses", "unary-minus", "json-arrays", "not-utf8"],
+)
+def test_hostile_file_exits_usage(tmp_path, content, message):
+    hostile = tmp_path / "hostile.json"
+    hostile.write_bytes(content if isinstance(content, bytes) else content.encode())
+    proc = run_cli_process(["rank", str(hostile)])
+    assert_usage_error(proc)
+    assert message in proc.stderr
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

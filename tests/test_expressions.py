@@ -21,7 +21,7 @@ from segre import (
     parse_expression,
     variable_table,
 )
-from segre.expressions import load_manifold_file
+from segre.expressions import MAX_NESTING, load_manifold_file
 
 from conftest import FIXTURE_DIR
 
@@ -61,6 +61,17 @@ def test_parse_unary_minus_and_precedence():
         (0, 0, 1): gauss(2),
         (0, 1, 0): gauss(1),
     }
+
+
+def test_parse_nesting_cap():
+    depth = MAX_NESTING
+    series = parse_expression("(" * depth + "z1" + ")" * depth, GRAPH_TABLE, 4)
+    assert series == parse_expression("z1", GRAPH_TABLE, 4)
+    assert parse_expression("-" * depth + "z1", GRAPH_TABLE, 4) == series
+    for text in ("(" * (depth + 1) + "z1" + ")" * (depth + 1), "-" * (depth + 1) + "z1"):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, GRAPH_TABLE, 4)
+        assert err.value.position == depth
 
 
 def test_parse_errors_have_positions():

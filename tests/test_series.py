@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,11 +14,14 @@ from segre import (
     FormalMap,
     GaussianRational,
     I,
+    ONE,
+    ZERO,
     SeriesError,
     TruncatedSeries,
     gauss,
     series_match,
 )
+from segre.series import as_coeff
 
 from oracles import (
     d_add,
@@ -53,6 +57,132 @@ def test_gaussian_rational_field_ops():
     assert a.conjugate().conjugate() == a
     with pytest.raises(ZeroDivisionError):
         a / gauss(0)
+
+
+# The scalar against a reference kept here: a pair of Fractions (re, im) with
+# the field operations and the text rendering written out longhand.
+
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / norm, (x[1] * y[0] - x[0] * y[1]) / norm)
+
+
+def ref_pow(x, k):
+    result = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        result = ref_mul(result, x)
+    return result if k >= 0 else ref_div((Fraction(1), Fraction(0)), result)
+
+
+def ref_str(x):
+    def imag(v):
+        return "i" if v == 1 else "-i" if v == -1 else f"{v}*i"
+
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return imag(im)
+    return f"{re}{'+' if im > 0 else '-'}{imag(abs(im))}"
+
+
+def assert_matches(value, x):
+    """``value`` equals the reference pair ``x`` and keeps its triple canonical."""
+    assert (value.re, value.im) == x
+    assert type(value.re) is Fraction and type(value.im) is Fraction
+    assert value._d > 0 and math.gcd(value._a, value._b, value._d) == 1
+    assert str(value) == ref_str(x)
+    assert repr(value) == f"GaussianRational({x[0]!r}, {x[1]!r})"
+    assert value == GaussianRational(*x) and hash(value) == hash(x)
+    assert bool(value) == any(x)
+
+
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+pairs = st.tuples(rationals, rationals)
+
+
+@given(pairs, pairs)
+def test_gaussian_rational_against_fraction_pairs(x, y):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    assert_matches(a, x)
+    assert_matches(a + b, (x[0] + y[0], x[1] + y[1]))
+    assert_matches(a - b, (x[0] - y[0], x[1] - y[1]))
+    assert_matches(-a, (-x[0], -x[1]))
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(a.conjugate(), (x[0], -x[1]))
+    if any(y):
+        assert_matches(a / b, ref_div(x, y))
+        assert_matches(b.inverse(), ref_div((Fraction(1), Fraction(0)), y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+
+
+@given(pairs, st.integers(min_value=-5, max_value=5))
+def test_gaussian_rational_powers_against_fraction_pairs(x, k):
+    a = GaussianRational(*x)
+    if k < 0 and not any(x):
+        with pytest.raises(ZeroDivisionError):
+            a**k
+    else:
+        assert_matches(a**k, ref_pow(x, k))
+
+
+small = st.integers(min_value=-9, max_value=9)
+
+
+@given(small, small, st.integers(min_value=1, max_value=12))
+def test_gaussian_rational_triple_is_canonical(p, q, scale):
+    # the same value from unreduced parts, from ints and from arithmetic
+    x = (Fraction(p), Fraction(q, 3))
+    built = [
+        GaussianRational(Fraction(p * scale, scale), Fraction(q * scale, 3 * scale)),
+        GaussianRational(*x),
+        GaussianRational(p) + GaussianRational(0, q) / GaussianRational(3),
+        GaussianRational(*x) * GaussianRational(scale) / GaussianRational(scale),
+    ]
+    for value in built:
+        assert_matches(value, x)
+        assert (value._a, value._b, value._d) == (built[0]._a, built[0]._b, built[0]._d)
+    assert len({hash(value) for value in built}) == 1
+
+
+def test_gaussian_rational_zero_and_constants():
+    a = GaussianRational(Fraction(2, 4), 1)
+    b = GaussianRational(Fraction(1, 2), Fraction(3, 3))
+    assert a == b and hash(a) == hash(b) == hash((Fraction(1, 2), Fraction(1)))
+    for zero in (ZERO, GaussianRational(), GaussianRational(Fraction(0, 7)), a - b, b * ZERO):
+        assert (zero._a, zero._b, zero._d) == (0, 0, 1) and not zero
+    assert (ONE._a, ONE._b, ONE._d) == (1, 0, 1)
+    assert (I._a, I._b, I._d) == (0, 1, 1)
+    assert gauss(0, 1) == I and as_coeff(Fraction(4, 2)) == GaussianRational(2)
+    assert as_coeff(I) is I
+    assert (GaussianRational(1) == 1) is False
+    assert str(GaussianRational(Fraction(-3, 2), -1)) == "-3/2-i"
+    assert repr(I) == "GaussianRational(Fraction(0, 1), Fraction(1, 1))"
+    with pytest.raises(AttributeError):
+        a.re = Fraction(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianRational(0.5),
+        lambda: GaussianRational(1, 0.5),
+        lambda: gauss(0.5),
+        lambda: as_coeff(0.5),
+    ],
+)
+def test_gaussian_rational_rejects_floats(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 # ---------------------------------------------------------------------------
