@@ -8,6 +8,11 @@ at the origin, span the same space as the full Lie algebra generated by all
 tangent fields of the two types, because multiplying a field by a series only
 rescales its value at 0.
 
+Both spans of the closure are ``linalg.Echelon``s: the values at 0, keyed by
+slot, give the hull dimension, and the fields themselves, keyed by
+(degree, exponent, slot), prune every word that is a constant-linear
+combination of the words already kept.
+
 Every bracket costs one order of truncation, so a word of length k in fields
 with coefficients valid to order kappa - 1 is valid to order kappa - k; the
 reported hull dimension is therefore a certified lower bound with an explicit
@@ -17,13 +22,13 @@ stability flag rather than a completeness claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .implicit import ideal_member
-from .linalg import SpanTracker
-from .series import GaussianRational, TruncatedSeries, grlex_key
+from .linalg import Echelon
+from .series import GaussianRational, TruncatedSeries
 
 
 class FormalVectorField:
@@ -160,55 +165,6 @@ class LieHullReport:
         return self.dim_g0 == self.cap
 
 
-class _SparseSpan:
-    """Exact span of vector fields over the constants, keyed by (slot, exponent).
-
-    Used only to prune bracket words that are constant-linear combinations of
-    words already kept; dropping such a word never loses evaluation span at
-    any visible truncation order.
-    """
-
-    def __init__(self):
-        self._rows: List[Tuple[Tuple, Dict]] = []
-
-    @staticmethod
-    def _vector(field: FormalVectorField) -> Dict:
-        vec = {}
-        for slot, coeff in enumerate(field.coefficients):
-            for exp, value in coeff.terms.items():
-                vec[(slot, exp)] = value
-        return vec
-
-    @staticmethod
-    def _key(item) -> Tuple:
-        slot, exp = item
-        return (grlex_key(exp), slot)
-
-    def add(self, field: FormalVectorField) -> bool:
-        """Reduce mod the stored rows at the field's own order; True if independent."""
-        order = field.valid_order
-        vec = self._vector(field)
-        for pivot, row in self._rows:
-            factor = vec.get(pivot)
-            if factor is None or not factor:
-                continue
-            for key, value in row.items():
-                new = vec.get(key, None)
-                new = (new - factor * value) if new is not None else -factor * value
-                if new:
-                    vec[key] = new
-                else:
-                    vec.pop(key, None)
-        vec = {k: v for k, v in vec.items() if sum(k[1]) <= order}
-        if not vec:
-            return False
-        pivot = min(vec, key=self._key)
-        inv = vec[pivot].inverse()
-        normalized = {k: v * inv for k, v in vec.items()}
-        self._rows.append((pivot, normalized))
-        return True
-
-
 def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = None) -> LieHullReport:
     """Breadth-first closure over left-normed bracket words of the CR basis.
 
@@ -231,28 +187,43 @@ def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = Non
     generators = [(f"L{j + 1}", f) for j, f in enumerate(fields_l)]
     generators += [(f"Lt{j + 1}", f) for j, f in enumerate(fields_lt)]
 
-    tracker = SpanTracker(dims.ambient_arity)
-    field_span = _SparseSpan()
+    values = Echelon()  # keyed by slot
+    field_span = Echelon()  # keyed by (degree, exponent, slot): graded-lex least pivots
     witnesses: List[Tuple[str, Tuple[GaussianRational, ...]]] = []
     frontier: List[Tuple[str, FormalVectorField]] = []
     grew_last = False
     depth_used = 0
 
+    def kept(field: FormalVectorField) -> bool:
+        """Reduce mod the kept words at the field's own order; True if independent.
+
+        Dropping a constant-linear combination of kept words never loses
+        evaluation span at any visible truncation order.
+        """
+        vec = {
+            (sum(exp), exp, slot): value
+            for slot, coeff in enumerate(field.coefficients)
+            for exp, value in coeff.terms.items()
+        }
+        rest = field_span.reduce(vec)
+        order = field.valid_order
+        return field_span.add({key: value for key, value in rest.items() if key[0] <= order})
+
     def absorb(name: str, field: FormalVectorField) -> bool:
         value = field.evaluate_at_origin()
-        if tracker.add(list(value)):
+        if values.add(dict(enumerate(value))):
             witnesses.append((name, value))
             return True
         return False
 
     for name, field in generators:
-        if field_span.add(field):
+        if kept(field):
             frontier.append((name, field))
             grew_last = absorb(name, field) or grew_last
     depth_used = 1
 
     for current_depth in range(2, depth + 1):
-        if tracker.rank >= cap or not frontier:
+        if len(values) >= cap or not frontier:
             break
         grew_last = False
         next_frontier: List[Tuple[str, FormalVectorField]] = []
@@ -261,26 +232,26 @@ def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = Non
                 candidate = bracket(gen_field, word_field)
                 if candidate.is_zero():
                     continue
-                if not field_span.add(candidate):
+                if not kept(candidate):
                     continue
                 name = f"[{gen_name},{word_name}]"
                 next_frontier.append((name, candidate))
                 if absorb(name, candidate):
                     grew_last = True
-                    if tracker.rank >= cap:
+                    if len(values) >= cap:
                         break
-            if tracker.rank >= cap:
+            if len(values) >= cap:
                 break
         frontier = next_frontier
         depth_used = current_depth
-        if tracker.rank >= cap:
+        if len(values) >= cap:
             break
 
-    stable = tracker.rank >= cap or not frontier or not grew_last
-    if tracker.rank > cap:
+    stable = len(values) >= cap or not frontier or not grew_last
+    if len(values) > cap:
         raise InternalConsistencyError("Lie hull dimension exceeded the tangent dimension")
     return LieHullReport(
-        dim_g0=tracker.rank,
+        dim_g0=len(values),
         bracket_depth_used=depth_used,
         basis_witnesses=tuple(witnesses),
         stable=stable,

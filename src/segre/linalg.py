@@ -1,232 +1,136 @@
-"""Small exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, on one sparse echelon.
 
-Plain Gaussian elimination on lists of lists of ``GaussianRational``.  The
-matrices in this engine are tiny (a handful of rows and columns, or a few
-hundred for annihilator kernels), so clarity and exactness win over any
-clever pivoting or fraction-free tricks.
+Every elimination of the engine goes through ``Echelon``: sparse rows
+{key: GaussianRational} with orderable keys, each stored row scaled to 1 at
+its pivot, the row's least key.  Dense matrices enter as rows keyed by column
+index; the kernel search carries each column's combination along under keys
+that sort after the column's own entries.  (The valuation pivoting of
+``rank._eliminate`` works over Q(i)[eps]/(eps^(K+1)) and stays apart.)
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from .series import ZERO, ONE, GaussianRational
 
 Matrix = List[List[GaussianRational]]
+Row = Dict[Hashable, GaussianRational]
 
 
-def copy_matrix(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    return [list(row) for row in matrix]
+def _subtract(target: Row, factor: GaussianRational, row: Row) -> None:
+    """target -= factor * row in place, dropping the entries that cancel."""
+    for key, value in row.items():
+        old = target.get(key)
+        new = -(factor * value) if old is None else old - factor * value
+        if new:
+            target[key] = new
+        else:
+            del target[key]
+
+
+class Echelon:
+    """Sparse rows in echelon form over orderable keys.
+
+    Each stored row is 1 at its pivot, its least key, and 0 at the pivots of
+    the rows stored before it, so reducing against the rows in storage order
+    clears every pivot.
+    """
+
+    def __init__(self):
+        self.pivots: List[Hashable] = []
+        self.rows: List[Row] = []
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: Mapping[Hashable, GaussianRational]) -> Row:
+        """The remainder of ``vec`` against the stored rows: 0 at every pivot."""
+        rest = {key: value for key, value in vec.items() if value}
+        for pivot, row in zip(self.pivots, self.rows):
+            factor = rest.get(pivot)
+            if factor is not None:
+                _subtract(rest, factor, row)
+        return rest
+
+    def add(self, vec: Mapping[Hashable, GaussianRational]) -> bool:
+        """Store the remainder of ``vec`` if it is nonzero; True when the span grew."""
+        rest = self.reduce(vec)
+        if not rest:
+            return False
+        pivot = min(rest)
+        inv = rest[pivot].inverse()
+        self.pivots.append(pivot)
+        self.rows.append({key: value * inv for key, value in rest.items()})
+        return True
+
+    def reduced(self) -> List[Row]:
+        """The stored rows in reduced row echelon form, sorted by pivot."""
+        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
+        rows = [dict(self.rows[i]) for i in order]
+        pivots = [self.pivots[i] for i in order]
+        for i in range(len(rows) - 1, -1, -1):
+            for j in range(i):
+                factor = rows[j].get(pivots[i])
+                if factor is not None:
+                    _subtract(rows[j], factor, rows[i])
+        return rows
 
 
 def rank_with_pivots(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[int, List[int], List[int]]:
     """Exact rank plus the row and column indices of the pivot positions.
 
-    The pivot rows/columns index an invertible r x r submatrix of the input.
+    The pivot rows/columns (both sorted) index an invertible r x r submatrix
+    of the input.
     """
-    work = copy_matrix(matrix)
-    if not work:
-        return 0, [], []
-    n_rows, n_cols = len(work), len(work[0])
-    pivot_rows: List[int] = []
-    pivot_cols: List[int] = []
-    row_order = list(range(n_rows))
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row_order[r], row_order[pivot] = row_order[pivot], row_order[r]
-        pivot_rows.append(row_order[r])
-        pivot_cols.append(col)
-        inv = work[r][col].inverse()
-        for i in range(r + 1, n_rows):
-            factor = work[i][col]
-            if not factor:
-                continue
-            scaled = factor * inv
-            for j in range(col, n_cols):
-                work[i][j] = work[i][j] - scaled * work[r][j]
-        r += 1
-        if r == n_rows:
-            break
-    return r, sorted(pivot_rows), pivot_cols
+    echelon = Echelon()
+    pivot_rows = [index for index, row in enumerate(matrix) if echelon.add(dict(enumerate(row)))]
+    return len(pivot_rows), pivot_rows, sorted(echelon.pivots)
 
 
 def rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
     return rank_with_pivots(matrix)[0]
 
 
-def rref(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    work = copy_matrix(matrix)
-    if not work:
-        return work, []
-    n_rows, n_cols = len(work), len(work[0])
-    pivot_cols: List[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [entry * inv for entry in work[r]]
-        for i in range(n_rows):
-            if i == r or not work[i][col]:
-                continue
-            factor = work[i][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    reduced = [row for row in work if any(row)]
-    return reduced, pivot_cols
-
-
-def nullspace(matrix: Sequence[Sequence[GaussianRational]], n_cols: Optional[int] = None) -> Matrix:
-    """Basis of the right kernel {v : M v = 0}, one vector per free column."""
-    if not matrix:
-        if n_cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [[ONE if i == j else ZERO for i in range(n_cols)] for j in range(n_cols)]
-    n_cols = len(matrix[0])
-    reduced, pivot_cols = rref(matrix)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
-    basis: Matrix = []
-    for free in free_cols:
-        vec = [ZERO] * n_cols
-        vec[free] = ONE
-        for row, pcol in zip(reduced, pivot_cols):
-            vec[pcol] = -row[free]
-        basis.append(vec)
-    return basis
-
-
 def invert(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     n = len(matrix)
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
-    reduced, pivot_cols = rref(work)
-    if pivot_cols != list(range(n)):
+    echelon = Echelon()
+    for i, row in enumerate(matrix):
+        echelon.add({**dict(enumerate(row)), n + i: ONE})
+    reduced = echelon.reduced()
+    # a pivot at or past n is a row of [A | I] whose A-part reduced to zero
+    if [min(row) for row in reduced] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [[row.get(n + col, ZERO) for col in range(n)] for row in reduced]
 
 
-def span_dimension(vectors: Sequence[Sequence[GaussianRational]]) -> int:
-    return rank(list(vectors)) if vectors else 0
-
-
-def sparse_kernel(columns: Sequence[dict]) -> List[dict]:
+def sparse_kernel(columns: Sequence[Mapping]) -> List[dict]:
     """Kernel combinations of sparsely given columns.
 
     Each column is a dict mapping orderable row keys to nonzero entries.
-    Columns are reduced incrementally against the independent ones seen so
-    far; every column that reduces to zero yields one kernel vector, given
-    as a dict {column index: coefficient}.  Output order is deterministic.
+    Columns are reduced in order against the independent ones seen so far,
+    their combination carried along under the keys (1, column index) after
+    the entries' keys (0, row key).  Every column that reduces to zero yields
+    one kernel vector {column index: coefficient}: the column minus its
+    combination of the earlier independent columns.
     """
-    basis: List[Tuple[object, dict, dict]] = []
+    echelon = Echelon()
     kernel: List[dict] = []
     for index, column in enumerate(columns):
-        vec = dict(column)
-        combination = {index: ONE}
-        for pivot, basis_vec, basis_comb in basis:
-            factor = vec.get(pivot)
-            if not factor:
-                continue
-            for key, value in basis_vec.items():
-                new = vec.get(key, ZERO) - factor * value
-                if new:
-                    vec[key] = new
-                else:
-                    vec.pop(key, None)
-            for key, value in basis_comb.items():
-                new = combination.get(key, ZERO) - factor * value
-                if new:
-                    combination[key] = new
-                else:
-                    combination.pop(key, None)
-        if vec:
-            pivot = min(vec)
-            inv = vec[pivot].inverse()
-            basis.append(
-                (
-                    pivot,
-                    {k: v * inv for k, v in vec.items()},
-                    {k: v * inv for k, v in combination.items()},
-                )
-            )
+        vec = {(0, key): value for key, value in column.items()}
+        vec[(1, index)] = ONE
+        rest = echelon.reduce(vec)
+        if min(rest)[0] == 0:
+            echelon.add(rest)
         else:
-            kernel.append(combination)
+            kernel.append({key: value for (_, key), value in rest.items()})
     return kernel
 
 
-def sparse_rref(rows: Sequence[dict]) -> List[dict]:
+def sparse_rref(rows: Sequence[Mapping]) -> List[dict]:
     """Reduced row echelon form of sparse rows keyed by orderable column keys."""
-    reduced: List[dict] = []
+    echelon = Echelon()
     for row in rows:
-        vec = dict(row)
-        for other in reduced:
-            pivot = min(other)
-            factor = vec.get(pivot)
-            if not factor:
-                continue
-            for key, value in other.items():
-                new = vec.get(key, ZERO) - factor * value
-                if new:
-                    vec[key] = new
-                else:
-                    vec.pop(key, None)
-        if vec:
-            pivot = min(vec)
-            inv = vec[pivot].inverse()
-            reduced.append({k: v * inv for k, v in vec.items()})
-    # back-substitute so every pivot column is cleared from the other rows
-    reduced.sort(key=lambda r: min(r))
-    for i in range(len(reduced) - 1, -1, -1):
-        pivot = min(reduced[i])
-        for j in range(i):
-            factor = reduced[j].get(pivot)
-            if not factor:
-                continue
-            for key, value in reduced[i].items():
-                new = reduced[j].get(key, ZERO) - factor * value
-                if new:
-                    reduced[j][key] = new
-                else:
-                    reduced[j].pop(key, None)
-    return reduced
-
-
-class SpanTracker:
-    """Incremental exact span: feed vectors, learn which ones grow the span."""
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        self._rows: Matrix = []
-        self._pivots: List[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def add(self, vector: Sequence[GaussianRational]) -> bool:
-        """Reduce against the current basis; returns True if the span grew."""
-        if len(vector) != self.dimension:
-            raise ValueError("vector length does not match tracker dimension")
-        vec = list(vector)
-        for row, pivot in zip(self._rows, self._pivots):
-            if vec[pivot]:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        lead = next((i for i, entry in enumerate(vec) if entry), None)
-        if lead is None:
-            return False
-        inv = vec[lead].inverse()
-        vec = [entry * inv for entry in vec]
-        self._rows.append(vec)
-        self._pivots.append(lead)
-        return True
+        echelon.add(row)
+    return echelon.reduced()

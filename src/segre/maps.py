@@ -342,18 +342,16 @@ def pushforward_residuals(
     holds with L_l; all residuals are exact modulo the shared valid order and
     must vanish.
     """
-    dims = gamma.dims
+    n = gamma.dims.n
     j = theta_phi.j
     residuals: List[TruncatedSeries] = []
-    theta_inner = FormalMap(theta_phi.theta.components)
-    for l in range(dims.n):
-        lhs = f.compose(theta_inner).partial(j * dims.n + l)
-        rhs = fields_lt[l].apply(f).compose(theta_inner)
-        residuals.append(lhs.truncate(min(lhs.kappa, rhs.kappa)) - rhs)
+    # (map, index of its last source block, fields along that block)
+    pairs = [(theta_phi.theta, j, fields_lt)]
     if theta_phi.phi is not None:
-        phi_inner = FormalMap(theta_phi.phi.components)
-        for l in range(dims.n):
-            lhs = f.compose(phi_inner).partial((j - 1) * dims.n + l)
-            rhs = fields_l[l].apply(f).compose(phi_inner)
-            residuals.append(lhs.truncate(min(lhs.kappa, rhs.kappa)) - rhs)
+        pairs.append((theta_phi.phi, j - 1, fields_l))
+    for mapping, block, fields in pairs:
+        composed, *rhs = compose_many([f] + [field.apply(f) for field in fields], mapping)
+        for l, right in enumerate(rhs):
+            lhs = composed.partial(block * n + l)
+            residuals.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
     return residuals

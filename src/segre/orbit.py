@@ -29,7 +29,14 @@ from .expressions import GenericManifold, manifold_from_rho_series
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
 from .maps import SegreMapping, iterate, make_T, pushforward_residuals
-from .rank import RankCertificate, RankProfile, generic_rank, jacobian, rank_profile
+from .rank import (
+    RankCertificate,
+    RankProfile,
+    generic_rank,
+    jacobian,
+    jacobian_along,
+    rank_profile,
+)
 from .series import (
     FormalMap,
     GaussianRational,
@@ -277,7 +284,8 @@ def orbit_ideal_in_M(
     Verifies that the defining functions and the Z-only annihilators lie in
     the kernel, that the kernel's linear part has the expected codimension
     d + e, and that the kernel is closed under the conjugation involution
-    (reality of the orbit ideal).
+    (reality of the orbit ideal).  A short linear part with the degree bound
+    below the degree of the defining functions raises InconclusiveError.
     """
     dims = manifold.dims
     kappa = manifold.kappa
@@ -292,6 +300,13 @@ def orbit_ideal_in_M(
     )
     expected = dims.d + orbit.e
     codimension_ok = linear_rank == expected
+    # a kernel searched up to the bound cannot hold a defining function of higher degree
+    rho_degree = max(component.degree() for component in manifold.rho.components)
+    if linear_rank < expected and degree_bound < rho_degree:
+        raise InconclusiveError(
+            f"orbit ideal linear rank {linear_rank} < d + e = {expected}: degree bound "
+            f"{degree_bound} is below the degree {rho_degree} of the defining functions"
+        )
 
     # one composition shares its monomial memo across all three checks
     rho = [manifold.rho.component(j) for j in range(dims.d)]
@@ -421,9 +436,7 @@ def mirror_sigma(
 
     def builder(level: int):
         locus = _mirror_parametrization(dims, k0, level)
-        rows = jacobian(segre.at_kappa(level).v(2 * k0))
-        images = iter(compose_many([entry for row in rows for entry in row], locus))
-        return [[next(images) for _ in row] for row in rows]
+        return jacobian_along(segre.at_kappa(level).v(2 * k0), locus)
 
     cert = generic_rank(builder=builder, kappa=kappa, options=config.rank_options())
     return MirrorManifold(

@@ -37,6 +37,13 @@ def jacobian(mapping: FormalMap) -> Matrix:
     ]
 
 
+def jacobian_along(mapping: FormalMap, locus: FormalMap) -> Matrix:
+    """The Jacobian of ``mapping`` with every entry composed along ``locus``, in one call."""
+    rows = jacobian(mapping)
+    images = iter(compose_many([entry for row in rows for entry in row], locus))
+    return [[next(images) for _ in row] for row in rows]
+
+
 @dataclass(frozen=True)
 class RankCertificate:
     """A certified lower bound on generic rank, witnessed on a line.
@@ -240,8 +247,7 @@ def rank_along(
         if component.constant_term():
             raise ValueError("locus components must vanish at the origin")
     if builder is None:
-        composed = [[entry.compose(locus) for entry in row] for row in jacobian(mapping)]
-        return generic_rank(composed, kappa=kappa, options=options)
+        return generic_rank(jacobian_along(mapping, locus), kappa=kappa, options=options)
     return generic_rank(builder=builder, kappa=kappa, options=options)
 
 

@@ -153,6 +153,26 @@ def brute_force_rank(matrix: List[List[Dense]]) -> int:
     return 0
 
 
+def constant_rank(vectors: Sequence[Sequence[GaussianRational]]) -> int:
+    """Rank of a constant matrix without elimination.
+
+    Rows are kept greedily: a row joins when some maximal minor of the kept
+    rows plus it has a nonzero cofactor determinant, i.e. when it is
+    independent of them, so the kept rows end up a basis of the row space.
+    """
+    kept: List[List[Dense]] = []
+    for row in dict.fromkeys(tuple(v) for v in vectors if any(v)):
+        trial = kept + [[d_const(0, value) for value in row]]
+        if len(trial) > len(row):
+            break
+        if any(
+            d_det([[entries[c] for c in cols] for entries in trial])
+            for cols in combinations(range(len(row)), len(trial))
+        ):
+            kept = trial
+    return len(kept)
+
+
 # ---------------------------------------------------------------------------
 # bracket oracle: all words, dense coefficients
 # ---------------------------------------------------------------------------
@@ -179,8 +199,6 @@ def dense_hull_dimension(generators: Sequence[DenseField], arity: int, max_lengt
     Unlike the engine this neither truncates nor restricts to left-normed
     words, so it is a genuinely independent route to the hull dimension.
     """
-    from segre import linalg
-
     by_length: Dict[int, List[DenseField]] = {1: list(generators)}
     for length in range(2, max_length + 1):
         words: List[DenseField] = []
@@ -194,4 +212,4 @@ def dense_hull_dimension(generators: Sequence[DenseField], arity: int, max_lengt
         for words in by_length.values()
         for field in words
     ]
-    return linalg.rank(vectors)
+    return constant_rank(vectors)

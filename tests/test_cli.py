@@ -328,3 +328,21 @@ def test_env_seed_overrides_flag(monkeypatch, capsys):
 def test_unknown_fixture(capsys):
     with pytest.raises(SystemExit):
         cli.main(["rank", "--fixture", "nope"])
+
+
+@pytest.mark.parametrize(
+    "argv, bound, degree",
+    [
+        (["verify", "--fixture", "h", "--degree", "1"], 1, 2),
+        (["verify", "--fixture", "l4", "--kappa", "7"], 3, 4),
+    ],
+    ids=["h-degree-1", "l4-kappa-7"],
+)
+def test_degree_bound_below_rho_degree_is_inconclusive(argv, bound, degree):
+    # a kernel searched up to degree b cannot hold a defining function of higher degree
+    proc = run_cli_process(argv)
+    assert proc.returncode == cli.EXIT_INCONCLUSIVE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("inconclusive: ") and proc.stderr.count("\n") == 1
+    assert f"degree bound {bound} is below the degree {degree}" in proc.stderr

@@ -1,0 +1,90 @@
+"""No dead helpers in the engine: every module-level function and class of
+``src/segre/*.py`` must be referenced outside its own definition, somewhere in
+``src/segre`` (a re-export in ``__init__`` counts) or in ``bench/``.  Tests do
+not count as users."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "segre"
+BENCH = ROOT / "bench"
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(source: str) -> List[str]:
+    return [node.name for node in ast.parse(source).body if isinstance(node, DEFINITIONS)]
+
+
+def references(source: str) -> Set[str]:
+    """Names used in ``source``, except a top-level definition's uses of its own name.
+
+    Names, attributes, imported names and identifier-like strings (the
+    dotted targets of ``bench/spans.py``, string annotations) all count.
+    """
+    found: Set[str] = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, DEFINITIONS) else ""
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".") if node.value.replace(".", "").isidentifier() else []
+            else:
+                continue
+            found.update(name for name in names if name != own)
+    return found
+
+
+def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[str, str]]:
+    """(module, name) of every top-level definition in ``engine`` that nothing uses."""
+    used: Set[str] = set()
+    for source in list(engine.values()) + list(others.values()):
+        used |= references(source)
+    return [
+        (module, name)
+        for module, source in engine.items()
+        for name in definitions(source)
+        if name not in used
+    ]
+
+
+def _sources(directory: Path) -> Dict[str, str]:
+    return {path.name: path.read_text() for path in sorted(directory.glob("*.py"))}
+
+
+def test_every_engine_definition_is_used():
+    engine = _sources(SOURCE)
+    assert {"linalg.py", "fields.py", "__init__.py"} <= set(engine)
+    assert unreferenced(engine, _sources(BENCH)) == []
+
+
+def test_scanner_flags_dead_helpers():
+    engine = {
+        "a.py": "\n".join(
+            [
+                "def used():",
+                "    return 1",
+                "def recursive(n):",
+                "    return recursive(n - 1) if n else used()",
+                "def dead():",
+                "    '''mentions used and dead in prose only'''",
+                "class Exported:",
+                "    def clone(self) -> 'Exported':",
+                "        return Exported()",
+                "def traced():",
+                "    pass",
+            ]
+        ),
+        "__init__.py": "from .a import Exported\n",
+    }
+    bench = {"spans.py": "TARGETS = (('x', 'pkg.a', 'traced'),)\n"}
+    assert unreferenced(engine, bench) == [("a.py", "recursive"), ("a.py", "dead")]

@@ -1,0 +1,120 @@
+"""Exact linear algebra against the cofactor oracle, on random Q(i) matrices.
+
+The matrices are up to 5 x 5 with many zero entries; half of them are
+products through a narrower inner dimension, so low ranks are common.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from segre import linalg
+from segre.series import ONE, ZERO, GaussianRational
+
+from oracles import brute_force_rank, constant_rank, d_const, d_det
+
+_scalar = st.builds(
+    lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.integers(1, 3),
+)
+_entry = st.one_of(st.just(ZERO), _scalar)
+
+
+def matmul(a, b):
+    inner = len(b)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(inner)), ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+@st.composite
+def matrices(draw, square=False):
+    n_rows = draw(st.integers(1, 5))
+    n_cols = n_rows if square else draw(st.integers(1, 5))
+
+    def block(rows, cols):
+        return [[draw(_entry) for _ in range(cols)] for _ in range(rows)]
+
+    if draw(st.booleans()):
+        return block(n_rows, n_cols)
+    inner = draw(st.integers(1, min(n_rows, n_cols)))
+    return matmul(block(n_rows, inner), block(inner, n_cols))
+
+
+def minors_rank(matrix) -> int:
+    return brute_force_rank([[d_const(0, value) for value in row] for row in matrix])
+
+
+@given(matrices())
+def test_rank_against_minors(matrix):
+    assert linalg.rank(matrix) == minors_rank(matrix) == constant_rank(matrix)
+
+
+@given(matrices())
+def test_rank_with_pivots_cites_an_invertible_minor(matrix):
+    r, rows, cols = linalg.rank_with_pivots(matrix)
+    assert r == len(rows) == len(cols) == minors_rank(matrix)
+    assert rows == sorted(set(rows)) and cols == sorted(set(cols))
+    if r:
+        assert d_det([[d_const(0, matrix[i][j]) for j in cols] for i in rows])
+
+
+@given(matrices(square=True))
+def test_invert(matrix):
+    n = len(matrix)
+    if minors_rank(matrix) < n:
+        with pytest.raises(ValueError):
+            linalg.invert(matrix)
+        return
+    inverse = linalg.invert(matrix)
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert matmul(matrix, inverse) == identity == matmul(inverse, matrix)
+
+
+@given(matrices())
+def test_sparse_kernel(matrix):
+    n_cols = len(matrix[0])
+    columns = [
+        {(i,): row[c] for i, row in enumerate(matrix) if row[c]} for c in range(n_cols)
+    ]
+    kernel = linalg.sparse_kernel(columns)
+    assert len(kernel) == n_cols - minors_rank(matrix)
+    for combination in kernel:
+        assert all(combination.values())
+        for row in matrix:
+            assert sum((value * row[c] for c, value in combination.items()), ZERO) == ZERO
+        # the dependent column itself, minus earlier columns
+        assert combination[max(combination)] == ONE
+    assert len({max(combination) for combination in kernel}) == len(kernel)
+
+
+@given(matrices())
+def test_sparse_rref(matrix):
+    n_cols = len(matrix[0])
+    reduced = linalg.sparse_rref([{c: v for c, v in enumerate(row) if v} for row in matrix])
+    pivots = [min(row) for row in reduced]
+    assert pivots == sorted(set(pivots))
+    for row, pivot in zip(reduced, pivots):
+        assert all(row.values())
+        assert row[pivot] == ONE
+        assert all(pivot not in other for other in reduced if other is not row)
+    dense = [[row.get(c, ZERO) for c in range(n_cols)] for row in reduced]
+    # same row space: neither side adds rank to the other
+    assert len(reduced) == minors_rank(matrix) == minors_rank(matrix + dense)
+
+
+@given(matrices())
+def test_echelon_add_reports_growth(matrix):
+    echelon = linalg.Echelon()
+    for k, row in enumerate(matrix):
+        grew = echelon.add(dict(enumerate(row)))
+        assert grew == (minors_rank(matrix[: k + 1]) > minors_rank(matrix[:k]))
+        assert echelon.reduce(dict(enumerate(row))) == {}
+    assert len(echelon) == minors_rank(matrix)

@@ -146,6 +146,27 @@ def test_orbit_ideal_h(manifold_h):
     assert ideal.sigma_closed
 
 
+def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
+    # rho of h has degree 2: below that bound a short linear rank is
+    # inconclusive, at or above it the codimension check fails
+    from segre import orbit as orbit_module
+
+    profile = rank_profile(manifold_h)
+    orbit = orbit_annihilator(manifold_h, profile)
+    with pytest.raises(InconclusiveError, match="degree bound 1 is below the degree 2"):
+        orbit_ideal_in_M(manifold_h, profile.k0, orbit, degree_bound=1)
+    real_kernel = orbit_module._kernel_series
+
+    def short(*args):
+        series, monomials, linear_rank = real_kernel(*args)
+        return series, monomials, linear_rank - 1
+
+    monkeypatch.setattr(orbit_module, "_kernel_series", short)
+    for bound in (2, 4):
+        ideal = orbit_ideal_in_M(manifold_h, profile.k0, orbit, degree_bound=bound)
+        assert ideal.linear_rank == 0 and not ideal.codimension_ok
+
+
 # ---------------------------------------------------------------------------
 # the mirror locus
 # ---------------------------------------------------------------------------
