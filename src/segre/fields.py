@@ -207,7 +207,8 @@ def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = Non
         }
         rest = field_span.reduce(vec)
         order = field.valid_order
-        return field_span.add({key: value for key, value in rest.items() if key[0] <= order})
+        # dropping keys keeps a remainder 0 at every pivot
+        return field_span.push({key: value for key, value in rest.items() if key[0] <= order})
 
     def absorb(name: str, field: FormalVectorField) -> bool:
         value = field.evaluate_at_origin()

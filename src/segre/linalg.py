@@ -55,7 +55,10 @@ class Echelon:
 
     def add(self, vec: Mapping[Hashable, GaussianRational]) -> bool:
         """Store the remainder of ``vec`` if it is nonzero; True when the span grew."""
-        rest = self.reduce(vec)
+        return self.push(self.reduce(vec))
+
+    def push(self, rest: Row) -> bool:
+        """Store ``rest``, already 0 at every pivot, if it is nonzero; True when the span grew."""
         if not rest:
             return False
         pivot = min(rest)
@@ -122,7 +125,7 @@ def sparse_kernel(columns: Sequence[Mapping]) -> List[dict]:
         vec[(1, index)] = ONE
         rest = echelon.reduce(vec)
         if min(rest)[0] == 0:
-            echelon.add(rest)
+            echelon.push(rest)
         else:
             kernel.append({key: value for (_, key), value in rest.items()})
     return kernel

@@ -59,8 +59,27 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# Most monomials a kernel search enumerates.  There are C(arity + b, b) - 1 of
+# degree 1..b: the cap admits the orbit ideal of a Levi-flat N=16 (58,904 in
+# 32 variables at b = 4) and refuses the annihilator kernel of N=40 (135,750 in
+# 40 variables), which would take minutes to compose.
+MAX_MONOMIALS = 100_000
+
+
 def _monomials(arity: int, max_degree: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples with 1 <= total degree <= max_degree, graded-lex order."""
+    """Exponent tuples with 1 <= total degree <= max_degree, graded-lex order.
+
+    Raises InconclusiveError, before enumerating any, above MAX_MONOMIALS.
+    """
+    count = 1  # C(arity + k, k), exactly, for k = 1..max_degree
+    for k in range(1, max_degree + 1):
+        count = count * (arity + k) // k
+    count -= 1
+    if count > MAX_MONOMIALS:
+        raise InconclusiveError(
+            f"{count} monomials of degree <= {max_degree} in {arity} variables "
+            f"exceed the cap MAX_MONOMIALS = {MAX_MONOMIALS}"
+        )
     out: List[Tuple[int, ...]] = []
 
     def extend(prefix: Tuple[int, ...], remaining: int, budget: int):

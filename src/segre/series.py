@@ -18,6 +18,12 @@ nonvanishing of the untruncated object.
 Every operation returns a new value; nothing is mutated after construction,
 so series and maps can be shared freely.
 
+Only the public ``TruncatedSeries(arity, kappa, terms)`` validates terms;
+results built here are clean by construction and skip the checks (``_series``).
+Products and compositions put each operand over one common denominator, sum
+the integer numerator pairs (re, im) per output exponent with no gcd, and
+divide each output coefficient once at the end.
+
 Order bookkeeping follows three rules:
   * add/mul take the minimum kappa of their operands,
   * composition takes the minimum kappa over the outer series and all
@@ -30,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 
@@ -135,16 +142,7 @@ class GaussianRational:
     def __pow__(self, exponent: int) -> "GaussianRational":
         if exponent < 0:
             return ONE / (self ** (-exponent))
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _binary_power(self, exponent, ONE)
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -180,6 +178,18 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return value
 
 
+def _binary_power(base, n: int, one):
+    """base**n for n >= 0 by repeated squaring, starting from ``one``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _imag_str(im: Fraction) -> str:
     if im == 1:
         return "i"
@@ -193,9 +203,8 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def gauss(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
-    """Convenience constructor: gauss(2), gauss(0, 1) == i, gauss(Fraction(1, 2))."""
-    return GaussianRational(re, im)
+# short name for the constructor: gauss(2), gauss(0, 1) == I, gauss(Fraction(1, 2))
+gauss = GaussianRational
 
 
 CoeffLike = Union[GaussianRational, Fraction, int]
@@ -264,9 +273,7 @@ class TruncatedSeries:
     def variable(arity: int, kappa: int, index: int) -> "TruncatedSeries":
         if not 0 <= index < arity:
             raise SeriesError(f"variable index {index} out of range for arity {arity}")
-        exp = [0] * arity
-        exp[index] = 1
-        return TruncatedSeries(arity, kappa, {tuple(exp): ONE})
+        return TruncatedSeries(arity, kappa, {unit_exponent(arity, index): ONE})
 
     # -- basic queries -----------------------------------------------------
 
@@ -302,16 +309,12 @@ class TruncatedSeries:
 
     def homogeneous_part(self, degree: int) -> "TruncatedSeries":
         part = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return TruncatedSeries(self.arity, self.kappa, part)
+        return _series(self.arity, self.kappa, part)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.kappa == other.kappa
-            and self.terms == other.terms
-        )
+        return (self.arity, self.kappa, self.terms) == (other.arity, other.kappa, other.terms)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -331,64 +334,36 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_arity(other)
         kappa = min(self.kappa, other.kappa)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
+        out = dict(self.truncate(kappa).terms)
+        for exp, coeff in other.truncate(kappa).terms.items():
             new = out.get(exp, ZERO) + coeff
             if new:
                 out[exp] = new
             else:
                 out.pop(exp, None)
-        return TruncatedSeries(self.arity, kappa, out)
+        return _series(self.arity, kappa, out)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.arity, self.kappa, {e: -c for e, c in self.terms.items()})
+        return _series(self.arity, self.kappa, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def scale(self, value: CoeffLike) -> "TruncatedSeries":
         coeff = as_coeff(value)
-        if not coeff:
-            return TruncatedSeries.zero(self.arity, self.kappa)
-        return TruncatedSeries(self.arity, self.kappa, {e: c * coeff for e, c in self.terms.items()})
+        return _series(self.arity, self.kappa, {e: c * coeff for e, c in self.terms.items()} if coeff else {})
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_arity(other)
         kappa = min(self.kappa, other.kappa)
-        if not self.terms or not other.terms:
-            return TruncatedSeries.zero(self.arity, kappa)
-        # iterate in degree order so overflowing pairs cut whole suffixes
-        a_items = sorted(((sum(e), e, c) for e, c in self.terms.items()), key=lambda t: t[0])
-        b_items = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=lambda t: t[0])
-        b_min = b_items[0][0]
-        out: dict = {}
-        for da, ea, ca in a_items:
-            if da + b_min > kappa:
-                break
-            for db, eb, cb in b_items:
-                if da + db > kappa:
-                    break
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                new = out.get(exp, ZERO) + ca * cb
-                if new:
-                    out[exp] = new
-                else:
-                    del out[exp]
-        return TruncatedSeries(self.arity, kappa, out)
+        a_rows, a_den = _integer_rows(self.terms)
+        b_rows, b_den = _integer_rows(other.terms)
+        return _series(self.arity, kappa, _divided(_product(a_rows, b_rows, kappa), a_den * b_den))
 
     def power(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise SeriesError("negative power of a series")
-        result = TruncatedSeries.constant(self.arity, self.kappa, ONE)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _binary_power(self, exponent, TruncatedSeries.constant(self.arity, self.kappa, ONE))
 
     def truncate(self, kappa: int) -> "TruncatedSeries":
         """Image in the quotient at a lower (or equal) order."""
@@ -396,7 +371,7 @@ class TruncatedSeries:
             raise SeriesError(f"cannot raise truncation order {self.kappa} to {kappa}; use with_order")
         if kappa == self.kappa:
             return self
-        return TruncatedSeries(self.arity, kappa, self.terms)
+        return _series(self.arity, kappa, {e: c for e, c in self.terms.items() if sum(e) <= kappa})
 
     def with_order(self, kappa: int) -> "TruncatedSeries":
         """Reinterpret at an arbitrary order.
@@ -407,7 +382,7 @@ class TruncatedSeries:
         """
         if kappa <= self.kappa:
             return self.truncate(kappa)
-        return TruncatedSeries(self.arity, kappa, self.terms)
+        return _series(self.arity, kappa, self.terms)
 
     # -- calculus ----------------------------------------------------------
 
@@ -417,47 +392,32 @@ class TruncatedSeries:
             raise SeriesError(f"variable index {index} out of range for arity {self.arity}")
         if self.kappa == 0:
             raise SeriesError("cannot differentiate a series carried only to order 0")
-        out: dict = {}
-        for exp, coeff in self.terms.items():
-            k = exp[index]
-            if not k:
-                continue
-            new_exp = exp[:index] + (k - 1,) + exp[index + 1 :]
-            out[new_exp] = coeff * GaussianRational(k)
-        return TruncatedSeries(self.arity, self.kappa - 1, out)
+        out = {
+            exp[:index] + (exp[index] - 1,) + exp[index + 1 :]: coeff * GaussianRational(exp[index])
+            for exp, coeff in self.terms.items()
+            if exp[index]
+        }
+        return _series(self.arity, self.kappa - 1, out)
 
     def evaluate(self, point: Sequence[CoeffLike]) -> GaussianRational:
         """Exact evaluation of the truncated polynomial representative."""
         if len(point) != self.arity:
             raise SeriesError(f"point length {len(point)} does not match arity {self.arity}")
         values = [as_coeff(v) for v in point]
-        power_cache: dict = {}
-
-        def var_power(index: int, exponent: int) -> GaussianRational:
-            key = (index, exponent)
-            cached = power_cache.get(key)
-            if cached is None:
-                cached = values[index] ** exponent
-                power_cache[key] = cached
-            return cached
-
         total = ZERO
         for exp, coeff in self.terms.items():
             term = coeff
-            for index, e in enumerate(exp):
+            for value, e in zip(values, exp):
                 if e:
-                    term = term * var_power(index, e)
+                    term = term * value**e
             total = total + term
         return total
 
     # -- structural maps ---------------------------------------------------
 
-    def map_coefficients(self, fn: Callable[[GaussianRational], GaussianRational]) -> "TruncatedSeries":
-        return TruncatedSeries(self.arity, self.kappa, {e: fn(c) for e, c in self.terms.items()})
-
     def conjugate(self) -> "TruncatedSeries":
         """Coefficientwise complex conjugation (no variable change)."""
-        return self.map_coefficients(lambda c: c.conjugate())
+        return _series(self.arity, self.kappa, {e: c.conjugate() for e, c in self.terms.items()})
 
     def sigma(self, block: int) -> "TruncatedSeries":
         """Conjugate every coefficient and swap the two declared variable blocks.
@@ -469,10 +429,8 @@ class TruncatedSeries:
             raise SeriesError("sigma requires the block split")
         if self.arity != 2 * block:
             raise SeriesError(f"sigma needs arity 2*{block}, got {self.arity}")
-        out = {}
-        for exp, coeff in self.terms.items():
-            out[exp[block:] + exp[:block]] = coeff.conjugate()
-        return TruncatedSeries(self.arity, self.kappa, out)
+        out = {exp[block:] + exp[:block]: coeff.conjugate() for exp, coeff in self.terms.items()}
+        return _series(self.arity, self.kappa, out)
 
     def map_vars(self, target_arity: int, assignment: Sequence[Optional[int]]) -> "TruncatedSeries":
         """Monomial substitution x_i -> y_{assignment[i]}, or 0 when assignment[i] is None.
@@ -487,24 +445,19 @@ class TruncatedSeries:
                 raise SeriesError(f"target index {target} out of range")
         out: dict = {}
         for exp, coeff in self.terms.items():
-            new = [0] * target_arity
-            dead = False
-            for e, target in zip(exp, assignment):
-                if not e:
-                    continue
-                if target is None:
-                    dead = True
-                    break
-                new[target] += e
-            if dead:
+            if any(e and target is None for e, target in zip(exp, assignment)):
                 continue
+            new = [0] * target_arity
+            for e, target in zip(exp, assignment):
+                if e:
+                    new[target] += e
             key = tuple(new)
             acc = out.get(key, ZERO) + coeff
             if acc:
                 out[key] = acc
             else:
                 del out[key]
-        return TruncatedSeries(target_arity, self.kappa, out)
+        return _series(target_arity, self.kappa, out)
 
     def extend(self, target_arity: int) -> "TruncatedSeries":
         """Embed into a ring with extra trailing variables."""
@@ -513,7 +466,7 @@ class TruncatedSeries:
         if target_arity == self.arity:
             return self
         pad = (0,) * (target_arity - self.arity)
-        return TruncatedSeries(target_arity, self.kappa, {e + pad: c for e, c in self.terms.items()})
+        return _series(target_arity, self.kappa, {e + pad: c for e, c in self.terms.items()})
 
     def compose(self, inner: "FormalMap") -> "TruncatedSeries":
         """Substitute the components of ``inner`` for the variables of this series.
@@ -543,10 +496,7 @@ class TruncatedSeries:
                 f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exp) if e
             )
             text, negative = _coeff_factor(coeff, bool(mono))
-            if mono:
-                body = mono if text == "" else f"{text}*{mono}"
-            else:
-                body = text
+            body = "*".join(part for part in (text, mono) if part)
             if not pieces:
                 pieces.append(f"-{body}" if negative else body)
             else:
@@ -554,8 +504,48 @@ class TruncatedSeries:
         return " ".join(pieces)
 
 
-def _rat_text(value: Fraction) -> str:
-    return str(value)
+def _series(arity: int, kappa: int, terms: dict) -> TruncatedSeries:
+    """Wrap clean terms: exponent tuples of length ``arity``, degree <= kappa, no zero."""
+    series = _new(TruncatedSeries)
+    object.__setattr__(series, "arity", arity)
+    object.__setattr__(series, "kappa", kappa)
+    object.__setattr__(series, "terms", terms)
+    object.__setattr__(series, "_hash", None)
+    return series
+
+
+def _integer_rows(terms: Mapping[Exponent, GaussianRational]) -> Tuple[list, int]:
+    """The terms over their common denominator D: (degree, exponent, re, im) rows in degree order, and D."""
+    den = 1
+    for coeff in terms.values():
+        if den % coeff._d:
+            den = den // gcd(den, coeff._d) * coeff._d
+    rows = [(sum(e), e, c._a * (den // c._d), c._b * (den // c._d)) for e, c in terms.items()]
+    rows.sort(key=itemgetter(0))
+    return rows, den
+
+
+def _product(a_rows: list, b_rows: list, kappa: int) -> dict:
+    """Numerators {exponent: [re, im, degree]} of a row product to degree kappa, summed without gcd."""
+    sums: dict = {}
+    get = sums.get
+    for da, ea, ra, ia in a_rows:
+        for db, eb, rb, ib in b_rows:
+            if da + db > kappa:
+                break
+            exp = tuple(map(add, ea, eb))
+            pair = get(exp)
+            if pair is None:
+                sums[exp] = [ra * rb - ia * ib, ra * ib + ia * rb, da + db]
+            else:
+                pair[0] += ra * rb - ia * ib
+                pair[1] += ra * ib + ia * rb
+    return sums
+
+
+def _divided(sums: dict, den: int) -> dict:
+    """Each summed numerator pair over ``den``, dropping the sums that cancelled."""
+    return {e: _reduced(pair[0], pair[1], den) for e, pair in sums.items() if pair[0] or pair[1]}
 
 
 def _coeff_factor(coeff: GaussianRational, has_monomial: bool) -> Tuple[str, bool]:
@@ -569,14 +559,12 @@ def _coeff_factor(coeff: GaussianRational, has_monomial: bool) -> Tuple[str, boo
         return f"({coeff})", False
     if coeff.im:
         mag = abs(coeff.im)
-        negative = coeff.im < 0
-        text = "i" if mag == 1 else f"{_rat_text(mag)}*i"
-        return text, negative
+        return ("i" if mag == 1 else f"{mag}*i"), coeff.im < 0
     mag = abs(coeff.re)
     negative = coeff.re < 0
     if mag == 1 and has_monomial:
         return "", negative
-    return _rat_text(mag), negative
+    return str(mag), negative
 
 
 class FormalMap:
@@ -653,9 +641,6 @@ class FormalMap:
     def truncate(self, kappa: int) -> "FormalMap":
         return FormalMap((c.truncate(min(kappa, c.kappa)) for c in self.components), self.vanishes_at_origin)
 
-    def evaluate(self, point: Sequence[CoeffLike]) -> list:
-        return [c.evaluate(point) for c in self.components]
-
     def equals_mod(self, other: "FormalMap") -> bool:
         """Componentwise equality after truncating both sides to the shared order."""
         if self.target_arity != other.target_arity or self.source_arity != other.source_arity:
@@ -676,53 +661,68 @@ def compose_many(
 ) -> list:
     """Compose several series with one inner map, sharing all partial products.
 
-    Monomial substitution values are memoized across all outer series: each
-    distinct monomial of any outer costs one series multiplication on top of
-    a previously computed sub-monomial.  Results carry per-outer truncation
-    orders; sharing at the maximum order and truncating afterwards is sound
-    because truncation is a quotient homomorphism.
+    Monomial substitution values are memoized across all outer series as
+    unreduced integer rows: each distinct monomial of any outer costs one row
+    product on top of a previously computed sub-monomial.  Results carry
+    per-outer truncation orders; sharing at the maximum order and truncating
+    afterwards is sound because truncation is a quotient homomorphism.
     """
     if not outers:
         return []
     arity = outers[0].arity
-    for outer in outers:
-        if outer.arity != arity:
-            raise SeriesError("outer series must share one ring")
+    if any(outer.arity != arity for outer in outers):
+        raise SeriesError("outer series must share one ring")
     if inner.target_arity != arity:
         raise SeriesError(
             f"series in {arity} variables composed with map into {inner.target_arity}"
         )
-    for comp in inner.components:
-        if comp.constant_term():
-            raise CompositionError("inner map has a component with nonzero constant term")
+    if any(comp.constant_term() for comp in inner.components):
+        raise CompositionError("inner map has a component with nonzero constant term")
     inner_kappa = min(c.kappa for c in inner.components)
     cache_kappa = min(max(outer.kappa for outer in outers), inner_kappa)
     source = inner.source_arity
-    components = [c.truncate(min(cache_kappa, c.kappa)) for c in inner.components]
-    memo: dict = {(0,) * arity: TruncatedSeries.constant(source, cache_kappa, ONE)}
+    components = [_integer_rows(c.truncate(cache_kappa).terms) for c in inner.components]
+    memo: dict = {(0,) * arity: ([(0, (0,) * source, 1, 0)], 1)}
 
-    def monomial_value(exp: Exponent) -> TruncatedSeries:
-        cached = memo.get(exp)
-        if cached is not None:
-            return cached
+    def monomial_rows(exp: Exponent) -> Tuple[list, int]:
+        if exp in memo:
+            return memo[exp]
         last = max(i for i, e in enumerate(exp) if e)
-        parent = exp[:last] + (exp[last] - 1,) + exp[last + 1 :]
-        value = monomial_value(parent) * components[last]
-        memo[exp] = value
-        return value
+        parent_rows, parent_den = monomial_rows(exp[:last] + (exp[last] - 1,) + exp[last + 1 :])
+        component_rows, component_den = components[last]
+        sums = _product(parent_rows, component_rows, cache_kappa)
+        rows = sorted(((p[2], e, p[0], p[1]) for e, p in sums.items() if p[0] or p[1]), key=itemgetter(0))
+        memo[exp] = rows, parent_den * component_den
+        return memo[exp]
 
     results = []
     for outer in outers:
         kappa = min(outer.kappa, inner_kappa)
-        accumulator: dict = {}
+        # numerator pairs over one running common denominator, rescaled only when it grows
+        sums: dict = {}
+        get = sums.get
+        den = 1
         for exp, coeff in outer.terms.items():
             if sum(exp) > kappa:
                 continue
-            for mono, value in monomial_value(exp).terms.items():
-                new = accumulator.get(mono, ZERO) + coeff * value
-                if new:
-                    accumulator[mono] = new
+            rows, row_den = monomial_rows(exp)
+            term_den = coeff._d * row_den
+            if den % term_den:
+                grow = term_den // gcd(den, term_den)
+                den *= grow
+                for pair in sums.values():
+                    pair[0] *= grow
+                    pair[1] *= grow
+            scale = den // term_den
+            ca, cb = coeff._a * scale, coeff._b * scale
+            for degree, mono, ra, ia in rows:
+                if degree > kappa:
+                    break
+                pair = get(mono)
+                if pair is None:
+                    sums[mono] = [ca * ra - cb * ia, ca * ia + cb * ra]
                 else:
-                    del accumulator[mono]
-        results.append(TruncatedSeries(source, kappa, accumulator))
+                    pair[0] += ca * ra - cb * ia
+                    pair[1] += ca * ia + cb * ra
+        results.append(_series(source, kappa, _divided(sums, den)))
     return results

@@ -125,6 +125,26 @@ def test_verify_flat_golden(capsys):
     assert (GOLDEN_DIR / "verify_flat.txt").read_text() == out
 
 
+# l4 (Im w = |z|^4) after the seeded linear coordinate change Z -> B Z: every
+# series of the construction is dense, unlike the sparse h and flat goldens
+L4_DENSE_RHO = (
+    "(-1/2 + (1/2)*i)*ze2^1 + (-1/2 + (-1/2)*i)*ze1^1 + (-1/2 + (-1/2)*i)*Z2^1"
+    " + (-25/16 + (0)*i)*Z2^2*ze2^2 + (15/4 + (5/4)*i)*Z2^2*ze1^1*ze2^1"
+    " + (-2 + (-3/2)*i)*Z2^2*ze1^2 + (-1/2 + (1/2)*i)*Z1^1"
+    " + (15/4 + (-5/4)*i)*Z1^1*Z2^1*ze2^2 + (-10 + (0)*i)*Z1^1*Z2^1*ze1^1*ze2^1"
+    " + (6 + (2)*i)*Z1^1*Z2^1*ze1^2 + (-2 + (3/2)*i)*Z1^2*ze2^2"
+    " + (6 + (-2)*i)*Z1^2*ze1^1*ze2^1 + (-4 + (0)*i)*Z1^2*ze1^2"
+)
+
+
+def test_verify_l4_dense_golden(tmp_path, capsys):
+    manifold = tmp_path / "l4-dense.json"
+    manifold.write_text(json.dumps({"N": 2, "d": 1, "form": "rho", "expressions": [L4_DENSE_RHO]}))
+    code, out, _ = run_cli(capsys, "verify", str(manifold), "--json")
+    assert code == 0
+    assert (GOLDEN_DIR / "verify_l4_dense.txt").read_text() == out
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixture", "h", "--json")
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from segre import (
     rank_profile,
     verify_all,
 )
+
+from segre import orbit
 
 from conftest import random_rigid_manifold
 
@@ -109,6 +112,20 @@ def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):
     profile = rank_profile(manifold_h)
     with pytest.raises(ValueError):
         orbit_annihilator(manifold_h, profile, degree_bound=5)
+
+
+def test_monomial_enumeration_is_capped_before_it_starts():
+    # the orbit ideal of a Levi-flat N=40 has 2N = 80 variables: C(84, 4) - 1
+    # monomials of degree 1..4, far over the cap; counting them is instant,
+    # enumerating them would not be
+    assert math.comb(84, 4) - 1 == 1929500 > orbit.MAX_MONOMIALS
+    with pytest.raises(InconclusiveError, match=r"1929500 monomials .* cap MAX_MONOMIALS = 100000"):
+        orbit._monomials(80, 4)
+    with pytest.raises(InconclusiveError):
+        orbit._monomials(10**6, 4)
+    # the orbit ideal of a Levi-flat N=16 (32 variables) stays admitted
+    monomials = orbit._monomials(32, 4)
+    assert len(monomials) == len(set(monomials)) == math.comb(36, 4) - 1 == 58904
 
 
 # ---------------------------------------------------------------------------

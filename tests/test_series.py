@@ -21,7 +21,7 @@ from segre import (
     gauss,
     series_match,
 )
-from segre.series import as_coeff
+from segre.series import as_coeff, compose_many
 
 from oracles import (
     d_add,
@@ -425,6 +425,152 @@ def test_evaluate_commutes_with_compose_on_polynomials(f, g1, g2, point):
     composed = f_low.compose(inner)
     direct = f_low.evaluate([g1_low.evaluate(point), g2_low.evaluate(point)])
     assert composed.evaluate(point) == direct
+
+
+# ---------------------------------------------------------------------------
+# the fused integer kernel against a term-by-term product
+# ---------------------------------------------------------------------------
+
+# ``*`` and ``compose_many`` sum integer numerators over one common
+# denominator; the reference below multiplies term by term on the
+# Fraction-pair scalar reference above, truncating at kappa.
+
+
+def ref_terms(series):
+    return {exp: (coeff.re, coeff.im) for exp, coeff in series.terms.items()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for exp, y in b.items():
+        x = out.get(exp, (Fraction(0), Fraction(0)))
+        out[exp] = (x[0] + y[0], x[1] + y[1])
+    return {exp: x for exp, x in out.items() if any(x)}
+
+
+def ref_product(a, b, kappa):
+    out = {}
+    for ea, x in a.items():
+        for eb, y in b.items():
+            exp = tuple(p + q for p, q in zip(ea, eb))
+            if sum(exp) <= kappa:
+                out = ref_add(out, {exp: ref_mul(x, y)})
+    return out
+
+
+def ref_compose(outer, inner, source, kappa):
+    """Substitute every monomial of ``outer`` as a product of inner components."""
+    out = {}
+    for exp, coeff in outer.items():
+        if sum(exp) > kappa:
+            continue
+        term = {(0,) * source: coeff}
+        for component, e in zip(inner, exp):
+            for _ in range(e):
+                term = ref_product(term, component, kappa)
+        out = ref_add(out, term)
+    return out
+
+
+def assert_clean(series, arity, kappa):
+    """The invariant the unvalidated internal constructor relies on."""
+    assert series.arity == arity and series.kappa == kappa
+    for exp, coeff in series.terms.items():
+        assert type(exp) is tuple and len(exp) == arity
+        assert all(type(e) is int and e >= 0 for e in exp) and sum(exp) <= kappa
+        assert type(coeff) is GaussianRational and coeff
+        assert coeff._d > 0 and math.gcd(coeff._a, coeff._b, coeff._d) == 1
+
+
+# denominators up to 12 mix within one series; orders from 1 to 5 mix between
+# operands, so products straddle the smaller truncation order
+mixed_coeff = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def mixed_series(draw, arity, vanishing=False):
+    kappa = draw(st.integers(min_value=1, max_value=5))
+    exponents = st.tuples(*([st.integers(min_value=0, max_value=kappa)] * arity)).filter(
+        lambda e: sum(e) <= kappa and (any(e) or not vanishing)
+    )
+    return TruncatedSeries(arity, kappa, draw(st.dictionaries(exponents, mixed_coeff, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_series(2), mixed_series(2))
+def test_fused_product_against_term_by_term_reference(a, b):
+    # (a + b) * (a - b) cancels its cross terms inside the integer sums
+    for x, y in ((a, b), (a + b, a - b), (a, -a)):
+        product = x * y
+        kappa = min(x.kappa, y.kappa)
+        assert_clean(product, 2, kappa)
+        assert ref_terms(product) == ref_product(ref_terms(x), ref_terms(y), kappa)
+
+
+def test_fused_product_cancels_and_truncates_to_zero():
+    x, y = var(2, 3, 0), var(2, 3, 1)
+    half = TruncatedSeries.constant(2, 3, Fraction(1, 2))
+    assert (x + y) * (x - y) == ts(2, 3, {(2, 0): 1, (0, 2): -1})
+    third = y.scale(Fraction(1, 3))
+    assert (half * x + third) * (half * x - third) == ts(
+        2, 3, {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+    )
+    square = ts(2, 1, {(1, 0): gauss(Fraction(1, 2), 1)}) * ts(2, 5, {(0, 1): 3})
+    assert square.is_zero() and square.kappa == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mixed_series(2),
+    mixed_series(2),
+    mixed_series(3, vanishing=True),
+    mixed_series(3, vanishing=True),
+)
+def test_compose_many_against_term_by_term_substitution(f, g, h1, h2):
+    inner = FormalMap([h1, h2])
+    reference_inner = [ref_terms(h1), ref_terms(h2)]
+    for outer, result in zip((f, g), compose_many([f, g], inner)):
+        kappa = min(outer.kappa, h1.kappa, h2.kappa)
+        assert_clean(result, 3, kappa)
+        assert ref_terms(result) == ref_compose(ref_terms(outer), reference_inner, 3, kappa)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_series(4), mixed_series(4), mixed_coeff)
+def test_internal_results_keep_the_constructor_invariant(f, g, c):
+    kappa = min(f.kappa, g.kappa)
+    for result, arity, order in (
+        (f + g, 4, kappa),
+        (f - g, 4, kappa),
+        (-f, 4, f.kappa),
+        (f.scale(c), 4, f.kappa),
+        (f.truncate(f.kappa - 1), 4, f.kappa - 1),
+        (f.partial(1), 4, f.kappa - 1),
+        (f.sigma(2), 4, f.kappa),
+        (f.conjugate(), 4, f.kappa),
+        (f.map_vars(2, [0, 0, 1, None]), 2, f.kappa),
+        (f.extend(5), 5, f.kappa),
+        (f.homogeneous_part(1), 4, f.kappa),
+    ):
+        assert_clean(result, arity, order)
+        assert result == TruncatedSeries(arity, order, result.terms)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(SeriesError):
+        TruncatedSeries(2, 3, {(1,): 1})
+    with pytest.raises(SeriesError):
+        TruncatedSeries(2, 3, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        TruncatedSeries(2, 3, {(1, 0): 0.5})
+    with pytest.raises(SeriesError):
+        TruncatedSeries(-1, 3)
+    with pytest.raises(SeriesError):
+        TruncatedSeries(2, -1)
 
 
 # ---------------------------------------------------------------------------
