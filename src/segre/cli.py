@@ -34,7 +34,7 @@ from .errors import (
 from .expressions import GenericManifold, load_manifold_file
 from .fields import LieHullReport, lie_hull_dimension
 from .maps import SegreMapping, default_var_cap
-from .orbit import VerificationReport, orbit_annihilator, verify_all
+from .orbit import VerificationReport, check_kernel_caps, orbit_annihilator, verify_all
 from .rank import RankProfile, rank_profile
 
 EXIT_OK = 0
@@ -258,6 +258,7 @@ def cmd_finite_type(args) -> int:
 def cmd_orbit(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
+    check_kernel_caps([manifold.N], config.resolve_degree())
     segre = SegreMapping(manifold)
     profile = rank_profile(
         manifold, config.resolve_jmax(manifold.d), config.rank_options(), segre=segre

@@ -40,8 +40,9 @@ class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
     One mapping owns the truncation orders of a run: ``at_kappa`` lifts it to
-    a higher order once, and every lifted copy shares the same table of
-    orders, so iterates and theta/phi pairs are built once per order.
+    a higher order once and keeps the lifted copy, so iterates and theta/phi
+    pairs are built once per order.  The table holds only the other orders,
+    never the mapping itself, so a mapping is freed by reference counting.
     """
 
     convention = "graph-special"
@@ -56,15 +57,15 @@ class SegreMapping:
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
-        self._levels: Dict[int, SegreMapping] = {self.kappa: self}
+        self._lifted: Dict[int, SegreMapping] = {}
 
     def at_kappa(self, level: int) -> "SegreMapping":
         """The same mapping rebuilt from the manifold source at order ``level``."""
-        lifted = self._levels.get(level)
+        if level == self.kappa:
+            return self
+        lifted = self._lifted.get(level)
         if lifted is None:
-            lifted = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
-            lifted._levels = self._levels
-            self._levels[level] = lifted
+            lifted = self._lifted[level] = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
         return lifted
 
     def theta_phi(self, j: int) -> "ThetaPhi":

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -66,32 +67,40 @@ class CheckResult:
 MAX_MONOMIALS = 100_000
 
 
+def check_kernel_caps(arities: Sequence[int], max_degree: int) -> None:
+    """Raise InconclusiveError if a kernel search in any of ``arities`` would pass MAX_MONOMIALS.
+
+    The count C(arity + b, b) - 1 of monomials of degree 1..b is exact and
+    needs no series, so a command can refuse an oversized search first.
+    """
+    for arity in arities:
+        count = 1  # C(arity + k, k), exactly, for k = 1..max_degree
+        for k in range(1, max_degree + 1):
+            count = count * (arity + k) // k
+        count -= 1
+        if count > MAX_MONOMIALS:
+            raise InconclusiveError(
+                f"{count} monomials of degree <= {max_degree} in {arity} variables "
+                f"exceed the cap MAX_MONOMIALS = {MAX_MONOMIALS}"
+            )
+
+
 def _monomials(arity: int, max_degree: int) -> List[Tuple[int, ...]]:
     """Exponent tuples with 1 <= total degree <= max_degree, graded-lex order.
 
     Raises InconclusiveError, before enumerating any, above MAX_MONOMIALS.
     """
-    count = 1  # C(arity + k, k), exactly, for k = 1..max_degree
-    for k in range(1, max_degree + 1):
-        count = count * (arity + k) // k
-    count -= 1
-    if count > MAX_MONOMIALS:
-        raise InconclusiveError(
-            f"{count} monomials of degree <= {max_degree} in {arity} variables "
-            f"exceed the cap MAX_MONOMIALS = {MAX_MONOMIALS}"
-        )
+    check_kernel_caps([arity], max_degree)
     out: List[Tuple[int, ...]] = []
-
-    def extend(prefix: Tuple[int, ...], remaining: int, budget: int):
-        if remaining == 0:
-            if sum(prefix) >= 1:
-                out.append(prefix)
-            return
-        for e in range(budget + 1):
-            extend(prefix + (e,), remaining - 1, budget - e)
-
-    extend((), arity, max_degree)
-    out.sort(key=grlex_key)
+    for degree in range(1, max_degree + 1):
+        # ascending index multisets give descending exponent tuples
+        block = []
+        for indices in combinations_with_replacement(range(arity), degree):
+            exp = [0] * arity
+            for index in indices:
+                exp[index] += 1
+            block.append(tuple(exp))
+        out.extend(reversed(block))
     return out
 
 
@@ -534,6 +543,8 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     def record(name: str, passed: bool, witness: str = ""):
         checks[name] = CheckResult(name, passed, witness)
 
+    # the annihilator kernel searches N variables, the orbit ideal 2N
+    check_kernel_caps([dims.N, dims.ambient_arity], config.resolve_degree())
     segre = SegreMapping(manifold)
     profile = rank_profile(manifold, config.resolve_jmax(dims.d), options, segre=segre)
     k0 = profile.k0

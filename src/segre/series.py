@@ -24,6 +24,22 @@ Products and compositions put each operand over one common denominator, sum
 the integer numerator pairs (re, im) per output exponent with no gcd, and
 divide each output coefficient once at the end.
 
+Inside those two kernels an exponent is one int (``_Packing``).  At order
+kappa each variable gets a field of w = kappa.bit_length() bits, variable 0
+highest, and the total degree sits above all of them:
+
+  packed = degree << (w * p)  |  e_1 << (w * (p - 1))  |  ...  |  e_p
+
+Only terms of degree <= kappa are kept, so every field holds a value
+<= kappa < 2**w.  Adding two packed ints adds the degrees and each field;
+a sum is kept only when its degree is <= kappa, and then each field of it
+is still <= kappa, so no field carries into the next.  A sum of degree
+> kappa may carry, but carries only raise the value, so "degree <= kappa"
+is the one comparison ``packed < (kappa + 1) << (w * p)``, for a packed
+term and for a sum alike, and ascending ints are ascending degrees.  The
+public ``terms`` stay keyed by exponent tuples; each kept output exponent
+is unpacked once.
+
 Order bookkeeping follows three rules:
   * add/mul take the minimum kappa of their operands,
   * composition takes the minimum kappa over the outer series and all
@@ -36,7 +52,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, itemgetter
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -356,9 +372,11 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_arity(other)
         kappa = min(self.kappa, other.kappa)
-        a_rows, a_den = _integer_rows(self.terms)
-        b_rows, b_den = _integer_rows(other.terms)
-        return _series(self.arity, kappa, _divided(_product(a_rows, b_rows, kappa), a_den * b_den))
+        packing = _Packing(self.arity, kappa)
+        a_rows, a_den = packing.rows(self.terms)
+        b_rows, b_den = packing.rows(other.terms)
+        sums = _product(a_rows, b_rows, packing.bound(kappa))
+        return _series(self.arity, kappa, packing.divided(sums, a_den * b_den))
 
     def power(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -514,38 +532,91 @@ def _series(arity: int, kappa: int, terms: dict) -> TruncatedSeries:
     return series
 
 
-def _integer_rows(terms: Mapping[Exponent, GaussianRational]) -> Tuple[list, int]:
-    """The terms over their common denominator D: (degree, exponent, re, im) rows in degree order, and D."""
-    den = 1
-    for coeff in terms.values():
-        if den % coeff._d:
-            den = den // gcd(den, coeff._d) * coeff._d
-    rows = [(sum(e), e, c._a * (den // c._d), c._b * (den // c._d)) for e, c in terms.items()]
-    rows.sort(key=itemgetter(0))
-    return rows, den
+class _Packing:
+    """Exponents of ``arity`` variables packed as ints at order ``kappa`` (module docstring)."""
+
+    __slots__ = ("kappa", "shifts", "weights", "mask", "top")
+
+    def __init__(self, arity: int, kappa: int):
+        width = kappa.bit_length()
+        self.kappa = kappa
+        self.shifts = [width * i for i in range(arity - 1, -1, -1)]
+        self.mask = (1 << width) - 1
+        self.top = width * arity
+        # one unit of a variable adds one to its own field and to the degree
+        self.weights = [(1 << shift) + (1 << self.top) for shift in self.shifts]
+
+    def bound(self, kappa: int) -> int:
+        """The packed exponents of degree <= kappa (<= self.kappa) are exactly those below this."""
+        return kappa + 1 << self.top
+
+    def rows(self, terms: Mapping[Exponent, GaussianRational]) -> Tuple[list, int]:
+        """The terms of degree <= kappa over their common denominator D.
+
+        Returns the ascending (packed, re, im) rows and D.
+        """
+        weights, bound = self.weights, self.bound(self.kappa)
+        kept = []
+        den = 1
+        for exp, coeff in terms.items():
+            packed = sum(map(mul, exp, weights))
+            if packed < bound:
+                kept.append((packed, coeff))
+                if den % coeff._d:
+                    den = den // gcd(den, coeff._d) * coeff._d
+        rows = [(packed, c._a * (den // c._d), c._b * (den // c._d)) for packed, c in kept]
+        rows.sort()
+        return rows, den
+
+    def divided(self, sums: dict, den: int) -> dict:
+        """Each summed numerator pair over ``den``, keyed by its unpacked exponent; cancelled sums dropped."""
+        shifts, mask = self.shifts, self.mask
+        return {
+            tuple([packed >> shift & mask for shift in shifts]): _reduced(pair[0], pair[1], den)
+            for packed, pair in sums.items()
+            if pair[0] or pair[1]
+        }
 
 
-def _product(a_rows: list, b_rows: list, kappa: int) -> dict:
-    """Numerators {exponent: [re, im, degree]} of a row product to degree kappa, summed without gcd."""
+def _product(a_rows: list, b_rows: list, bound: int) -> dict:
+    """Numerators {packed: [re, im]} of a row product below ``bound``, summed without gcd."""
     sums: dict = {}
     get = sums.get
-    for da, ea, ra, ia in a_rows:
-        for db, eb, rb, ib in b_rows:
-            if da + db > kappa:
+    for ea, ra, ia in a_rows:
+        for eb, rb, ib in b_rows:
+            exp = ea + eb
+            if exp >= bound:
                 break
-            exp = tuple(map(add, ea, eb))
             pair = get(exp)
             if pair is None:
-                sums[exp] = [ra * rb - ia * ib, ra * ib + ia * rb, da + db]
+                sums[exp] = [ra * rb - ia * ib, ra * ib + ia * rb]
             else:
                 pair[0] += ra * rb - ia * ib
                 pair[1] += ra * ib + ia * rb
     return sums
 
 
-def _divided(sums: dict, den: int) -> dict:
-    """Each summed numerator pair over ``den``, dropping the sums that cancelled."""
-    return {e: _reduced(pair[0], pair[1], den) for e, pair in sums.items() if pair[0] or pair[1]}
+def _monomial_rows(memo: dict, exp: Exponent, components: list, bound: int) -> Tuple[list, int]:
+    """Rows of the inner components' product named by ``exp``, memoized with every step.
+
+    Walks down to a memoized sub-monomial, removing one factor of the last
+    variable at a time, then multiplies the factors back on in turn.
+    """
+    chain = []
+    while exp not in memo:
+        last = len(exp) - 1
+        while not exp[last]:
+            last -= 1
+        chain.append((exp, last))
+        exp = exp[:last] + (exp[last] - 1,) + exp[last + 1 :]
+    rows, den = memo[exp]
+    for exp, last in reversed(chain):
+        component_rows, component_den = components[last]
+        sums = _product(rows, component_rows, bound)
+        rows = sorted([(e, pair[0], pair[1]) for e, pair in sums.items() if pair[0] or pair[1]])
+        den *= component_den
+        memo[exp] = rows, den
+    return rows, den
 
 
 def _coeff_factor(coeff: GaussianRational, has_monomial: bool) -> Tuple[str, bool]:
@@ -662,10 +733,11 @@ def compose_many(
     """Compose several series with one inner map, sharing all partial products.
 
     Monomial substitution values are memoized across all outer series as
-    unreduced integer rows: each distinct monomial of any outer costs one row
-    product on top of a previously computed sub-monomial.  Results carry
-    per-outer truncation orders; sharing at the maximum order and truncating
-    afterwards is sound because truncation is a quotient homomorphism.
+    unreduced integer rows with packed exponents: each distinct monomial of
+    any outer costs one row product on top of a previously computed
+    sub-monomial.  Results carry per-outer truncation orders; sharing at the
+    maximum order and truncating afterwards is sound because truncation is a
+    quotient homomorphism.
     """
     if not outers:
         return []
@@ -681,23 +753,15 @@ def compose_many(
     inner_kappa = min(c.kappa for c in inner.components)
     cache_kappa = min(max(outer.kappa for outer in outers), inner_kappa)
     source = inner.source_arity
-    components = [_integer_rows(c.truncate(cache_kappa).terms) for c in inner.components]
-    memo: dict = {(0,) * arity: ([(0, (0,) * source, 1, 0)], 1)}
-
-    def monomial_rows(exp: Exponent) -> Tuple[list, int]:
-        if exp in memo:
-            return memo[exp]
-        last = max(i for i, e in enumerate(exp) if e)
-        parent_rows, parent_den = monomial_rows(exp[:last] + (exp[last] - 1,) + exp[last + 1 :])
-        component_rows, component_den = components[last]
-        sums = _product(parent_rows, component_rows, cache_kappa)
-        rows = sorted(((p[2], e, p[0], p[1]) for e, p in sums.items() if p[0] or p[1]), key=itemgetter(0))
-        memo[exp] = rows, parent_den * component_den
-        return memo[exp]
+    packing = _Packing(source, cache_kappa)
+    components = [packing.rows(c.terms) for c in inner.components]
+    memo: dict = {(0,) * arity: ([(0, 1, 0)], 1)}
+    memo_bound = packing.bound(cache_kappa)
 
     results = []
     for outer in outers:
         kappa = min(outer.kappa, inner_kappa)
+        bound = packing.bound(kappa)
         # numerator pairs over one running common denominator, rescaled only when it grows
         sums: dict = {}
         get = sums.get
@@ -705,7 +769,7 @@ def compose_many(
         for exp, coeff in outer.terms.items():
             if sum(exp) > kappa:
                 continue
-            rows, row_den = monomial_rows(exp)
+            rows, row_den = _monomial_rows(memo, exp, components, memo_bound)
             term_den = coeff._d * row_den
             if den % term_den:
                 grow = term_den // gcd(den, term_den)
@@ -715,8 +779,8 @@ def compose_many(
                     pair[1] *= grow
             scale = den // term_den
             ca, cb = coeff._a * scale, coeff._b * scale
-            for degree, mono, ra, ia in rows:
-                if degree > kappa:
+            for mono, ra, ia in rows:
+                if mono >= bound:
                     break
                 pair = get(mono)
                 if pair is None:
@@ -724,5 +788,5 @@ def compose_many(
                 else:
                     pair[0] += ca * ra - cb * ia
                     pair[1] += ca * ia + cb * ra
-        results.append(_series(source, kappa, _divided(sums, den)))
+        results.append(_series(source, kappa, packing.divided(sums, den)))
     return results

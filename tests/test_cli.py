@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from segre import cli
+from segre import cli, orbit
 from segre.errors import InternalConsistencyError
 
 from conftest import FIXTURE_DIR
@@ -366,3 +366,32 @@ def test_degree_bound_below_rho_degree_is_inconclusive(argv, bound, degree):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("inconclusive: ") and proc.stderr.count("\n") == 1
     assert f"degree bound {bound} is below the degree {degree}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, n, count, variables",
+    [
+        # the annihilator kernel searches N variables, the orbit ideal 2N
+        ("orbit", 40, 135750, 40),
+        ("verify", 40, 135750, 40),
+        ("verify", 20, 135750, 40),
+    ],
+    ids=["orbit-N40", "verify-N40", "verify-N20-ideal"],
+)
+def test_oversized_kernel_search_is_refused_before_series_work(
+    tmp_path, monkeypatch, capsys, command, n, count, variables
+):
+    def never(*args, **kwargs):
+        raise AssertionError("rank_profile ran before the monomial cap was checked")
+
+    monkeypatch.setattr(cli, "rank_profile", never)
+    monkeypatch.setattr(orbit, "rank_profile", never)
+    flat = tmp_path / "leviflat.json"
+    flat.write_text(json.dumps({"N": n, "d": 1, "form": "graph", "expressions": ["ta1"]}))
+    code, out, err = run_cli(capsys, command, str(flat))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err == (
+        f"inconclusive: {count} monomials of degree <= 4 in {variables} variables "
+        "exceed the cap MAX_MONOMIALS = 100000\n"
+    )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,9 @@ from segre import (
 )
 
 from segre import orbit
+from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key
 
-from conftest import random_rigid_manifold
+from conftest import load_fixture, random_rigid_manifold
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +129,37 @@ def test_monomial_enumeration_is_capped_before_it_starts():
     # the orbit ideal of a Levi-flat N=16 (32 variables) stays admitted
     monomials = orbit._monomials(32, 4)
     assert len(monomials) == len(set(monomials)) == math.comb(36, 4) - 1 == 58904
+
+
+def test_monomials_come_in_graded_lex_order():
+    for arity in range(5):
+        for degree in range(5):
+            everything = product(range(degree + 1), repeat=arity)
+            expected = sorted((e for e in everything if 1 <= sum(e) <= degree), key=grlex_key)
+            assert orbit._monomials(arity, degree) == expected
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # every memo, cache and enumeration of a run is freed by reference
+    # counting: the cyclic collector finds nothing to save
+    manifolds = [load_fixture("c2"), load_fixture("l4")]
+    h1 = TruncatedSeries(2, 6, {(1, 0): 1, (0, 2): gauss(1, 2)})
+    h2 = TruncatedSeries(2, 5, {(0, 1): 3, (2, 1): -1})
+    outer = TruncatedSeries(2, 8, {(2, 0): 1, (1, 3): gauss(0, 1), (0, 4): 2})
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.garbage.clear()
+        for manifold in manifolds:
+            verify_all(manifold)
+        compose_many([outer, outer.truncate(4)], FormalMap([h1, h2]))
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from segre import (
     gauss,
     series_match,
 )
-from segre.series import as_coeff, compose_many
+from segre.series import _Packing, as_coeff, compose_many, unit_exponent
 
 from oracles import (
     d_add,
@@ -571,6 +571,122 @@ def test_public_constructor_still_validates():
         TruncatedSeries(-1, 3)
     with pytest.raises(SeriesError):
         TruncatedSeries(2, -1)
+
+
+# ---------------------------------------------------------------------------
+# packed exponents at the edges of the field width
+# ---------------------------------------------------------------------------
+
+# Inside ``*`` and ``compose_many`` an exponent is one int with
+# kappa.bit_length() bits per variable.  The orders below sit on both sides of
+# every width change up to 6 bits; operands carry terms above the product's
+# order, arities reach 48, and pure powers fill a field to kappa.
+
+WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32)
+
+
+@st.composite
+def edge_series(draw, arity, kappa, top, vanishing=False, max_size=4):
+    """Up to ``max_size`` terms of degree <= top, each in at most three variables.
+
+    Half the terms have degree ``top``, so a field often holds a full power.
+    """
+    terms = {}
+    degrees = st.just(top) | st.integers(min_value=1 if vanishing else 0, max_value=top)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        degree = draw(degrees)
+        support = draw(st.lists(st.integers(min_value=0, max_value=arity - 1), min_size=1, max_size=3))
+        exp = [0] * arity
+        for k in range(degree):
+            exp[support[k % len(support)]] += 1
+        terms[tuple(exp)] = draw(mixed_coeff)
+    return TruncatedSeries(arity, kappa, terms)
+
+
+@st.composite
+def edge_operands(draw):
+    """Two series of one arity: the first at an edge order, the second at or above it."""
+    arity = draw(st.sampled_from((1, 2, 3, 7, 48)))
+    kappa = draw(st.sampled_from(WIDTH_EDGES))
+    high = kappa + draw(st.integers(min_value=0, max_value=3))
+    return draw(edge_series(arity, kappa, kappa)), draw(edge_series(arity, high, high))
+
+
+@settings(max_examples=80, deadline=None)
+@given(edge_operands())
+def test_packed_product_at_width_edges(operands):
+    a, b = operands
+    kappa = a.kappa
+    for x, y in ((a, b), (b, a), (a, a)):
+        product = x * y
+        assert_clean(product, a.arity, kappa)
+        assert ref_terms(product) == ref_product(ref_terms(x), ref_terms(y), kappa)
+
+
+@st.composite
+def edge_composition(draw):
+    """An outer series and inner components in 1..3 variables, at independent edge orders."""
+    arity = draw(st.sampled_from((1, 2, 3, 48)))
+    source = draw(st.integers(min_value=1, max_value=3))
+    outer_kappa = draw(st.sampled_from(WIDTH_EDGES))
+    outer = draw(edge_series(arity, outer_kappa, min(outer_kappa, 6), max_size=3))
+    inner = []
+    for _ in range(arity):
+        kappa = draw(st.sampled_from(WIDTH_EDGES))
+        inner.append(draw(edge_series(source, kappa, kappa, vanishing=True, max_size=2)))
+    return outer, inner
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_composition())
+def test_packed_compose_many_at_width_edges(case):
+    outer, inner = case
+    source = inner[0].arity
+    inner_kappa = min(h.kappa for h in inner)
+    # a second outer at a higher order moves the shared memo to a wider
+    # packing; a linear one passes every component's terms through
+    wide = TruncatedSeries(outer.arity, 33, outer.terms)
+    units = {unit_exponent(outer.arity, i): 1 for i in range(outer.arity)}
+    linear = TruncatedSeries(outer.arity, outer.kappa, units)
+    outers = [outer, wide, linear]
+    for result, f in zip(compose_many(outers, FormalMap(inner)), outers):
+        order = min(f.kappa, inner_kappa)
+        assert_clean(result, source, order)
+        assert ref_terms(result) == ref_compose(ref_terms(f), [ref_terms(h) for h in inner], source, order)
+
+
+@pytest.mark.parametrize("kappa", WIDTH_EDGES)
+def test_packed_fields_hold_a_full_power(kappa):
+    # c * x_i^kappa fills one field to kappa; x_0 lands in the highest field
+    for arity in (1, 2, 48):
+        one = TruncatedSeries.constant(arity, kappa, 1)
+        identity = FormalMap.identity(arity, kappa)
+        for index in {0, arity // 2, arity - 1}:
+            x = var(arity, kappa, index)
+            exp = [0] * arity
+            exp[index] = kappa
+            top = ts(arity, kappa, {tuple(exp): gauss(2, -1)})
+            assert top * one == top and one * top == top
+            assert x.power(kappa - 1) * x == top.scale(gauss(2, -1).inverse())
+            assert (top * x).is_zero()
+            assert compose_many([top, top.with_order(kappa + 5)], identity) == [top, top]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WIDTH_EDGES).flatmap(lambda k: edge_series(7, k, k)))
+def test_packed_rows_hold_only_terms_within_the_order(f):
+    # packed three orders below the series: every kept row unpacks to its own
+    # exponent, since only terms of degree <= kappa are kept
+    kappa = max(f.kappa - 3, 0)
+    packing = _Packing(f.arity, kappa)
+    rows, den = packing.rows(f.terms)
+    kept = f.truncate(kappa)
+    assert packing.divided({packed: [re, im] for packed, re, im in rows}, den) == kept.terms
+    # ascending packed ints are graded-lex order, each below its degree's bound
+    unpacked = [next(iter(packing.divided({packed: [1, 0]}, 1))) for packed, _, _ in rows]
+    assert unpacked == [exp for exp, _ in kept.sorted_terms()]
+    for (packed, _, _), exp in zip(rows, unpacked):
+        assert packing.bound(sum(exp) - 1) <= packed < packing.bound(sum(exp))
 
 
 # ---------------------------------------------------------------------------
