@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import List, Optional
 
@@ -52,7 +51,7 @@ FIXTURES = ("h", "flat", "l4", "c2")
 def _fixture_path(name: str) -> Path:
     if name not in FIXTURES:
         raise ManifoldError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    return Path(str(resources.files("segre").joinpath("fixtures").joinpath(f"{name}.json")))
+    return Path(__file__).with_name("fixtures") / f"{name}.json"
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
+from .record import Record
 
 DEFAULT_SEED = 0x5E62E
 
 
-@dataclass(frozen=True)
-class RankOptions:
+class RankOptions(Record):
     """Knobs of the random-line rank certificates and the escalation policy.
 
     Each certificate draws ``trials`` lines x = eps * x0 with nonzero integer
@@ -31,8 +30,7 @@ class RankOptions:
             raise ConfigError("a rank certificate needs at least one line and value_bound >= 1")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Resolved defaults: J_max falls back to d + 2, bracket depth and degree
     bound to values derived from the truncation order.  Out-of-range values
     raise ``ConfigError`` before any work starts."""

@@ -19,12 +19,12 @@ one class of bug the rest of the engine cannot catch locally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Dims:
+
+class Dims(Record):
     """Dimension data of a generic manifold: ambient N, codimension d."""
 
     N: int

@@ -18,7 +18,6 @@ rho-form expressions in Z1..ZN, ze1..zeN.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -27,6 +26,7 @@ from . import linalg
 from .coords import Dims
 from .errors import GenericityError, ManifoldError, RealityError, SplitError
 from .implicit import GraphForm, check_reality, ideal_member, solve_graph
+from .record import Record
 from .series import (
     FormalMap,
     GaussianRational,
@@ -69,7 +69,11 @@ def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
             start = pos
             while pos < size and text[pos].isdigit():
                 pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
+            try:
+                value = int(text[start:pos])
+            except ValueError:  # longer than the interpreter's integer string limit
+                raise ParseError(f"integer literal of {pos - start} digits is too long", start) from None
+            tokens.append(("int", value, start))
             continue
         if ch.isalpha() or ch == "_":
             start = pos
@@ -228,8 +232,7 @@ def parse_expression(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(Record):
     """A manifold definition file: dimensions, form, and defining expressions."""
 
     N: int
@@ -248,11 +251,14 @@ class ManifoldSpec:
         if self.split is not None:
             if self.form != "rho":
                 raise ManifoldError("a split declaration only applies to rho form")
-            if len(set(self.split)) != self.d or not all(0 <= c < self.N for c in self.split):
+            distinct = len(self.split) == len(set(self.split)) == self.d
+            if not distinct or not all(0 <= c < self.N for c in self.split):
                 raise ManifoldError("split must list d distinct Z-coordinate indices")
 
     @staticmethod
     def from_json(data: dict) -> "ManifoldSpec":
+        if not isinstance(data, dict):
+            raise ManifoldError(f"malformed manifold file: expected a JSON object, got {type(data).__name__}")
         try:
             split = data.get("split")
             return ManifoldSpec(
@@ -262,7 +268,7 @@ class ManifoldSpec:
                 expressions=tuple(str(e) for e in data["expressions"]),
                 split=tuple(int(c) for c in split) if split is not None else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ManifoldError(f"malformed manifold file: {exc}") from exc
 
     @staticmethod
@@ -281,8 +287,7 @@ class ManifoldSpec:
         return data
 
 
-@dataclass(frozen=True)
-class GenericManifold:
+class GenericManifold(Record):
     """A loaded formal generic manifold in solved graph coordinates.
 
     Carries both the graph form (Q, Qbar) and the canonical defining

@@ -21,13 +21,13 @@ stability flag rather than a completeness claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .implicit import ideal_member
 from .linalg import Echelon
+from .record import Record
 from .series import GaussianRational, TruncatedSeries
 
 
@@ -150,8 +150,7 @@ def cr_basis(manifold: GenericManifold) -> Tuple[List[FormalVectorField], List[F
     return fields_l, fields_lt
 
 
-@dataclass(frozen=True)
-class LieHullReport:
+class LieHullReport(Record):
     """Certified lower bound on the dimension of the tangent Lie hull at 0."""
 
     dim_g0: int

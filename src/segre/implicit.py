@@ -9,17 +9,16 @@ ideal is freely generated by the coordinate graph w - Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import linalg
 from .coords import Dims
 from .errors import SplitError
+from .record import Record
 from .series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 
-@dataclass(frozen=True)
-class GraphForm:
+class GraphForm(Record):
     """The solved graph w = Q(z, ch, ta) of a generic manifold.
 
     ``Q`` lives in the graph ring (slots z, ch, ta).  ``Qbar`` is the

@@ -15,7 +15,6 @@ block with the (j-2)-nd drops it by two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
@@ -24,6 +23,7 @@ from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .fields import FormalVectorField
 from .implicit import GraphForm
+from .record import Record
 from .series import FormalMap, TruncatedSeries, compose_many, series_match, unit_exponent
 
 
@@ -139,8 +139,7 @@ def make_gamma(manifold: GenericManifold, var_cap: Optional[int] = None) -> Segr
     return SegreMapping(manifold, var_cap=var_cap)
 
 
-@dataclass(frozen=True)
-class IteratedSegre:
+class IteratedSegre(Record):
     """The j-th iterated Segre mapping with its verified structure.
 
     ``mapping`` has j*n source variables and N components; the z-part equals
@@ -200,8 +199,7 @@ def _assignment_fold_last(n: int, j: int) -> List[Optional[int]]:
     return assignment
 
 
-@dataclass(frozen=True)
-class SegreManifoldParam:
+class SegreManifoldParam(Record):
     """Parametrization of the k-fold chain manifold, with its generator pairs.
 
     ``mapping`` sends k blocks of t-variables to k blocks of Z-sized
@@ -266,8 +264,7 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
     return SegreManifoldParam(k, mapping, pairs)
 
 
-@dataclass(frozen=True)
-class ThetaPhi:
+class ThetaPhi(Record):
     """The paired mappings into the manifold used for orbit rank bookkeeping.
 
     theta has j+1 source blocks and 2N components; phi has j source blocks

@@ -18,7 +18,6 @@ manifold, not assumed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,6 +37,7 @@ from .rank import (
     jacobian_along,
     rank_profile,
 )
+from .record import Record
 from .series import (
     FormalMap,
     GaussianRational,
@@ -48,8 +48,7 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     witness: str = ""
@@ -144,8 +143,7 @@ def _kernel_series(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     """Orbit dimension, codimension count e, and the Z-only annihilators."""
 
     dim_O: int
@@ -287,8 +285,7 @@ def _orbit_annihilator_at(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitIdealReport:
+class OrbitIdealReport(Record):
     """Kernel of composition with the stabilized phi mapping, with reality checks."""
 
     generators: Tuple[TruncatedSeries, ...]
@@ -361,8 +358,7 @@ def orbit_ideal_in_M(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MirrorManifold:
+class MirrorManifold(Record):
     """Linear locus of dimension n*k0 on which the doubled iterate collapses.
 
     ``generators`` cut the locus inside the 2*k0 blocks of t-variables and
@@ -482,8 +478,7 @@ def mirror_sigma(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Everything the engine can say about one manifold, with named checks."""
 
     label: str

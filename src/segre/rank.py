@@ -15,7 +15,6 @@ nothing moved.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .config import RankOptions
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .maps import SegreMapping
+from .record import Record
 from .series import FormalMap, GaussianRational, TruncatedSeries, compose_many
 
 Matrix = List[List[TruncatedSeries]]
@@ -44,8 +44,7 @@ def jacobian_along(mapping: FormalMap, locus: FormalMap) -> Matrix:
     return [[next(images) for _ in row] for row in rows]
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Record):
     """A certified lower bound on generic rank, witnessed on a line.
 
     On the line x = eps * ``line_point``, modulo eps^(K+1), the minor on
@@ -226,7 +225,7 @@ def generic_rank(
         )
     final = max(ranks)
     first = next(cert for cert in certificates if cert.rank == final)
-    return replace(first, stable=all(r == final for r in ranks))
+    return first.replace(stable=all(r == final for r in ranks))
 
 
 def rank_along(
@@ -251,8 +250,7 @@ def rank_along(
     return generic_rank(builder=builder, kappa=kappa, options=options)
 
 
-@dataclass(frozen=True)
-class RankProfile:
+class RankProfile(Record):
     """Ranks of the iterated mappings together with the stabilization index."""
 
     ranks: Tuple[int, ...]

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre import cli, orbit
 from segre.errors import InternalConsistencyError
@@ -235,14 +240,12 @@ def test_check_failure_exit_code(monkeypatch, capsys):
 
 
 def test_unstable_rank_exit_code(monkeypatch, capsys):
-    from dataclasses import replace
-
     from segre import rank_profile as real_rank_profile
 
     def unstable(manifold, J_max=None, options=None):
         profile = real_rank_profile(manifold, J_max, options)
-        certs = tuple(replace(cert, stable=False) for cert in profile.certificates)
-        return replace(profile, certificates=certs, stable=False)
+        certs = tuple(cert.replace(stable=False) for cert in profile.certificates)
+        return profile.replace(certificates=certs, stable=False)
 
     monkeypatch.setattr(cli, "rank_profile", unstable)
     code, out, _ = run_cli(capsys, "rank", "--fixture", "h")
@@ -317,8 +320,24 @@ def _graph_file(expression: str) -> str:
         (_graph_file("ta1 + 2*i*" + "-" * 3000 + "z1*ch1"), "nested deeper than"),
         ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
         (b"\xff\xfe{}", "codec can't decode"),
+        ('[{"N": 2}]', "expected a JSON object, got list"),
+        ('{"N": 1e999, "d": 1, "form": "graph", "expressions": ["ta1"]}', "float infinity"),
+        (_graph_file("ta1 + 2*i*z1*ch1 + " + "7" * 5000), "integer literal of 5000 digits is too long"),
+        (
+            '{"N": 2, "d": 1, "form": "rho", "expressions": ["Z2 - ze2 - 2*i*Z1*ze1"], "split": [1, 1]}',
+            "split must list d distinct",
+        ),
     ],
-    ids=["parentheses", "unary-minus", "json-arrays", "not-utf8"],
+    ids=[
+        "parentheses",
+        "unary-minus",
+        "json-arrays",
+        "not-utf8",
+        "not-an-object",
+        "infinite-N",
+        "long-literal",
+        "repeated-split",
+    ],
 )
 def test_hostile_file_exits_usage(tmp_path, content, message):
     hostile = tmp_path / "hostile.json"
@@ -326,6 +345,19 @@ def test_hostile_file_exits_usage(tmp_path, content, message):
     proc = run_cli_process(["rank", str(hostile)])
     assert_usage_error(proc)
     assert message in proc.stderr
+
+
+def test_cli_import_skips_dataclasses_and_resources():
+    # these modules cost tens of milliseconds of every process's start
+    heavy = ("dataclasses", "inspect", "tokenize", "ast", "importlib.resources")
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import segre.cli; "
+        f"print(sorted(name for name in {heavy!r} if name in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
@@ -395,3 +427,103 @@ def test_oversized_kernel_search_is_refused_before_series_work(
         f"inconclusive: {count} monomials of degree <= 4 in {variables} variables "
         "exceed the cap MAX_MONOMIALS = 100000\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract
+# ---------------------------------------------------------------------------
+
+# terms i*P(z, ch) with P(z, ch) = P(ch, z) real: each keeps w = ta + i*P real
+_REAL_TERMS = {
+    1: ["2*i*z1*ch1", "2*i*z1^2*ch1^2", "i*z1^2*ch1 + i*z1*ch1^2"],
+    2: ["2*i*z1*ch1", "2*i*z2*ch2", "i*z1*ch2 + i*z2*ch1", "i*z1^2*ch1*ch2 + i*z1*z2*ch1^2"],
+}
+_TOKENS = [
+    "z1", "z2", "ch1", "ch2", "ta1", "ta2", "w1", "Z1", "Z2", "ze1", "ze2", "i", "x",
+    "0", "1", "2", "9", "+", "-", "*", "/", "^", "(", ")", " ", "$",
+]
+_ODD_VALUES = st.sampled_from(
+    [None, True, "2", "two", 2.0, 2.5, -1, 0, 7, float("inf"), float("nan"), [], {}, [2], "ta1"]
+)
+
+
+@st.composite
+def _manifold_documents(draw):
+    """Mostly loadable manifolds, some with one field damaged, some not manifolds at all, or none."""
+    kind = draw(st.sampled_from(["graph"] * 6 + ["rho"] * 2 + ["not-an-object", "not-json", "none"]))
+    if kind == "none":
+        return None
+    if kind == "not-an-object":
+        return json.dumps(draw(st.one_of(_ODD_VALUES, st.lists(_ODD_VALUES, max_size=2))))
+    if kind == "not-json":
+        return draw(st.sampled_from(["", "{", '{"N": 2,}', "[[[", "\x00", '{"N": 2} {}']))
+    if kind == "graph":
+        N, d = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
+        soup = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
+        real = st.lists(st.sampled_from(_REAL_TERMS[N - d]), max_size=2)
+        expressions = [
+            " + ".join([f"ta{row}", *draw(st.one_of(real, real, real, soup.map(lambda text: [text])))])
+            for row in range(1, d + 1)
+        ]
+        data = {"N": N, "d": d, "form": "graph", "expressions": expressions}
+    else:
+        expression = draw(st.sampled_from(["-(i/2)*(Z2 - ze2) - Z1*ze1", "Z2 - ze2", "Z1*ze1 + Z2"]))
+        data = {"N": 2, "d": 1, "form": "rho", "expressions": [expression]}
+        if draw(st.booleans()):
+            data["split"] = draw(st.lists(st.integers(-1, 2), max_size=2))
+    if draw(st.integers(0, 5)) == 0:
+        data[draw(st.sampled_from(["N", "d", "form", "expressions", "split"]))] = draw(_ODD_VALUES)
+    return json.dumps(data)
+
+
+def _flags():
+    """A few options, each mostly in range: the order stays at most 6."""
+    odd = st.sampled_from(["-1", "0", "x", ""])
+    options = {
+        "--kappa": st.integers(2, 6).map(str),
+        "--jmax": st.integers(3, 5).map(str),
+        "--depth": st.integers(1, 4).map(str),
+        "--degree": st.integers(1, 3).map(str),
+        "--seed": st.integers(-2, 2).map(str),
+        "--jobs": st.integers(1, 2).map(str),
+        "--fixture": st.sampled_from(["h", "flat", "l4", "nope"]),
+    }
+    pair = st.sampled_from(sorted(options)).flatmap(
+        lambda name: st.one_of(*[options[name]] * 5, odd).map(lambda value: [name, value])
+    )
+    return st.lists(pair, max_size=2).map(lambda pairs: [part for pair in pairs for part in pair])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["rank", "finite-type", "orbit", "verify"] * 3 + ["bogus"]),
+    document=_manifold_documents(),
+    flags=_flags(),
+    as_json=st.booleans(),
+    small_kappa=st.sampled_from(["2", "4", "6"]),
+)
+def test_cli_exit_code_contract_holds_on_hostile_input(command, document, flags, as_json, small_kappa):
+    # the order stays at most 6, so no example costs more than a fraction of a second
+    argv = [command, "--kappa", small_kappa, *flags, *(["--json"] if as_json else [])]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        if document is not None:
+            path = Path(folder) / "manifold.json"
+            path.write_text(document)
+            argv.insert(1, str(path))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, document, err)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out
+    elif out:
+        # an error leaves stdout untouched; exits 3 and 4 may follow a whole report
+        assert code in (cli.EXIT_INCONCLUSIVE, cli.EXIT_CHECK_FAILED), (argv, document, out)
+        assert out.endswith("\n")
+        if as_json:
+            assert json.loads(out)["schema"] == cli.SCHEMA

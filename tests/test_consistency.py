@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -83,15 +82,15 @@ def test_profile_certificates_verify_against_their_matrices(all_fixture_manifold
 
 def _corrupt(cert, field):
     if field == "line_point":
-        return replace(cert, line_point=tuple(2 * x for x in cert.line_point))
+        return cert.replace(line_point=tuple(2 * x for x in cert.line_point))
     if field == "witness_exponent":
-        return replace(cert, witness_exponent=cert.witness_exponent + 1)
+        return cert.replace(witness_exponent=cert.witness_exponent + 1)
     if field == "witness_value":
-        return replace(cert, witness_value=cert.witness_value + gauss(1))
+        return cert.replace(witness_value=cert.witness_value + gauss(1))
     # the next index names another row (or column), a repeated one, or none
     if field == "minor_rows":
-        return replace(cert, minor_rows=(cert.minor_rows[0] + 1,) + cert.minor_rows[1:])
-    return replace(cert, minor_cols=(cert.minor_cols[0] + 1,) + cert.minor_cols[1:])
+        return cert.replace(minor_rows=(cert.minor_rows[0] + 1,) + cert.minor_rows[1:])
+    return cert.replace(minor_cols=(cert.minor_cols[0] + 1,) + cert.minor_cols[1:])
 
 
 @pytest.mark.parametrize(
