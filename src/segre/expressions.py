@@ -56,6 +56,21 @@ MAX_NESTING = 100
 level costs the recursive-descent parser at most five stack frames."""
 
 
+MAX_POWER_BITS = 16384
+"""Largest bit size the parser lets a power with a nonzero constant term
+reach, a little above the 14,284 bits of the longest integer literal the
+interpreter converts (4300 digits).  Both parts of the estimate are bounds:
+c^e from the integer triple of the constant c (``power_bits``), and
+kappa * bitlen(e) for the binomial factors C(e, k) <= e^k of the terms of
+degree k <= kappa."""
+
+MAX_N = 64
+"""Largest ambient dimension N a manifold file may declare, refused at load
+before any variable is named.  ``segre rank`` on a Levi-flat N = 64 graph
+takes about 2 s, and the kernel searches of ``orbit`` and ``verify`` refuse
+far smaller N (``orbit.MAX_MONOMIALS``)."""
+
+
 def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
     tokens: List[Tuple[str, Union[int, str], int]] = []
     pos = 0
@@ -175,6 +190,13 @@ class _Parser:
                 if kind != "int":
                     raise ParseError("exponent must be a nonnegative integer literal", epos)
                 self.advance()
+                constant = base.constant_term()
+                if constant:
+                    bits = constant.power_bits(exponent) + self.kappa * exponent.bit_length()
+                    if bits > MAX_POWER_BITS:
+                        raise ParseError(
+                            f"power of about {bits} bits exceeds the cap MAX_POWER_BITS = {MAX_POWER_BITS}", pos
+                        )
                 base = base.power(exponent)
             else:
                 return base
@@ -242,6 +264,8 @@ class ManifoldSpec(Record):
     split: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
+        if self.N > MAX_N:
+            raise ManifoldError(f"N = {self.N} exceeds the cap MAX_N = {MAX_N}")
         if self.d < 1 or self.N <= self.d:
             raise ManifoldError(f"need N > d >= 1, got N={self.N}, d={self.d}")
         if self.form not in ("graph", "rho"):
@@ -347,6 +371,11 @@ class GenericManifold(Record):
         return manifold_from_rho_series(
             self.dims, lifted, kappa, split=split, label=self.label, verify=verify
         )
+
+    def truncate(self, kappa: int) -> "GenericManifold":
+        """The image at a lower order: Q and rho truncated, with no solve and no re-verification."""
+        graph = GraphForm(self.dims, self.graph.Q.truncate(kappa), kappa)
+        return self.replace(kappa=kappa, graph=graph, rho=self.rho.truncate(kappa))
 
     def describe(self) -> str:
         return f"{self.label}: N={self.N} d={self.d} n={self.n} kappa={self.kappa}"

@@ -39,10 +39,16 @@ def default_var_cap(dims: Dims) -> int:
 class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
-    One mapping owns the truncation orders of a run: ``at_kappa`` lifts it to
-    a higher order once and keeps the lifted copy, so iterates and theta/phi
-    pairs are built once per order.  The table holds only the other orders,
-    never the mapping itself, so a mapping is freed by reference counting.
+    One mapping owns the truncation orders of a run (its rungs): ``at_kappa``
+    gives each other order once and keeps it, so iterates and theta/phi pairs
+    are built once per order.  A rung below an already built one is that
+    rung's truncation, and any rung takes an iterate or a theta/phi pair by
+    truncation from a higher rung that already holds it.  Truncation is a
+    quotient homomorphism, so this is the object a rebuild at the lower
+    order would give, and the identities verified at the higher order hold
+    at the lower one.  A cut rung's table holds only the rungs above it and
+    no table holds its own mapping, so a mapping is freed by reference
+    counting.
     """
 
     convention = "graph-special"
@@ -60,19 +66,53 @@ class SegreMapping:
         self._lifted: Dict[int, SegreMapping] = {}
 
     def at_kappa(self, level: int) -> "SegreMapping":
-        """The same mapping rebuilt from the manifold source at order ``level``."""
+        """The same mapping at order ``level``, made once.
+
+        It is the truncation of the nearest rung above ``level`` when one is
+        built; otherwise it is built from the manifold source at that order.
+        """
         if level == self.kappa:
             return self
-        lifted = self._lifted.get(level)
-        if lifted is None:
-            lifted = self._lifted[level] = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
-        return lifted
+        rung = self._lifted.get(level)
+        if rung is None:
+            above = self._above(level)
+            if above:
+                rung = above[0]._truncated(level)
+            else:
+                rung = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
+            self._lifted[level] = rung
+        return rung
+
+    def _above(self, level: int) -> List["SegreMapping"]:
+        """The built rungs of order above ``level``, nearest first."""
+        return sorted((r for r in self._lifted.values() if r.kappa > level), key=lambda r: r.kappa)
+
+    def _truncated(self, level: int) -> "SegreMapping":
+        """This mapping at a lower order: Q, rho and gamma truncated, tables taken on demand."""
+        rung = object.__new__(SegreMapping)
+        rung.dims, rung.var_cap, rung.kappa = self.dims, self.var_cap, level
+        rung.manifold = self.manifold.truncate(level)
+        rung.graph = rung.manifold.graph
+        rung.gamma = self.gamma.truncate(level)
+        rung._cache, rung._theta_phi = {}, {}
+        rung._lifted = {other.kappa: other for other in (self, *self._above(self.kappa))}
+        return rung
+
+    def _held_above(self, table: str, j: int):
+        """Entry j of the named table, truncated from the nearest rung above that holds it, or None."""
+        for rung in self._above(self.kappa):
+            held = getattr(rung, table).get(j)
+            if held is not None:
+                return held.truncate(self.kappa)
+        return None
 
     def theta_phi(self, j: int) -> "ThetaPhi":
-        """The verified theta/phi pair of index j at this order, built once."""
+        """The verified theta/phi pair of index j at this order, made once: cut
+        from a rung above that holds it, or else built and verified here."""
         pair = self._theta_phi.get(j)
         if pair is None:
-            pair = self._theta_phi[j] = make_theta_phi(self, j)
+            pair = self._held_above("_theta_phi", j) or make_theta_phi(self, j)
+            self._theta_phi[j] = pair
         return pair
 
     def _build_gamma(self) -> FormalMap:
@@ -109,6 +149,10 @@ class SegreMapping:
         cached = self._cache.get(j)
         if cached is not None:
             return cached
+        held = self._held_above("_cache", j)
+        if held is not None:
+            self._cache[j] = held
+            return held
         dims = self.dims
         kappa = self.kappa
         if j == 1:
@@ -275,6 +319,10 @@ class ThetaPhi(Record):
     j: int
     theta: FormalMap
     phi: Optional[FormalMap]
+
+    def truncate(self, kappa: int) -> "ThetaPhi":
+        phi = self.phi.truncate(kappa) if self.phi is not None else None
+        return ThetaPhi(self.j, self.theta.truncate(kappa), phi)
 
 
 def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:

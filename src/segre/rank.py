@@ -9,7 +9,10 @@ Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * value_bound).  Because a minor could
 first become nonzero beyond the truncation order, the rank is also
 recomputed with the order escalated twice, and ``stable`` records that
-nothing moved.
+nothing moved.  The escalated orders are certified top-down: only the top
+one is built from the manifold source, and each lower one is its truncation
+(exact, because truncation is a quotient homomorphism).  A line restriction
+is evaluated directly, not composed (``series.on_line``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .maps import SegreMapping
 from .record import Record
-from .series import FormalMap, GaussianRational, TruncatedSeries, compose_many
+from .series import FormalMap, GaussianRational, TruncatedSeries, compose_many, on_line
 
 Matrix = List[List[TruncatedSeries]]
 Pivot = Tuple[int, int, int, GaussianRational]
@@ -99,8 +102,7 @@ def _order(matrix: Matrix) -> int:
 
 def _on_line(matrix: Matrix, point: Sequence[int], order: int) -> Matrix:
     """Every entry restricted to x = eps * point: univariate, modulo eps^(order + 1)."""
-    line = FormalMap([TruncatedSeries(1, order, {(1,): value}) for value in point])
-    flat = iter(compose_many([entry for row in matrix for entry in row], line))
+    flat = iter(on_line([entry for row in matrix for entry in row], point, order))
     return [[next(flat) for _ in row] for row in matrix]
 
 
@@ -196,11 +198,16 @@ def generic_rank(
 ) -> RankCertificate:
     """Certified generic rank with two truncation-order escalations.
 
-    ``builder(kappa)`` must return the matrix recomputed at that order, with
-    higher orders refining lower ones (rebuilding from the manifold source
-    does this).  When only a plain matrix is given, its entries are treated
-    as exact polynomial data, which holds for every matrix this engine
-    constructs from parsed polynomial input.
+    ``builder(kappa)`` must return the matrix at that order, with higher
+    orders refining lower ones.  The orders are built top-down, kappa + 8
+    first, each certified with its own seeded line generator, and the
+    certificates are then compared in ascending order; so a builder backed
+    by ``SegreMapping.at_kappa`` builds only the top order from the manifold
+    source and cuts each lower one from it.  That is exact: truncation is a
+    quotient homomorphism, so the truncated matrix is the one a rebuild at
+    the lower order would give, term for term.  When only a plain matrix is
+    given, its entries are treated as exact polynomial data, which holds for
+    every matrix this engine constructs from parsed polynomial input.
     """
     options = options or RankOptions()
     if builder is None:
@@ -212,11 +219,12 @@ def generic_rank(
     if kappa is None:
         raise ValueError("builder form needs an explicit base truncation order")
 
-    certificates = []
-    for step in range(options.escalations + 1):
-        level = kappa + step * options.escalation_step
-        rng = random.Random(options.seed * 1000003 + level)
-        certificates.append(_certified_rank(builder(level), options, rng, level))
+    levels = [kappa + step * options.escalation_step for step in range(options.escalations + 1)]
+    # the top order first, so that every lower one can be cut from what it built
+    certificates = [
+        _certified_rank(builder(level), options, random.Random(options.seed * 1000003 + level), level)
+        for level in reversed(levels)
+    ][::-1]
 
     ranks = [cert.rank for cert in certificates]
     if any(b < a for a, b in zip(ranks, ranks[1:])):

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from segre import cli, orbit
 from segre.errors import InternalConsistencyError
+from segre.expressions import MAX_N
+from segre.series import SeriesError
 
 from conftest import FIXTURE_DIR
 
@@ -327,6 +329,9 @@ def _graph_file(expression: str) -> str:
             '{"N": 2, "d": 1, "form": "rho", "expressions": ["Z2 - ze2 - 2*i*Z1*ze1"], "split": [1, 1]}',
             "split must list d distinct",
         ),
+        (_graph_file("ta1 + 2*i*z1*ch1 + 0*3^100000000"), "exceeds the cap MAX_POWER_BITS"),
+        (_graph_file("ta1 + 2*i*z1*ch1 + 0*(3 + z1)^1000000"), "exceeds the cap MAX_POWER_BITS"),
+        ('{"N": 10000000, "d": 1, "form": "graph", "expressions": ["ta1"]}', "exceeds the cap MAX_N = 64"),
     ],
     ids=[
         "parentheses",
@@ -337,6 +342,9 @@ def _graph_file(expression: str) -> str:
         "infinite-N",
         "long-literal",
         "repeated-split",
+        "constant-power",
+        "series-power",
+        "huge-N",
     ],
 )
 def test_hostile_file_exits_usage(tmp_path, content, message):
@@ -368,6 +376,18 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "rank", "--fixture", "h")
     assert code == cli.EXIT_INTERNAL
     assert "internal" in err
+
+
+def test_series_error_exits_internal_without_traceback(monkeypatch, capsys):
+    def explode(*args, **kwargs):
+        raise SeriesError("arity mismatch: 2 vs 3")
+
+    monkeypatch.setattr(cli, "rank_profile", explode)
+    code, out, err = run_cli(capsys, "rank", "--fixture", "h")
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: arity mismatch: 2 vs 3\n"
 
 
 def test_env_seed_overrides_flag(monkeypatch, capsys):
@@ -442,6 +462,7 @@ _TOKENS = [
     "z1", "z2", "ch1", "ch2", "ta1", "ta2", "w1", "Z1", "Z2", "ze1", "ze2", "i", "x",
     "0", "1", "2", "9", "+", "-", "*", "/", "^", "(", ")", " ", "$",
 ]
+_POWER_BASES = ["3", "(2/3)", "i", "(1 + i)", "z1", "(3 + z1)", "(1 + z1*ch1)"]
 _ODD_VALUES = st.sampled_from(
     [None, True, "2", "two", 2.0, 2.5, -1, 0, 7, float("inf"), float("nan"), [], {}, [2], "ta1"]
 )
@@ -449,20 +470,25 @@ _ODD_VALUES = st.sampled_from(
 
 @st.composite
 def _manifold_documents(draw):
-    """Mostly loadable manifolds, some with one field damaged, some not manifolds at all, or none."""
-    kind = draw(st.sampled_from(["graph"] * 6 + ["rho"] * 2 + ["not-an-object", "not-json", "none"]))
+    """Mostly loadable manifolds, some with one field damaged, an N past the cap, some not manifolds at all, or none."""
+    kind = draw(st.sampled_from(["graph"] * 6 + ["rho"] * 2 + ["huge-N", "not-an-object", "not-json", "none"]))
     if kind == "none":
         return None
     if kind == "not-an-object":
         return json.dumps(draw(st.one_of(_ODD_VALUES, st.lists(_ODD_VALUES, max_size=2))))
     if kind == "not-json":
         return draw(st.sampled_from(["", "{", '{"N": 2,}', "[[[", "\x00", '{"N": 2} {}']))
-    if kind == "graph":
+    if kind == "huge-N":
+        data = {"N": draw(st.integers(MAX_N + 1, 10**9)), "d": 1, "form": "graph", "expressions": ["ta1"]}
+    elif kind == "graph":
         N, d = draw(st.sampled_from([(2, 1), (3, 1), (3, 2)]))
         soup = st.lists(st.sampled_from(_TOKENS), max_size=10).map("".join)
         real = st.lists(st.sampled_from(_REAL_TERMS[N - d]), max_size=2)
+        # a power far past the cap on its bit size, or one that is admitted
+        exponents = st.one_of(st.integers(0, 12), st.integers(0, 10**9))
+        power = st.tuples(st.sampled_from(_POWER_BASES), exponents).map(lambda p: [f"0*{p[0]}^{p[1]}"])
         expressions = [
-            " + ".join([f"ta{row}", *draw(st.one_of(real, real, real, soup.map(lambda text: [text])))])
+            " + ".join([f"ta{row}", *draw(st.one_of(real, real, real, soup.map(lambda text: [text]), power))])
             for row in range(1, d + 1)
         ]
         data = {"N": N, "d": d, "form": "graph", "expressions": expressions}

@@ -223,6 +223,28 @@ def test_certificate_escalation_detects_instability():
     assert generic_rank(base, options=RankOptions()).rank == 0
 
 
+def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
+    from segre import rank
+
+    matrix = jacobian(make_gamma(manifold_h).v(2))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a line restriction went through compose_many")
+
+    monkeypatch.setattr(rank, "compose_many", never)
+    levels = []
+
+    def builder(kappa):
+        levels.append(kappa)
+        return [[entry.with_order(kappa) for entry in row] for row in matrix]
+
+    cert = generic_rank(builder=builder, kappa=7)
+    assert levels == [15, 11, 7]
+    # each order keeps its own line generator, so the order of building changes nothing
+    assert cert == generic_rank(matrix) and cert.kappa_used == 7 and cert.stable
+    assert cert.verify(matrix)
+
+
 # ---------------------------------------------------------------------------
 # rank profiles
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from segre import (
     gauss,
     series_match,
 )
-from segre.series import _Packing, as_coeff, compose_many, unit_exponent
+from segre.series import _Packing, as_coeff, compose_many, on_line, unit_exponent
 
 from oracles import (
     d_add,
@@ -687,6 +687,41 @@ def test_packed_rows_hold_only_terms_within_the_order(f):
     assert unpacked == [exp for exp, _ in kept.sorted_terms()]
     for (packed, _, _), exp in zip(rows, unpacked):
         assert packing.bound(sum(exp) - 1) <= packed < packing.bound(sum(exp))
+
+
+# ---------------------------------------------------------------------------
+# restriction to a line by evaluation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def line_case(draw):
+    """Series in up to 6 variables at orders on both sides of the line's, and an integer point."""
+    arity = draw(st.integers(min_value=1, max_value=6))
+    order = draw(st.integers(min_value=0, max_value=8))
+    series = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kappa = max(order + draw(st.integers(min_value=-2, max_value=3)), 0)
+        series.append(draw(edge_series(arity, kappa, kappa, max_size=6)))
+    coordinates = st.integers(min_value=-9, max_value=9) | st.integers(min_value=-(2**17), max_value=2**17)
+    point = draw(st.lists(coordinates, min_size=arity, max_size=arity))
+    return series, point, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(line_case())
+def test_on_line_equals_composition_onto_the_line(case):
+    series, point, order = case
+    line = FormalMap([TruncatedSeries(1, order, {(1,): value}) for value in point])
+    results = on_line(series, point, order)
+    assert results == compose_many(series, line)
+    for result, f in zip(results, series):
+        assert_clean(result, 1, min(f.kappa, order))
+
+
+def test_on_line_needs_one_coordinate_per_variable():
+    with pytest.raises(SeriesError):
+        on_line([var(3, 4, 0)], [1, 2], 4)
 
 
 # ---------------------------------------------------------------------------
