@@ -1,7 +1,8 @@
 """Formal implicit function theorem and truncated ideal membership.
 
 Converts defining functions rho(Z, zeta) with invertible w-differential into
-the graph form w = Q(z, ch, ta), verifies the conjugation identity that makes
+the graph form w = Q(z, ch, ta) by Newton lifting, which doubles the valid
+order per composition, verifies the conjugation identity that makes
 the ideal real, and decides membership in the truncated ideal by substituting
 the graph.  Substitution is a complete decision procedure here because the
 ideal is freely generated by the coordinate graph w - Q.
@@ -105,20 +106,26 @@ class GraphForm(Record):
 
 
 def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
-    """Solve rho(Z, zeta) = 0 for w as a series in (z, ch, ta), degree by degree.
+    """Solve rho(Z, zeta) = 0 for w as a series in (z, ch, ta) by Newton lifting.
 
-    Each homogeneous part of the solution is obtained by one linear solve
-    against the constant matrix of w-differentials at 0, after substituting
-    the lower-order parts; exact rational arithmetic makes every step exact
-    and the degree bookkeeping lossless (valid_order stays kappa).
+    If Q is valid to degree m and X inverts J = d rho / d w at (z, Q, ch, ta)
+    to degree m' - m - 1, then Q - X rho(z, Q, ch, ta) is valid to degree
+    m' <= 2m + 1 (Brent & Kung 1978); X starts as the constant inverse at 0
+    and X (2I - J X) doubles its precision the same way.  The precisions are
+    kappa >> s, so there are kappa.bit_length() steps, and each composes rho
+    and its w-partials in one ``compose_many``.  Modulo degree > kappa the
+    solution with Q(0) = 0 is unique, so this Q is, term for term, the one a
+    degree-by-degree solve gives; the final annihilation check is the one
+    place that verifies it (valid_order stays kappa).
     """
     if rho.source_arity != dims.ambient_arity:
         raise ValueError("rho must live in the ambient (z, w, ch, ta) ring")
     if rho.target_arity != dims.d:
         raise ValueError("rho needs d components")
+    d = dims.d
     matrix = [
-        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(dims.d)]
-        for j in range(dims.d)
+        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(d)]
+        for j in range(d)
     ]
     try:
         inverse = linalg.invert(matrix)
@@ -126,29 +133,44 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
         raise SplitError("the d x d matrix of w-differentials at 0 is singular") from exc
 
     arity = dims.graph_arity
-    q_components = [TruncatedSeries.zero(arity, kappa) for _ in range(dims.d)]
     zs = [TruncatedSeries.variable(arity, kappa, dims.gz(i)) for i in range(dims.n)]
     chs = [TruncatedSeries.variable(arity, kappa, dims.gch(i)) for i in range(dims.n)]
-    tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(dims.d)]
-    for degree in range(1, kappa + 1):
-        # the degree-k part of the residual only depends on the solution
-        # below degree k, so the whole step can run in the order-k quotient
-        inner = FormalMap([*zs, *[q.truncate(degree) for q in q_components], *chs, *tas])
-        composed = compose_many(list(rho.components), inner)
-        residual = [composed[j].homogeneous_part(degree) for j in range(dims.d)]
-        for l in range(dims.d):
-            correction = TruncatedSeries.zero(arity, kappa)
-            for m in range(dims.d):
-                if inverse[l][m]:
-                    correction = correction + residual[m].with_order(kappa).scale(inverse[l][m])
-            q_components[l] = q_components[l] - correction
-    graph = GraphForm(dims, FormalMap(q_components), kappa)
+    tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(d)]
+    q = [TruncatedSeries.zero(arity, 0) for _ in range(d)]
+    x = [[TruncatedSeries.constant(arity, 0, value) for value in row] for row in inverse]
+    valid = x_order = 0
+    for target in reversed([kappa >> s for s in range(kappa.bit_length())]):
+        # X multiplies rho(z, Q, ch, ta), whose terms start at degree valid + 1
+        need = target - valid - 1
+        partials = []
+        if need > x_order:
+            partials = [c.partial(dims.w(l)) for c in rho.truncate(need + 1) for l in range(d)]
+        inner = FormalMap([*zs, *[c.with_order(target) for c in q], *chs, *tas])
+        images = compose_many([*rho.components, *partials], inner)
+        jac = [images[d * (j + 1) : d * (j + 2)] for j in range(d)]
+        while x_order < need:
+            x_order = min(2 * x_order + 1, need)
+            xjx = _matmul(x, _matmul(jac, x, x_order), x_order)
+            x = [[a.with_order(x_order).scale(2) - b for a, b in zip(*rows)] for rows in zip(x, xjx)]
+        step = _matmul(x, [[value] for value in images[:d]], target)
+        q = [c.with_order(target) - change for c, (change,) in zip(q, step)]
+        valid = target
+    graph = GraphForm(dims, FormalMap(q), kappa)
 
-    inner = FormalMap([*zs, *q_components, *chs, *tas])
+    inner = FormalMap([*zs, *q, *chs, *tas])
     for image in compose_many(list(rho.components), inner):
         if not image.is_zero():
             raise SplitError("graph solve failed to annihilate the defining functions")
     return graph
+
+
+def _matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
+    """The matrix product of two matrices of series modulo degree > kappa, entries read as polynomials."""
+    zero = TruncatedSeries.zero(a[0][0].arity, kappa)
+    return [
+        [sum((x.with_order(kappa) * y.with_order(kappa) for x, y in zip(row, col)), zero) for col in zip(*b)]
+        for row in a
+    ]
 
 
 def check_reality(graph: GraphForm) -> Tuple[bool, Optional[str]]:

@@ -10,6 +10,7 @@ that sort after the column's own entries.  (The valuation pivoting of
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from .series import ZERO, ONE, GaussianRational
@@ -30,26 +31,38 @@ def _subtract(target: Row, factor: GaussianRational, row: Row) -> None:
 
 
 class Echelon:
-    """Sparse rows in echelon form over orderable keys.
+    """Sparse rows in echelon form over orderable keys, indexed by pivot.
 
     Each stored row is 1 at its pivot, its least key, and 0 at the pivots of
-    the rows stored before it, so reducing against the rows in storage order
-    clears every pivot.
+    the rows stored before it.  A nonzero combination of the rows is nonzero
+    at the least pivot it uses, so the remainder of a vector that is 0 at
+    every pivot is unique, whatever order the pivots are cleared in.
     """
 
     def __init__(self):
-        self.pivots: List[Hashable] = []
-        self.rows: List[Row] = []
+        self.rows: Dict[Hashable, Row] = {}
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: Mapping[Hashable, GaussianRational]) -> Row:
-        """The remainder of ``vec`` against the stored rows: 0 at every pivot."""
+        """The remainder of ``vec`` against the stored rows: 0 at every pivot.
+
+        Pivots present are cleared in ascending order from a heap; a row's
+        keys are at or above its pivot, so each pivot is cleared once.
+        """
+        rows = self.rows
         rest = {key: value for key, value in vec.items() if value}
-        for pivot, row in zip(self.pivots, self.rows):
+        heap = [key for key in rest if key in rows]
+        heapify(heap)
+        while heap:
+            pivot = heappop(heap)
             factor = rest.get(pivot)
             if factor is not None:
+                row = rows[pivot]
+                # the pivots this subtraction brings in
+                for key in [key for key in row if key not in rest and key in rows]:
+                    heappush(heap, key)
                 _subtract(rest, factor, row)
         return rest
 
@@ -63,21 +76,21 @@ class Echelon:
             return False
         pivot = min(rest)
         inv = rest[pivot].inverse()
-        self.pivots.append(pivot)
-        self.rows.append({key: value * inv for key, value in rest.items()})
+        self.rows[pivot] = {key: value * inv for key, value in rest.items()}
         return True
 
     def reduced(self) -> List[Row]:
-        """The stored rows in reduced row echelon form, sorted by pivot."""
-        order = sorted(range(len(self.rows)), key=self.pivots.__getitem__)
-        rows = [dict(self.rows[i]) for i in order]
-        pivots = [self.pivots[i] for i in order]
-        for i in range(len(rows) - 1, -1, -1):
-            for j in range(i):
-                factor = rows[j].get(pivots[i])
-                if factor is not None:
-                    _subtract(rows[j], factor, rows[i])
-        return rows
+        """The stored rows in reduced row echelon form, sorted by pivot.
+
+        From the highest pivot down, each row subtracts the finished rows of the pivots it holds.
+        """
+        done: Dict[Hashable, Row] = {}
+        for pivot in sorted(self.rows, reverse=True):
+            row = dict(self.rows[pivot])
+            for key in sorted((key for key in row if key in done), reverse=True):
+                _subtract(row, row[key], done[key])
+            done[pivot] = row
+        return [done[pivot] for pivot in sorted(done)]
 
 
 def rank_with_pivots(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[int, List[int], List[int]]:
@@ -88,7 +101,7 @@ def rank_with_pivots(matrix: Sequence[Sequence[GaussianRational]]) -> Tuple[int,
     """
     echelon = Echelon()
     pivot_rows = [index for index, row in enumerate(matrix) if echelon.add(dict(enumerate(row)))]
-    return len(pivot_rows), pivot_rows, sorted(echelon.pivots)
+    return len(pivot_rows), pivot_rows, sorted(echelon.rows)
 
 
 def rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:

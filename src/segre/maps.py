@@ -116,20 +116,18 @@ class SegreMapping:
         return pair
 
     def _build_gamma(self) -> FormalMap:
-        """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring."""
+        """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring.
+
+        The w-part relabels Q's variables.  rho(gamma(zeta, t), zeta) = 0 is
+        rho(z, Q, ch, ta) = 0 with z renamed t: true by construction for graph
+        input, checked by ``solve_graph`` for rho input.
+        """
         dims = self.dims
         arity = dims.N + dims.n
-        kappa = self.kappa
-        chs = [TruncatedSeries.variable(arity, kappa, i) for i in range(dims.n)]
-        tas = [TruncatedSeries.variable(arity, kappa, dims.n + l) for l in range(dims.d)]
-        ts = [TruncatedSeries.variable(arity, kappa, dims.N + i) for i in range(dims.n)]
-        w_part = self.graph.q_of(ts, chs, tas)
-        gamma = FormalMap([*ts, *w_part])
-        # defining identity rho(gamma(zeta, t), zeta) = 0 and full t-rank at 0
-        inner = FormalMap([*ts, *w_part, *chs, *tas])
-        for image in compose_many(list(self.manifold.rho.components), inner):
-            if not image.is_zero():
-                raise InternalConsistencyError("gamma does not annihilate the defining functions")
+        ts = [TruncatedSeries.variable(arity, self.kappa, dims.N + i) for i in range(dims.n)]
+        relabel = [dims.N + i for i in range(dims.n)] + list(range(dims.N))
+        gamma = FormalMap([*ts, *self.graph.Q.map_vars(arity, relabel).components])
+        # full t-rank at 0
         jac = [
             [component.coefficient(unit_exponent(arity, dims.N + i)) for i in range(dims.n)]
             for component in gamma.components
@@ -158,9 +156,9 @@ class SegreMapping:
         if j == 1:
             arity = dims.n
             ts = [TruncatedSeries.variable(arity, kappa, i) for i in range(dims.n)]
-            zeros = [TruncatedSeries.zero(arity, kappa) for _ in range(dims.n)]
-            zerosd = [TruncatedSeries.zero(arity, kappa) for _ in range(dims.d)]
-            result = FormalMap([*ts, *self.graph.q_of(ts, zeros, zerosd)])
+            # Q(t, 0, 0): z -> t, ch and ta -> 0
+            q_t = self.graph.Q.map_vars(arity, [*range(dims.n), *[None] * dims.N])
+            result = FormalMap([*ts, *q_t.components])
         else:
             previous = self.v(j - 1)
             arity = j * dims.n
@@ -376,28 +374,37 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
 
 def pushforward_residuals(
     gamma: SegreMapping,
-    theta_phi: ThetaPhi,
+    theta_phis: List[ThetaPhi],
     fields_l: List[FormalVectorField],
     fields_lt: List[FormalVectorField],
-    f: TruncatedSeries,
-) -> List[TruncatedSeries]:
+    fs: List[TruncatedSeries],
+) -> List[List[List[TruncatedSeries]]]:
     """Residuals of the differentiation-through-composition identities.
 
     For each direction l, the t-derivative of f composed with theta in the
     last block must equal (Lt_l f) composed with theta, and the phi version
     holds with L_l; all residuals are exact modulo the shared valid order and
-    must vanish.
+    must vanish.  Each field is applied to each test function once, and each
+    map composes all of them at once.  Returns, for each pair in
+    ``theta_phis``, one residual list per test function.
     """
     n = gamma.dims.n
-    j = theta_phi.j
-    residuals: List[TruncatedSeries] = []
-    # (map, index of its last source block, fields along that block)
-    pairs = [(theta_phi.theta, j, fields_lt)]
-    if theta_phi.phi is not None:
-        pairs.append((theta_phi.phi, j - 1, fields_l))
-    for mapping, block, fields in pairs:
-        composed, *rhs = compose_many([f] + [field.apply(f) for field in fields], mapping)
-        for l, right in enumerate(rhs):
-            lhs = composed.partial(block * n + l)
-            residuals.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
-    return residuals
+    # [f, X_1 f, ..., X_n f] for each test function f, along theta's and phi's last block
+    theta_rows, phi_rows = (
+        [[f] + [field.apply(f) for field in fields] for f in fs] for fields in (fields_lt, fields_l)
+    )
+    out = []
+    for theta_phi in theta_phis:
+        residuals: List[List[TruncatedSeries]] = [[] for _ in fs]
+        pairs = [(theta_phi.theta, theta_phi.j, theta_rows)]
+        if theta_phi.phi is not None:
+            pairs.append((theta_phi.phi, theta_phi.j - 1, phi_rows))
+        for mapping, block, rows in pairs:
+            images = iter(compose_many([g for row in rows for g in row], mapping))
+            for own, row in zip(residuals, rows):
+                composed = next(images)
+                for l in range(len(row) - 1):
+                    lhs, right = composed.partial(block * n + l), next(images)
+                    own.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
+        out.append(residuals)
+    return out

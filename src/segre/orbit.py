@@ -602,25 +602,17 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         )
     record("theta_phi_ranks", rank_relation_ok, "; ".join(relation_notes))
 
-    rng = random.Random(config.seed * 7919 + 17)
-    push_ok = True
-    push_note = ""
+    failures = []
     if fields_l:
-        for sample in range(config.pushforward_samples):
-            f = _random_ambient_polynomial(dims, manifold.kappa, rng)
-            for j in range(0, k0 + 1):
-                residuals = pushforward_residuals(segre, segre.theta_phi(j), fields_l, fields_lt, f)
-                if any(not r.is_zero() for r in residuals):
-                    push_ok = False
-                    push_note = f"sample {sample}, j={j}"
-                    break
-            if not push_ok:
-                break
-    record(
-        "pushforward",
-        push_ok,
-        push_note or f"{config.pushforward_samples} random test functions",
-    )
+        rng = random.Random(config.seed * 7919 + 17)
+        samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(config.pushforward_samples)]
+        pairs = [segre.theta_phi(j) for j in range(0, k0 + 1)]
+        for j, per_sample in enumerate(pushforward_residuals(segre, pairs, fields_l, fields_lt, samples)):
+            failures += [(s, j) for s, residuals in enumerate(per_sample) if any(residuals)]
+    push_note = f"{config.pushforward_samples} random test functions"
+    if failures:  # the first failure in sample-major order
+        push_note = "sample {}, j={}".format(*min(failures))
+    record("pushforward", not failures, push_note)
 
     try:
         for k in range(1, 2 * k0 + 1):

@@ -4,7 +4,10 @@ Everything here is deliberately naive: dense dictionaries without truncation,
 recursive cofactor determinants over full polynomials, and bracket expansion
 of complete (not left-normed) word sets.  Expected values in the tests are
 computed with these oracles and compared against the engine, so the two
-implementations share no code paths beyond the scalar type.
+implementations share no code paths beyond the scalar type.  The one
+exception is the graph oracle, the degree-by-degree implicit function
+theorem: it checks the Newton lifting of ``solve_graph`` on top of the same
+series composition.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from segre.series import GaussianRational, TruncatedSeries, ZERO
+from segre import linalg
+from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
 
@@ -213,3 +217,43 @@ def dense_hull_dimension(generators: Sequence[DenseField], arity: int, max_lengt
         for field in words
     ]
     return constant_rank(vectors)
+
+
+# ---------------------------------------------------------------------------
+# graph oracle: the degree-by-degree implicit function theorem
+# ---------------------------------------------------------------------------
+
+
+def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSeries]:
+    """Q with rho(z, Q(z, ch, ta), ch, ta) = 0, one homogeneous degree at a time.
+
+    Each degree-k part of Q is one linear solve against the constant matrix
+    of w-differentials at 0, after substituting the parts below degree k:
+    kappa ever larger compositions, where ``solve_graph`` lifts by Newton
+    steps.  It uses the engine's series and ``linalg.invert``, not a dense
+    oracle, because the composition itself is what both routes share.
+    """
+    d = dims.d
+    matrix = [
+        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(d)]
+        for j in range(d)
+    ]
+    inverse = linalg.invert(matrix)
+    arity = dims.graph_arity
+    q_components = [TruncatedSeries.zero(arity, kappa) for _ in range(d)]
+    zs = [TruncatedSeries.variable(arity, kappa, dims.gz(i)) for i in range(dims.n)]
+    chs = [TruncatedSeries.variable(arity, kappa, dims.gch(i)) for i in range(dims.n)]
+    tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(d)]
+    for degree in range(1, kappa + 1):
+        # the degree-k part of the residual only depends on the solution
+        # below degree k, so the whole step can run in the order-k quotient
+        inner = FormalMap([*zs, *[q.truncate(degree) for q in q_components], *chs, *tas])
+        composed = compose_many(list(rho.components), inner)
+        residual = [composed[j].homogeneous_part(degree) for j in range(d)]
+        for l in range(d):
+            correction = TruncatedSeries.zero(arity, kappa)
+            for m in range(d):
+                if inverse[l][m]:
+                    correction = correction + residual[m].with_order(kappa).scale(inverse[l][m])
+            q_components[l] = q_components[l] - correction
+    return q_components

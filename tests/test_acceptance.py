@@ -144,11 +144,10 @@ def test_criterion_07_pushforward(reports, gammas):
             gamma = gammas[name]
             fields_l, fields_lt = cr_basis(manifold)
             k0 = reports[name].profile.k0
-            pairs = {j: make_theta_phi(gamma, j) for j in range(0, k0 + 1)}
-            for _ in range(20):
-                f = _random_ambient_polynomial(manifold.dims, manifold.kappa, rng)
-                for j, pair in pairs.items():
-                    residuals = pushforward_residuals(gamma, pair, fields_l, fields_lt, f)
+            pairs = [make_theta_phi(gamma, j) for j in range(0, k0 + 1)]
+            fs = [_random_ambient_polynomial(manifold.dims, manifold.kappa, rng) for _ in range(20)]
+            for j, per_f in enumerate(pushforward_residuals(gamma, pairs, fields_l, fields_lt, fs)):
+                for residuals in per_f:
                     assert all(r.is_zero() for r in residuals), (name, j)
 
 

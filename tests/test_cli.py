@@ -152,6 +152,24 @@ def test_verify_l4_dense_golden(tmp_path, capsys):
     assert (GOLDEN_DIR / "verify_l4_dense.txt").read_text() == out
 
 
+# c2 (Im w1 = |z|^2, Im w2 = |z|^4, codimension 2) after Z1 -> Z1 + Z2: the
+# split puts w = (Z2, Z3), so rho is nonlinear in w and its 2 x 2 w-Jacobian
+# is coupled, which the d = 1 l4 golden above never reaches
+C2_DENSE_RHO = (
+    "1/2*i*ze2 - 1/2*i*Z2 - Z2*ze2 - Z2*ze1 - Z1*ze2 - Z1*ze1",
+    "1/2*i*ze3 - 1/2*i*Z3 - Z2^2*ze2^2 - 2*Z2^2*ze1*ze2 - Z2^2*ze1^2 - 2*Z1*Z2*ze2^2"
+    " - 4*Z1*Z2*ze1*ze2 - 2*Z1*Z2*ze1^2 - Z1^2*ze2^2 - 2*Z1^2*ze1*ze2 - Z1^2*ze1^2",
+)
+
+
+def test_verify_c2_dense_golden(tmp_path, capsys):
+    manifold = tmp_path / "c2-dense.json"
+    manifold.write_text(json.dumps({"N": 3, "d": 2, "form": "rho", "expressions": list(C2_DENSE_RHO)}))
+    code, out, _ = run_cli(capsys, "verify", str(manifold), "--json", "--kappa", "6")
+    assert code == 0
+    assert (GOLDEN_DIR / "verify_c2_dense.txt").read_text() == out
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixture", "h", "--json")
     assert code == 0

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
+import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre import (
     Dims,
@@ -15,11 +21,15 @@ from segre import (
     gauss,
     ideal_member,
     load_manifold,
+    load_manifold_file,
     solve_graph,
 )
 from segre.errors import SplitError
 
 from conftest import random_real_rho_manifold
+from oracles import degree_by_degree_graph
+
+BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
 
 
 def load_rho(expr: str, N: int = 2, d: int = 1, kappa: int = 8):
@@ -127,3 +137,57 @@ def test_back_substitution_annihilates_random_generic_inputs():
             assert ideal_member(
                 manifold.rho.component(j).sigma(manifold.N), manifold.graph
             )
+
+
+# ---------------------------------------------------------------------------
+# Newton lifting against the degree-by-degree oracle
+# ---------------------------------------------------------------------------
+
+
+def _bench_cases():
+    """The benchmark's case generator (stdlib only), whose dataclasses need a module entry."""
+    if "bench_cases" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_cases", BENCH_CASES)
+        sys.modules["bench_cases"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["bench_cases"]
+
+
+@given(st.integers(0, 2**32), st.integers(2, 16))
+@settings(max_examples=40)
+def test_newton_graph_matches_degree_by_degree_oracle(seed, kappa):
+    manifold = random_real_rho_manifold(random.Random(seed), kappa=kappa)
+    oracle = degree_by_degree_graph(manifold.rho, manifold.dims, kappa)
+    assert manifold.graph.valid_order == kappa
+    assert [q.terms for q in manifold.Q.components] == [q.terms for q in oracle]
+    assert all(q.kappa == kappa for q in manifold.Q.components)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 301])
+@pytest.mark.parametrize("name", ["h-dense", "l4-dense"])
+def test_newton_graph_on_dense_coordinates(seed, name, tmp_path):
+    # h' and l4' of the dense-coords workload, at the top order 16 of a run
+    _bench_cases().write_inputs("dense-coords", tmp_path, seed)
+    manifold = load_manifold_file(tmp_path / f"{name}.json", 16)
+    oracle = degree_by_degree_graph(manifold.rho, manifold.dims, 16)
+    assert [q.terms for q in manifold.Q.components] == [q.terms for q in oracle]
+
+
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5, 8, 10, 16])
+def test_solve_graph_composes_logarithmically_often(kappa, monkeypatch):
+    from segre import implicit
+    from test_cli import C2_DENSE_RHO
+
+    manifold = load_manifold(ManifoldSpec(3, 2, "rho", C2_DENSE_RHO), kappa)
+    calls = []
+    real = implicit.compose_many
+
+    def counting(outers, inner):
+        calls.append(len(outers))
+        return real(outers, inner)
+
+    monkeypatch.setattr(implicit, "compose_many", counting)
+    graph = solve_graph(manifold.rho, manifold.dims, kappa)
+    assert graph.Q == manifold.Q
+    # one composition per Newton step, kappa.bit_length() of them, and the final check
+    assert len(calls) == kappa.bit_length() + 1 <= math.ceil(math.log2(kappa)) + 2

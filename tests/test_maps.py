@@ -21,6 +21,7 @@ from segre import (
 )
 from segre.orbit import _random_ambient_polynomial
 
+from conftest import load_fixture
 from oracles import brute_force_rank, d_compose, from_series, to_series
 
 
@@ -213,10 +214,50 @@ def test_pushforward_identities(all_fixture_manifolds):
         fields_l, fields_lt = cr_basis(manifold)
         for j in range(0, 3):
             pair = make_theta_phi(gamma, j)
-            for _ in range(5):
-                f = _random_ambient_polynomial(manifold.dims, manifold.kappa, rng)
-                residuals = pushforward_residuals(gamma, pair, fields_l, fields_lt, f)
+            fs = [_random_ambient_polynomial(manifold.dims, manifold.kappa, rng) for _ in range(5)]
+            (per_f,) = pushforward_residuals(gamma, [pair], fields_l, fields_lt, fs)
+            for residuals in per_f:
                 assert all(r.is_zero() for r in residuals)
+
+
+@pytest.mark.parametrize(
+    "name, family, slot, exponent",
+    [("h", "l", 3, (0, 0, 0, 3)), ("c2", "l", 0, (0, 3, 0, 0, 0, 0)), ("c2", "l", 3, (0, 3, 0, 0, 0, 0))],
+)
+def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exponent, monkeypatch):
+    # a monomial added to one coefficient of L_1 breaks the identities for
+    # some test functions only; the batched check must cite the same first
+    # failure, in sample-major order, as one call per sample and j
+    from segre import RunConfig, TruncatedSeries, orbit, verify_all
+    from segre.fields import FormalVectorField
+
+    manifold = load_fixture(name)
+
+    def corrupted_basis(manifold):
+        fields_l, fields_lt = cr_basis(manifold)
+        fields = fields_l if family == "l" else fields_lt
+        coeffs = list(fields[0].coefficients)
+        coeffs[slot] = coeffs[slot] + TruncatedSeries(len(coeffs), coeffs[slot].kappa, {exponent: 1})
+        fields[0] = FormalVectorField(coeffs)
+        return fields_l, fields_lt
+
+    monkeypatch.setattr(orbit, "cr_basis", corrupted_basis)
+    report = verify_all(manifold)
+    check = report.checks["pushforward"]
+    assert not check.passed
+
+    config = RunConfig()
+    gamma = make_gamma(manifold)
+    fields_l, fields_lt = corrupted_basis(manifold)
+    rng = random.Random(config.seed * 7919 + 17)
+    first = None
+    for sample in range(config.pushforward_samples):
+        f = _random_ambient_polynomial(manifold.dims, manifold.kappa, rng)
+        for j in range(report.profile.k0 + 1):
+            ((residuals,),) = pushforward_residuals(gamma, [gamma.theta_phi(j)], fields_l, fields_lt, [f])
+            if first is None and any(not r.is_zero() for r in residuals):
+                first = f"sample {sample}, j={j}"
+    assert check.witness == first
 
 
 def test_theta_restriction_equals_phi(gamma_h):

@@ -131,6 +131,19 @@ def test_monomial_enumeration_is_capped_before_it_starts():
     assert len(monomials) == len(set(monomials)) == math.comb(36, 4) - 1 == 58904
 
 
+def test_verify_levi_flat_n12():
+    # the orbit ideal searches about 20,000 monomials in 24 variables; its
+    # kernel took most of a minute while Echelon.reduce probed every stored
+    # pivot for every column, and takes seconds with the pivot heap
+    spec = ManifoldSpec(N=12, d=1, form="graph", expressions=("ta1",))
+    report = verify_all(load_manifold(spec, 8))
+    assert report.passed, report.failed_checks()
+    assert report.profile.ranks == (11, 11, 11) and report.profile.k0 == 1
+    assert report.lie.dim_g0 == 22
+    assert report.orbit.e == 1
+    assert report.orbit.generator_texts(report.dims) == ["w1"]
+
+
 def test_monomials_come_in_graded_lex_order():
     for arity in range(5):
         for degree in range(5):
