@@ -69,7 +69,6 @@ from .rank import (
     generic_rank,
     jacobian,
     minor_determinant,
-    rank_along,
     rank_profile,
 )
 from .series import (

@@ -318,7 +318,7 @@ class GenericManifold(Record):
     functions rho = w - Q in the ambient ring; ``w_columns`` records which
     raw Z-coordinates were renamed to w (the identity split for graph-form
     input).  ``source`` retains enough information to rebuild the manifold
-    at a different truncation order.
+    at a different truncation order; ``verified``: it passed the load gate.
     """
 
     dims: Dims
@@ -328,6 +328,7 @@ class GenericManifold(Record):
     w_columns: Tuple[int, ...]
     source: Tuple
     label: str = "manifold"
+    verified: bool = False
 
     @property
     def N(self) -> int:
@@ -419,7 +420,7 @@ def _finish_load(
     ]
     if linalg.rank(linear) != dims.d:
         raise GenericityError("rank of the Z-differentials at 0 is below d")
-    return GenericManifold(dims, kappa, graph, rho, w_columns, source, label)
+    return GenericManifold(dims, kappa, graph, rho, w_columns, source, label, verify)
 
 
 def manifold_from_graph_series(
@@ -516,6 +517,7 @@ def load_manifold(
         manifold.w_columns,
         ("spec", spec),
         label,
+        manifold.verified,
     )
 
 

@@ -24,7 +24,7 @@ from .expressions import GenericManifold
 from .fields import FormalVectorField
 from .implicit import GraphForm
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, series_match, unit_exponent
+from .series import FormalMap, TruncatedSeries, compose_many, jacobian, series_match, unit_exponent
 
 
 class VariableCapError(SegreError):
@@ -40,15 +40,14 @@ class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
     One mapping owns the truncation orders of a run (its rungs): ``at_kappa``
-    gives each other order once and keeps it, so iterates and theta/phi pairs
+    gives each other order once and keeps it, so iterates and their Jacobians
     are built once per order.  A rung below an already built one is that
-    rung's truncation, and any rung takes an iterate or a theta/phi pair by
-    truncation from a higher rung that already holds it.  Truncation is a
-    quotient homomorphism, so this is the object a rebuild at the lower
-    order would give, and the identities verified at the higher order hold
-    at the lower one.  A cut rung's table holds only the rungs above it and
-    no table holds its own mapping, so a mapping is freed by reference
-    counting.
+    rung's truncation, and any rung takes an iterate by truncation from a
+    higher rung that already holds it.  Truncation is a quotient
+    homomorphism, so this is the object a rebuild at the lower order would
+    give, and the identities verified at the higher order hold at the lower
+    one.  A cut rung's table holds only the rungs above it and no table
+    holds its own mapping, so a mapping is freed by reference counting.
     """
 
     convention = "graph-special"
@@ -62,6 +61,7 @@ class SegreMapping:
         self.var_cap = default_var_cap(dims) if var_cap is None else var_cap
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
+        self._jacobians: Dict[int, List[List[TruncatedSeries]]] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
         self._lifted: Dict[int, SegreMapping] = {}
 
@@ -94,7 +94,7 @@ class SegreMapping:
         rung.manifold = self.manifold.truncate(level)
         rung.graph = rung.manifold.graph
         rung.gamma = self.gamma.truncate(level)
-        rung._cache, rung._theta_phi = {}, {}
+        rung._cache, rung._jacobians, rung._theta_phi = {}, {}, {}
         rung._lifted = {other.kappa: other for other in (self, *self._above(self.kappa))}
         return rung
 
@@ -107,13 +107,18 @@ class SegreMapping:
         return None
 
     def theta_phi(self, j: int) -> "ThetaPhi":
-        """The verified theta/phi pair of index j at this order, made once: cut
-        from a rung above that holds it, or else built and verified here."""
+        """The verified theta/phi pair of index j at this order, made once."""
         pair = self._theta_phi.get(j)
         if pair is None:
-            pair = self._held_above("_theta_phi", j) or make_theta_phi(self, j)
-            self._theta_phi[j] = pair
+            pair = self._theta_phi[j] = make_theta_phi(self, j)
         return pair
+
+    def jacobian(self, j: int) -> List[List[TruncatedSeries]]:
+        """J v^j at this order, made once."""
+        matrix = self._jacobians.get(j)
+        if matrix is None:
+            matrix = self._jacobians[j] = jacobian(self.v(j))
+        return matrix
 
     def _build_gamma(self) -> FormalMap:
         """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring.
@@ -310,17 +315,13 @@ class ThetaPhi(Record):
     """The paired mappings into the manifold used for orbit rank bookkeeping.
 
     theta has j+1 source blocks and 2N components; phi has j source blocks
-    (absent for j = 0).  Both are verified to map into the manifold, and for
-    j >= 1 theta restricted to a zero last block equals phi.
+    (absent for j = 0).  Both map into the manifold, and for j >= 1 theta
+    restricted to a zero last block equals phi (``make_phi``).
     """
 
     j: int
     theta: FormalMap
     phi: Optional[FormalMap]
-
-    def truncate(self, kappa: int) -> "ThetaPhi":
-        phi = self.phi.truncate(kappa) if self.phi is not None else None
-        return ThetaPhi(self.j, self.theta.truncate(kappa), phi)
 
 
 def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
@@ -334,7 +335,6 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
         v1 = gamma.v(1)
         zeros = [TruncatedSeries.zero(arity, kappa) for _ in range(dims.N)]
         theta = FormalMap([*v1.components, *zeros])
-        phi = None
     else:
         arity = (j + 1) * dims.n
         shift_components = [
@@ -348,28 +348,29 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
         first = gamma.v(j + 1).compose(FormalMap(shift_components))
         second = gamma.v_bar(j).extend(arity)
         theta = FormalMap([*first.components, *second.components])
+    return ThetaPhi(j, theta, make_phi(gamma, j) if j >= 1 else None)
 
-        phi_arity = j * dims.n
-        if j == 1:
-            zeros = [TruncatedSeries.zero(phi_arity, kappa) for _ in range(dims.N)]
-            phi = FormalMap([*zeros, *gamma.v_bar(1).components])
-        else:
-            head = gamma.v(j - 1).extend(phi_arity)
-            phi = FormalMap([*head.components, *gamma.v_bar(j).components])
 
-    for name, mapping in (("theta", theta), ("phi", phi)):
-        if mapping is None:
-            continue
-        inner = FormalMap(mapping.components)
-        for image in compose_many(list(gamma.manifold.rho.components), inner):
-            if not image.is_zero():
-                raise InternalConsistencyError(f"{name}^{j} does not map into the manifold")
-    if j >= 1:
-        assignment: List[Optional[int]] = list(range(j * dims.n)) + [None] * dims.n
-        restricted = theta.map_vars(j * dims.n, assignment)
-        if not restricted.equals_mod(phi):
-            raise InternalConsistencyError("theta with zero last block does not equal phi")
-    return ThetaPhi(j, theta, phi)
+def make_phi(gamma: SegreMapping, j: int) -> FormalMap:
+    """phi^j = (v^(j-1), conj v^j), v^0 = 0, verified to map into M and to be
+    theta^j with a zero last block: v^(j+1) with t^(j+1) -> t^(j-1) (or 0).
+    Reality implies both.  theta^j maps into M by ``solve_graph``'s own
+    check: rho(v^(j+1), conj v^j) is rho(z, Q, ch, ta) at (t^(j+1), conj v^j)."""
+    dims = gamma.dims
+    n, arity = dims.n, j * dims.n
+    if j == 1:
+        head = [TruncatedSeries.zero(arity, gamma.kappa) for _ in range(dims.N)]
+        folded = gamma.v(2).map_vars(arity, [*range(n), *[None] * n])
+    else:
+        head = list(gamma.v(j - 1).extend(arity).components)
+        folded = gamma.v(j + 1).map_vars(arity, _assignment_fold_last(n, j + 1))
+    phi = FormalMap([*head, *gamma.v_bar(j).components])
+    for image in compose_many(list(gamma.manifold.rho.components), phi):
+        if not image.is_zero():
+            raise InternalConsistencyError(f"phi^{j} does not map into the manifold")
+    if not folded.equals_mod(FormalMap(head)):
+        raise InternalConsistencyError("theta with zero last block does not equal phi")
+    return phi
 
 
 def pushforward_residuals(

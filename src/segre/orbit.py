@@ -28,14 +28,16 @@ from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold, manifold_from_rho_series
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
-from .maps import SegreMapping, iterate, make_T, pushforward_residuals
+from .maps import SegreMapping, iterate, make_phi, make_T, pushforward_residuals
 from .rank import (
+    Lines,
     RankCertificate,
     RankProfile,
     generic_rank,
-    jacobian,
-    jacobian_along,
+    lines,
+    phi_lines,
     rank_profile,
+    theta_lines,
 )
 from .record import Record
 from .series import (
@@ -384,27 +386,28 @@ class MirrorManifold(Record):
         return [g.to_text(names) for g in self.generators]
 
 
+def _mirror_pattern(dims: Dims, k0: int) -> List[Optional[int]]:
+    """The s-variable on each t-variable of the mirror locus, or None for 0."""
+    blocks = [*range(k0), *range(k0 - 2, -1, -1), None]
+    return [None if b is None else b * dims.n + i for b in blocks for i in range(dims.n)]
+
+
 def _mirror_parametrization(dims: Dims, k0: int, kappa: int) -> FormalMap:
     """Linear map of s-blocks onto t-blocks realizing the mirror pattern."""
-    n = dims.n
-    source = k0 * n
-    target_blocks = 2 * k0
-    components: List[TruncatedSeries] = []
-    for b in range(1, target_blocks + 1):
-        if b <= k0:
-            s_block: Optional[int] = b
-        elif b < 2 * k0:
-            s_block = 2 * k0 - b
-        else:
-            s_block = None
-        for i in range(n):
-            if s_block is None:
-                components.append(TruncatedSeries.zero(source, kappa))
-            else:
-                components.append(
-                    TruncatedSeries.variable(source, kappa, (s_block - 1) * n + i)
-                )
-    return FormalMap(components)
+    source = k0 * dims.n
+    return FormalMap(
+        TruncatedSeries.zero(source, kappa) if s is None else TruncatedSeries.variable(source, kappa, s)
+        for s in _mirror_pattern(dims, k0)
+    )
+
+
+def _mirror_lines(segre: SegreMapping, k0: int) -> Lines:
+    """J v^(2 k0) along the (linear) mirror locus, on the line through its image of s."""
+    full = lines(segre.jacobian(2 * k0))
+    pattern = _mirror_pattern(segre.dims, k0)
+    return full.replace(
+        arity=k0 * segre.dims.n, at=lambda point: full.at([0 if c is None else point[c] for c in pattern])
+    )
 
 
 def _mirror_generators(dims: Dims, k0: int, kappa: int) -> List[TruncatedSeries]:
@@ -458,11 +461,11 @@ def mirror_sigma(
         raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
     annihilates = all(zero[len(gens) :])
 
-    def builder(level: int):
-        locus = _mirror_parametrization(dims, k0, level)
-        return jacobian_along(segre.at_kappa(level).v(2 * k0), locus)
-
-    cert = generic_rank(builder=builder, kappa=kappa, options=config.rank_options())
+    cert = generic_rank(
+        builder=lambda level: _mirror_lines(segre.at_kappa(level), k0),
+        kappa=kappa,
+        options=config.rank_options(),
+    )
     return MirrorManifold(
         k0=k0,
         generators=tuple(gens),
@@ -558,7 +561,8 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     except InternalConsistencyError as exc:
         record("collapse_identities", False, str(exc))
 
-    ok, witness = check_reality(manifold.graph)
+    # the load gate checked reality at this order
+    ok, witness = (True, None) if manifold.verified else check_reality(manifold.graph)
     record("reality", ok, witness or "identity holds")
 
     try:
@@ -580,14 +584,21 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     rank_relation_ok = True
     relation_notes = []
     theta_ranks: Dict[int, int] = {}
+    top = manifold.kappa + options.escalations * options.escalation_step
+
+    def theta_builder(level: int, j: int) -> Lines:
+        if level == top:  # rebuilt without the load gate: the checks reality implies
+            make_phi(segre.at_kappa(level), j)
+        return theta_lines(segre.at_kappa(level), j)
+
     for j in range(1, k0 + 2):
         theta_cert = generic_rank(
-            builder=lambda level, j=j: jacobian(segre.at_kappa(level).theta_phi(j).theta),
+            builder=lambda level, j=j: theta_builder(level, j),
             kappa=manifold.kappa,
             options=options,
         )
         phi_cert = generic_rank(
-            builder=lambda level, j=j: jacobian(segre.at_kappa(level).theta_phi(j).phi),
+            builder=lambda level, j=j: phi_lines(segre.at_kappa(level), j),
             kappa=manifold.kappa,
             options=options,
         )

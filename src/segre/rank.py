@@ -11,8 +11,11 @@ first become nonzero beyond the truncation order, the rank is also
 recomputed with the order escalated twice, and ``stable`` records that
 nothing moved.  The escalated orders are certified top-down: only the top
 one is built from the manifold source, and each lower one is its truncation
-(exact, because truncation is a quotient homomorphism).  A line restriction
-is evaluated directly, not composed (``series.on_line``).
+(exact, because truncation is a quotient homomorphism).
+
+A matrix is read only on lines (``Lines``), by evaluation (``on_line``);
+theta^j, phi^j and the mirror locus are read off the iterates' Jacobians by
+the chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).
 """
 
 from __future__ import annotations
@@ -26,25 +29,10 @@ from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .maps import SegreMapping
 from .record import Record
-from .series import FormalMap, GaussianRational, TruncatedSeries, compose_many, on_line
+from .series import GaussianRational, TruncatedSeries, jacobian, on_line
 
 Matrix = List[List[TruncatedSeries]]
 Pivot = Tuple[int, int, int, GaussianRational]
-
-
-def jacobian(mapping: FormalMap) -> Matrix:
-    """The m x p matrix of partial derivatives; entries valid one order lower."""
-    return [
-        [component.partial(col) for col in range(mapping.source_arity)]
-        for component in mapping.components
-    ]
-
-
-def jacobian_along(mapping: FormalMap, locus: FormalMap) -> Matrix:
-    """The Jacobian of ``mapping`` with every entry composed along ``locus``, in one call."""
-    rows = jacobian(mapping)
-    images = iter(compose_many([entry for row in rows for entry in row], locus))
-    return [[next(images) for _ in row] for row in rows]
 
 
 class RankCertificate(Record):
@@ -106,6 +94,62 @@ def _on_line(matrix: Matrix, point: Sequence[int], order: int) -> Matrix:
     return [[next(flat) for _ in row] for row in matrix]
 
 
+class Lines(Record):
+    """A matrix of series in ``arity`` variables, read only on lines: ``at(point)``
+    is its restriction to x = eps * point, modulo eps^(order + 1)."""
+
+    rows: int
+    cols: int
+    arity: int
+    order: int
+    at: Callable[[Sequence[int]], Matrix]
+
+
+def lines(matrix: Matrix) -> Lines:
+    if not matrix or not matrix[0]:
+        return Lines(len(matrix), 0, 0, 0, None)
+    order = _order(matrix)
+    return Lines(len(matrix), len(matrix[0]), matrix[0][0].arity, order, lambda point: _on_line(matrix, point, order))
+
+
+def _block(segre: SegreMapping, j: int, point: Sequence[int], order: int, cols: int, conjugate: bool = False) -> Matrix:
+    """J v^j on the line through ``point`` (zero rows for j = 0), conjugated
+    when asked (p is real, so that commutes), padded with zero columns."""
+    zero = TruncatedSeries.zero(1, order)
+    rows = _on_line(segre.jacobian(j), point, order) if j else [[]] * segre.dims.N
+    return [[e.conjugate() if conjugate else e for e in row] + [zero] * (cols - len(row)) for row in rows]
+
+
+def theta_lines(segre: SegreMapping, j: int) -> Lines:
+    """J theta^j for theta^j = (v^(j+1) o S, conj v^j), j >= 1, by the chain rule:
+    S adds t^(j-1) to t^(j+1) (nothing for j = 1), so the top rows on x = eps * p
+    are J v^(j+1) on the line through S p, times S."""
+    n = segre.dims.n
+    last, fold, cols = j * n, (j - 2) * n, (j + 1) * n  # fold: the first column of block j-1
+    order = min(_order(segre.jacobian(j + 1)), _order(segre.jacobian(j)))
+
+    def at(point):
+        head = list(point[:last])
+        shifted = head + [x + point[fold + i] if j >= 2 else x for i, x in enumerate(point[last:])]
+        top = _block(segre, j + 1, shifted, order, cols)
+        for row in top if j >= 2 else ():
+            row[fold : last - n] = [a + b for a, b in zip(row[fold : last - n], row[last:])]
+        return top + _block(segre, j, head, order, cols, conjugate=True)
+
+    return Lines(2 * segre.dims.N, cols, cols, order, at)
+
+
+def phi_lines(segre: SegreMapping, j: int) -> Lines:
+    """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0."""
+    n, cols = segre.dims.n, j * segre.dims.n
+    order = min(_order(segre.jacobian(k)) for k in (j - 1, j) if k)
+
+    def at(point):
+        return _block(segre, j - 1, point[: cols - n], order, cols) + _block(segre, j, point, order, cols, True)
+
+    return Lines(2 * segre.dims.N, cols, cols, order, at)
+
+
 def _divide(series: TruncatedSeries, divisor: TruncatedSeries, v: int) -> TruncatedSeries:
     """Univariate series / divisor, where the divisor has valuation v and eps^v
     divides the series; the quotient is exact to the shared order minus v."""
@@ -159,16 +203,16 @@ def _witness(pivots: List[Pivot]) -> Tuple[int, GaussianRational]:
     return sum(valuations), value
 
 
-def _certified_rank(matrix: Matrix, options: RankOptions, rng: random.Random, level: int) -> RankCertificate:
+def _certified_rank(matrix: Lines, options: RankOptions, rng: random.Random, level: int) -> RankCertificate:
     """The most pivots over ``options.trials`` random lines, with their certificate."""
-    if not matrix or not matrix[0]:
+    if not matrix.rows or not matrix.cols:
         return RankCertificate(0, (), (), (), None, None, Fraction(0), level, True)
-    order = _order(matrix)
-    full = min(len(matrix), len(matrix[0]))
+    order = matrix.order
+    full = min(matrix.rows, matrix.cols)
     best: Optional[Tuple[Tuple[int, ...], List[Pivot]]] = None
     for _ in range(options.trials):
-        point = tuple(rng.choice((-1, 1)) * rng.randint(1, options.value_bound) for _ in range(matrix[0][0].arity))
-        pivots = _eliminate(_on_line(matrix, point, order))
+        point = tuple(rng.choice((-1, 1)) * rng.randint(1, options.value_bound) for _ in range(matrix.arity))
+        pivots = _eliminate(matrix.at(point))
         if best is None or len(pivots) > len(best[1]):
             best = (point, pivots)
         if len(pivots) == full:
@@ -198,14 +242,14 @@ def generic_rank(
 ) -> RankCertificate:
     """Certified generic rank with two truncation-order escalations.
 
-    ``builder(kappa)`` must return the matrix at that order, with higher
-    orders refining lower ones.  The orders are built top-down, kappa + 8
-    first, each certified with its own seeded line generator, and the
-    certificates are then compared in ascending order; so a builder backed
-    by ``SegreMapping.at_kappa`` builds only the top order from the manifold
-    source and cuts each lower one from it.  That is exact: truncation is a
-    quotient homomorphism, so the truncated matrix is the one a rebuild at
-    the lower order would give, term for term.  When only a plain matrix is
+    ``builder(kappa)`` must return the matrix at that order, or its
+    ``Lines``, with higher orders refining lower ones.  The orders are built
+    top-down, kappa + 8 first, each certified with its own seeded line
+    generator, and the certificates are then compared in ascending order; so
+    a builder backed by ``SegreMapping.at_kappa`` builds only the top order
+    from the manifold source and cuts each lower one from it.  That is
+    exact: truncation is a quotient homomorphism, so the truncated matrix is
+    the one a rebuild at the lower order would give, term for term.  When only a plain matrix is
     given, its entries are treated as exact polynomial data, which holds for
     every matrix this engine constructs from parsed polynomial input.
     """
@@ -220,11 +264,12 @@ def generic_rank(
         raise ValueError("builder form needs an explicit base truncation order")
 
     levels = [kappa + step * options.escalation_step for step in range(options.escalations + 1)]
+    certificates = []
     # the top order first, so that every lower one can be cut from what it built
-    certificates = [
-        _certified_rank(builder(level), options, random.Random(options.seed * 1000003 + level), level)
-        for level in reversed(levels)
-    ][::-1]
+    for level in reversed(levels):
+        built = builder(level)
+        built = built if isinstance(built, Lines) else lines(built)
+        certificates.insert(0, _certified_rank(built, options, random.Random(options.seed * 1000003 + level), level))
 
     ranks = [cert.rank for cert in certificates]
     if any(b < a for a, b in zip(ranks, ranks[1:])):
@@ -234,28 +279,6 @@ def generic_rank(
     final = max(ranks)
     first = next(cert for cert in certificates if cert.rank == final)
     return first.replace(stable=all(r == final for r in ranks))
-
-
-def rank_along(
-    mapping: FormalMap,
-    locus: FormalMap,
-    options: Optional[RankOptions] = None,
-    builder: Optional[Callable[[int], Matrix]] = None,
-    kappa: Optional[int] = None,
-) -> RankCertificate:
-    """Generic rank of the Jacobian composed with a parametrized locus.
-
-    The locus must map its parameters into the mapping's source with zero
-    constant terms; the rank is then taken in the parameter variables.
-    """
-    if locus.target_arity != mapping.source_arity:
-        raise ValueError("locus must map into the source of the mapping")
-    for component in locus.components:
-        if component.constant_term():
-            raise ValueError("locus components must vanish at the origin")
-    if builder is None:
-        return generic_rank(jacobian_along(mapping, locus), kappa=kappa, options=options)
-    return generic_rank(builder=builder, kappa=kappa, options=options)
 
 
 class RankProfile(Record):
@@ -304,7 +327,7 @@ def rank_profile(
     for j in range(1, J_max + 1):
         certificates.append(
             generic_rank(
-                builder=lambda kappa, j=j: jacobian(segre.at_kappa(kappa).v(j)),
+                builder=lambda kappa, j=j: segre.at_kappa(kappa).jacobian(j),
                 kappa=manifold.kappa,
                 options=options,
             )

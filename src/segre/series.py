@@ -423,11 +423,12 @@ class TruncatedSeries:
             raise SeriesError(f"variable index {index} out of range for arity {self.arity}")
         if self.kappa == 0:
             raise SeriesError("cannot differentiate a series carried only to order 0")
-        out = {
-            exp[:index] + (exp[index] - 1,) + exp[index + 1 :]: coeff * GaussianRational(exp[index])
-            for exp, coeff in self.terms.items()
-            if exp[index]
-        }
+        out = {}
+        for exp, c in self.terms.items():
+            k = exp[index]
+            if k:  # gcd(a, b, d) = 1, so only gcd(k, d) can cancel from (k a + k b i)/d
+                g = gcd(k, c._d)
+                out[exp[:index] + (k - 1,) + exp[index + 1 :]] = _triple(c._a * (k // g), c._b * (k // g), c._d // g)
         return _series(self.arity, self.kappa - 1, out)
 
     def evaluate(self, point: Sequence[CoeffLike]) -> GaussianRational:
@@ -609,22 +610,21 @@ def _product(a_rows: list, b_rows: list, bound: int) -> dict:
     return sums
 
 
-def _monomial_rows(memo: dict, exp: Exponent, components: list, bound: int) -> Tuple[list, int]:
+def _monomial_rows(memo: dict, exp: Exponent, components: list, sparsest: list, bound: int) -> Tuple[list, int]:
     """Rows of the inner components' product named by ``exp``, memoized with every step.
 
-    Walks down to a memoized sub-monomial, removing one factor of the last
-    variable at a time, then multiplies the factors back on in turn.
+    Walks down to a memoized sub-monomial, removing one factor of the
+    sparsest component (first in ``sparsest``) at a time, then multiplies
+    the factors back on in turn.
     """
     chain = []
     while exp not in memo:
-        last = len(exp) - 1
-        while not exp[last]:
-            last -= 1
-        chain.append((exp, last))
-        exp = exp[:last] + (exp[last] - 1,) + exp[last + 1 :]
+        k = next(k for k in sparsest if exp[k])
+        chain.append((exp, k))
+        exp = exp[:k] + (exp[k] - 1,) + exp[k + 1 :]
     rows, den = memo[exp]
-    for exp, last in reversed(chain):
-        component_rows, component_den = components[last]
+    for exp, k in reversed(chain):
+        component_rows, component_den = components[k]
         sums = _product(rows, component_rows, bound)
         rows = sorted([(e, pair[0], pair[1]) for e, pair in sums.items() if pair[0] or pair[1]])
         den *= component_den
@@ -746,11 +746,12 @@ def compose_many(
     """Compose several series with one inner map, sharing all partial products.
 
     Monomial substitution values are memoized across all outer series as
-    unreduced integer rows with packed exponents: each distinct monomial of
-    any outer costs one row product on top of a previously computed
-    sub-monomial.  Results carry per-outer truncation orders; sharing at the
-    maximum order and truncating afterwards is sound because truncation is a
-    quotient homomorphism.
+    unreduced integer rows with packed exponents: each distinct monomial in
+    the components with more than one term costs one row product on top of
+    a previously computed sub-monomial, and one-term components shift those
+    rows as they are summed.  Results carry per-outer truncation orders;
+    sharing at the maximum order and truncating afterwards is sound because
+    truncation is a quotient homomorphism.
     """
     if not outers:
         return []
@@ -768,6 +769,12 @@ def compose_many(
     source = inner.source_arity
     packing = _Packing(source, cache_kappa)
     components = [packing.rows(c.terms) for c in inner.components]
+    # a one-term component multiplies on as a shift of the rows, which keeps
+    # them ascending, with its coefficient folded into the outer term's; so
+    # the memo holds products of the other components only, sparsest first
+    single = [len(rows) == 1 for rows, _ in components]
+    shifts = [(k, rows[0], den) for k, (rows, den) in enumerate(components) if single[k]]
+    sparsest = sorted((k for k in range(arity - 1, -1, -1) if not single[k]), key=lambda k: len(components[k][0]))
     memo: dict = {(0,) * arity: ([(0, 1, 0)], 1)}
     memo_bound = packing.bound(cache_kappa)
 
@@ -782,8 +789,18 @@ def compose_many(
         for exp, coeff in outer.terms.items():
             if sum(exp) > kappa:
                 continue
-            rows, row_den = _monomial_rows(memo, exp, components, memo_bound)
-            term_den = coeff._d * row_den
+            shift, ca, cb, term_den = 0, coeff._a, coeff._b, coeff._d
+            for k, (packed, re, im), component_den in shifts:
+                e = exp[k]
+                if e:
+                    shift += e * packed
+                    term_den *= component_den**e
+                    for _ in range(e):
+                        ca, cb = ca * re - cb * im, ca * im + cb * re
+            if shift:
+                exp = tuple([0 if one else e for e, one in zip(exp, single)])
+            rows, row_den = _monomial_rows(memo, exp, components, sparsest, memo_bound)
+            term_den *= row_den
             if den % term_den:
                 grow = term_den // gcd(den, term_den)
                 den *= grow
@@ -791,8 +808,9 @@ def compose_many(
                     pair[0] *= grow
                     pair[1] *= grow
             scale = den // term_den
-            ca, cb = coeff._a * scale, coeff._b * scale
+            ca, cb = ca * scale, cb * scale
             for mono, ra, ia in rows:
+                mono += shift
                 if mono >= bound:
                     break
                 pair = get(mono)
@@ -803,6 +821,14 @@ def compose_many(
                     pair[1] += ca * ia + cb * ra
         results.append(_series(source, kappa, packing.divided(sums, den)))
     return results
+
+
+def jacobian(mapping: FormalMap) -> list:
+    """The m x p matrix of partial derivatives; entries valid one order lower."""
+    return [
+        [component.partial(col) for col in range(mapping.source_arity)]
+        for component in mapping.components
+    ]
 
 
 def on_line(series: Sequence[TruncatedSeries], point: Sequence[int], order: int) -> list:

@@ -4,10 +4,12 @@ Everything here is deliberately naive: dense dictionaries without truncation,
 recursive cofactor determinants over full polynomials, and bracket expansion
 of complete (not left-normed) word sets.  Expected values in the tests are
 computed with these oracles and compared against the engine, so the two
-implementations share no code paths beyond the scalar type.  The one
-exception is the graph oracle, the degree-by-degree implicit function
-theorem: it checks the Newton lifting of ``solve_graph`` on top of the same
-series composition.
+implementations share no code paths beyond the scalar type.  Two
+exceptions sit on top of the same series composition: the graph oracle, the
+degree-by-degree implicit function theorem, checks the Newton lifting of
+``solve_graph``; and ``jacobian_along`` and ``rank_along`` are the
+multivariate route to the mirror's rank matrix, which the engine reads off
+J v^(2 k0) on lines.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from segre import linalg
+from segre import generic_rank, linalg
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
@@ -257,3 +259,25 @@ def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSe
                     correction = correction + residual[m].with_order(kappa).scale(inverse[l][m])
             q_components[l] = q_components[l] - correction
     return q_components
+
+
+def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedSeries]]:
+    """The Jacobian of ``mapping`` with every entry composed along ``locus``, in one call."""
+    rows = [[component.partial(col) for col in range(mapping.source_arity)] for component in mapping.components]
+    images = iter(compose_many([entry for row in rows for entry in row], locus))
+    return [[next(images) for _ in row] for row in rows]
+
+
+def rank_along(mapping: FormalMap, locus: FormalMap, options=None):
+    """Generic rank of the Jacobian composed with a parametrized locus.
+
+    The locus must map its parameters into the mapping's source with zero
+    constant terms; the rank is then taken in the parameter variables.  The
+    engine's mirror certificate reads the same matrix on lines instead.
+    """
+    if locus.target_arity != mapping.source_arity:
+        raise ValueError("locus must map into the source of the mapping")
+    for component in locus.components:
+        if component.constant_term():
+            raise ValueError("locus components must vanish at the origin")
+    return generic_rank(jacobian_along(mapping, locus), options=options)

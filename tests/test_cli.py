@@ -170,6 +170,20 @@ def test_verify_c2_dense_golden(tmp_path, capsys):
     assert (GOLDEN_DIR / "verify_c2_dense.txt").read_text() == out
 
 
+# real to order 8 but not to order 16: the load gate passes at kappa = 8, and
+# the top escalated order, rebuilt without the gate, must still refuse phi^2
+UNREAL_ABOVE_8 = {"N": 2, "d": 1, "form": "rho", "expressions": ["-(i/2)*(Z2 - ze2) - Z1*ze1 + i*Z1^6*ze1^6"]}
+
+
+def test_verify_checks_phi_at_the_top_order(tmp_path, capsys):
+    manifold = tmp_path / "unreal-above-8.json"
+    manifold.write_text(json.dumps(UNREAL_ABOVE_8))
+    code, out, err = run_cli(capsys, "verify", str(manifold), "--kappa", "8")
+    assert code == 5
+    assert out == ""
+    assert err == "internal consistency error: phi^2 does not map into the manifold\n"
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixture", "h", "--json")
     assert code == 0

@@ -389,8 +389,10 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
 
     lifts = Counter()
     pairs = Counter()
+    phis = Counter()
     real_at_kappa = expressions.GenericManifold.at_kappa
     real_theta_phi = maps.make_theta_phi
+    real_phi = maps.make_phi
 
     def counting_at_kappa(self, kappa, verify=False):
         lifts[kappa] += 1
@@ -400,18 +402,48 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         pairs[gamma.kappa, j] += 1
         return real_theta_phi(gamma, j)
 
+    def counting_phi(gamma, j):
+        phis[gamma.kappa, j] += 1
+        return real_phi(gamma, j)
+
     monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
     monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
+    monkeypatch.setattr(maps, "make_phi", counting_phi)
+    monkeypatch.setattr(orbit, "make_phi", counting_phi)
     report = verify_all(manifold_c2)
     assert report.passed
     k0 = report.profile.k0
     # only the top order is rebuilt from the source; order 12 is its truncation
     assert lifts == {16: 1}
-    expected = {(8, j) for j in range(k0 + 2)}
-    expected |= {(16, j) for j in range(1, k0 + 2)}
-    assert set(pairs) == expected
-    assert set(pairs.values()) == {1}
+    # theta/phi pairs are built at the run's order only; above it the rank
+    # certificates read the iterates' Jacobians, and the top order checks phi
+    assert pairs == {(8, j): 1 for j in range(k0 + 2)}
+    assert phis == {**{(8, j): 1 for j in range(1, k0 + 2)}, **{(16, j): 1 for j in range(1, k0 + 2)}}
+
+
+def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch):
+    from segre import ManifoldSpec, load_manifold
+
+    from conftest import FIXTURE_DIR
+
+    calls = []
+    real_check = orbit.check_reality
+
+    def counting_check(graph):
+        calls.append(graph)
+        return real_check(graph)
+
+    monkeypatch.setattr(orbit, "check_reality", counting_check)
+    gated = verify_all(manifold_h)
+    assert calls == [] and manifold_h.verified
+    # a manifold loaded past the gate is checked by verify itself, with the same witness
+    ungated = load_manifold(ManifoldSpec.from_file(FIXTURE_DIR / "h.json"), 8, label="h", verify=False)
+    assert not ungated.verified
+    report = verify_all(ungated)
+    assert calls == [ungated.graph]
+    assert report.checks["reality"] == gated.checks["reality"]
+    assert report.checks["reality"].witness == "identity holds"
 
 
 def random_invertible(rng, size):

@@ -18,13 +18,12 @@ from segre import (
     jacobian,
     make_gamma,
     minor_determinant,
-    rank_along,
     rank_profile,
 )
 from segre.expressions import ManifoldSpec, load_manifold
 
 from conftest import random_real_rho_manifold, random_rigid_manifold
-from oracles import brute_force_rank, from_series
+from oracles import brute_force_rank, from_series, rank_along
 
 
 def random_poly_matrix(rng, n_rows, n_cols, arity=2, kappa=6):
@@ -224,14 +223,15 @@ def test_certificate_escalation_detects_instability():
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
-    from segre import rank
+    from segre import series
 
     matrix = jacobian(make_gamma(manifold_h).v(2))
 
     def never(*args, **kwargs):
         raise AssertionError("a line restriction went through compose_many")
 
-    monkeypatch.setattr(rank, "compose_many", never)
+    # rank.py no longer imports compose_many; the kernel itself must not be reached
+    monkeypatch.setattr(series, "compose_many", never)
     levels = []
 
     def builder(kappa):
@@ -357,3 +357,49 @@ def test_rank_along_rejects_bad_locus(manifold_h):
     )
     with pytest.raises(ValueError):
         rank_along(gamma.v(2), bad)
+
+
+# ---------------------------------------------------------------------------
+# theta/phi and mirror matrices read off the iterates' Jacobians on lines
+# ---------------------------------------------------------------------------
+
+
+C3 = ManifoldSpec(3 + 1, 3, "graph", ("ta1 + 2*i*z1*ch1", "ta2 + 2*i*z1^2*ch1^2", "ta3 + 2*i*z1^3*ch1^3"))
+
+
+@pytest.mark.parametrize("name, k0", [("h", 2), ("c2", 3), ("c3", 4), ("l4-dense", 2)])
+def test_line_jacobians_equal_the_multivariate_route(name, k0):
+    # the rank builders never form theta^j, phi^j or v^(2 k0) along the mirror
+    # locus; on every order a certificate reads, their lines must equal the
+    # multivariate Jacobians restricted to the same line, term for term
+    from segre.maps import SegreMapping, make_theta_phi
+    from segre.orbit import _mirror_lines, _mirror_parametrization
+    from segre.rank import _on_line, _order, phi_lines, theta_lines
+
+    from conftest import load_fixture
+    from oracles import jacobian_along
+    from test_cli import L4_DENSE_RHO
+
+    if name == "c3":
+        manifold = load_manifold(C3, 8)
+    elif name == "l4-dense":
+        manifold = load_manifold(ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)), 8)
+    else:
+        manifold = load_fixture(name)
+    rng = random.Random(301)
+    base = SegreMapping(manifold)
+    for level in (16, 12, 8):
+        rung = base.at_kappa(level)
+        routes = []
+        for j in range(1, k0 + 2):
+            pair = make_theta_phi(rung, j)
+            routes += [(theta_lines(rung, j), jacobian(pair.theta)), (phi_lines(rung, j), jacobian(pair.phi))]
+        locus = _mirror_parametrization(manifold.dims, k0, level)
+        routes.append((_mirror_lines(rung, k0), jacobian_along(rung.v(2 * k0), locus)))
+        for lines, matrix in routes:
+            shape = (len(matrix), len(matrix[0]), matrix[0][0].arity, _order(matrix))
+            assert (lines.rows, lines.cols, lines.arity, lines.order) == shape
+            assert lines.order == level - 1
+            for _ in range(2):
+                point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16) for _ in range(lines.arity)]
+                assert lines.at(point) == _on_line(matrix, point, lines.order), (name, level)

@@ -655,6 +655,48 @@ def test_packed_compose_many_at_width_edges(case):
         assert ref_terms(result) == ref_compose(ref_terms(f), [ref_terms(h) for h in inner], source, order)
 
 
+@st.composite
+def shifted_composition(draw):
+    """An outer series over an inner map that mixes every kind of component.
+
+    Dense components, one-term components with non-unit Gaussian
+    coefficients (``compose_many`` multiplies those on as a shift of the
+    rows), one of degree kappa - 1 whose square already crosses the degree
+    bound, and a zero component, in a drawn order.
+    """
+    source = draw(st.integers(min_value=1, max_value=3))
+    kappa = draw(st.integers(min_value=3, max_value=7))
+    non_unit = mixed_coeff.filter(lambda c: c and c != ONE)
+
+    def one_term(degree):
+        exp = [0] * source
+        for k in range(degree):
+            exp[draw(st.integers(min_value=0, max_value=source - 1))] += 1
+        return TruncatedSeries(source, kappa, {tuple(exp): draw(non_unit)})
+
+    inner = [draw(edge_series(source, kappa, kappa, vanishing=True, max_size=4)) for _ in range(2)]
+    inner += [one_term(draw(st.integers(min_value=1, max_value=2))) for _ in range(2)]
+    inner += [one_term(kappa - 1), TruncatedSeries.zero(source, kappa)]
+    order = draw(st.permutations(range(len(inner))))
+    inner = [inner[k] for k in order]
+    outer = draw(edge_series(len(inner), kappa, kappa, max_size=5))
+    return outer, inner
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_composition())
+def test_compose_many_shifts_one_term_factors(case):
+    outer, inner = case
+    source, kappa = inner[0].arity, outer.kappa
+    # the square and the linear part reach the shared memo through other paths
+    square = outer * outer
+    units = TruncatedSeries(outer.arity, kappa, {unit_exponent(outer.arity, i): 1 for i in range(outer.arity)})
+    outers = [outer, square, units]
+    for result, f in zip(compose_many(outers, FormalMap(inner)), outers):
+        assert_clean(result, source, kappa)
+        assert ref_terms(result) == ref_compose(ref_terms(f), [ref_terms(h) for h in inner], source, kappa)
+
+
 @pytest.mark.parametrize("kappa", WIDTH_EDGES)
 def test_packed_fields_hold_a_full_power(kappa):
     # c * x_i^kappa fills one field to kappa; x_0 lands in the highest field
