@@ -67,7 +67,6 @@ from .rank import (
     RankCertificate,
     RankProfile,
     generic_rank,
-    jacobian,
     minor_determinant,
     rank_profile,
 )
@@ -81,6 +80,7 @@ from .series import (
     TruncatedSeries,
     ZERO,
     gauss,
+    jacobian,
     series_match,
 )
 

@@ -373,11 +373,6 @@ class GenericManifold(Record):
             self.dims, lifted, kappa, split=split, label=self.label, verify=verify
         )
 
-    def truncate(self, kappa: int) -> "GenericManifold":
-        """The image at a lower order: Q and rho truncated, with no solve and no re-verification."""
-        graph = GraphForm(self.dims, self.graph.Q.truncate(kappa), kappa)
-        return self.replace(kappa=kappa, graph=graph, rho=self.rho.truncate(kappa))
-
     def describe(self) -> str:
         return f"{self.label}: N={self.N} d={self.d} n={self.n} kappa={self.kappa}"
 
@@ -402,7 +397,7 @@ def _finish_load(
     verify: bool = True,
 ) -> GenericManifold:
     if verify:
-        ok, witness = check_reality(graph)
+        ok, witness = check_reality(graph, rho)
         if not ok:
             raise RealityError(
                 f"defining ideal is not real: reality identity fails at {witness}", witness or ""

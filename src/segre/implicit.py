@@ -56,16 +56,6 @@ class GraphForm(Record):
         inner = FormalMap([*z, *chi, *tau])
         return compose_many(list(self.Q.components), inner)
 
-    def qbar_of(
-        self,
-        chi: List[TruncatedSeries],
-        z: List[TruncatedSeries],
-        w: List[TruncatedSeries],
-    ) -> List[TruncatedSeries]:
-        """Qbar(chi, z, w); the conjugate series reads its slots as (ch, z, w)."""
-        inner = FormalMap([*chi, *z, *w])
-        return compose_many(list(self.Qbar.components), inner)
-
     # -- derived ambient objects ---------------------------------------------
 
     def q_ambient(self) -> FormalMap:
@@ -106,55 +96,22 @@ class GraphForm(Record):
 
 
 def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
-    """Solve rho(Z, zeta) = 0 for w as a series in (z, ch, ta) by Newton lifting.
+    """Solve rho(Z, zeta) = 0 for w as a series in (z, ch, ta) by ``lift``.
 
-    If Q is valid to degree m and X inverts J = d rho / d w at (z, Q, ch, ta)
-    to degree m' - m - 1, then Q - X rho(z, Q, ch, ta) is valid to degree
-    m' <= 2m + 1 (Brent & Kung 1978); X starts as the constant inverse at 0
-    and X (2I - J X) doubles its precision the same way.  The precisions are
-    kappa >> s, so there are kappa.bit_length() steps, and each composes rho
-    and its w-partials in one ``compose_many``.  Modulo degree > kappa the
-    solution with Q(0) = 0 is unique, so this Q is, term for term, the one a
-    degree-by-degree solve gives; the final annihilation check is the one
-    place that verifies it (valid_order stays kappa).
+    Modulo degree > kappa the solution with Q(0) = 0 is unique, so this Q
+    is, term for term, the one a degree-by-degree solve gives; the final
+    annihilation check is the one place that verifies it (valid_order stays
+    kappa).
     """
     if rho.source_arity != dims.ambient_arity:
         raise ValueError("rho must live in the ambient (z, w, ch, ta) ring")
     if rho.target_arity != dims.d:
         raise ValueError("rho needs d components")
-    d = dims.d
-    matrix = [
-        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(d)]
-        for j in range(d)
-    ]
-    try:
-        inverse = linalg.invert(matrix)
-    except ValueError as exc:
-        raise SplitError("the d x d matrix of w-differentials at 0 is singular") from exc
-
     arity = dims.graph_arity
     zs = [TruncatedSeries.variable(arity, kappa, dims.gz(i)) for i in range(dims.n)]
     chs = [TruncatedSeries.variable(arity, kappa, dims.gch(i)) for i in range(dims.n)]
-    tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(d)]
-    q = [TruncatedSeries.zero(arity, 0) for _ in range(d)]
-    x = [[TruncatedSeries.constant(arity, 0, value) for value in row] for row in inverse]
-    valid = x_order = 0
-    for target in reversed([kappa >> s for s in range(kappa.bit_length())]):
-        # X multiplies rho(z, Q, ch, ta), whose terms start at degree valid + 1
-        need = target - valid - 1
-        partials = []
-        if need > x_order:
-            partials = [c.partial(dims.w(l)) for c in rho.truncate(need + 1) for l in range(d)]
-        inner = FormalMap([*zs, *[c.with_order(target) for c in q], *chs, *tas])
-        images = compose_many([*rho.components, *partials], inner)
-        jac = [images[d * (j + 1) : d * (j + 2)] for j in range(d)]
-        while x_order < need:
-            x_order = min(2 * x_order + 1, need)
-            xjx = _matmul(x, _matmul(jac, x, x_order), x_order)
-            x = [[a.with_order(x_order).scale(2) - b for a, b in zip(*rows)] for rows in zip(x, xjx)]
-        step = _matmul(x, [[value] for value in images[:d]], target)
-        q = [c.with_order(target) - change for c, (change,) in zip(q, step)]
-        valid = target
+    tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(dims.d)]
+    q, _, _ = lift(rho, dims, kappa, zs, chs, tas)
     graph = GraphForm(dims, FormalMap(q), kappa)
 
     inner = FormalMap([*zs, *q, *chs, *tas])
@@ -164,7 +121,59 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
     return graph
 
 
-def _matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
+def lift(rho: FormalMap, dims: Dims, kappa: int, zs, chs, tas, q=None, valid: int = 0):
+    """The w with w(0) = 0 and rho(z, w, ch, ta) = 0 modulo degree > kappa,
+    for series z, ch, ta of one ring that vanish at 0, by Newton lifting from
+    ``q``, a solution valid to degree ``valid`` (0 by default).
+
+    If w is valid to degree m and X inverts J = d rho / d w at (z, w, ch, ta)
+    to degree m' - m - 1, then w - X rho(z, w, ch, ta) is valid to degree
+    m' <= 2m + 1 (Brent & Kung 1978); X starts as the constant inverse at 0
+    and X (2I - J X) doubles its precision the same way (``refine``).  The
+    precisions are the kappa >> s above ``valid``, so from 0 there are
+    kappa.bit_length() steps, each composing rho and its w-partials in one
+    ``compose_many``.  Returns w, X and the degree to which X inverts J at w.
+    """
+    d, arity = dims.d, zs[0].arity
+    matrix = [
+        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(d)]
+        for j in range(d)
+    ]
+    try:
+        inverse = linalg.invert(matrix)
+    except ValueError as exc:
+        raise SplitError("the d x d matrix of w-differentials at 0 is singular") from exc
+    x = [[TruncatedSeries.constant(arity, 0, value) for value in row] for row in inverse]
+    if q is None:
+        q = [TruncatedSeries.zero(arity, 0) for _ in range(d)]
+    x_order = 0
+    for target in reversed([kappa >> s for s in range(kappa.bit_length())]):
+        if target <= valid:
+            continue
+        # X multiplies rho(z, w, ch, ta), whose terms start at degree valid + 1
+        need = target - valid - 1
+        partials = []
+        if need > x_order:
+            partials = [c.partial(dims.w(l)) for c in rho.truncate(need + 1) for l in range(d)]
+        inner = FormalMap([*zs, *[c.with_order(target) for c in q], *chs, *tas])
+        images = compose_many([*rho.components, *partials], inner)
+        x, x_order = refine(x, x_order, [images[d * (j + 1) : d * (j + 2)] for j in range(d)], need)
+        step = matmul(x, [[value] for value in images[:d]], target)
+        q = [c.with_order(target) - change for c, (change,) in zip(q, step)]
+        valid = target
+    return q, x, x_order
+
+
+def refine(x, x_order: int, jac, need: int):
+    """X (2I - J X) until X inverts J to degree ``need``; returns X and its order."""
+    while x_order < need:
+        x_order = min(2 * x_order + 1, need)
+        xjx = matmul(x, matmul(jac, x, x_order), x_order)
+        x = [[a.with_order(x_order).scale(2) - b for a, b in zip(*rows)] for rows in zip(x, xjx)]
+    return x, x_order
+
+
+def matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
     """The matrix product of two matrices of series modulo degree > kappa, entries read as polynomials."""
     zero = TruncatedSeries.zero(a[0][0].arity, kappa)
     return [
@@ -173,36 +182,25 @@ def _matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
     ]
 
 
-def check_reality(graph: GraphForm) -> Tuple[bool, Optional[str]]:
-    """Exact test of Q(z, ch, Qbar(ch, z, w)) = w modulo degree > valid_order.
+def check_reality(graph: GraphForm, rho: Optional[FormalMap] = None) -> Tuple[bool, Optional[str]]:
+    """Exact test that the ideal is real modulo degree > valid_order.
 
-    Returns (True, None) on success, else (False, witness) where the witness
-    names the first offending monomial in graded-lex order.
+    The ideal is real when the conjugation swap sigma maps it into itself,
+    that is when sigma(rho_j)(z, Q, ch, ta) = 0 for each of its defining
+    functions rho_j (by default the canonical w - Q, for which it amounts to
+    Q(z, ch, Qbar(ch, z, w)) = w).  A sparse rho needs powers of Q only up to
+    its degree in w.  Returns (True, None) on success, else (False, witness)
+    where the witness names the first offending monomial in graded-lex order.
     """
     dims = graph.dims
-    arity = 2 * dims.n + dims.d
-    kappa = graph.valid_order
-    zs = [TruncatedSeries.variable(arity, kappa, i) for i in range(dims.n)]
-    chs = [TruncatedSeries.variable(arity, kappa, dims.n + i) for i in range(dims.n)]
-    ws = [TruncatedSeries.variable(arity, kappa, 2 * dims.n + l) for l in range(dims.d)]
-    inner_tau = graph.qbar_of(chs, zs, ws)
-    result = graph.q_of(zs, chs, inner_tau)
-    names = (
-        [f"z{i + 1}" for i in range(dims.n)]
-        + [f"ch{i + 1}" for i in range(dims.n)]
-        + [f"w{l + 1}" for l in range(dims.d)]
-    )
-    worst = None
-    for l in range(dims.d):
-        difference = result[l] - ws[l]
-        if difference.is_zero():
-            continue
-        exp, _ = difference.leading_term()
-        if worst is None or grlex_key(exp) < grlex_key(worst[1]):
-            worst = (l, exp)
+    if rho is None:
+        rho = graph.rho()
+    residuals = compose_many([c.sigma(dims.N) for c in rho.components], graph.membership_map())
+    worst = min(((grlex_key(r.leading_term()[0]), l) for l, r in enumerate(residuals) if r), default=None)
     if worst is None:
         return True, None
-    l, exp = worst
+    (_, exp), l = worst
+    names = dims.graph_names()
     monomial = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exp) if e) or "1"
     return False, f"component {l + 1}, monomial {monomial}"
 

@@ -10,21 +10,26 @@ block of t-variables.  Iterates are built by exact truncated composition,
 where conj conjugates coefficients only.  Two collapse identities pin the
 argument convention and are re-verified on every constructed iterate: setting
 the first block to zero drops the iterate by one, and identifying the last
-block with the (j-2)-nd drops it by two.
+block with the (j-2)-nd drops it by two.  The same recursion, run on one line
+x = eps * p in univariate series, gives the iterates and their Jacobian rows
+at any order from the graph or the defining functions at that order
+(``SegreMapping.on_line``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .coords import Dims
 from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .fields import FormalVectorField
-from .implicit import GraphForm
+from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, jacobian, series_match, unit_exponent
+from .series import FormalMap, TruncatedSeries, compose_many, on_line, series_match, unit_exponent
+
+Matrix = List[List[TruncatedSeries]]
 
 
 class VariableCapError(SegreError):
@@ -39,15 +44,8 @@ def default_var_cap(dims: Dims) -> int:
 class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
-    One mapping owns the truncation orders of a run (its rungs): ``at_kappa``
-    gives each other order once and keeps it, so iterates and their Jacobians
-    are built once per order.  A rung below an already built one is that
-    rung's truncation, and any rung takes an iterate by truncation from a
-    higher rung that already holds it.  Truncation is a quotient
-    homomorphism, so this is the object a rebuild at the lower order would
-    give, and the identities verified at the higher order hold at the lower
-    one.  A cut rung's table holds only the rungs above it and no table
-    holds its own mapping, so a mapping is freed by reference counting.
+    The iterates ``v`` are built at the manifold's order kappa only; any
+    order L is read on lines (``on_line``) from them and rho at L.
     """
 
     convention = "graph-special"
@@ -61,50 +59,11 @@ class SegreMapping:
         self.var_cap = default_var_cap(dims) if var_cap is None else var_cap
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
-        self._jacobians: Dict[int, List[List[TruncatedSeries]]] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
-        self._lifted: Dict[int, SegreMapping] = {}
-
-    def at_kappa(self, level: int) -> "SegreMapping":
-        """The same mapping at order ``level``, made once.
-
-        It is the truncation of the nearest rung above ``level`` when one is
-        built; otherwise it is built from the manifold source at that order.
-        """
-        if level == self.kappa:
-            return self
-        rung = self._lifted.get(level)
-        if rung is None:
-            above = self._above(level)
-            if above:
-                rung = above[0]._truncated(level)
-            else:
-                rung = SegreMapping(self.manifold.at_kappa(level), var_cap=self.var_cap)
-            self._lifted[level] = rung
-        return rung
-
-    def _above(self, level: int) -> List["SegreMapping"]:
-        """The built rungs of order above ``level``, nearest first."""
-        return sorted((r for r in self._lifted.values() if r.kappa > level), key=lambda r: r.kappa)
-
-    def _truncated(self, level: int) -> "SegreMapping":
-        """This mapping at a lower order: Q, rho and gamma truncated, tables taken on demand."""
-        rung = object.__new__(SegreMapping)
-        rung.dims, rung.var_cap, rung.kappa = self.dims, self.var_cap, level
-        rung.manifold = self.manifold.truncate(level)
-        rung.graph = rung.manifold.graph
-        rung.gamma = self.gamma.truncate(level)
-        rung._cache, rung._jacobians, rung._theta_phi = {}, {}, {}
-        rung._lifted = {other.kappa: other for other in (self, *self._above(self.kappa))}
-        return rung
-
-    def _held_above(self, table: str, j: int):
-        """Entry j of the named table, truncated from the nearest rung above that holds it, or None."""
-        for rung in self._above(self.kappa):
-            held = getattr(rung, table).get(j)
-            if held is not None:
-                return held.truncate(self.kappa)
-        return None
+        self._phi: Dict[int, FormalMap] = {}
+        self._rebuilt: Dict[int, GenericManifold] = {self.kappa: manifold}
+        self._orders: Dict[int, tuple] = {}
+        self._lines: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
 
     def theta_phi(self, j: int) -> "ThetaPhi":
         """The verified theta/phi pair of index j at this order, made once."""
@@ -113,12 +72,96 @@ class SegreMapping:
             pair = self._theta_phi[j] = make_theta_phi(self, j)
         return pair
 
-    def jacobian(self, j: int) -> List[List[TruncatedSeries]]:
-        """J v^j at this order, made once."""
-        matrix = self._jacobians.get(j)
-        if matrix is None:
-            matrix = self._jacobians[j] = jacobian(self.v(j))
-        return matrix
+    def phi(self, j: int) -> FormalMap:
+        """The verified phi^j at this order, made once."""
+        phi = self._phi.get(j)
+        if phi is None:
+            phi = self._phi[j] = make_phi(self, j)
+        return phi
+
+    def at_order(self, level: int) -> GenericManifold:
+        """The manifold at order ``level``: its own at kappa, else rebuilt once from its source."""
+        if level not in self._rebuilt:
+            self._rebuilt[level] = self.manifold.at_kappa(level)
+        return self._rebuilt[level]
+
+    def _outers_at(self, level: int) -> tuple:
+        """What ``on_line`` composes at order ``level``: None with Q and its
+        partials when Q has no more terms than rho, else rho with its partials.
+
+        Q and rho are the manifold's own at kappa; above it, the truncation of
+        the highest order rebuilt (``at_order``), which is what a rebuild gives.
+        """
+        if level not in self._orders:
+            top = self._rebuilt.get(level) or self._rebuilt[max(self._rebuilt)]
+            if top.kappa < level:
+                top = self.at_order(level)
+            q, rho = top.graph.Q.truncate(level), top.rho.truncate(level)
+            if sum(len(c.terms) for c in q) <= sum(len(c.terms) for c in rho):
+                rho, outers = None, [*q, *(c.partial(s) for c in q for s in range(self.dims.graph_arity))]
+            else:
+                outers = [c.partial(s) for c in rho for s in range(self.dims.ambient_arity)]
+            self._orders[level] = rho, outers
+        return self._orders[level]
+
+    def on_line(self, point: Sequence[int], level: int) -> List[Tuple[List[TruncatedSeries], Matrix]]:
+        """v^k(eps p) mod eps^(L+1) and the rows of J v^k(eps p) mod eps^L, at
+        order L = ``level``, for k = 0..j (v^0 = 0, with no columns) and the
+        j blocks of ``point``: the order-L iterates and Jacobians restricted
+        to the line, term for term.
+
+        Forward mode (Griewank & Walther, *Evaluating Derivatives*, 2008),
+        one block at a time (``_line_step``), in univariate series only: p is
+        real, so conj acts on coefficients.  Each prefix is evaluated once.
+        """
+        n, N = self.dims.n, self.dims.N
+        self._check_cap(len(point))
+        steps = [([TruncatedSeries.zero(1, level)] * N, [[]] * N)]
+        for k in range(n, len(point) + 1, n):
+            key = (level, tuple(point[:k]))
+            if key not in self._lines:
+                self._lines[key] = self._line_step(*steps[-1], point[:k], level)
+            steps.append(self._lines[key])
+        return steps
+
+    def _line_step(self, values, rows: Matrix, point: Sequence[int], level: int):
+        """v^k and its rows on the line through ``point`` (k blocks) from v^(k-1)'s.
+
+        The w-part of v^k is Q(eps p^k, conj v^(k-1)(eps p)).  A sparse Q is
+        composed there with its partials dQ/ds.  Otherwise (a dense graph of
+        sparse defining functions) the w-part solves rho(eps p^k, w,
+        conj v^(k-1)(eps p)) = 0, which ``lift`` takes on from the
+        multivariate v^k at kappa, and dQ/ds = -(drho/dw)^-1 drho/ds.  The
+        w-rows are dQ/dz on block k and dQ/d(ch, ta) times conj J v^(k-1) on
+        the earlier ones.
+        """
+        dims, n, d = self.dims, self.dims.n, self.dims.d
+        rho, outers = self._outers_at(level)
+        z = [TruncatedSeries(1, level, {(1,): x}) for x in point[-n:]]
+        bar = [v.conjugate() for v in values]
+        if rho is None:
+            images = compose_many(outers, FormalMap([*z, *bar]))
+            width = dims.graph_arity
+            w, dq = images[:d], [images[d + l * width : d + (l + 1) * width] for l in range(d)]
+        else:
+            valid = min(self.kappa, level)
+            seed = on_line(self.v(len(point) // n).components[n:], point, valid)
+            w, x, x_order = lift(rho, dims, level, z, bar[:n], bar[n:], seed, valid)
+            images = compose_many(outers, FormalMap([*z, *w, *bar]))
+            grid = [images[j * dims.ambient_arity : (j + 1) * dims.ambient_arity] for j in range(d)]
+            x, _ = refine(x, x_order, [[row[dims.w(l)] for l in range(d)] for row in grid], level - 1)
+            slots = [*range(n), *range(dims.N, dims.ambient_arity)]  # z, ch, ta
+            dq = matmul(x, [[-row[s] for s in slots] for row in grid], level - 1)
+        zero, one = TruncatedSeries.zero(1, level - 1), TruncatedSeries.constant(1, level - 1, 1)
+        earlier = range(len(rows[0]))
+        new_rows = [[zero for _ in earlier] + [one if c == i else zero for c in range(n)] for i in range(n)]
+        bar_rows = [[entry.conjugate() for entry in row] for row in rows]
+        for partials in dq:
+            chain = [
+                sum((partials[n + r] * row[c] for r, row in enumerate(bar_rows) if row[c]), zero) for c in earlier
+            ]
+            new_rows.append(chain + partials[:n])
+        return [*z, *w], new_rows
 
     def _build_gamma(self) -> FormalMap:
         """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring.
@@ -145,41 +188,23 @@ class SegreMapping:
         """The j-th iterate as a map from j blocks of t-variables into Z-space."""
         if j < 1:
             raise SegreError("iterated Segre mappings start at j = 1")
-        if j * self.dims.n > self.var_cap:
-            raise VariableCapError(
-                f"iterate {j} needs {j * self.dims.n} variables, cap is {self.var_cap}"
-            )
+        self._check_cap(j * self.dims.n)
         cached = self._cache.get(j)
-        if cached is not None:
-            return cached
-        held = self._held_above("_cache", j)
-        if held is not None:
-            self._cache[j] = held
-            return held
-        dims = self.dims
-        kappa = self.kappa
-        if j == 1:
-            arity = dims.n
-            ts = [TruncatedSeries.variable(arity, kappa, i) for i in range(dims.n)]
-            # Q(t, 0, 0): z -> t, ch and ta -> 0
-            q_t = self.graph.Q.map_vars(arity, [*range(dims.n), *[None] * dims.N])
-            result = FormalMap([*ts, *q_t.components])
-        else:
-            previous = self.v(j - 1)
-            arity = j * dims.n
-            prev_bar = previous.conjugate().extend(arity)
-            ts = [
-                TruncatedSeries.variable(arity, kappa, (j - 1) * dims.n + i)
-                for i in range(dims.n)
-            ]
-            chi = [prev_bar.component(i) for i in range(dims.n)]
-            tau = [prev_bar.component(dims.n + l) for l in range(dims.d)]
-            result = FormalMap([*ts, *self.graph.q_of(ts, chi, tau)])
-        self._cache[j] = result
-        return result
+        if cached is None:
+            n, arity = self.dims.n, j * self.dims.n
+            ts = [TruncatedSeries.variable(arity, self.kappa, (j - 1) * n + i) for i in range(n)]
+            if j == 1:  # v^0 = 0
+                bar = [TruncatedSeries.zero(arity, self.kappa)] * self.dims.N
+            else:
+                bar = self.v(j - 1).conjugate().extend(arity).components
+            cached = self._cache[j] = FormalMap([*ts, *self.graph.q_of(ts, bar[:n], bar[n:])])
+        return cached
 
-    def v_bar(self, j: int) -> FormalMap:
-        return self.v(j).conjugate()
+    def _check_cap(self, variables: int) -> None:
+        if variables > self.var_cap:
+            raise VariableCapError(
+                f"iterate {variables // self.dims.n} needs {variables} variables, cap is {self.var_cap}"
+            )
 
 
 def make_gamma(manifold: GenericManifold, var_cap: Optional[int] = None) -> SegreMapping:
@@ -346,9 +371,9 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
                 last = last + TruncatedSeries.variable(arity, kappa, (j - 2) * dims.n + i)
             shift_components.append(last)
         first = gamma.v(j + 1).compose(FormalMap(shift_components))
-        second = gamma.v_bar(j).extend(arity)
+        second = gamma.v(j).conjugate().extend(arity)
         theta = FormalMap([*first.components, *second.components])
-    return ThetaPhi(j, theta, make_phi(gamma, j) if j >= 1 else None)
+    return ThetaPhi(j, theta, gamma.phi(j) if j >= 1 else None)
 
 
 def make_phi(gamma: SegreMapping, j: int) -> FormalMap:
@@ -364,7 +389,7 @@ def make_phi(gamma: SegreMapping, j: int) -> FormalMap:
     else:
         head = list(gamma.v(j - 1).extend(arity).components)
         folded = gamma.v(j + 1).map_vars(arity, _assignment_fold_last(n, j + 1))
-    phi = FormalMap([*head, *gamma.v_bar(j).components])
+    phi = FormalMap([*head, *gamma.v(j).conjugate().components])
     for image in compose_many(list(gamma.manifold.rho.components), phi):
         if not image.is_zero():
             raise InternalConsistencyError(f"phi^{j} does not map into the manifold")

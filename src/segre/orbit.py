@@ -28,13 +28,13 @@ from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold, manifold_from_rho_series
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
-from .maps import SegreMapping, iterate, make_phi, make_T, pushforward_residuals
+from .maps import SegreMapping, iterate, make_T, pushforward_residuals
 from .rank import (
     Lines,
     RankCertificate,
     RankProfile,
     generic_rank,
-    lines,
+    iterate_lines,
     phi_lines,
     rank_profile,
     theta_lines,
@@ -320,8 +320,7 @@ def orbit_ideal_in_M(
         degree_bound = min(4, kappa // 2)
     if segre is None:
         segre = SegreMapping(manifold)
-    phi = segre.theta_phi(k0 + 1).phi
-    assert phi is not None
+    phi = segre.phi(k0 + 1)
     generators, _, linear_rank = _kernel_series(
         list(phi.components), dims.ambient_arity, degree_bound, kappa
     )
@@ -401,9 +400,9 @@ def _mirror_parametrization(dims: Dims, k0: int, kappa: int) -> FormalMap:
     )
 
 
-def _mirror_lines(segre: SegreMapping, k0: int) -> Lines:
+def _mirror_lines(segre: SegreMapping, k0: int, level: int) -> Lines:
     """J v^(2 k0) along the (linear) mirror locus, on the line through its image of s."""
-    full = lines(segre.jacobian(2 * k0))
+    full = iterate_lines(segre, 2 * k0, level)
     pattern = _mirror_pattern(segre.dims, k0)
     return full.replace(
         arity=k0 * segre.dims.n, at=lambda point: full.at([0 if c is None else point[c] for c in pattern])
@@ -462,7 +461,7 @@ def mirror_sigma(
     annihilates = all(zero[len(gens) :])
 
     cert = generic_rank(
-        builder=lambda level: _mirror_lines(segre.at_kappa(level), k0),
+        builder=lambda level: _mirror_lines(segre, k0, level),
         kappa=kappa,
         options=config.rank_options(),
     )
@@ -562,7 +561,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         record("collapse_identities", False, str(exc))
 
     # the load gate checked reality at this order
-    ok, witness = (True, None) if manifold.verified else check_reality(manifold.graph)
+    ok, witness = (True, None) if manifold.verified else check_reality(manifold.graph, manifold.rho)
     record("reality", ok, witness or "identity holds")
 
     try:
@@ -575,8 +574,9 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     lie = lie_hull_dimension(manifold, config.resolve_depth())
 
     try:
-        for j in range(0, k0 + 2):
+        for j in range(0, k0 + 1):
             segre.theta_phi(j)
+        segre.phi(k0 + 1)
         record("theta_phi_into_manifold", True, f"built for j <= {k0 + 1}")
     except InternalConsistencyError as exc:
         record("theta_phi_into_manifold", False, str(exc))
@@ -584,21 +584,24 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     rank_relation_ok = True
     relation_notes = []
     theta_ranks: Dict[int, int] = {}
+    # the escalated orders skip the load gate: reality at the top one holds
+    # below it and implies the identities of phi^j
     top = manifold.kappa + options.escalations * options.escalation_step
-
-    def theta_builder(level: int, j: int) -> Lines:
-        if level == top:  # rebuilt without the load gate: the checks reality implies
-            make_phi(segre.at_kappa(level), j)
-        return theta_lines(segre.at_kappa(level), j)
+    high = segre.at_order(top)
+    ok, witness = check_reality(high.graph, high.rho)
+    if not ok:
+        raise InternalConsistencyError(
+            f"defining ideal is not real at order {top}: reality identity fails at {witness}"
+        )
 
     for j in range(1, k0 + 2):
         theta_cert = generic_rank(
-            builder=lambda level, j=j: theta_builder(level, j),
+            builder=lambda level, j=j: theta_lines(segre, j, level),
             kappa=manifold.kappa,
             options=options,
         )
         phi_cert = generic_rank(
-            builder=lambda level, j=j: phi_lines(segre.at_kappa(level), j),
+            builder=lambda level, j=j: phi_lines(segre, j, level),
             kappa=manifold.kappa,
             options=options,
         )

@@ -9,13 +9,12 @@ Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * value_bound).  Because a minor could
 first become nonzero beyond the truncation order, the rank is also
 recomputed with the order escalated twice, and ``stable`` records that
-nothing moved.  The escalated orders are certified top-down: only the top
-one is built from the manifold source, and each lower one is its truncation
-(exact, because truncation is a quotient homomorphism).
+nothing moved.
 
-A matrix is read only on lines (``Lines``), by evaluation (``on_line``);
-theta^j, phi^j and the mirror locus are read off the iterates' Jacobians by
-the chain rule (Griewank & Walther, *Evaluating Derivatives*, 2008).
+A matrix is read only on lines (``Lines``): a given one by evaluation
+(``on_line``), the iterates' Jacobians in forward mode (``SegreMapping.on_line``),
+and theta^j, phi^j and the mirror locus off those rows by the chain rule
+(Griewank & Walther, *Evaluating Derivatives*, 2008).
 """
 
 from __future__ import annotations
@@ -27,11 +26,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .config import RankOptions
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
-from .maps import SegreMapping
+from .maps import Matrix, SegreMapping
 from .record import Record
-from .series import GaussianRational, TruncatedSeries, jacobian, on_line
+from .series import GaussianRational, TruncatedSeries, on_line
 
-Matrix = List[List[TruncatedSeries]]
 Pivot = Tuple[int, int, int, GaussianRational]
 
 
@@ -112,40 +110,44 @@ def lines(matrix: Matrix) -> Lines:
     return Lines(len(matrix), len(matrix[0]), matrix[0][0].arity, order, lambda point: _on_line(matrix, point, order))
 
 
-def _block(segre: SegreMapping, j: int, point: Sequence[int], order: int, cols: int, conjugate: bool = False) -> Matrix:
-    """J v^j on the line through ``point`` (zero rows for j = 0), conjugated
-    when asked (p is real, so that commutes), padded with zero columns."""
+def iterate_lines(segre: SegreMapping, j: int, level: int) -> Lines:
+    """J v^j at order ``level``, read on lines by ``SegreMapping.on_line``."""
+    cols = j * segre.dims.n
+    return Lines(segre.dims.N, cols, cols, level - 1, lambda point: segre.on_line(point, level)[j][1])
+
+
+def _block(rows: Matrix, cols: int, order: int, conjugate: bool = False) -> Matrix:
+    """Line rows of J v^k, conjugated when asked (p is real, so that commutes),
+    padded with zero columns."""
     zero = TruncatedSeries.zero(1, order)
-    rows = _on_line(segre.jacobian(j), point, order) if j else [[]] * segre.dims.N
     return [[e.conjugate() if conjugate else e for e in row] + [zero] * (cols - len(row)) for row in rows]
 
 
-def theta_lines(segre: SegreMapping, j: int) -> Lines:
+def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
     """J theta^j for theta^j = (v^(j+1) o S, conj v^j), j >= 1, by the chain rule:
     S adds t^(j-1) to t^(j+1) (nothing for j = 1), so the top rows on x = eps * p
-    are J v^(j+1) on the line through S p, times S."""
+    are J v^(j+1) on the line through S p, times S; S p and p share the first j blocks."""
     n = segre.dims.n
-    last, fold, cols = j * n, (j - 2) * n, (j + 1) * n  # fold: the first column of block j-1
-    order = min(_order(segre.jacobian(j + 1)), _order(segre.jacobian(j)))
+    last, fold, cols, order = j * n, (j - 2) * n, (j + 1) * n, level - 1  # fold: the first column of block j-1
 
     def at(point):
-        head = list(point[:last])
-        shifted = head + [x + point[fold + i] if j >= 2 else x for i, x in enumerate(point[last:])]
-        top = _block(segre, j + 1, shifted, order, cols)
+        shifted = list(point[:last]) + [x + point[fold + i] if j >= 2 else x for i, x in enumerate(point[last:])]
+        steps = segre.on_line(shifted, level)
+        top = _block(steps[j + 1][1], cols, order)
         for row in top if j >= 2 else ():
             row[fold : last - n] = [a + b for a, b in zip(row[fold : last - n], row[last:])]
-        return top + _block(segre, j, head, order, cols, conjugate=True)
+        return top + _block(steps[j][1], cols, order, conjugate=True)
 
     return Lines(2 * segre.dims.N, cols, cols, order, at)
 
 
-def phi_lines(segre: SegreMapping, j: int) -> Lines:
+def phi_lines(segre: SegreMapping, j: int, level: int) -> Lines:
     """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0."""
-    n, cols = segre.dims.n, j * segre.dims.n
-    order = min(_order(segre.jacobian(k)) for k in (j - 1, j) if k)
+    cols, order = j * segre.dims.n, level - 1
 
     def at(point):
-        return _block(segre, j - 1, point[: cols - n], order, cols) + _block(segre, j, point, order, cols, True)
+        steps = segre.on_line(point, level)
+        return _block(steps[j - 1][1], cols, order) + _block(steps[j][1], cols, order, conjugate=True)
 
     return Lines(2 * segre.dims.N, cols, cols, order, at)
 
@@ -245,13 +247,11 @@ def generic_rank(
     ``builder(kappa)`` must return the matrix at that order, or its
     ``Lines``, with higher orders refining lower ones.  The orders are built
     top-down, kappa + 8 first, each certified with its own seeded line
-    generator, and the certificates are then compared in ascending order; so
-    a builder backed by ``SegreMapping.at_kappa`` builds only the top order
-    from the manifold source and cuts each lower one from it.  That is
-    exact: truncation is a quotient homomorphism, so the truncated matrix is
-    the one a rebuild at the lower order would give, term for term.  When only a plain matrix is
-    given, its entries are treated as exact polynomial data, which holds for
-    every matrix this engine constructs from parsed polynomial input.
+    generator, and the certificates are then compared in ascending order
+    (so ``SegreMapping.at_order`` rebuilds only the top order).  When
+    only a plain matrix is given, its entries are treated as exact
+    polynomial data, which holds for every matrix this engine constructs
+    from parsed polynomial input.
     """
     options = options or RankOptions()
     if builder is None:
@@ -310,9 +310,9 @@ def rank_profile(
     monotone and strict-increase laws are validated and any violation is
     reported as an internal-consistency error (it would indicate a
     truncation artifact, not a property of the manifold).  ``segre`` is the
-    run's mapping of this manifold; the escalated orders are taken from it
-    (``SegreMapping.at_kappa``), so a caller that passes its own mapping
-    shares the lifted iterates.  Without one, a mapping is built here.
+    run's mapping of this manifold; every order reads J v^j on lines from it
+    (``iterate_lines``), so a caller that passes its own mapping shares its
+    rebuilt orders and line evaluations.  Without one, a mapping is built here.
     """
     dims = manifold.dims
     if J_max is None:
@@ -327,7 +327,7 @@ def rank_profile(
     for j in range(1, J_max + 1):
         certificates.append(
             generic_rank(
-                builder=lambda kappa, j=j: segre.at_kappa(kappa).jacobian(j),
+                builder=lambda level, j=j: iterate_lines(segre, j, level),
                 kappa=manifold.kappa,
                 options=options,
             )

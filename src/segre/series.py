@@ -363,6 +363,10 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_arity(other)
         kappa = min(self.kappa, other.kappa)
+        if not other.terms:
+            return self.truncate(kappa)
+        if not self.terms:
+            return other.truncate(kappa)
         out = dict(self.truncate(kappa).terms)
         for exp, coeff in other.truncate(kappa).terms.items():
             new = out.get(exp, ZERO) + coeff
@@ -385,6 +389,9 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_arity(other)
         kappa = min(self.kappa, other.kappa)
+        for a, b in ((self, other), (other, self)):
+            if len(a.terms) <= 1 and a.degree() == 0:  # a constant factor only scales the other
+                return b.truncate(kappa).scale(a.constant_term())
         packing = _Packing(self.arity, kappa)
         a_rows, a_den = packing.rows(self.terms)
         b_rows, b_den = packing.rows(other.terms)

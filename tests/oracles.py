@@ -7,9 +7,10 @@ computed with these oracles and compared against the engine, so the two
 implementations share no code paths beyond the scalar type.  Two
 exceptions sit on top of the same series composition: the graph oracle, the
 degree-by-degree implicit function theorem, checks the Newton lifting of
-``solve_graph``; and ``jacobian_along`` and ``rank_along`` are the
-multivariate route to the mirror's rank matrix, which the engine reads off
-J v^(2 k0) on lines.
+``solve_graph``; and the multivariate route (``line_jacobian``,
+``multivariate_matrices``, ``jacobian_along`` and ``rank_along``) builds the
+iterates in all their variables, differentiates them and only then restricts
+to a line, where the engine evaluates them on the line in forward mode.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from segre import generic_rank, linalg
+from segre import generic_rank, jacobian, linalg
+from segre.maps import SegreMapping, make_theta_phi
+from segre.orbit import _mirror_parametrization
+from segre.rank import _on_line
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
@@ -259,6 +263,28 @@ def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSe
                     correction = correction + residual[m].with_order(kappa).scale(inverse[l][m])
             q_components[l] = q_components[l] - correction
     return q_components
+
+
+# ---------------------------------------------------------------------------
+# the multivariate route to the rank matrices
+# ---------------------------------------------------------------------------
+
+
+def line_jacobian(segre: SegreMapping, j: int, point: Sequence[int]):
+    """J v^j on x = eps * point: v^j built at the mapping's order, differentiated, restricted."""
+    return _on_line(jacobian(segre.v(j)), point, segre.kappa - 1)
+
+
+def multivariate_matrices(manifold, level: int, k0: int) -> List[List[List[TruncatedSeries]]]:
+    """J theta^j and J phi^j for j = 1..k0+1, then J v^(2 k0) along the mirror
+    locus, all built from the manifold rebuilt at order ``level``."""
+    segre = SegreMapping(manifold.at_kappa(level))
+    matrices = []
+    for j in range(1, k0 + 2):
+        pair = make_theta_phi(segre, j)
+        matrices += [jacobian(pair.theta), jacobian(pair.phi)]
+    locus = _mirror_parametrization(manifold.dims, k0, level)
+    return matrices + [jacobian_along(segre.v(2 * k0), locus)]
 
 
 def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedSeries]]:

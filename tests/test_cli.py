@@ -170,8 +170,16 @@ def test_verify_c2_dense_golden(tmp_path, capsys):
     assert (GOLDEN_DIR / "verify_c2_dense.txt").read_text() == out
 
 
+def test_verify_c2_dense_golden_at_default_kappa(tmp_path, capsys):
+    manifold = tmp_path / "c2-dense.json"
+    manifold.write_text(json.dumps({"N": 3, "d": 2, "form": "rho", "expressions": list(C2_DENSE_RHO)}))
+    code, out, _ = run_cli(capsys, "verify", str(manifold), "--json", "--kappa", "8")
+    assert code == 0
+    assert (GOLDEN_DIR / "verify_c2_dense_k8.txt").read_text() == out
+
+
 # real to order 8 but not to order 16: the load gate passes at kappa = 8, and
-# the top escalated order, rebuilt without the gate, must still refuse phi^2
+# the top escalated order, solved without the gate, must still refuse it
 UNREAL_ABOVE_8 = {"N": 2, "d": 1, "form": "rho", "expressions": ["-(i/2)*(Z2 - ze2) - Z1*ze1 + i*Z1^6*ze1^6"]}
 
 
@@ -181,7 +189,10 @@ def test_verify_checks_phi_at_the_top_order(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(manifold), "--kappa", "8")
     assert code == 5
     assert out == ""
-    assert err == "internal consistency error: phi^2 does not map into the manifold\n"
+    assert err == (
+        "internal consistency error: defining ideal is not real at order 16: "
+        "reality identity fails at component 1, monomial z1^6*ch1^6\n"
+    )
 
 
 def test_verify_json_schema(capsys):

@@ -136,6 +136,10 @@ def test_variable_cap(manifold_h):
     gamma = make_gamma(manifold_h, var_cap=3)
     with pytest.raises(VariableCapError):
         gamma.v(4)
+    # the line evaluator keeps the cap, at every order
+    assert len(gamma.on_line([1, 2, 3], 16)) == 4
+    with pytest.raises(VariableCapError, match="iterate 4 needs 4 variables, cap is 3"):
+        gamma.on_line([1, 2, 3, 4], 16)
 
 
 # ---------------------------------------------------------------------------
@@ -271,38 +275,3 @@ def test_make_gamma_is_segre_mapping(manifold_h):
     assert isinstance(gamma, SegreMapping)
     assert gamma.convention == "graph-special"
 
-
-# ---------------------------------------------------------------------------
-# rungs of higher order: only the top one is built, the lower ones are cut from it
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name, k0", [("c2", 3), ("l4-dense", 2)])
-def test_lower_rung_is_the_truncation_of_the_top_one(manifold_c2, name, k0):
-    from test_cli import L4_DENSE_RHO
-
-    if name == "c2":
-        manifold = manifold_c2
-    else:
-        manifold = load_manifold(ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)), 8)
-    J = manifold.d + 2
-    base = SegreMapping(manifold)
-    top = base.at_kappa(16)
-    for j in range(1, J + 1):
-        top.v(j)
-    for j in range(k0 + 2):
-        top.theta_phi(j)
-    cut = base.at_kappa(12)
-    built = SegreMapping(manifold.at_kappa(12))
-    # equality of series compares the order as well as the terms
-    assert cut.kappa == 12
-    assert (cut.manifold.graph, cut.manifold.rho) == (built.manifold.graph, built.manifold.rho)
-    assert cut.gamma == built.gamma
-    for j in range(1, J + 1):
-        assert cut.v(j) == built.v(j)
-    for j in range(k0 + 2):
-        assert cut.theta_phi(j) == built.theta_phi(j)
-    # the base mapping takes its iterates from the rungs above it
-    own = SegreMapping(manifold)
-    for j in range(1, J + 1):
-        assert base.v(j) == own.v(j)

@@ -385,14 +385,17 @@ def test_central_identity_on_random_finite_type_manifolds():
 def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
     from collections import Counter
 
-    from segre import expressions, maps, orbit
+    from segre import expressions, maps, rank, series
 
     lifts = Counter()
     pairs = Counter()
     phis = Counter()
+    iterates = Counter()
+    jacobians = []
     real_at_kappa = expressions.GenericManifold.at_kappa
     real_theta_phi = maps.make_theta_phi
     real_phi = maps.make_phi
+    real_v = maps.SegreMapping.v
 
     def counting_at_kappa(self, kappa, verify=False):
         lifts[kappa] += 1
@@ -406,20 +409,30 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         phis[gamma.kappa, j] += 1
         return real_phi(gamma, j)
 
+    def counting_v(self, j):
+        iterates[self.kappa] += 1
+        return real_v(self, j)
+
     monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
     monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
     monkeypatch.setattr(maps, "make_phi", counting_phi)
-    monkeypatch.setattr(orbit, "make_phi", counting_phi)
+    monkeypatch.setattr(orbit, "make_phi", counting_phi, raising=False)
+    monkeypatch.setattr(maps.SegreMapping, "v", counting_v)
+    for module in (series, maps, rank, orbit):
+        monkeypatch.setattr(module, "jacobian", lambda *args: jacobians.append(args), raising=False)
     report = verify_all(manifold_c2)
     assert report.passed
     k0 = report.profile.k0
-    # only the top order is rebuilt from the source; order 12 is its truncation
+    # only the top order's graph is solved from the source; order 12 is its truncation
     assert lifts == {16: 1}
-    # theta/phi pairs are built at the run's order only; above it the rank
-    # certificates read the iterates' Jacobians, and the top order checks phi
-    assert pairs == {(8, j): 1 for j in range(k0 + 2)}
-    assert phis == {**{(8, j): 1 for j in range(1, k0 + 2)}, **{(16, j): 1 for j in range(1, k0 + 2)}}
+    # nothing multivariate is built above the run's order: the rank
+    # certificates read every order's iterates on lines, and no Jacobian is formed
+    assert set(iterates) == {8}
+    assert jacobians == []
+    # theta^j is built for j <= k0 only, and phi^j once for each j <= k0 + 1
+    assert pairs == {(8, j): 1 for j in range(k0 + 1)}
+    assert phis == {(8, j): 1 for j in range(1, k0 + 2)}
 
 
 def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch):
@@ -430,18 +443,21 @@ def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch)
     calls = []
     real_check = orbit.check_reality
 
-    def counting_check(graph):
+    def counting_check(graph, rho=None):
         calls.append(graph)
-        return real_check(graph)
+        return real_check(graph, rho)
 
     monkeypatch.setattr(orbit, "check_reality", counting_check)
     gated = verify_all(manifold_h)
-    assert calls == [] and manifold_h.verified
+    # the base order is never re-checked; the top escalated order, solved
+    # without the gate, is checked exactly once
+    assert [graph.valid_order for graph in calls] == [16] and manifold_h.verified
     # a manifold loaded past the gate is checked by verify itself, with the same witness
     ungated = load_manifold(ManifoldSpec.from_file(FIXTURE_DIR / "h.json"), 8, label="h", verify=False)
     assert not ungated.verified
+    calls.clear()
     report = verify_all(ungated)
-    assert calls == [ungated.graph]
+    assert calls[0] is ungated.graph and [graph.valid_order for graph in calls] == [8, 16]
     assert report.checks["reality"] == gated.checks["reality"]
     assert report.checks["reality"].witness == "identity holds"
 

@@ -223,25 +223,38 @@ def test_certificate_escalation_detects_instability():
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
-    from segre import series
+    from segre import expressions, series
+    from segre.maps import SegreMapping
+    from segre.rank import iterate_lines
 
     matrix = jacobian(make_gamma(manifold_h).v(2))
 
     def never(*args, **kwargs):
-        raise AssertionError("a line restriction went through compose_many")
+        raise AssertionError("a certificate formed a multivariate Jacobian")
 
-    # rank.py no longer imports compose_many; the kernel itself must not be reached
-    monkeypatch.setattr(series, "compose_many", never)
+    monkeypatch.setattr(series, "jacobian", never)
+    lifts = []
+    real_at_kappa = expressions.GenericManifold.at_kappa
+
+    def counting_at_kappa(self, kappa, verify=False):
+        lifts.append(kappa)
+        return real_at_kappa(self, kappa, verify)
+
+    monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
+    segre = SegreMapping(manifold_h)
     levels = []
 
-    def builder(kappa):
-        levels.append(kappa)
-        return [[entry.with_order(kappa) for entry in row] for row in matrix]
+    def builder(level):
+        levels.append(level)
+        return iterate_lines(segre, 2, level)
 
-    cert = generic_rank(builder=builder, kappa=7)
-    assert levels == [15, 11, 7]
-    # each order keeps its own line generator, so the order of building changes nothing
-    assert cert == generic_rank(matrix) and cert.kappa_used == 7 and cert.stable
+    cert = generic_rank(builder=builder, kappa=8)
+    assert levels == [16, 12, 8]
+    # only the top order is rebuilt from the source; order 12 is its truncation
+    assert segre.at_order(8) is manifold_h and segre.at_order(16).kappa == 16
+    assert lifts == [16]
+    # the certificate's line reads the multivariate Jacobian at the run's order
+    assert cert.rank == 2 and cert.kappa_used == 8 and cert.stable
     assert cert.verify(matrix)
 
 
@@ -367,39 +380,63 @@ def test_rank_along_rejects_bad_locus(manifold_h):
 C3 = ManifoldSpec(3 + 1, 3, "graph", ("ta1 + 2*i*z1*ch1", "ta2 + 2*i*z1^2*ch1^2", "ta3 + 2*i*z1^3*ch1^3"))
 
 
-@pytest.mark.parametrize("name, k0", [("h", 2), ("c2", 3), ("c3", 4), ("l4-dense", 2)])
+N5 = ManifoldSpec(6, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2 + z3*ch3 + z4*ch4 + z5*ch5)",))
+
+
+@pytest.mark.parametrize(
+    "name, k0", [("h", 2), ("c2", 3), ("c3", 4), ("l4-dense", 2), ("c2-dense", 3), ("n5", 2)]
+)
 def test_line_jacobians_equal_the_multivariate_route(name, k0):
-    # the rank builders never form theta^j, phi^j or v^(2 k0) along the mirror
-    # locus; on every order a certificate reads, their lines must equal the
-    # multivariate Jacobians restricted to the same line, term for term
-    from segre.maps import SegreMapping, make_theta_phi
-    from segre.orbit import _mirror_lines, _mirror_parametrization
+    # the rank builders never form v^j, theta^j, phi^j or their Jacobians above
+    # the run's order; on every order a certificate reads, their lines must
+    # equal the multivariate Jacobians, built from the manifold rebuilt at that
+    # order and restricted to the same line, term for term
+    from segre.maps import SegreMapping
+    from segre.orbit import _mirror_lines
     from segre.rank import _on_line, _order, phi_lines, theta_lines
 
     from conftest import load_fixture
-    from oracles import jacobian_along
-    from test_cli import L4_DENSE_RHO
+    from oracles import multivariate_matrices
+    from test_cli import C2_DENSE_RHO, L4_DENSE_RHO
 
-    if name == "c3":
-        manifold = load_manifold(C3, 8)
-    elif name == "l4-dense":
-        manifold = load_manifold(ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)), 8)
-    else:
-        manifold = load_fixture(name)
+    kappa = 6 if name == "c2-dense" else 8
+    specs = {
+        "c3": C3,
+        "n5": N5,
+        "l4-dense": ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)),
+        "c2-dense": ManifoldSpec(3, 2, "rho", C2_DENSE_RHO),
+    }
+    manifold = load_manifold(specs[name], kappa) if name in specs else load_fixture(name)
     rng = random.Random(301)
-    base = SegreMapping(manifold)
-    for level in (16, 12, 8):
-        rung = base.at_kappa(level)
-        routes = []
-        for j in range(1, k0 + 2):
-            pair = make_theta_phi(rung, j)
-            routes += [(theta_lines(rung, j), jacobian(pair.theta)), (phi_lines(rung, j), jacobian(pair.phi))]
-        locus = _mirror_parametrization(manifold.dims, k0, level)
-        routes.append((_mirror_lines(rung, k0), jacobian_along(rung.v(2 * k0), locus)))
-        for lines, matrix in routes:
+    segre = SegreMapping(manifold)
+    # top-down, as generic_rank asks for them: the lower orders cut the top graph
+    for level in (kappa + 8, kappa + 4, kappa):
+        engine = [build(segre, j, level) for j in range(1, k0 + 2) for build in (theta_lines, phi_lines)]
+        engine.append(_mirror_lines(segre, k0, level))
+        for lines, matrix in zip(engine, multivariate_matrices(manifold, level, k0), strict=True):
             shape = (len(matrix), len(matrix[0]), matrix[0][0].arity, _order(matrix))
             assert (lines.rows, lines.cols, lines.arity, lines.order) == shape
             assert lines.order == level - 1
             for _ in range(2):
                 point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16) for _ in range(lines.arity)]
                 assert lines.at(point) == _on_line(matrix, point, lines.order), (name, level)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3))
+def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
+    # random real rho manifolds (d <= 2) on random lines, zero coordinates included
+    from segre.maps import SegreMapping
+    from segre.series import on_line
+
+    from oracles import line_jacobian
+
+    rng = random.Random(seed)
+    manifold = random_real_rho_manifold(rng, kappa=kappa)
+    n = manifold.n
+    segre = SegreMapping(manifold)
+    point = [rng.randint(-9, 9) for _ in range(j * n)]
+    steps = segre.on_line(point, kappa)
+    assert len(steps) == j + 1 and steps[0][1] == [[]] * manifold.N
+    for k, (values, rows) in enumerate(steps[1:], start=1):
+        assert values == on_line(segre.v(k).components, point[: k * n], kappa)
+        assert rows == line_jacobian(segre, k, point[: k * n])
