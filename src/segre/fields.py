@@ -56,6 +56,9 @@ class FormalVectorField:
     def __setattr__(self, name, value):
         raise AttributeError("FormalVectorField is immutable")
 
+    def __reduce__(self):
+        return FormalVectorField, (self.coefficients, self.valid_order)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalVectorField):
             return NotImplemented
@@ -73,9 +76,10 @@ class FormalVectorField:
             raise ValueError("series arity does not match the field")
         out = TruncatedSeries.zero(self.arity, min(self.valid_order, f.kappa - 1))
         for index, coeff in enumerate(self.coefficients):
-            if coeff.is_zero():
-                continue
-            out = out + coeff * f.partial(index)
+            if coeff:
+                derivative = f.partial(index)
+                if derivative:
+                    out = out + coeff * derivative
         return out
 
     def evaluate_at_origin(self) -> Tuple[GaussianRational, ...]:

@@ -3,9 +3,11 @@
 Every elimination of the engine goes through ``Echelon``: sparse rows
 {key: GaussianRational} with orderable keys, each stored row scaled to 1 at
 its pivot, the row's least key.  Dense matrices enter as rows keyed by column
-index; the kernel search carries each column's combination along under keys
-that sort after the column's own entries.  (The valuation pivoting of
-``rank._eliminate`` works over Q(i)[eps]/(eps^(K+1)) and stays apart.)
+index.  The kernel search transposes its sparse columns into rows keyed by
+descending column index, eliminates them sparsest first and reads the kernel
+off the reduced echelon form: one vector per free column.  (The valuation
+pivoting of ``rank._eliminate`` works over Q(i)[eps]/(eps^(K+1)) and stays
+apart.)
 """
 
 from __future__ import annotations
@@ -122,31 +124,29 @@ def invert(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
 
 
 def sparse_kernel(columns: Sequence[Mapping]) -> List[dict]:
-    """Kernel combinations of sparsely given columns.
+    """The kernel of sparsely given columns, in reduced row echelon form.
 
-    Each column is a dict mapping orderable row keys to nonzero entries.
-    Columns are reduced in order against the independent ones seen so far,
-    their combination carried along under the keys (1, column index) after
-    the entries' keys (0, row key).  Every column that reduces to zero yields
-    one kernel vector {column index: coefficient}: the column minus its
-    combination of the earlier independent columns.
+    Each column is a dict mapping orderable row keys to nonzero entries.  The
+    result holds one vector {column index: coefficient} per free column f,
+    sorted by f: 1 at f, its least index, 0 at the other free columns, and at
+    each pivot column p > f minus the entry at f of the reduced row with
+    pivot p.  This is the unique reduced row echelon basis of the kernel,
+    with pivots at least indices.
+
+    The matrix is eliminated by rows, each row keyed by -index so that every
+    pivot is its row's highest column, and sparsest row first (Markowitz
+    1957): a short row brings few keys into the rows reduced after it.
     """
-    echelon = Echelon()
-    kernel: List[dict] = []
+    rows: Dict[Hashable, Row] = {}
     for index, column in enumerate(columns):
-        vec = {(0, key): value for key, value in column.items()}
-        vec[(1, index)] = ONE
-        rest = echelon.reduce(vec)
-        if min(rest)[0] == 0:
-            echelon.push(rest)
-        else:
-            kernel.append({key: value for (_, key), value in rest.items()})
-    return kernel
-
-
-def sparse_rref(rows: Sequence[Mapping]) -> List[dict]:
-    """Reduced row echelon form of sparse rows keyed by orderable column keys."""
+        for key, value in column.items():
+            rows.setdefault(key, {})[-index] = value
     echelon = Echelon()
-    for row in rows:
+    for row in sorted(rows.values(), key=len):
         echelon.add(row)
-    return echelon.reduced()
+    kernel = {free: {free: ONE} for free in range(len(columns)) if -free not in echelon.rows}
+    for pivot, row in zip(sorted(echelon.rows), echelon.reduced()):
+        for key, value in row.items():
+            if key != pivot:  # a free column: the reduced row is 0 at every other pivot
+                kernel[-key][-pivot] = -value
+    return list(kernel.values())

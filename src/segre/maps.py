@@ -157,9 +157,9 @@ class SegreMapping:
         new_rows = [[zero for _ in earlier] + [one if c == i else zero for c in range(n)] for i in range(n)]
         bar_rows = [[entry.conjugate() for entry in row] for row in rows]
         for partials in dq:
-            chain = [
-                sum((partials[n + r] * row[c] for r, row in enumerate(bar_rows) if row[c]), zero) for c in earlier
-            ]
+            # many dQ/d(ch, ta) vanish identically: each adds only a 0 of order >= level - 1
+            live = [(partial, row) for partial, row in zip(partials[n:], bar_rows) if partial]
+            chain = [sum((partial * row[c] for partial, row in live if row[c]), zero) for c in earlier]
             new_rows.append(chain + partials[:n])
         return [*z, *w], new_rows
 

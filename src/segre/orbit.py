@@ -41,9 +41,11 @@ from .rank import (
 )
 from .record import Record
 from .series import (
+    ONE,
     FormalMap,
     GaussianRational,
     TruncatedSeries,
+    _series,
     compose_many,
     grlex_key,
     unit_exponent,
@@ -105,14 +107,6 @@ def _monomials(arity: int, max_degree: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def _monomial_images(components: Sequence[TruncatedSeries], monomials: Sequence[Tuple[int, ...]]):
-    """Compose each monomial with the component tuple, sharing partial products."""
-    arity = len(components)
-    kappa = min(c.kappa for c in components)
-    outers = [TruncatedSeries(arity, kappa, {exp: 1}) for exp in monomials]
-    return compose_many(outers, FormalMap(list(components)))
-
-
 def _kernel_series(
     components: Sequence[TruncatedSeries],
     arity: int,
@@ -121,22 +115,23 @@ def _kernel_series(
 ) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
     """Kernel of f -> f(components) over polynomials f with 1 <= deg f <= max_degree.
 
-    Returns canonical kernel elements (reduced row echelon over graded-lex
-    monomial columns, so linear parts surface as leading terms), the monomial
-    list, and the number of kernel elements with nonzero linear part.
+    The bound must lie in 1..kappa/2 (ValueError otherwise).  Every monomial
+    is composed with the components in one ``compose_many``, sharing partial
+    products, and ``linalg.sparse_kernel`` gives the kernel of the images in
+    reduced row echelon form over the graded-lex monomial columns, so linear
+    parts surface as leading terms.  Returns those kernel elements as series
+    of order ``kappa``, the monomial list, and the number of kernel elements
+    with nonzero linear part.
     """
+    if not 1 <= max_degree <= kappa // 2:
+        raise ValueError(f"degree bound must lie in 1..kappa/2 = {kappa // 2}")
     monomials = _monomials(arity, max_degree)
-    images = _monomial_images(components, monomials)
+    outers = [_series(arity, kappa, {exp: ONE}) for exp in monomials]
+    images = compose_many(outers, FormalMap(list(components)))
     kernel = linalg.sparse_kernel([image.terms for image in images])
-    if not kernel:
-        return [], monomials, 0
-    reduced = linalg.sparse_rref(kernel)
     n_linear = sum(1 for m in monomials if sum(m) == 1)
-    linear_rank = sum(1 for row in reduced if min(row) < n_linear)
-    series = [
-        TruncatedSeries(arity, kappa, {monomials[c]: value for c, value in row.items()})
-        for row in reduced
-    ]
+    linear_rank = sum(1 for row in kernel if min(row) < n_linear)
+    series = [_series(arity, kappa, {monomials[c]: value for c, value in row.items()}) for row in kernel]
     return series, monomials, linear_rank
 
 
@@ -199,15 +194,12 @@ def _orbit_annihilator_at(
     lie_dim: Optional[int] = None,
 ) -> OrbitReport:
     dims = manifold.dims
-    kappa = manifold.kappa
-    if degree_bound < 1 or degree_bound > kappa // 2:
-        raise ValueError(f"degree bound must lie in 1..kappa/2 = {kappa // 2}")
     if segre is None:
         segre = SegreMapping(manifold)
     k0 = profile.k0
     v_k0 = segre.v(k0)
-    generators, monomials, linear_rank = _kernel_series(
-        list(v_k0.components), dims.N, degree_bound, kappa
+    generators, _, linear_rank = _kernel_series(
+        list(v_k0.components), dims.N, degree_bound, manifold.kappa
     )
     # generators are the kernel elements whose leading (pivot) term is linear
     f_generators = [g for g in generators if sum(min(g.terms, key=grlex_key)) == 1]
@@ -299,6 +291,11 @@ class OrbitIdealReport(Record):
     sigma_closed: bool
 
 
+def _graded(series: TruncatedSeries) -> dict:
+    """The terms of ``series`` keyed by graded-lex order, the kernel's column order."""
+    return {grlex_key(exp): value for exp, value in series.terms.items()}
+
+
 def orbit_ideal_in_M(
     manifold: GenericManifold,
     k0: int,
@@ -309,10 +306,12 @@ def orbit_ideal_in_M(
     """Generators of the orbit ideal modulo truncation, via the phi annihilator.
 
     Verifies that the defining functions and the Z-only annihilators lie in
-    the kernel, that the kernel's linear part has the expected codimension
-    d + e, and that the kernel is closed under the conjugation involution
-    (reality of the orbit ideal).  A short linear part with the degree bound
-    below the degree of the defining functions raises InconclusiveError.
+    the kernel (one composition with phi), that the kernel's linear part has
+    the expected codimension d + e, and that the kernel is closed under the
+    conjugation involution, reality of the orbit ideal (each sigma(g) reduces
+    to 0 against the kernel basis).  A short linear part with the degree
+    bound below the degree of the defining functions raises
+    InconclusiveError.
     """
     dims = manifold.dims
     kappa = manifold.kappa
@@ -334,15 +333,17 @@ def orbit_ideal_in_M(
             f"{degree_bound} is below the degree {rho_degree} of the defining functions"
         )
 
-    # one composition shares its monomial memo across all three checks
+    # one composition shares its monomial memo across both membership checks
     rho = [manifold.rho.component(j) for j in range(dims.d)]
     ambient = [g.map_vars(dims.ambient_arity, dims.z_to_ambient()) for g in orbit.f_generators]
-    mirrored = [g.sigma(dims.N) for g in generators]
-    images = compose_many(rho + ambient + mirrored, FormalMap(phi.components))
-    zero = [image.is_zero() for image in images]
+    zero = [image.is_zero() for image in compose_many(rho + ambient, FormalMap(phi.components))]
     rho_ok = all(zero[: len(rho)])
-    ann_ok = all(zero[len(rho) : len(rho) + len(ambient)])
-    sigma_ok = all(zero[len(rho) + len(ambient) :])
+    ann_ok = all(zero[len(rho) :])
+    # sigma keeps degrees, so sigma(g) composes to 0 exactly when it lies in the kernel
+    basis = linalg.Echelon()
+    for g in generators:
+        basis.add(_graded(g))
+    sigma_ok = all(not basis.reduce(_graded(g.sigma(dims.N))) for g in generators)
     return OrbitIdealReport(
         generators=tuple(generators),
         linear_rank=linear_rank,

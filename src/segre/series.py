@@ -288,6 +288,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return TruncatedSeries, (self.arity, self.kappa, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -687,6 +690,9 @@ class FormalMap:
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
+
+    def __reduce__(self):
+        return FormalMap, (self.components, self.vanishes_at_origin)
 
     @staticmethod
     def identity(arity: int, kappa: int) -> "FormalMap":

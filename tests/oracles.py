@@ -10,7 +10,11 @@ degree-by-degree implicit function theorem, checks the Newton lifting of
 ``solve_graph``; and the multivariate route (``line_jacobian``,
 ``multivariate_matrices``, ``jacobian_along`` and ``rank_along``) builds the
 iterates in all their variables, differentiates them and only then restricts
-to a line, where the engine evaluates them on the line in forward mode.
+to a line, where the engine evaluates them on the line in forward mode.  The
+kernel oracle (``carried_kernel``, then ``sparse_rref``) shares
+``linalg.Echelon`` with the engine but reaches the kernel by another route:
+it carries each column's combination along, where the engine eliminates the
+transposed rows and reads the kernel off their reduced form.
 """
 
 from __future__ import annotations
@@ -181,6 +185,37 @@ def constant_rank(vectors: Sequence[Sequence[GaussianRational]]) -> int:
         ):
             kept = trial
     return len(kept)
+
+
+def carried_kernel(columns: Sequence[Dict]) -> List[Dict]:
+    """Kernel vectors of sparse columns by carrying each column's combination along.
+
+    Columns are reduced in order against the independent ones seen so far,
+    their combination carried under the keys (1, column index) after the
+    entries' keys (0, row key).  Every column that reduces to zero yields one
+    kernel vector {column index: coefficient}: the column minus its
+    combination of the earlier independent columns, so it is 1 at its
+    highest index.  A basis of the kernel, not in reduced form.
+    """
+    echelon = linalg.Echelon()
+    kernel: List[Dict] = []
+    for index, column in enumerate(columns):
+        vec = {(0, key): value for key, value in column.items()}
+        vec[(1, index)] = GaussianRational(1)
+        rest = echelon.reduce(vec)
+        if min(rest)[0] == 0:
+            echelon.push(rest)
+        else:
+            kernel.append({key: value for (_, key), value in rest.items()})
+    return kernel
+
+
+def sparse_rref(rows: Sequence[Dict]) -> List[Dict]:
+    """Reduced row echelon form of sparse rows keyed by orderable column keys."""
+    echelon = linalg.Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.reduced()
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from segre import linalg
 from segre.series import ONE, ZERO, GaussianRational
 
-from oracles import brute_force_rank, constant_rank, d_const, d_det
+from oracles import brute_force_rank, carried_kernel, constant_rank, d_const, d_det, sparse_rref
 
 _scalar = st.builds(
     lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
@@ -78,33 +78,50 @@ def test_invert(matrix):
     assert matmul(matrix, inverse) == identity == matmul(inverse, matrix)
 
 
-@given(matrices())
-def test_sparse_kernel(matrix):
-    n_cols = len(matrix[0])
-    columns = [
-        {(i,): row[c] for i, row in enumerate(matrix) if row[c]} for c in range(n_cols)
-    ]
-    kernel = linalg.sparse_kernel(columns)
-    assert len(kernel) == n_cols - minors_rank(matrix)
-    for combination in kernel:
-        assert all(combination.values())
-        for row in matrix:
-            assert sum((value * row[c] for c, value in combination.items()), ZERO) == ZERO
-        # the dependent column itself, minus earlier columns
-        assert combination[max(combination)] == ONE
-    assert len({max(combination) for combination in kernel}) == len(kernel)
+def _columns(matrix):
+    return [{(i,): row[c] for i, row in enumerate(matrix) if row[c]} for c in range(len(matrix[0]))]
 
 
-@given(matrices())
-def test_sparse_rref(matrix):
-    n_cols = len(matrix[0])
-    reduced = linalg.sparse_rref([{c: v for c, v in enumerate(row) if v} for row in matrix])
+def assert_rref(reduced, n_cols):
+    """Pivots strictly ascending, each row 1 at its pivot, its least key, and absent elsewhere."""
     pivots = [min(row) for row in reduced]
     assert pivots == sorted(set(pivots))
     for row, pivot in zip(reduced, pivots):
         assert all(row.values())
         assert row[pivot] == ONE
         assert all(pivot not in other for other in reduced if other is not row)
+        assert all(0 <= key < n_cols for key in row)
+
+
+@given(matrices())
+def test_sparse_kernel(matrix):
+    n_cols = len(matrix[0])
+    columns = _columns(matrix)
+    kernel = linalg.sparse_kernel(columns)
+    assert len(kernel) == n_cols - minors_rank(matrix)
+    assert_rref(kernel, n_cols)
+    for combination in kernel:
+        for row in matrix:
+            assert sum((value * row[c] for c, value in combination.items()), ZERO) == ZERO
+    # the reduced row echelon basis is unique: term for term the oracle's
+    assert kernel == sparse_rref(carried_kernel(columns))
+
+
+def test_sparse_kernel_of_zero_columns():
+    assert linalg.sparse_kernel([{}, {}, {}]) == [{0: ONE}, {1: ONE}, {2: ONE}]
+    assert linalg.sparse_kernel([]) == []
+    two = GaussianRational(2)
+    # column 1 is zero, column 2 is twice column 0
+    columns = [{"a": ONE, "b": ONE}, {}, {"a": two, "b": two}]
+    assert linalg.sparse_kernel(columns) == [{0: ONE, 2: GaussianRational(Fraction(-1, 2))}, {1: ONE}]
+    assert linalg.sparse_kernel(columns) == sparse_rref(carried_kernel(columns))
+
+
+@given(matrices())
+def test_sparse_rref(matrix):
+    n_cols = len(matrix[0])
+    reduced = sparse_rref([{c: v for c, v in enumerate(row) if v} for row in matrix])
+    assert_rref(reduced, n_cols)
     dense = [[row.get(c, ZERO) for c in range(n_cols)] for row in reduced]
     # same row space: neither side adds rank to the other
     assert len(reduced) == minors_rank(matrix) == minors_rank(matrix + dense)

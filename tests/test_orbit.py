@@ -27,7 +27,7 @@ from segre import (
 )
 
 from segre import orbit
-from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key
+from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 from conftest import load_fixture, random_rigid_manifold
 
@@ -229,6 +229,48 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
     for bound in (2, 4):
         ideal = orbit_ideal_in_M(manifold_h, profile.k0, orbit, degree_bound=bound)
         assert ideal.linear_rank == 0 and not ideal.codimension_ok
+
+
+def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manifold_flat, monkeypatch):
+    # sigma-closure is a reduction against the kernel basis: the mirrored
+    # generators are never composed
+    profile = rank_profile(manifold_flat)
+    report = orbit_annihilator(manifold_flat, profile)
+    assert report.e == 1
+    calls = []
+    real = orbit.compose_many
+
+    def counting(outers, inner):
+        calls.append(len(outers))
+        return real(outers, inner)
+
+    monkeypatch.setattr(orbit, "compose_many", counting)
+    ideal = orbit_ideal_in_M(manifold_flat, profile.k0, report)
+    assert ideal.sigma_closed and ideal.rho_in_kernel and ideal.annihilators_in_kernel
+    # degree 1..4 in the 4 ambient variables, then d + e
+    assert calls == [math.comb(8, 4) - 1, 2]
+
+
+@pytest.mark.parametrize("c, closed", [(gauss(0, 1), True), (gauss(0, 2), False)], ids=["unit", "non-unit"])
+def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeypatch, c, closed):
+    # sigma(z1 + c ch1) = ch1 + conj(c) z1 lies in the span of z1 + c ch1 exactly when |c| = 1
+    profile = rank_profile(manifold_flat)
+    report = orbit_annihilator(manifold_flat, profile)
+    dims = manifold_flat.dims
+    real_kernel = orbit._kernel_series
+    arity = dims.ambient_arity
+    terms = {unit_exponent(arity, dims.z(0)): 1, unit_exponent(arity, dims.ch(0)): c}
+    basis = [TruncatedSeries(arity, manifold_flat.kappa, terms)]
+
+    def substituted(*args):
+        _, monomials, linear_rank = real_kernel(*args)
+        return basis, monomials, linear_rank
+
+    monkeypatch.setattr(orbit, "_kernel_series", substituted)
+    ideal = orbit_ideal_in_M(manifold_flat, profile.k0, report)
+    assert ideal.generators == tuple(basis)
+    assert ideal.sigma_closed is closed
+    assert ideal.rho_in_kernel and ideal.codimension_ok
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 
 import segre
-from segre import ConfigError, Dims, RankCertificate, RunConfig, gauss
+from segre import ConfigError, Dims, RankCertificate, RunConfig, gauss, verify_all
+from segre.fields import cr_basis
 from segre.record import Record
+
+from conftest import load_fixture
 
 
 def _certificate(**changes):
@@ -113,17 +116,29 @@ def test_replace():
         cert.replace(ranks=2)
 
 
+@pytest.fixture(scope="module")
+def report_h():
+    return verify_all(load_fixture("h"))
+
+
 @pytest.mark.parametrize(
     "roundtrip",
     [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
     ids=["copy", "deepcopy", "pickle"],
 )
-def test_copy_deepcopy_and_pickle_round_trip(roundtrip):
+def test_copy_deepcopy_and_pickle_round_trip(roundtrip, report_h):
     for value in (Dims(4, 2), RunConfig(kappa=6, seed=3), _certificate()):
         again = roundtrip(value)
         assert type(again) is type(value)
         assert again == value and hash(again) == hash(value)
         assert repr(again) == repr(value)
+    # a report holds series and formal maps; a field is one more immutable value
+    field = cr_basis(load_fixture("h"))[0][0]
+    for value in (report_h, field):
+        again = roundtrip(value)
+        assert type(again) is type(value)
+        assert again == value and repr(again) == repr(value)
+    assert again.valid_order == field.valid_order
 
 
 def test_fields_become_slots_and_defaults():
