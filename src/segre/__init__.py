@@ -47,7 +47,6 @@ from .maps import (
     VariableCapError,
     iterate,
     make_T,
-    make_gamma,
     make_theta_phi,
     pushforward_residuals,
 )

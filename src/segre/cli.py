@@ -31,7 +31,7 @@ from .errors import (
     SegreError,
 )
 from .expressions import GenericManifold, load_manifold_file
-from .fields import LieHullReport, lie_hull_dimension
+from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .maps import SegreMapping, default_var_cap
 from .orbit import VerificationReport, check_kernel_caps, orbit_annihilator, verify_all
 from .rank import RankProfile, rank_profile
@@ -205,7 +205,7 @@ def _rank_table(manifold: GenericManifold, profile) -> List[str]:
 def cmd_rank(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
-    profile = rank_profile(manifold, config.resolve_jmax(manifold.d), config.rank_options())
+    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.rank_options())
     if args.json:
         _emit_json(
             {
@@ -225,9 +225,9 @@ def cmd_rank(args) -> int:
 def cmd_finite_type(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
-    profile = rank_profile(manifold, config.resolve_jmax(manifold.d), config.rank_options())
-    lie = lie_hull_dimension(manifold, config.resolve_depth())
-    finite_lie = lie.dim_g0 == 2 * manifold.N - manifold.d
+    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.rank_options())
+    lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
+    finite_lie = lie.finite_type()
     finite_segre = profile.rank_at_k0 == manifold.N
     if args.json:
         _emit_json(
@@ -244,7 +244,7 @@ def cmd_finite_type(args) -> int:
         )
     else:
         print(manifold.describe())
-        print(f"bracket route: dim g(0) = {lie.dim_g0} of {2 * manifold.N - manifold.d}"
+        print(f"bracket route: dim g(0) = {lie.dim_g0} of {lie.cap}"
               f" (depth {lie.bracket_depth_used}, stable {'yes' if lie.stable else 'no'})"
               f" -> finite type: {'yes' if finite_lie else 'no'}")
         print(f"rank route:    Rk v^k0 = {profile.rank_at_k0} of N = {manifold.N}"
@@ -259,17 +259,9 @@ def cmd_orbit(args) -> int:
     manifold = _load(args, config)
     check_kernel_caps([manifold.N], config.resolve_degree())
     segre = SegreMapping(manifold)
-    profile = rank_profile(
-        manifold, config.resolve_jmax(manifold.d), config.rank_options(), segre=segre
-    )
-    lie = lie_hull_dimension(manifold, config.resolve_depth())
-    orbit = orbit_annihilator(
-        manifold,
-        profile,
-        config.resolve_degree(),
-        segre=segre,
-        lie_dim=lie.dim_g0 if lie.stable else None,
-    )
+    profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.rank_options())
+    lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
+    orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
     if args.json:
         _emit_json(
             {

@@ -32,7 +32,6 @@ from .series import (
     GaussianRational,
     TruncatedSeries,
     I,
-    compose_many,
     unit_exponent,
 )
 
@@ -349,28 +348,27 @@ class GenericManifold(Record):
     def ideal_member(self, g: TruncatedSeries) -> bool:
         return ideal_member(g, self.graph)
 
-    def at_kappa(self, kappa: int, verify: bool = False) -> "GenericManifold":
+    def at_kappa(self, kappa: int) -> "GenericManifold":
         """The same manifold rebuilt at another truncation order.
 
-        The load-time invariants were verified at the original order; by
-        default the rebuild skips re-verifying them (they are identities in
-        the same polynomial input, and the refined data is consumed by rank
-        certification, which carries its own witnesses).  Pass verify=True
-        to re-run the full load gate at the new order.
+        The load-time invariants were verified at the original order; the
+        rebuild skips re-verifying them (they are identities in the same
+        polynomial input, and the refined data is consumed by rank
+        certification, which carries its own witnesses).
         """
         if kappa == self.kappa:
             return self
         kind = self.source[0]
         if kind == "spec":
-            return load_manifold(self.source[1], kappa, label=self.label, verify=verify)
+            return load_manifold(self.source[1], kappa, label=self.label, verify=False)
         _, form, components, split = self.source
         lifted = [c.with_order(kappa) for c in components]
         if form == "graph":
             return manifold_from_graph_series(
-                self.dims, lifted, kappa, label=self.label, verify=verify
+                self.dims, lifted, kappa, label=self.label, verify=False
             )
         return manifold_from_rho_series(
-            self.dims, lifted, kappa, split=split, label=self.label, verify=verify
+            self.dims, lifted, kappa, split=split, label=self.label, verify=False
         )
 
     def describe(self) -> str:
@@ -402,13 +400,6 @@ def _finish_load(
             raise RealityError(
                 f"defining ideal is not real: reality identity fails at {witness}", witness or ""
             )
-        # membership of the graph generators in the truncated ideal; rho's own
-        # membership is either this same test (graph input, rho = graph.rho())
-        # or the final check of solve_graph (rho input)
-        membership = graph.membership_map()
-        for image in compose_many(list(graph.rho().components), membership):
-            if not image.is_zero():
-                raise ManifoldError("graph generators fail the membership test")
     linear = [
         [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
         for j in range(dims.d)

@@ -111,7 +111,10 @@ def sigma_field(x: FormalVectorField, block: int) -> FormalVectorField:
     return FormalVectorField(swapped[block:] + swapped[:block])
 
 
-def cr_basis(manifold: GenericManifold) -> Tuple[List[FormalVectorField], List[FormalVectorField]]:
+CRBasis = Tuple[List[FormalVectorField], List[FormalVectorField]]
+
+
+def cr_basis(manifold: GenericManifold) -> CRBasis:
     """The tangent basis (L_1..L_n, Lt_1..Lt_n) attached to the graph form.
 
         L_j  = d/dch_j + sum_l dQbar_l/dch_j (ch, z, w) d/dta_l
@@ -168,8 +171,9 @@ class LieHullReport(Record):
         return self.dim_g0 == self.cap
 
 
-def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = None) -> LieHullReport:
-    """Breadth-first closure over left-normed bracket words of the CR basis.
+def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: Optional[int] = None) -> LieHullReport:
+    """Breadth-first closure over left-normed bracket words of ``basis``, the
+    manifold's ``cr_basis``.
 
     Words are explored by length; each new word is reduced against the span
     of all previously kept words (over constants) and dropped if dependent.
@@ -186,7 +190,7 @@ def lie_hull_dimension(manifold: GenericManifold, max_depth: Optional[int] = Non
     depth_capped = max_depth > depth_supported
     depth = min(max_depth, depth_supported)
 
-    fields_l, fields_lt = cr_basis(manifold)
+    fields_l, fields_lt = basis
     generators = [(f"L{j + 1}", f) for j, f in enumerate(fields_l)]
     generators += [(f"Lt{j + 1}", f) for j, f in enumerate(fields_lt)]
 

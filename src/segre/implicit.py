@@ -182,19 +182,17 @@ def matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
     ]
 
 
-def check_reality(graph: GraphForm, rho: Optional[FormalMap] = None) -> Tuple[bool, Optional[str]]:
+def check_reality(graph: GraphForm, rho: FormalMap) -> Tuple[bool, Optional[str]]:
     """Exact test that the ideal is real modulo degree > valid_order.
 
     The ideal is real when the conjugation swap sigma maps it into itself,
     that is when sigma(rho_j)(z, Q, ch, ta) = 0 for each of its defining
-    functions rho_j (by default the canonical w - Q, for which it amounts to
+    functions rho_j (for the canonical w - Q this amounts to
     Q(z, ch, Qbar(ch, z, w)) = w).  A sparse rho needs powers of Q only up to
     its degree in w.  Returns (True, None) on success, else (False, witness)
     where the witness names the first offending monomial in graded-lex order.
     """
     dims = graph.dims
-    if rho is None:
-        rho = graph.rho()
     residuals = compose_many([c.sigma(dims.N) for c in rho.components], graph.membership_map())
     worst = min(((grlex_key(r.leading_term()[0]), l) for l, r in enumerate(residuals) if r), default=None)
     if worst is None:

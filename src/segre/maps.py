@@ -50,13 +50,13 @@ class SegreMapping:
 
     convention = "graph-special"
 
-    def __init__(self, manifold: GenericManifold, var_cap: Optional[int] = None):
+    def __init__(self, manifold: GenericManifold):
         dims = manifold.dims
         self.dims = dims
         self.manifold = manifold
         self.graph: GraphForm = manifold.graph
         self.kappa = manifold.kappa
-        self.var_cap = default_var_cap(dims) if var_cap is None else var_cap
+        self.var_cap = default_var_cap(dims)
         self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
@@ -205,10 +205,6 @@ class SegreMapping:
             raise VariableCapError(
                 f"iterate {variables // self.dims.n} needs {variables} variables, cap is {self.var_cap}"
             )
-
-
-def make_gamma(manifold: GenericManifold, var_cap: Optional[int] = None) -> SegreMapping:
-    return SegreMapping(manifold, var_cap=var_cap)
 
 
 class IteratedSegre(Record):

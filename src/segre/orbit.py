@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .config import RunConfig
+from .config import RankOptions, RunConfig
 from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold, manifold_from_rho_series
@@ -153,13 +153,12 @@ class OrbitReport(Record):
 
 
 def orbit_annihilator(
-    manifold: GenericManifold,
+    segre: SegreMapping,
     profile: RankProfile,
     degree_bound: Optional[int] = None,
-    segre: Optional[SegreMapping] = None,
     lie_dim: Optional[int] = None,
 ) -> OrbitReport:
-    """Annihilator generators of the stabilized iterate, with cross-checks.
+    """Annihilator generators of the stabilized iterate of the run's mapping, with cross-checks.
 
     Solves the exact linear system "f composed with v^(k0) vanishes modulo
     the truncation order" over polynomials f(Z) of degree between 1 and the
@@ -172,14 +171,14 @@ def orbit_annihilator(
     in, and neither should be silently trusted.
     """
     if degree_bound is None:
-        degree_bound = min(4, manifold.kappa // 2)
+        degree_bound = min(4, segre.kappa // 2)
     try:
-        return _orbit_annihilator_at(manifold, profile, degree_bound, segre, lie_dim)
+        return _orbit_annihilator_at(segre, profile, degree_bound, lie_dim)
     except InconclusiveError:
-        escalated = min(degree_bound + 2, manifold.kappa // 2)
+        escalated = min(degree_bound + 2, segre.kappa // 2)
         if escalated <= degree_bound:
             raise
-        report = _orbit_annihilator_at(manifold, profile, escalated, segre, lie_dim)
+        report = _orbit_annihilator_at(segre, profile, escalated, lie_dim)
         report.checks["degree_escalated"] = CheckResult(
             "degree_escalated", True, f"degree bound raised {degree_bound} -> {escalated}"
         )
@@ -187,19 +186,16 @@ def orbit_annihilator(
 
 
 def _orbit_annihilator_at(
-    manifold: GenericManifold,
+    segre: SegreMapping,
     profile: RankProfile,
     degree_bound: int,
-    segre: Optional[SegreMapping] = None,
-    lie_dim: Optional[int] = None,
+    lie_dim: Optional[int],
 ) -> OrbitReport:
-    dims = manifold.dims
-    if segre is None:
-        segre = SegreMapping(manifold)
+    manifold, dims = segre.manifold, segre.dims
     k0 = profile.k0
     v_k0 = segre.v(k0)
     generators, _, linear_rank = _kernel_series(
-        list(v_k0.components), dims.N, degree_bound, manifold.kappa
+        list(v_k0.components), dims.N, degree_bound, segre.kappa
     )
     # generators are the kernel elements whose leading (pivot) term is linear
     f_generators = [g for g in generators if sum(min(g.terms, key=grlex_key)) == 1]
@@ -297,13 +293,12 @@ def _graded(series: TruncatedSeries) -> dict:
 
 
 def orbit_ideal_in_M(
-    manifold: GenericManifold,
+    segre: SegreMapping,
     k0: int,
     orbit: OrbitReport,
     degree_bound: Optional[int] = None,
-    segre: Optional[SegreMapping] = None,
 ) -> OrbitIdealReport:
-    """Generators of the orbit ideal modulo truncation, via the phi annihilator.
+    """Generators of the orbit ideal modulo truncation, via the phi annihilator of the run's mapping.
 
     Verifies that the defining functions and the Z-only annihilators lie in
     the kernel (one composition with phi), that the kernel's linear part has
@@ -313,12 +308,9 @@ def orbit_ideal_in_M(
     bound below the degree of the defining functions raises
     InconclusiveError.
     """
-    dims = manifold.dims
-    kappa = manifold.kappa
+    manifold, dims, kappa = segre.manifold, segre.dims, segre.kappa
     if degree_bound is None:
         degree_bound = min(4, kappa // 2)
-    if segre is None:
-        segre = SegreMapping(manifold)
     phi = segre.phi(k0 + 1)
     generators, _, linear_rank = _kernel_series(
         list(phi.components), dims.ambient_arity, degree_bound, kappa
@@ -339,10 +331,11 @@ def orbit_ideal_in_M(
     zero = [image.is_zero() for image in compose_many(rho + ambient, FormalMap(phi.components))]
     rho_ok = all(zero[: len(rho)])
     ann_ok = all(zero[len(rho) :])
-    # sigma keeps degrees, so sigma(g) composes to 0 exactly when it lies in the kernel
+    # sigma keeps degrees, so sigma(g) composes to 0 exactly when it lies in the
+    # kernel; its basis is already reduced, so each row is stored as it is
     basis = linalg.Echelon()
     for g in generators:
-        basis.add(_graded(g))
+        basis.push(_graded(g))
     sigma_ok = all(not basis.reduce(_graded(g.sigma(dims.N))) for g in generators)
     return OrbitIdealReport(
         generators=tuple(generators),
@@ -427,24 +420,19 @@ def _mirror_generators(dims: Dims, k0: int, kappa: int) -> List[TruncatedSeries]
 
 
 def mirror_sigma(
-    manifold: GenericManifold,
+    segre: SegreMapping,
     profile: RankProfile,
-    segre: Optional[SegreMapping] = None,
-    config: Optional[RunConfig] = None,
+    options: Optional[RankOptions] = None,
 ) -> MirrorManifold:
-    """Construct the mirror locus and verify both of its defining properties.
+    """Construct the mirror locus of the run's mapping and verify both of its defining properties.
 
     (a) the doubled iterate composes to zero along the parametrization, and
     (b) the rank of the doubled iterate's Jacobian along the locus equals
     the stabilized rank.  Both are recorded; the verification suite reports
     a failure of either as a failed check.
     """
-    dims = manifold.dims
-    config = config or RunConfig(kappa=manifold.kappa)
-    if segre is None:
-        segre = SegreMapping(manifold)
+    dims, kappa = segre.dims, segre.kappa
     k0 = profile.k0
-    kappa = manifold.kappa
     v2k = segre.v(2 * k0)
 
     param = _mirror_parametrization(dims, k0, kappa)
@@ -464,7 +452,7 @@ def mirror_sigma(
     cert = generic_rank(
         builder=lambda level: _mirror_lines(segre, k0, level),
         kappa=kappa,
-        options=config.rank_options(),
+        options=options,
     )
     return MirrorManifold(
         k0=k0,
@@ -501,7 +489,7 @@ class VerificationReport(Record):
 
     @property
     def finite_type_lie(self) -> bool:
-        return self.lie.dim_g0 == 2 * self.dims.N - self.dims.d
+        return self.lie.finite_type()
 
     @property
     def finite_type_segre(self) -> bool:
@@ -544,7 +532,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     # the annihilator kernel searches N variables, the orbit ideal 2N
     check_kernel_caps([dims.N, dims.ambient_arity], config.resolve_degree())
     segre = SegreMapping(manifold)
-    profile = rank_profile(manifold, config.resolve_jmax(dims.d), options, segre=segre)
+    profile = rank_profile(segre, config.resolve_jmax(dims.d), options)
     k0 = profile.k0
     ranks_text = ", ".join(str(r) for r in profile.ranks)
     record("rank_monotone", True, f"ranks = ({ranks_text})")
@@ -565,14 +553,10 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     ok, witness = (True, None) if manifold.verified else check_reality(manifold.graph, manifold.rho)
     record("reality", ok, witness or "identity holds")
 
-    try:
-        fields_l, fields_lt = cr_basis(manifold)
-        record("cr_basis_tangent", True, f"{2 * dims.n} fields tangent")
-    except InternalConsistencyError as exc:
-        fields_l, fields_lt = [], []
-        record("cr_basis_tangent", False, str(exc))
+    basis = cr_basis(manifold)  # raises InternalConsistencyError on a field that is not tangent
+    record("cr_basis_tangent", True, f"{2 * dims.n} fields tangent")
 
-    lie = lie_hull_dimension(manifold, config.resolve_depth())
+    lie = lie_hull_dimension(manifold, basis, config.resolve_depth())
 
     try:
         for j in range(0, k0 + 1):
@@ -618,12 +602,11 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     record("theta_phi_ranks", rank_relation_ok, "; ".join(relation_notes))
 
     failures = []
-    if fields_l:
-        rng = random.Random(config.seed * 7919 + 17)
-        samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(config.pushforward_samples)]
-        pairs = [segre.theta_phi(j) for j in range(0, k0 + 1)]
-        for j, per_sample in enumerate(pushforward_residuals(segre, pairs, fields_l, fields_lt, samples)):
-            failures += [(s, j) for s, residuals in enumerate(per_sample) if any(residuals)]
+    rng = random.Random(config.seed * 7919 + 17)
+    samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(config.pushforward_samples)]
+    pairs = [segre.theta_phi(j) for j in range(0, k0 + 1)]
+    for j, per_sample in enumerate(pushforward_residuals(segre, pairs, *basis, samples)):
+        failures += [(s, j) for s, residuals in enumerate(per_sample) if any(residuals)]
     push_note = f"{config.pushforward_samples} random test functions"
     if failures:  # the first failure in sample-major order
         push_note = "sample {}, j={}".format(*min(failures))
@@ -636,17 +619,11 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     except InternalConsistencyError as exc:
         record("segre_chain_parametrizations", False, str(exc))
 
-    orbit = orbit_annihilator(
-        manifold,
-        profile,
-        config.resolve_degree(),
-        segre=segre,
-        lie_dim=lie.dim_g0 if lie.stable else None,
-    )
+    orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
     for check in orbit.checks.values():
         checks[check.name] = check
 
-    ideal = orbit_ideal_in_M(manifold, k0, orbit, config.resolve_degree(), segre=segre)
+    ideal = orbit_ideal_in_M(segre, k0, orbit, config.resolve_degree())
     record(
         "orbit_ideal_membership",
         ideal.rho_in_kernel and ideal.annihilators_in_kernel,
@@ -671,7 +648,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         f"Rk theta^{k0 + 1} = {theta_ranks.get(k0 + 1)}, dim O = {dim_orbit}",
     )
 
-    finite_lie = lie.dim_g0 == 2 * dims.N - dims.d
+    finite_lie = lie.finite_type()
     finite_segre = profile.rank_at_k0 == dims.N
     record(
         "finite_type_agree",
@@ -684,7 +661,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         f"Rk v^k0 = {profile.rank_at_k0}, dim g(0) + d - N = {lie.dim_g0 + dims.d - dims.N}",
     )
 
-    mirror = mirror_sigma(manifold, profile, segre=segre, config=config)
+    mirror = mirror_sigma(segre, profile, options)
     record(
         "mirror_annihilation",
         mirror.annihilates,

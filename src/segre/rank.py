@@ -25,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .config import RankOptions
 from .errors import InternalConsistencyError
-from .expressions import GenericManifold
 from .maps import Matrix, SegreMapping
 from .record import Record
 from .series import GaussianRational, TruncatedSeries, on_line
@@ -299,10 +298,9 @@ class RankProfile(Record):
 
 
 def rank_profile(
-    manifold: GenericManifold,
+    segre: SegreMapping,
     J_max: Optional[int] = None,
     options: Optional[RankOptions] = None,
-    segre: Optional[SegreMapping] = None,
 ) -> RankProfile:
     """Certified ranks of v^1 .. v^J with detection of the stabilization index.
 
@@ -310,25 +308,22 @@ def rank_profile(
     monotone and strict-increase laws are validated and any violation is
     reported as an internal-consistency error (it would indicate a
     truncation artifact, not a property of the manifold).  ``segre`` is the
-    run's mapping of this manifold; every order reads J v^j on lines from it
-    (``iterate_lines``), so a caller that passes its own mapping shares its
-    rebuilt orders and line evaluations.  Without one, a mapping is built here.
+    run's mapping of the manifold; every order reads J v^j on lines from it
+    (``iterate_lines``), so the later phases share its rebuilt orders and
+    line evaluations.
     """
-    dims = manifold.dims
+    dims = segre.dims
     if J_max is None:
         J_max = dims.d + 2
     if J_max < dims.d + 2:
         raise ValueError(f"J_max must be at least d + 2 = {dims.d + 2}")
-    options = options or RankOptions()
-    if segre is None:
-        segre = SegreMapping(manifold)
 
     certificates = []
     for j in range(1, J_max + 1):
         certificates.append(
             generic_rank(
                 builder=lambda level, j=j: iterate_lines(segre, j, level),
-                kappa=manifold.kappa,
+                kappa=segre.kappa,
                 options=options,
             )
         )

@@ -15,11 +15,11 @@ import pytest
 
 from segre import (
     RankOptions,
+    SegreMapping,
     cr_basis,
     generic_rank,
     jacobian,
     linear_coordinate_change,
-    make_gamma,
     make_theta_phi,
     pushforward_residuals,
     rank_profile,
@@ -55,7 +55,7 @@ def reports():
 
 @pytest.fixture(scope="module")
 def gammas():
-    return {name: make_gamma(load_fixture(name)) for name in FIXTURES}
+    return {name: SegreMapping(load_fixture(name)) for name in FIXTURES}
 
 
 def test_criterion_01_fixture_h(reports):
@@ -132,7 +132,7 @@ def test_criterion_06_reality(reports):
         rng = random.Random(602214076)
         for _ in range(50):
             manifold = random_rigid_manifold(rng)  # loading verifies reality
-            ok, witness = check_reality(manifold.graph)
+            ok, witness = check_reality(manifold.graph, manifold.rho)
             assert ok, witness
 
 
@@ -177,7 +177,7 @@ def test_criterion_09_rank_laws_on_random_manifolds():
                 else random_real_rho_manifold(rng)
             )
             # rank_profile raises InternalConsistencyError on any law violation
-            profile = rank_profile(manifold, options=options)
+            profile = rank_profile(SegreMapping(manifold), options=options)
             assert profile.ranks[0] == manifold.n
             assert profile.k0 <= manifold.d + 1
 
@@ -198,11 +198,11 @@ def test_criterion_11_coordinate_invariance():
         options = RankOptions(escalations=0)
         for name in FIXTURES:
             manifold = load_fixture(name)
-            base = rank_profile(manifold, options=options).ranks
+            base = rank_profile(SegreMapping(manifold), options=options).ranks
             for _ in range(10):
                 matrix = random_invertible(rng, manifold.N)
                 transformed = linear_coordinate_change(manifold, matrix)
-                assert rank_profile(transformed, options=options).ranks == base, name
+                assert rank_profile(SegreMapping(transformed), options=options).ranks == base, name
 
 
 def test_criterion_12_determinism():

@@ -82,6 +82,12 @@ def test_finite_type_reports_both_routes(capsys):
     assert payload["finite_type"] == {"lie": False, "segre": False}
 
 
+def test_finite_type_l4_golden(capsys):
+    code, out, _ = run_cli(capsys, "finite-type", "--fixture", "l4")
+    assert code == 0
+    assert (GOLDEN_DIR / "finite_type_l4.txt").read_text() == out
+
+
 # ---------------------------------------------------------------------------
 # orbit
 # ---------------------------------------------------------------------------
@@ -100,6 +106,12 @@ def test_orbit_h_and_c2(capsys):
         code, out, _ = run_cli(capsys, "orbit", "--fixture", name, "--json")
         assert code == 0
         assert json.loads(out)["e"] == 0
+
+
+def test_orbit_c2_json_golden(capsys):
+    code, out, _ = run_cli(capsys, "orbit", "--fixture", "c2", "--json")
+    assert code == 0
+    assert (GOLDEN_DIR / "orbit_c2.txt").read_text() == out
 
 
 def test_orbit_inconclusive_degree_bound(tmp_path, capsys):
@@ -287,8 +299,8 @@ def test_check_failure_exit_code(monkeypatch, capsys):
 def test_unstable_rank_exit_code(monkeypatch, capsys):
     from segre import rank_profile as real_rank_profile
 
-    def unstable(manifold, J_max=None, options=None):
-        profile = real_rank_profile(manifold, J_max, options)
+    def unstable(segre, J_max=None, options=None):
+        profile = real_rank_profile(segre, J_max, options)
         certs = tuple(cert.replace(stable=False) for cert in profile.certificates)
         return profile.replace(certificates=certs, stable=False)
 

@@ -8,11 +8,11 @@ import pytest
 
 from segre import (
     FormalMap,
+    SegreMapping,
     TruncatedSeries,
     gauss,
     generic_rank,
     jacobian,
-    make_gamma,
     minor_determinant,
     rank_profile,
 )
@@ -74,9 +74,9 @@ def test_minor_determinant_matches_dense_oracle():
 
 def test_profile_certificates_verify_against_their_matrices(all_fixture_manifolds):
     for manifold in all_fixture_manifolds.values():
-        profile = rank_profile(manifold)
+        profile = rank_profile(SegreMapping(manifold))
         for j, cert in enumerate(profile.certificates, start=1):
-            chain = make_gamma(manifold.at_kappa(cert.kappa_used))
+            chain = SegreMapping(manifold.at_kappa(cert.kappa_used))
             assert cert.verify(jacobian(chain.v(j))), (manifold.label, j)
 
 
@@ -100,8 +100,8 @@ def test_corrupted_certificates_are_rejected(all_fixture_manifolds, field):
     checked = 0
     for name in ("h", "l4", "c2"):
         manifold = all_fixture_manifolds[name]
-        for j, cert in enumerate(rank_profile(manifold).certificates, start=1):
-            matrix = jacobian(make_gamma(manifold.at_kappa(cert.kappa_used)).v(j))
+        for j, cert in enumerate(rank_profile(SegreMapping(manifold)).certificates, start=1):
+            matrix = jacobian(SegreMapping(manifold.at_kappa(cert.kappa_used)).v(j))
             assert cert.verify(matrix), (name, j)
             # a minor with a constant lowest term is the same on every line
             if field == "line_point" and cert.witness_exponent == 0:
@@ -112,8 +112,8 @@ def test_corrupted_certificates_are_rejected(all_fixture_manifolds, field):
 
 
 def test_generic_rank_certificate_reproducible_on_rebuilt_matrix(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     matrix = jacobian(gamma.v(2))
     cert = generic_rank(matrix)
-    rebuilt = jacobian(make_gamma(manifold_h).v(2))
+    rebuilt = jacobian(SegreMapping(manifold_h).v(2))
     assert cert.verify(rebuilt)

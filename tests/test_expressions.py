@@ -172,7 +172,7 @@ def test_reality_holds_at_every_order_up_to_twelve():
     spec = ManifoldSpec(2, 1, "graph", ("ta1 + 2*i*z1*ch1",))
     for kappa in range(2, 13):
         manifold = load_manifold(spec, kappa)
-        ok, witness = check_reality(manifold.graph)
+        ok, witness = check_reality(manifold.graph, manifold.rho)
         assert ok, (kappa, witness)
 
 

@@ -164,7 +164,7 @@ def test_sigma_field_involution_random():
 
 
 def test_lie_hull_h(manifold_h):
-    report = lie_hull_dimension(manifold_h, 2)
+    report = lie_hull_dimension(manifold_h, cr_basis(manifold_h), 2)
     assert report.dim_g0 == 3
     assert report.stable
     assert report.finite_type()
@@ -173,15 +173,15 @@ def test_lie_hull_h(manifold_h):
 
 def test_lie_hull_flat(manifold_flat):
     for depth in (1, 2, 4, 8):
-        report = lie_hull_dimension(manifold_flat, depth)
+        report = lie_hull_dimension(manifold_flat, cr_basis(manifold_flat), depth)
         assert report.dim_g0 == 2
         assert not report.finite_type()
-    assert lie_hull_dimension(manifold_flat, 8).stable
+    assert lie_hull_dimension(manifold_flat, cr_basis(manifold_flat), 8).stable
 
 
 def test_lie_hull_l4_needs_depth_four(manifold_l4):
-    assert lie_hull_dimension(manifold_l4, 3).dim_g0 == 2
-    report = lie_hull_dimension(manifold_l4, 4)
+    assert lie_hull_dimension(manifold_l4, cr_basis(manifold_l4), 3).dim_g0 == 2
+    report = lie_hull_dimension(manifold_l4, cr_basis(manifold_l4), 4)
     assert report.dim_g0 == 3
     assert report.bracket_depth_used == 4
     assert report.finite_type()
@@ -195,7 +195,7 @@ def test_lie_hull_l4_against_dense_bracket_oracle(manifold_l4):
     arity = manifold_l4.dims.ambient_arity
     assert dense_hull_dimension(generators, arity, 3) == 2
     assert dense_hull_dimension(generators, arity, 4) == 3
-    assert lie_hull_dimension(manifold_l4, 4).dim_g0 == 3
+    assert lie_hull_dimension(manifold_l4, (fields_l, fields_lt), 4).dim_g0 == 3
 
 
 def test_lie_hull_c2_against_dense_bracket_oracle(manifold_c2):
@@ -205,22 +205,22 @@ def test_lie_hull_c2_against_dense_bracket_oracle(manifold_c2):
     ]
     arity = manifold_c2.dims.ambient_arity
     assert dense_hull_dimension(generators, arity, 4) == 4
-    assert lie_hull_dimension(manifold_c2).dim_g0 == 4
+    assert lie_hull_dimension(manifold_c2, (fields_l, fields_lt)).dim_g0 == 4
 
 
 def test_lie_hull_monotone_in_depth(manifold_l4):
-    dims = [lie_hull_dimension(manifold_l4, depth).dim_g0 for depth in range(1, 7)]
+    dims = [lie_hull_dimension(manifold_l4, cr_basis(manifold_l4), depth).dim_g0 for depth in range(1, 7)]
     assert dims == sorted(dims)
     # once the cap 2N - d is reached it stays there
     assert dims[-1] == dims[3] == 3
 
 
 def test_lie_hull_depth_cap_flag(manifold_h):
-    report = lie_hull_dimension(manifold_h, 50)
+    report = lie_hull_dimension(manifold_h, cr_basis(manifold_h), 50)
     assert report.depth_capped
     assert report.dim_g0 == 3
 
 
 def test_lie_hull_rejects_bad_depth(manifold_h):
     with pytest.raises(ValueError):
-        lie_hull_dimension(manifold_h, 0)
+        lie_hull_dimension(manifold_h, cr_basis(manifold_h), 0)

@@ -95,7 +95,7 @@ def test_solve_graph_singular_split_rejected():
 
 def test_check_reality_fixtures(all_fixture_manifolds):
     for manifold in all_fixture_manifolds.values():
-        ok, witness = check_reality(manifold.graph)
+        ok, witness = check_reality(manifold.graph, manifold.rho)
         assert ok and witness is None
 
 
@@ -106,7 +106,7 @@ def test_check_reality_failure_witness():
     arity = dims.graph_arity
     q = TruncatedSeries(arity, 6, {(0, 0, 1): gauss(1), (1, 1, 0): gauss(1)})
     graph = GraphForm(dims, FormalMap([q]), 6)
-    ok, witness = check_reality(graph)
+    ok, witness = check_reality(graph, graph.rho())
     assert not ok
     assert "z1" in witness and "ch1" in witness
 

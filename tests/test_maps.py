@@ -15,7 +15,6 @@ from segre import (
     iterate,
     load_manifold,
     make_T,
-    make_gamma,
     make_theta_phi,
     pushforward_residuals,
 )
@@ -27,17 +26,17 @@ from oracles import brute_force_rank, d_compose, from_series, to_series
 
 @pytest.fixture(scope="module")
 def gamma_h(manifold_h):
-    return make_gamma(manifold_h)
+    return SegreMapping(manifold_h)
 
 
 @pytest.fixture(scope="module")
 def gamma_flat(manifold_flat):
-    return make_gamma(manifold_flat)
+    return SegreMapping(manifold_flat)
 
 
 @pytest.fixture(scope="module")
 def gamma_c2(manifold_c2):
-    return make_gamma(manifold_c2)
+    return SegreMapping(manifold_c2)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ def test_v1_with_nonzero_self_part():
     # Q = ta + i z^2 + i ch^2 is real and rigid; Q(t,0,0) = i t^2
     spec = ManifoldSpec(2, 1, "graph", ("ta1 + i*z1^2 + i*ch1^2",))
     manifold = load_manifold(spec, 8)
-    gamma = make_gamma(manifold)
+    gamma = SegreMapping(manifold)
     v1 = gamma.v(1)
     assert v1.component(1).terms == {(2,): gauss(0, 1)}
 
@@ -116,7 +115,7 @@ def test_v4_h_hand_value(gamma_h):
 def test_collapse_identities_all_fixtures(all_fixture_manifolds):
     # construction re-verifies the zero-first-block and reflection collapses
     for manifold in all_fixture_manifolds.values():
-        gamma = make_gamma(manifold)
+        gamma = SegreMapping(manifold)
         for j in range(1, 2 * (manifold.d + 1) + 1):
             iterate(gamma, j)
 
@@ -133,13 +132,15 @@ def test_collapse_identity_explicit(gamma_h):
 
 
 def test_variable_cap(manifold_h):
-    gamma = make_gamma(manifold_h, var_cap=3)
-    with pytest.raises(VariableCapError):
-        gamma.v(4)
+    # the cap is 4 (d + 1) n = 8 source variables for h
+    gamma = SegreMapping(manifold_h)
+    assert gamma.v(8).source_arity == 8
+    with pytest.raises(VariableCapError, match="iterate 9 needs 9 variables, cap is 8"):
+        gamma.v(9)
     # the line evaluator keeps the cap, at every order
-    assert len(gamma.on_line([1, 2, 3], 16)) == 4
-    with pytest.raises(VariableCapError, match="iterate 4 needs 4 variables, cap is 3"):
-        gamma.on_line([1, 2, 3, 4], 16)
+    assert len(gamma.on_line(list(range(1, 9)), 16)) == 9
+    with pytest.raises(VariableCapError, match="iterate 9 needs 9 variables, cap is 8"):
+        gamma.on_line(list(range(1, 10)), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_chain_param_c2_rank(gamma_c2):
 
 def test_chain_params_all_fixtures(all_fixture_manifolds):
     for manifold in all_fixture_manifolds.values():
-        gamma = make_gamma(manifold)
+        gamma = SegreMapping(manifold)
         for k in range(1, 2 * (manifold.d + 1) + 1):
             make_T(gamma, k)
 
@@ -214,7 +215,7 @@ def test_theta_one_rank_h(gamma_h):
 def test_pushforward_identities(all_fixture_manifolds):
     rng = random.Random(23)
     for manifold in all_fixture_manifolds.values():
-        gamma = make_gamma(manifold)
+        gamma = SegreMapping(manifold)
         fields_l, fields_lt = cr_basis(manifold)
         for j in range(0, 3):
             pair = make_theta_phi(gamma, j)
@@ -251,7 +252,7 @@ def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exp
     assert not check.passed
 
     config = RunConfig()
-    gamma = make_gamma(manifold)
+    gamma = SegreMapping(manifold)
     fields_l, fields_lt = corrupted_basis(manifold)
     rng = random.Random(config.seed * 7919 + 17)
     first = None
@@ -270,8 +271,6 @@ def test_theta_restriction_equals_phi(gamma_h):
     assert restricted.equals_mod(pair.phi)
 
 
-def test_make_gamma_is_segre_mapping(manifold_h):
-    gamma = make_gamma(manifold_h)
-    assert isinstance(gamma, SegreMapping)
-    assert gamma.convention == "graph-special"
+def test_segre_mapping_convention(manifold_h):
+    assert SegreMapping(manifold_h).convention == "graph-special"
 

@@ -15,6 +15,8 @@ from segre import (
     InconclusiveError,
     ManifoldSpec,
     RunConfig,
+    SegreMapping,
+    cr_basis,
     gauss,
     lie_hull_dimension,
     linear_coordinate_change,
@@ -47,8 +49,9 @@ def curved_w_manifold():
 
 
 def test_orbit_annihilator_flat(manifold_flat):
-    profile = rank_profile(manifold_flat)
-    report = orbit_annihilator(manifold_flat, profile)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile)
     assert report.e == 1
     assert report.dim_O == 2
     assert len(report.f_generators) == 1
@@ -56,24 +59,27 @@ def test_orbit_annihilator_flat(manifold_flat):
 
 
 def test_orbit_annihilator_h(manifold_h):
-    profile = rank_profile(manifold_h)
-    report = orbit_annihilator(manifold_h, profile)
+    segre = SegreMapping(manifold_h)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile)
     assert report.e == 0
     assert report.f_generators == ()
     assert report.dim_O == 3
 
 
 def test_orbit_annihilator_c2(manifold_c2):
-    profile = rank_profile(manifold_c2)
-    report = orbit_annihilator(manifold_c2, profile)
+    segre = SegreMapping(manifold_c2)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile)
     assert report.e == 0
     assert report.dim_O == 4
 
 
 def test_orbit_annihilator_curved_w(curved_w_manifold):
-    profile = rank_profile(curved_w_manifold)
+    segre = SegreMapping(curved_w_manifold)
+    profile = rank_profile(segre)
     assert profile.ranks == (1, 1, 1)
-    report = orbit_annihilator(curved_w_manifold, profile)
+    report = orbit_annihilator(segre, profile)
     assert report.e == 1
     # the canonical generator is w - i z^2
     (f,) = report.f_generators
@@ -82,8 +88,9 @@ def test_orbit_annihilator_curved_w(curved_w_manifold):
 
 def test_orbit_annihilator_escalates_degree_bound_once(curved_w_manifold):
     # at degree 1 the kernel misses w - i z^2; one escalation (to 3) finds it
-    profile = rank_profile(curved_w_manifold)
-    report = orbit_annihilator(curved_w_manifold, profile, degree_bound=1)
+    segre = SegreMapping(curved_w_manifold)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile, degree_bound=1)
     assert report.e == 1
     assert "degree_escalated" in report.checks
 
@@ -93,28 +100,31 @@ def test_orbit_annihilator_inconclusive_when_degree_too_small():
     # to 3 and must report the mismatch rather than resolve it
     spec = ManifoldSpec(2, 1, "graph", ("ta1 + i*z1^4 + i*ch1^4",))
     manifold = load_manifold(spec, 8)
-    profile = rank_profile(manifold)
+    segre = SegreMapping(manifold)
+    profile = rank_profile(segre)
     assert profile.ranks == (1, 1, 1)
     with pytest.raises(InconclusiveError):
-        orbit_annihilator(manifold, profile, degree_bound=1)
-    report = orbit_annihilator(manifold, profile)
+        orbit_annihilator(segre, profile, degree_bound=1)
+    report = orbit_annihilator(segre, profile)
     (f,) = report.f_generators
     assert f.terms == {(0, 1): gauss(1), (4, 0): gauss(0, -1)}
 
 
 def test_orbit_annihilator_cross_checks_lie_dimension(manifold_flat):
-    profile = rank_profile(manifold_flat)
-    lie = lie_hull_dimension(manifold_flat)
-    report = orbit_annihilator(manifold_flat, profile, lie_dim=lie.dim_g0)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    lie = lie_hull_dimension(manifold_flat, cr_basis(manifold_flat))
+    report = orbit_annihilator(segre, profile, lie_dim=lie.dim_g0)
     assert "orbit_count_vs_lie" in report.checks
     with pytest.raises(InconclusiveError):
-        orbit_annihilator(manifold_flat, profile, lie_dim=lie.dim_g0 + 1)
+        orbit_annihilator(segre, profile, lie_dim=lie.dim_g0 + 1)
 
 
 def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):
-    profile = rank_profile(manifold_h)
+    segre = SegreMapping(manifold_h)
+    profile = rank_profile(segre)
     with pytest.raises(ValueError):
-        orbit_annihilator(manifold_h, profile, degree_bound=5)
+        orbit_annihilator(segre, profile, degree_bound=5)
 
 
 def test_monomial_enumeration_is_capped_before_it_starts():
@@ -181,9 +191,10 @@ def test_verify_leaves_no_cyclic_garbage():
 
 
 def test_orbit_ideal_flat(manifold_flat):
-    profile = rank_profile(manifold_flat)
-    orbit = orbit_annihilator(manifold_flat, profile)
-    ideal = orbit_ideal_in_M(manifold_flat, profile.k0, orbit)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    orbit = orbit_annihilator(segre, profile)
+    ideal = orbit_ideal_in_M(segre, profile.k0, orbit)
     assert ideal.codimension_ok
     assert ideal.linear_rank == 2  # d + e = 1 + 1
     assert ideal.rho_in_kernel
@@ -202,9 +213,10 @@ def test_orbit_ideal_flat(manifold_flat):
 
 
 def test_orbit_ideal_h(manifold_h):
-    profile = rank_profile(manifold_h)
-    orbit = orbit_annihilator(manifold_h, profile)
-    ideal = orbit_ideal_in_M(manifold_h, profile.k0, orbit)
+    segre = SegreMapping(manifold_h)
+    profile = rank_profile(segre)
+    orbit = orbit_annihilator(segre, profile)
+    ideal = orbit_ideal_in_M(segre, profile.k0, orbit)
     assert ideal.codimension_ok
     assert ideal.linear_rank == 1  # d + e = 1 + 0
     assert ideal.sigma_closed
@@ -215,10 +227,12 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
     # inconclusive, at or above it the codimension check fails
     from segre import orbit as orbit_module
 
-    profile = rank_profile(manifold_h)
-    orbit = orbit_annihilator(manifold_h, profile)
+    segre = SegreMapping(manifold_h)
+
+    profile = rank_profile(segre)
+    orbit = orbit_annihilator(segre, profile)
     with pytest.raises(InconclusiveError, match="degree bound 1 is below the degree 2"):
-        orbit_ideal_in_M(manifold_h, profile.k0, orbit, degree_bound=1)
+        orbit_ideal_in_M(segre, profile.k0, orbit, degree_bound=1)
     real_kernel = orbit_module._kernel_series
 
     def short(*args):
@@ -227,15 +241,16 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
 
     monkeypatch.setattr(orbit_module, "_kernel_series", short)
     for bound in (2, 4):
-        ideal = orbit_ideal_in_M(manifold_h, profile.k0, orbit, degree_bound=bound)
+        ideal = orbit_ideal_in_M(segre, profile.k0, orbit, degree_bound=bound)
         assert ideal.linear_rank == 0 and not ideal.codimension_ok
 
 
 def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manifold_flat, monkeypatch):
     # sigma-closure is a reduction against the kernel basis: the mirrored
     # generators are never composed
-    profile = rank_profile(manifold_flat)
-    report = orbit_annihilator(manifold_flat, profile)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile)
     assert report.e == 1
     calls = []
     real = orbit.compose_many
@@ -245,7 +260,7 @@ def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manif
         return real(outers, inner)
 
     monkeypatch.setattr(orbit, "compose_many", counting)
-    ideal = orbit_ideal_in_M(manifold_flat, profile.k0, report)
+    ideal = orbit_ideal_in_M(segre, profile.k0, report)
     assert ideal.sigma_closed and ideal.rho_in_kernel and ideal.annihilators_in_kernel
     # degree 1..4 in the 4 ambient variables, then d + e
     assert calls == [math.comb(8, 4) - 1, 2]
@@ -254,8 +269,9 @@ def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manif
 @pytest.mark.parametrize("c, closed", [(gauss(0, 1), True), (gauss(0, 2), False)], ids=["unit", "non-unit"])
 def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeypatch, c, closed):
     # sigma(z1 + c ch1) = ch1 + conj(c) z1 lies in the span of z1 + c ch1 exactly when |c| = 1
-    profile = rank_profile(manifold_flat)
-    report = orbit_annihilator(manifold_flat, profile)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    report = orbit_annihilator(segre, profile)
     dims = manifold_flat.dims
     real_kernel = orbit._kernel_series
     arity = dims.ambient_arity
@@ -267,7 +283,7 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
         return basis, monomials, linear_rank
 
     monkeypatch.setattr(orbit, "_kernel_series", substituted)
-    ideal = orbit_ideal_in_M(manifold_flat, profile.k0, report)
+    ideal = orbit_ideal_in_M(segre, profile.k0, report)
     assert ideal.generators == tuple(basis)
     assert ideal.sigma_closed is closed
     assert ideal.rho_in_kernel and ideal.codimension_ok
@@ -279,8 +295,9 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
 
 
 def test_mirror_h(manifold_h):
-    profile = rank_profile(manifold_h)
-    mirror = mirror_sigma(manifold_h, profile)
+    segre = SegreMapping(manifold_h)
+    profile = rank_profile(segre)
+    mirror = mirror_sigma(segre, profile)
     assert mirror.k0 == 2
     # parametrization (s1, s2) -> (s1, s2, s1, 0)
     comps = mirror.parametrization.components
@@ -294,8 +311,9 @@ def test_mirror_h(manifold_h):
 
 
 def test_mirror_flat(manifold_flat):
-    profile = rank_profile(manifold_flat)
-    mirror = mirror_sigma(manifold_flat, profile)
+    segre = SegreMapping(manifold_flat)
+    profile = rank_profile(segre)
+    mirror = mirror_sigma(segre, profile)
     assert mirror.k0 == 1
     comps = mirror.parametrization.components
     assert comps[0].terms == {(1,): gauss(1)}
@@ -305,16 +323,18 @@ def test_mirror_flat(manifold_flat):
 
 
 def test_mirror_c2(manifold_c2):
-    profile = rank_profile(manifold_c2)
-    mirror = mirror_sigma(manifold_c2, profile)
+    segre = SegreMapping(manifold_c2)
+    profile = rank_profile(segre)
+    mirror = mirror_sigma(segre, profile)
     assert mirror.k0 == 3
     assert mirror.annihilates
     assert mirror.rank_certificate.rank == 3 == mirror.expected_rank
 
 
 def test_mirror_l4(manifold_l4):
-    profile = rank_profile(manifold_l4)
-    mirror = mirror_sigma(manifold_l4, profile)
+    segre = SegreMapping(manifold_l4)
+    profile = rank_profile(segre)
+    mirror = mirror_sigma(segre, profile)
     assert mirror.annihilates
     assert mirror.rank_certificate.rank == 2
 
@@ -427,21 +447,25 @@ def test_central_identity_on_random_finite_type_manifolds():
 def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
     from collections import Counter
 
-    from segre import expressions, maps, rank, series
+    from segre import expressions, fields, maps, rank, series
 
     lifts = Counter()
     pairs = Counter()
     phis = Counter()
     iterates = Counter()
     jacobians = []
+    bases = []
+    mappings = []
     real_at_kappa = expressions.GenericManifold.at_kappa
     real_theta_phi = maps.make_theta_phi
     real_phi = maps.make_phi
     real_v = maps.SegreMapping.v
+    real_cr_basis = fields.cr_basis
+    real_init = maps.SegreMapping.__init__
 
-    def counting_at_kappa(self, kappa, verify=False):
+    def counting_at_kappa(self, kappa):
         lifts[kappa] += 1
-        return real_at_kappa(self, kappa, verify)
+        return real_at_kappa(self, kappa)
 
     def counting_theta_phi(gamma, j):
         pairs[gamma.kappa, j] += 1
@@ -455,12 +479,23 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         iterates[self.kappa] += 1
         return real_v(self, j)
 
+    def counting_cr_basis(manifold):
+        bases.append(manifold.kappa)
+        return real_cr_basis(manifold)
+
+    def counting_init(self, manifold):
+        mappings.append(manifold.kappa)
+        real_init(self, manifold)
+
     monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
     monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
     monkeypatch.setattr(maps, "make_phi", counting_phi)
     monkeypatch.setattr(orbit, "make_phi", counting_phi, raising=False)
     monkeypatch.setattr(maps.SegreMapping, "v", counting_v)
+    monkeypatch.setattr(maps.SegreMapping, "__init__", counting_init)
+    for module in (fields, orbit):
+        monkeypatch.setattr(module, "cr_basis", counting_cr_basis)
     for module in (series, maps, rank, orbit):
         monkeypatch.setattr(module, "jacobian", lambda *args: jacobians.append(args), raising=False)
     report = verify_all(manifold_c2)
@@ -475,6 +510,9 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
     # theta^j is built for j <= k0 only, and phi^j once for each j <= k0 + 1
     assert pairs == {(8, j): 1 for j in range(k0 + 1)}
     assert phis == {(8, j): 1 for j in range(1, k0 + 2)}
+    # one CR basis and one Segre mapping serve every phase
+    assert bases == [8]
+    assert mappings == [8]
 
 
 def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch):
@@ -485,7 +523,7 @@ def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch)
     calls = []
     real_check = orbit.check_reality
 
-    def counting_check(graph, rho=None):
+    def counting_check(graph, rho):
         calls.append(graph)
         return real_check(graph, rho)
 
@@ -533,8 +571,8 @@ def test_rank_invariance_under_linear_coordinate_changes(manifold_h, manifold_c2
     rng = random.Random(7)
     options = RankOptions(escalations=0)
     for manifold in (manifold_h, manifold_c2):
-        base = rank_profile(manifold, options=options)
+        base = rank_profile(SegreMapping(manifold), options=options)
         for _ in range(3):
             matrix = random_invertible(rng, manifold.N)
             transformed = linear_coordinate_change(manifold, matrix)
-            assert rank_profile(transformed, options=options).ranks == base.ranks
+            assert rank_profile(SegreMapping(transformed), options=options).ranks == base.ranks

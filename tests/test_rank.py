@@ -12,11 +12,11 @@ from segre import (
     ConfigError,
     FormalMap,
     RankOptions,
+    SegreMapping,
     TruncatedSeries,
     gauss,
     generic_rank,
     jacobian,
-    make_gamma,
     minor_determinant,
     rank_profile,
 )
@@ -59,7 +59,7 @@ def test_jacobian_identity():
 
 
 def test_jacobian_h_v2(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     matrix = jacobian(gamma.v(2))
     # rows (0, 1) and (2i t2, 2i t1) by hand
     assert matrix[0][0].is_zero()
@@ -83,7 +83,7 @@ def test_jacobian_constant_component_gives_zero_row():
 
 
 def test_generic_rank_h_v2(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     cert = generic_rank(jacobian(gamma.v(2)))
     assert cert.rank == 2
     assert cert.stable
@@ -102,7 +102,7 @@ def test_generic_rank_zero_matrix():
 
 
 def test_generic_rank_l4_v2(manifold_l4):
-    gamma = make_gamma(manifold_l4)
+    gamma = SegreMapping(manifold_l4)
     matrix = jacobian(gamma.v(2))
     # rows (0, 1) and (4i t1 t2^2, 4i t1^2 t2) by hand
     assert matrix[1][0].terms == {(1, 2): gauss(0, 4)}
@@ -190,7 +190,7 @@ def test_rank_options_need_a_line(field):
 
 
 def test_generic_rank_determinism(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     matrix = jacobian(gamma.v(2))
     first = generic_rank(matrix, options=RankOptions(seed=123))
     second = generic_rank(matrix, options=RankOptions(seed=123))
@@ -224,10 +224,9 @@ def test_certificate_escalation_detects_instability():
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
     from segre import expressions, series
-    from segre.maps import SegreMapping
     from segre.rank import iterate_lines
 
-    matrix = jacobian(make_gamma(manifold_h).v(2))
+    matrix = jacobian(SegreMapping(manifold_h).v(2))
 
     def never(*args, **kwargs):
         raise AssertionError("a certificate formed a multivariate Jacobian")
@@ -236,9 +235,9 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
     lifts = []
     real_at_kappa = expressions.GenericManifold.at_kappa
 
-    def counting_at_kappa(self, kappa, verify=False):
+    def counting_at_kappa(self, kappa):
         lifts.append(kappa)
-        return real_at_kappa(self, kappa, verify)
+        return real_at_kappa(self, kappa)
 
     monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
     segre = SegreMapping(manifold_h)
@@ -271,7 +270,7 @@ def test_rank_profile_fixtures(all_fixture_manifolds):
         "c2": ((1, 2, 3, 3), 3),
     }
     for name, manifold in all_fixture_manifolds.items():
-        profile = rank_profile(manifold)
+        profile = rank_profile(SegreMapping(manifold))
         ranks, k0 = expected[name]
         assert profile.ranks == ranks, name
         assert profile.k0 == k0, name
@@ -281,7 +280,7 @@ def test_rank_profile_fixtures(all_fixture_manifolds):
 
 def test_rank_profile_levi_flat_n9():
     spec = ManifoldSpec(N=9, d=1, form="graph", expressions=("ta1",))
-    profile = rank_profile(load_manifold(spec, 8))
+    profile = rank_profile(SegreMapping(load_manifold(spec, 8)))
     assert profile.ranks == (8, 8, 8)
     assert profile.k0 == 1
     assert profile.stable
@@ -289,7 +288,7 @@ def test_rank_profile_levi_flat_n9():
 
 def test_rank_profile_rejects_small_jmax(manifold_h):
     with pytest.raises(ValueError):
-        rank_profile(manifold_h, J_max=2)
+        rank_profile(SegreMapping(manifold_h), J_max=2)
 
 
 def test_rank_profile_random_manifolds_obey_the_laws():
@@ -300,7 +299,7 @@ def test_rank_profile_random_manifolds_obey_the_laws():
         manifold = (
             random_rigid_manifold(rng) if index % 2 == 0 else random_real_rho_manifold(rng)
         )
-        profile = rank_profile(manifold, options=options)
+        profile = rank_profile(SegreMapping(manifold), options=options)
         assert profile.ranks[0] == manifold.n
         assert profile.k0 <= manifold.d + 1
 
@@ -309,7 +308,7 @@ def test_rank_profile_escalation_on_random_rigid_manifolds():
     rng = random.Random(43)
     for _ in range(3):
         manifold = random_rigid_manifold(rng)
-        profile = rank_profile(manifold)
+        profile = rank_profile(SegreMapping(manifold))
         assert profile.k0 <= manifold.d + 1
         assert all(cert.kappa_used >= manifold.kappa for cert in profile.certificates)
 
@@ -320,7 +319,7 @@ def test_rank_profile_escalation_on_random_rigid_manifolds():
 
 
 def test_rank_along_mirror_locus_h(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     v4 = gamma.v(4)
     # locus (t1, t2, t3, t4) = (s1, s2, s1, 0)
     locus = FormalMap(
@@ -343,7 +342,7 @@ def test_rank_along_mirror_locus_h(manifold_h):
 
 
 def test_rank_along_identity_locus(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     v2 = gamma.v(2)
     cert = rank_along(v2, FormalMap.identity(2, 8))
     assert cert.rank == generic_rank(jacobian(v2)).rank
@@ -351,7 +350,7 @@ def test_rank_along_identity_locus(manifold_h):
 
 def test_rank_along_zero_locus_gives_rank_at_origin(all_fixture_manifolds):
     for manifold in all_fixture_manifolds.values():
-        gamma = make_gamma(manifold)
+        gamma = SegreMapping(manifold)
         v2 = gamma.v(2)
         zero_locus = FormalMap(
             [TruncatedSeries.zero(2 * manifold.n, 8) for _ in range(2 * manifold.n)],
@@ -361,7 +360,7 @@ def test_rank_along_zero_locus_gives_rank_at_origin(all_fixture_manifolds):
 
 
 def test_rank_along_rejects_bad_locus(manifold_h):
-    gamma = make_gamma(manifold_h)
+    gamma = SegreMapping(manifold_h)
     with pytest.raises(ValueError):
         rank_along(gamma.v(2), FormalMap.identity(3, 8))
     bad = FormalMap(
@@ -391,7 +390,6 @@ def test_line_jacobians_equal_the_multivariate_route(name, k0):
     # the run's order; on every order a certificate reads, their lines must
     # equal the multivariate Jacobians, built from the manifold rebuilt at that
     # order and restricted to the same line, term for term
-    from segre.maps import SegreMapping
     from segre.orbit import _mirror_lines
     from segre.rank import _on_line, _order, phi_lines, theta_lines
 
@@ -425,7 +423,6 @@ def test_line_jacobians_equal_the_multivariate_route(name, k0):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3))
 def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
     # random real rho manifolds (d <= 2) on random lines, zero coordinates included
-    from segre.maps import SegreMapping
     from segre.series import on_line
 
     from oracles import line_jacobian
