@@ -7,7 +7,7 @@ stabilization, computes the CR orbit data through two independent routes
 identities exactly over the Gaussian rationals.
 """
 
-from .config import DEFAULT_SEED, RankOptions, RunConfig
+from .config import DEFAULT_SEED, RunConfig
 from .coords import Dims
 from .errors import (
     ConfigError,

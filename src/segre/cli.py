@@ -92,14 +92,17 @@ def _config_from_args(args) -> RunConfig:
             seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"SEGRE_SEED must be an integer, got {env_seed!r}") from None
-    return RunConfig(
+    config = RunConfig(
         kappa=args.kappa,
         J_max=args.jmax,
         bracket_depth=args.depth,
         degree_bound=args.degree,
         seed=seed,
-        jobs=args.jobs,
     )
+    # --jobs is accepted and checked, and changes nothing in a run
+    if args.jobs < 1:
+        raise ConfigError("jobs must be positive")
+    return config
 
 
 def _load(args, config: RunConfig) -> GenericManifold:
@@ -124,7 +127,6 @@ def _emit_json(payload: dict) -> None:
 
 
 def _config_json(config: RunConfig, manifold: GenericManifold) -> dict:
-    # jobs is an execution hint, not part of the report identity
     return {
         "kappa": config.kappa,
         "jmax": config.resolve_jmax(manifold.d),
@@ -205,7 +207,7 @@ def _rank_table(manifold: GenericManifold, profile) -> List[str]:
 def cmd_rank(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
-    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.rank_options())
+    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     if args.json:
         _emit_json(
             {
@@ -225,7 +227,7 @@ def cmd_rank(args) -> int:
 def cmd_finite_type(args) -> int:
     config = _config_from_args(args)
     manifold = _load(args, config)
-    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.rank_options())
+    profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
     finite_lie = lie.finite_type()
     finite_segre = profile.rank_at_k0 == manifold.N
@@ -259,7 +261,7 @@ def cmd_orbit(args) -> int:
     manifold = _load(args, config)
     check_kernel_caps([manifold.N], config.resolve_degree())
     segre = SegreMapping(manifold)
-    profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.rank_options())
+    profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
     orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
     if args.json:

@@ -1,4 +1,8 @@
-"""Run configuration shared by the engine and the command-line frontend."""
+"""The settings a command takes from its options, each default decided here.
+
+The rank certificates' constants (lines per certificate, value bound, order
+ladder) live in ``rank``; a run chooses only their seed.
+"""
 
 from __future__ import annotations
 
@@ -8,26 +12,6 @@ from .errors import ConfigError
 from .record import Record
 
 DEFAULT_SEED = 0x5E62E
-
-
-class RankOptions(Record):
-    """Knobs of the random-line rank certificates and the escalation policy.
-
-    Each certificate draws ``trials`` lines x = eps * x0 with nonzero integer
-    coordinates in [-value_bound, value_bound]; a line misses a larger
-    minor with probability at most K / (2 * value_bound) at order K.  The
-    order is escalated ``escalations`` times by ``escalation_step``.
-    """
-
-    seed: int = DEFAULT_SEED
-    trials: int = 3
-    value_bound: int = 1 << 16
-    escalation_step: int = 4
-    escalations: int = 2
-
-    def __post_init__(self):
-        if self.trials < 1 or self.value_bound < 1:
-            raise ConfigError("a rank certificate needs at least one line and value_bound >= 1")
 
 
 class RunConfig(Record):
@@ -40,8 +24,6 @@ class RunConfig(Record):
     bracket_depth: Optional[int] = None
     degree_bound: Optional[int] = None
     seed: int = DEFAULT_SEED
-    jobs: int = 1
-    pushforward_samples: int = 20
 
     def __post_init__(self):
         if self.kappa < 2:
@@ -52,8 +34,6 @@ class RunConfig(Record):
             raise ConfigError("bracket depth must be at least 1")
         if self.degree_bound is not None and not 1 <= self.degree_bound <= self.kappa // 2:
             raise ConfigError(f"degree bound must lie in 1..kappa/2 = {self.kappa // 2}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be positive")
 
     def resolve_jmax(self, d: int) -> int:
         return self.J_max if self.J_max is not None else d + 2
@@ -65,6 +45,3 @@ class RunConfig(Record):
         if self.degree_bound is not None:
             return self.degree_bound
         return min(4, self.kappa // 2)
-
-    def rank_options(self) -> RankOptions:
-        return RankOptions(seed=self.seed)

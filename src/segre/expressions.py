@@ -303,12 +303,6 @@ class ManifoldSpec(Record):
             raise ManifoldError(f"cannot read manifold file {path}: {exc}") from exc
         return ManifoldSpec.from_json(data)
 
-    def to_json(self) -> dict:
-        data = {"N": self.N, "d": self.d, "form": self.form, "expressions": list(self.expressions)}
-        if self.split is not None:
-            data["split"] = list(self.split)
-        return data
-
 
 class GenericManifold(Record):
     """A loaded formal generic manifold in solved graph coordinates.

@@ -164,14 +164,13 @@ class LieHullReport(Record):
     bracket_depth_used: int
     basis_witnesses: Tuple[Tuple[str, Tuple[GaussianRational, ...]], ...]
     stable: bool
-    depth_capped: bool
     cap: int
 
     def finite_type(self) -> bool:
         return self.dim_g0 == self.cap
 
 
-def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: Optional[int] = None) -> LieHullReport:
+def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int) -> LieHullReport:
     """Breadth-first closure over left-normed bracket words of ``basis``, the
     manifold's ``cr_basis``.
 
@@ -182,13 +181,9 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: Opt
     """
     dims = manifold.dims
     cap = 2 * dims.N - dims.d
-    depth_supported = manifold.kappa
-    if max_depth is None:
-        max_depth = manifold.kappa
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    depth_capped = max_depth > depth_supported
-    depth = min(max_depth, depth_supported)
+    depth = min(max_depth, manifold.kappa)
 
     fields_l, fields_lt = basis
     generators = [(f"L{j + 1}", f) for j, f in enumerate(fields_l)]
@@ -263,6 +258,5 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: Opt
         bracket_depth_used=depth_used,
         basis_witnesses=tuple(witnesses),
         stable=stable,
-        depth_capped=depth_capped,
         cap=cap,
     )

@@ -48,8 +48,6 @@ class SegreMapping:
     order L is read on lines (``on_line``) from them and rho at L.
     """
 
-    convention = "graph-special"
-
     def __init__(self, manifold: GenericManifold):
         dims = manifold.dims
         self.dims = dims

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .config import RankOptions, RunConfig
+from .config import RunConfig
 from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold, manifold_from_rho_series
@@ -30,6 +30,7 @@ from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
 from .maps import SegreMapping, iterate, make_T, pushforward_residuals
 from .rank import (
+    ORDER_LADDER,
     Lines,
     RankCertificate,
     RankProfile,
@@ -155,23 +156,21 @@ class OrbitReport(Record):
 def orbit_annihilator(
     segre: SegreMapping,
     profile: RankProfile,
-    degree_bound: Optional[int] = None,
-    lie_dim: Optional[int] = None,
+    degree_bound: int,
+    lie_dim: Optional[int],
 ) -> OrbitReport:
     """Annihilator generators of the stabilized iterate of the run's mapping, with cross-checks.
 
     Solves the exact linear system "f composed with v^(k0) vanishes modulo
     the truncation order" over polynomials f(Z) of degree between 1 and the
     bound, picks generators with independent linear parts, and cross-checks
-    their count e against N - Rk v^(k0) (and, when supplied, against the
-    Lie-hull value 2N - d - dim).  On a mismatch the degree bound is
+    their count e against N - Rk v^(k0) (and, unless ``lie_dim`` is None,
+    against the Lie-hull value 2N - d - dim).  On a mismatch the degree bound is
     escalated once (by 2, capped at kappa/2) and the computation retried;
     a persistent mismatch raises InconclusiveError carrying both numbers:
     either the bound is still too small or a truncation artifact slipped
     in, and neither should be silently trusted.
     """
-    if degree_bound is None:
-        degree_bound = min(4, segre.kappa // 2)
     try:
         return _orbit_annihilator_at(segre, profile, degree_bound, lie_dim)
     except InconclusiveError:
@@ -282,8 +281,6 @@ class OrbitIdealReport(Record):
     linear_rank: int
     expected_codim: int
     codimension_ok: bool
-    rho_in_kernel: bool
-    annihilators_in_kernel: bool
     sigma_closed: bool
 
 
@@ -296,21 +293,21 @@ def orbit_ideal_in_M(
     segre: SegreMapping,
     k0: int,
     orbit: OrbitReport,
-    degree_bound: Optional[int] = None,
+    degree_bound: int,
 ) -> OrbitIdealReport:
     """Generators of the orbit ideal modulo truncation, via the phi annihilator of the run's mapping.
 
-    Verifies that the defining functions and the Z-only annihilators lie in
-    the kernel (one composition with phi), that the kernel's linear part has
-    the expected codimension d + e, and that the kernel is closed under the
-    conjugation involution, reality of the orbit ideal (each sigma(g) reduces
-    to 0 against the kernel basis).  A short linear part with the degree
-    bound below the degree of the defining functions raises
-    InconclusiveError.
+    The defining functions and the Z-only annihilators lie in the kernel by
+    the checks that built its inputs: ``make_phi`` composes rho with phi, and
+    ``orbit_annihilator`` the annihilators with v^(k0), the first block of
+    phi^(k0+1); each raises when its identity fails.  Verifies that the
+    kernel's linear part has the expected codimension d + e, and that the
+    kernel is closed under the conjugation involution, reality of the orbit
+    ideal (each sigma(g) reduces to 0 against the kernel basis).  A short
+    linear part with the degree bound below the degree of the defining
+    functions raises InconclusiveError.
     """
     manifold, dims, kappa = segre.manifold, segre.dims, segre.kappa
-    if degree_bound is None:
-        degree_bound = min(4, kappa // 2)
     phi = segre.phi(k0 + 1)
     generators, _, linear_rank = _kernel_series(
         list(phi.components), dims.ambient_arity, degree_bound, kappa
@@ -325,12 +322,6 @@ def orbit_ideal_in_M(
             f"{degree_bound} is below the degree {rho_degree} of the defining functions"
         )
 
-    # one composition shares its monomial memo across both membership checks
-    rho = [manifold.rho.component(j) for j in range(dims.d)]
-    ambient = [g.map_vars(dims.ambient_arity, dims.z_to_ambient()) for g in orbit.f_generators]
-    zero = [image.is_zero() for image in compose_many(rho + ambient, FormalMap(phi.components))]
-    rho_ok = all(zero[: len(rho)])
-    ann_ok = all(zero[len(rho) :])
     # sigma keeps degrees, so sigma(g) composes to 0 exactly when it lies in the
     # kernel; its basis is already reduced, so each row is stored as it is
     basis = linalg.Echelon()
@@ -342,8 +333,6 @@ def orbit_ideal_in_M(
         linear_rank=linear_rank,
         expected_codim=expected,
         codimension_ok=codimension_ok,
-        rho_in_kernel=rho_ok,
-        annihilators_in_kernel=ann_ok,
         sigma_closed=sigma_ok,
     )
 
@@ -419,11 +408,7 @@ def _mirror_generators(dims: Dims, k0: int, kappa: int) -> List[TruncatedSeries]
     return gens
 
 
-def mirror_sigma(
-    segre: SegreMapping,
-    profile: RankProfile,
-    options: Optional[RankOptions] = None,
-) -> MirrorManifold:
+def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> MirrorManifold:
     """Construct the mirror locus of the run's mapping and verify both of its defining properties.
 
     (a) the doubled iterate composes to zero along the parametrization, and
@@ -452,7 +437,7 @@ def mirror_sigma(
     cert = generic_rank(
         builder=lambda level: _mirror_lines(segre, k0, level),
         kappa=kappa,
-        options=options,
+        seed=seed,
     )
     return MirrorManifold(
         k0=k0,
@@ -499,6 +484,10 @@ class VerificationReport(Record):
         return [name for name, check in self.checks.items() if not check.passed]
 
 
+# the random test functions of the pushforward check
+PUSHFORWARD_SAMPLES = 20
+
+
 def _random_ambient_polynomial(dims: Dims, kappa: int, rng: random.Random) -> TruncatedSeries:
     """A sparse random polynomial test function on the ambient ring."""
     arity = dims.ambient_arity
@@ -514,16 +503,14 @@ def _random_ambient_polynomial(dims: Dims, kappa: int, rng: random.Random) -> Tr
     return TruncatedSeries(arity, kappa, terms)
 
 
-def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) -> VerificationReport:
+def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationReport:
     """Run the whole battery and report pass/fail per named claim.
 
     Finite type must agree between the bracket route and the rank route;
     every identity is tested as an exact series statement at the working
     truncation order.
     """
-    config = config or RunConfig(kappa=manifold.kappa)
     dims = manifold.dims
-    options = config.rank_options()
     checks: Dict[str, CheckResult] = {}
 
     def record(name: str, passed: bool, witness: str = ""):
@@ -532,7 +519,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     # the annihilator kernel searches N variables, the orbit ideal 2N
     check_kernel_caps([dims.N, dims.ambient_arity], config.resolve_degree())
     segre = SegreMapping(manifold)
-    profile = rank_profile(segre, config.resolve_jmax(dims.d), options)
+    profile = rank_profile(segre, config.resolve_jmax(dims.d), config.seed)
     k0 = profile.k0
     ranks_text = ", ".join(str(r) for r in profile.ranks)
     record("rank_monotone", True, f"ranks = ({ranks_text})")
@@ -571,7 +558,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
     theta_ranks: Dict[int, int] = {}
     # the escalated orders skip the load gate: reality at the top one holds
     # below it and implies the identities of phi^j
-    top = manifold.kappa + options.escalations * options.escalation_step
+    top = manifold.kappa + ORDER_LADDER[-1]
     high = segre.at_order(top)
     ok, witness = check_reality(high.graph, high.rho)
     if not ok:
@@ -583,12 +570,12 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         theta_cert = generic_rank(
             builder=lambda level, j=j: theta_lines(segre, j, level),
             kappa=manifold.kappa,
-            options=options,
+            seed=config.seed,
         )
         phi_cert = generic_rank(
             builder=lambda level, j=j: phi_lines(segre, j, level),
             kappa=manifold.kappa,
-            options=options,
+            seed=config.seed,
         )
         theta_ranks[j] = theta_cert.rank
         expected_theta = profile.rank_at(j) + dims.n
@@ -603,11 +590,11 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
 
     failures = []
     rng = random.Random(config.seed * 7919 + 17)
-    samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(config.pushforward_samples)]
+    samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(PUSHFORWARD_SAMPLES)]
     pairs = [segre.theta_phi(j) for j in range(0, k0 + 1)]
     for j, per_sample in enumerate(pushforward_residuals(segre, pairs, *basis, samples)):
         failures += [(s, j) for s, residuals in enumerate(per_sample) if any(residuals)]
-    push_note = f"{config.pushforward_samples} random test functions"
+    push_note = f"{PUSHFORWARD_SAMPLES} random test functions"
     if failures:  # the first failure in sample-major order
         push_note = "sample {}, j={}".format(*min(failures))
     record("pushforward", not failures, push_note)
@@ -624,11 +611,8 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         checks[check.name] = check
 
     ideal = orbit_ideal_in_M(segre, k0, orbit, config.resolve_degree())
-    record(
-        "orbit_ideal_membership",
-        ideal.rho_in_kernel and ideal.annihilators_in_kernel,
-        "defining functions and annihilators kill phi",
-    )
+    # make_phi and orbit_annihilator raise when either membership fails
+    record("orbit_ideal_membership", True, "defining functions and annihilators kill phi")
     record(
         "orbit_ideal_codimension",
         ideal.codimension_ok,
@@ -661,7 +645,7 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
         f"Rk v^k0 = {profile.rank_at_k0}, dim g(0) + d - N = {lie.dim_g0 + dims.d - dims.N}",
     )
 
-    mirror = mirror_sigma(segre, profile, options)
+    mirror = mirror_sigma(segre, profile, config.seed)
     record(
         "mirror_annihilation",
         mirror.annihilates,
@@ -695,17 +679,16 @@ def verify_all(manifold: GenericManifold, config: Optional[RunConfig] = None) ->
 def linear_coordinate_change(
     manifold: GenericManifold,
     matrix: Sequence[Sequence[GaussianRational]],
-    kappa_master: Optional[int] = None,
 ) -> GenericManifold:
     """The same manifold, defined in new coordinates Z' = A Z.
 
-    The defining functions are pulled back through the inverse linear map
-    (with the conjugate matrix acting on the conjugate block) and reloaded
-    through the rho route, so the coordinate split is re-derived.
+    The defining functions, at the top order of the rank certificates'
+    ORDER_LADDER, are pulled back through the inverse linear map (with the
+    conjugate matrix acting on the conjugate block) and reloaded through the
+    rho route, so the coordinate split is re-derived.
     """
     dims = manifold.dims
-    if kappa_master is None:
-        kappa_master = manifold.kappa + 8
+    kappa_master = manifold.kappa + ORDER_LADDER[-1]
     inverse = linalg.invert(matrix)
     high = manifold.at_kappa(kappa_master)
 

@@ -6,9 +6,10 @@ x = eps * x0, which map series modulo degree > K (K the smallest entry
 order) onto Q(i)[eps]/(eps^(K+1)); a minor nonzero on a line is nonzero as
 a series, so the lower bound is exact.  Only tightness is randomized: by the
 Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
-minor with probability at most K / (2 * value_bound).  Because a minor could
-first become nonzero beyond the truncation order, the rank is also
-recomputed with the order escalated twice, and ``stable`` records that
+minor with probability at most K / (2 * VALUE_BOUND), and each certificate
+draws up to TRIALS lines.  Because a minor could first become nonzero
+beyond the truncation order, the rank is recomputed at every order of
+ORDER_LADDER (kappa, kappa + 4, kappa + 8), and ``stable`` records that
 nothing moved.
 
 A matrix is read only on lines (``Lines``): a given one by evaluation
@@ -23,13 +24,18 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .config import RankOptions
 from .errors import InternalConsistencyError
 from .maps import Matrix, SegreMapping
 from .record import Record
 from .series import GaussianRational, TruncatedSeries, on_line
 
 Pivot = Tuple[int, int, int, GaussianRational]
+
+# lines per certificate, and the bound on their integer coordinates
+TRIALS = 3
+VALUE_BOUND = 1 << 16
+# every rank is certified at the working order kappa plus each of these
+ORDER_LADDER = (0, 4, 8)
 
 
 class RankCertificate(Record):
@@ -38,8 +44,8 @@ class RankCertificate(Record):
     On the line x = eps * ``line_point``, modulo eps^(K+1), the minor on
     ``minor_rows`` x ``minor_cols`` has lowest term ``witness_value`` *
     eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
-    larger minor was missed at ``kappa_used``: (K / (2 value_bound))^trials,
-    or 0 when none exists.  ``stable``: two order escalations changed nothing.
+    larger minor was missed at ``kappa_used``: (K / (2 VALUE_BOUND))^TRIALS,
+    or 0 when none exists.  ``stable``: no order of ORDER_LADDER changed it.
     """
 
     rank: int
@@ -204,15 +210,15 @@ def _witness(pivots: List[Pivot]) -> Tuple[int, GaussianRational]:
     return sum(valuations), value
 
 
-def _certified_rank(matrix: Lines, options: RankOptions, rng: random.Random, level: int) -> RankCertificate:
-    """The most pivots over ``options.trials`` random lines, with their certificate."""
+def _certified_rank(matrix: Lines, rng: random.Random, level: int) -> RankCertificate:
+    """The most pivots over TRIALS random lines, with their certificate."""
     if not matrix.rows or not matrix.cols:
         return RankCertificate(0, (), (), (), None, None, Fraction(0), level, True)
     order = matrix.order
     full = min(matrix.rows, matrix.cols)
     best: Optional[Tuple[Tuple[int, ...], List[Pivot]]] = None
-    for _ in range(options.trials):
-        point = tuple(rng.choice((-1, 1)) * rng.randint(1, options.value_bound) for _ in range(matrix.arity))
+    for _ in range(TRIALS):
+        point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(matrix.arity))
         pivots = _eliminate(matrix.at(point))
         if best is None or len(pivots) > len(best[1]):
             best = (point, pivots)
@@ -220,7 +226,7 @@ def _certified_rank(matrix: Lines, options: RankOptions, rng: random.Random, lev
             break
     point, pivots = best
     exponent, value = _witness(pivots) if pivots else (None, None)
-    error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * options.value_bound) ** options.trials
+    error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * VALUE_BOUND) ** TRIALS
     rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
     return RankCertificate(len(pivots), rows, cols, point, exponent, value, error, level, True)
 
@@ -239,20 +245,20 @@ def generic_rank(
     *,
     builder: Optional[Callable[[int], Matrix]] = None,
     kappa: Optional[int] = None,
-    options: Optional[RankOptions] = None,
+    seed: int,
 ) -> RankCertificate:
-    """Certified generic rank with two truncation-order escalations.
+    """Certified generic rank at every order of ORDER_LADDER.
 
     ``builder(kappa)`` must return the matrix at that order, or its
     ``Lines``, with higher orders refining lower ones.  The orders are built
-    top-down, kappa + 8 first, each certified with its own seeded line
-    generator, and the certificates are then compared in ascending order
-    (so ``SegreMapping.at_order`` rebuilds only the top order).  When
+    top-down, the top of the ladder first, each certified with its own line
+    generator seeded from ``seed``, and the certificates are then compared
+    in ascending order (so ``SegreMapping.at_order`` rebuilds only the top
+    order).  When
     only a plain matrix is given, its entries are treated as exact
     polynomial data, which holds for every matrix this engine constructs
     from parsed polynomial input.
     """
-    options = options or RankOptions()
     if builder is None:
         if matrix is None:
             raise ValueError("need a matrix or a builder")
@@ -262,13 +268,12 @@ def generic_rank(
     if kappa is None:
         raise ValueError("builder form needs an explicit base truncation order")
 
-    levels = [kappa + step * options.escalation_step for step in range(options.escalations + 1)]
     certificates = []
     # the top order first, so that every lower one can be cut from what it built
-    for level in reversed(levels):
+    for level in reversed([kappa + step for step in ORDER_LADDER]):
         built = builder(level)
         built = built if isinstance(built, Lines) else lines(built)
-        certificates.insert(0, _certified_rank(built, options, random.Random(options.seed * 1000003 + level), level))
+        certificates.insert(0, _certified_rank(built, random.Random(seed * 1000003 + level), level))
 
     ranks = [cert.rank for cert in certificates]
     if any(b < a for a, b in zip(ranks, ranks[1:])):
@@ -297,11 +302,7 @@ class RankProfile(Record):
         return self.ranks[self.k0 - 1]
 
 
-def rank_profile(
-    segre: SegreMapping,
-    J_max: Optional[int] = None,
-    options: Optional[RankOptions] = None,
-) -> RankProfile:
+def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     """Certified ranks of v^1 .. v^J with detection of the stabilization index.
 
     Requires J_max >= d + 2 so the first repeated value is observable; the
@@ -313,8 +314,6 @@ def rank_profile(
     line evaluations.
     """
     dims = segre.dims
-    if J_max is None:
-        J_max = dims.d + 2
     if J_max < dims.d + 2:
         raise ValueError(f"J_max must be at least d + 2 = {dims.d + 2}")
 
@@ -324,7 +323,7 @@ def rank_profile(
             generic_rank(
                 builder=lambda level, j=j: iterate_lines(segre, j, level),
                 kappa=segre.kappa,
-                options=options,
+                seed=seed,
             )
         )
     ranks = tuple(cert.rank for cert in certificates)

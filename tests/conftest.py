@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,10 +13,13 @@ from hypothesis import settings
 from segre import (
     Dims,
     GaussianRational,
+    RunConfig,
     TruncatedSeries,
     load_manifold_file,
     manifold_from_graph_series,
     manifold_from_rho_series,
+    rank,
+    rank_profile,
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "segre" / "fixtures"
@@ -27,6 +31,21 @@ settings.load_profile("segre")
 
 def load_fixture(name: str, kappa: int = 8):
     return load_manifold_file(FIXTURE_DIR / f"{name}.json", kappa)
+
+
+def default_profile(segre):
+    """The rank profile of the run's mapping with every option at its default."""
+    config = RunConfig(kappa=segre.kappa)
+    return rank_profile(segre, config.resolve_jmax(segre.dims.d), config.seed)
+
+
+@contextlib.contextmanager
+def working_order_only():
+    """Certify every rank at the working order alone, without the escalated
+    orders: the law and invariance tests compare ranks, not their stability."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rank, "ORDER_LADDER", (0,))
+        yield
 
 
 @pytest.fixture(scope="session")

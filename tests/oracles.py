@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from segre import generic_rank, jacobian, linalg
+from segre import DEFAULT_SEED, generic_rank, jacobian, linalg
 from segre.maps import SegreMapping, make_theta_phi
 from segre.orbit import _mirror_parametrization
 from segre.rank import _on_line
@@ -329,7 +329,7 @@ def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedS
     return [[next(images) for _ in row] for row in rows]
 
 
-def rank_along(mapping: FormalMap, locus: FormalMap, options=None):
+def rank_along(mapping: FormalMap, locus: FormalMap):
     """Generic rank of the Jacobian composed with a parametrized locus.
 
     The locus must map its parameters into the mapping's source with zero
@@ -341,4 +341,4 @@ def rank_along(mapping: FormalMap, locus: FormalMap, options=None):
     for component in locus.components:
         if component.constant_term():
             raise ValueError("locus components must vanish at the origin")
-    return generic_rank(jacobian_along(mapping, locus), options=options)
+    return generic_rank(jacobian_along(mapping, locus), seed=DEFAULT_SEED)

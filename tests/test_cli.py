@@ -299,8 +299,8 @@ def test_check_failure_exit_code(monkeypatch, capsys):
 def test_unstable_rank_exit_code(monkeypatch, capsys):
     from segre import rank_profile as real_rank_profile
 
-    def unstable(segre, J_max=None, options=None):
-        profile = real_rank_profile(segre, J_max, options)
+    def unstable(segre, J_max, seed):
+        profile = real_rank_profile(segre, J_max, seed)
         certs = tuple(cert.replace(stable=False) for cert in profile.certificates)
         return profile.replace(certificates=certs, stable=False)
 

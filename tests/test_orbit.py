@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from segre import (
+    DEFAULT_SEED,
     GaussianRational,
     InconclusiveError,
     ManifoldSpec,
@@ -24,14 +25,13 @@ from segre import (
     mirror_sigma,
     orbit_annihilator,
     orbit_ideal_in_M,
-    rank_profile,
     verify_all,
 )
 
 from segre import orbit
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
-from conftest import load_fixture, random_rigid_manifold
+from conftest import default_profile, load_fixture, random_rigid_manifold, working_order_only
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,8 @@ def curved_w_manifold():
 
 def test_orbit_annihilator_flat(manifold_flat):
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
     assert report.e == 1
     assert report.dim_O == 2
     assert len(report.f_generators) == 1
@@ -60,8 +60,8 @@ def test_orbit_annihilator_flat(manifold_flat):
 
 def test_orbit_annihilator_h(manifold_h):
     segre = SegreMapping(manifold_h)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
     assert report.e == 0
     assert report.f_generators == ()
     assert report.dim_O == 3
@@ -69,17 +69,17 @@ def test_orbit_annihilator_h(manifold_h):
 
 def test_orbit_annihilator_c2(manifold_c2):
     segre = SegreMapping(manifold_c2)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
     assert report.e == 0
     assert report.dim_O == 4
 
 
 def test_orbit_annihilator_curved_w(curved_w_manifold):
     segre = SegreMapping(curved_w_manifold)
-    profile = rank_profile(segre)
+    profile = default_profile(segre)
     assert profile.ranks == (1, 1, 1)
-    report = orbit_annihilator(segre, profile)
+    report = orbit_annihilator(segre, profile, 4, None)
     assert report.e == 1
     # the canonical generator is w - i z^2
     (f,) = report.f_generators
@@ -89,8 +89,8 @@ def test_orbit_annihilator_curved_w(curved_w_manifold):
 def test_orbit_annihilator_escalates_degree_bound_once(curved_w_manifold):
     # at degree 1 the kernel misses w - i z^2; one escalation (to 3) finds it
     segre = SegreMapping(curved_w_manifold)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile, degree_bound=1)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 1, None)
     assert report.e == 1
     assert "degree_escalated" in report.checks
 
@@ -101,30 +101,30 @@ def test_orbit_annihilator_inconclusive_when_degree_too_small():
     spec = ManifoldSpec(2, 1, "graph", ("ta1 + i*z1^4 + i*ch1^4",))
     manifold = load_manifold(spec, 8)
     segre = SegreMapping(manifold)
-    profile = rank_profile(segre)
+    profile = default_profile(segre)
     assert profile.ranks == (1, 1, 1)
     with pytest.raises(InconclusiveError):
-        orbit_annihilator(segre, profile, degree_bound=1)
-    report = orbit_annihilator(segre, profile)
+        orbit_annihilator(segre, profile, 1, None)
+    report = orbit_annihilator(segre, profile, 4, None)
     (f,) = report.f_generators
     assert f.terms == {(0, 1): gauss(1), (4, 0): gauss(0, -1)}
 
 
 def test_orbit_annihilator_cross_checks_lie_dimension(manifold_flat):
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    lie = lie_hull_dimension(manifold_flat, cr_basis(manifold_flat))
-    report = orbit_annihilator(segre, profile, lie_dim=lie.dim_g0)
+    profile = default_profile(segre)
+    lie = lie_hull_dimension(manifold_flat, cr_basis(manifold_flat), 8)
+    report = orbit_annihilator(segre, profile, 4, lie.dim_g0)
     assert "orbit_count_vs_lie" in report.checks
     with pytest.raises(InconclusiveError):
-        orbit_annihilator(segre, profile, lie_dim=lie.dim_g0 + 1)
+        orbit_annihilator(segre, profile, 4, lie.dim_g0 + 1)
 
 
 def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):
     segre = SegreMapping(manifold_h)
-    profile = rank_profile(segre)
+    profile = default_profile(segre)
     with pytest.raises(ValueError):
-        orbit_annihilator(segre, profile, degree_bound=5)
+        orbit_annihilator(segre, profile, 5, None)
 
 
 def test_monomial_enumeration_is_capped_before_it_starts():
@@ -146,7 +146,7 @@ def test_verify_levi_flat_n12():
     # kernel took most of a minute while Echelon.reduce probed every stored
     # pivot for every column, and takes seconds with the pivot heap
     spec = ManifoldSpec(N=12, d=1, form="graph", expressions=("ta1",))
-    report = verify_all(load_manifold(spec, 8))
+    report = verify_all(load_manifold(spec, 8), RunConfig())
     assert report.passed, report.failed_checks()
     assert report.profile.ranks == (11, 11, 11) and report.profile.k0 == 1
     assert report.lie.dim_g0 == 22
@@ -175,7 +175,7 @@ def test_verify_leaves_no_cyclic_garbage():
     try:
         gc.garbage.clear()
         for manifold in manifolds:
-            verify_all(manifold)
+            verify_all(manifold, RunConfig())
         compose_many([outer, outer.truncate(4)], FormalMap([h1, h2]))
         gc.collect()
         garbage = [type(obj).__name__ for obj in gc.garbage]
@@ -192,13 +192,11 @@ def test_verify_leaves_no_cyclic_garbage():
 
 def test_orbit_ideal_flat(manifold_flat):
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    orbit = orbit_annihilator(segre, profile)
-    ideal = orbit_ideal_in_M(segre, profile.k0, orbit)
+    profile = default_profile(segre)
+    orbit = orbit_annihilator(segre, profile, 4, None)
+    ideal = orbit_ideal_in_M(segre, profile.k0, orbit, 4)
     assert ideal.codimension_ok
     assert ideal.linear_rank == 2  # d + e = 1 + 1
-    assert ideal.rho_in_kernel
-    assert ideal.annihilators_in_kernel
     assert ideal.sigma_closed
     # the kernel contains both w and ta at the linear level
     dims = manifold_flat.dims
@@ -214,9 +212,9 @@ def test_orbit_ideal_flat(manifold_flat):
 
 def test_orbit_ideal_h(manifold_h):
     segre = SegreMapping(manifold_h)
-    profile = rank_profile(segre)
-    orbit = orbit_annihilator(segre, profile)
-    ideal = orbit_ideal_in_M(segre, profile.k0, orbit)
+    profile = default_profile(segre)
+    orbit = orbit_annihilator(segre, profile, 4, None)
+    ideal = orbit_ideal_in_M(segre, profile.k0, orbit, 4)
     assert ideal.codimension_ok
     assert ideal.linear_rank == 1  # d + e = 1 + 0
     assert ideal.sigma_closed
@@ -229,10 +227,10 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
 
     segre = SegreMapping(manifold_h)
 
-    profile = rank_profile(segre)
-    orbit = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    orbit = orbit_annihilator(segre, profile, 4, None)
     with pytest.raises(InconclusiveError, match="degree bound 1 is below the degree 2"):
-        orbit_ideal_in_M(segre, profile.k0, orbit, degree_bound=1)
+        orbit_ideal_in_M(segre, profile.k0, orbit, 1)
     real_kernel = orbit_module._kernel_series
 
     def short(*args):
@@ -241,16 +239,17 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
 
     monkeypatch.setattr(orbit_module, "_kernel_series", short)
     for bound in (2, 4):
-        ideal = orbit_ideal_in_M(segre, profile.k0, orbit, degree_bound=bound)
+        ideal = orbit_ideal_in_M(segre, profile.k0, orbit, bound)
         assert ideal.linear_rank == 0 and not ideal.codimension_ok
 
 
 def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manifold_flat, monkeypatch):
-    # sigma-closure is a reduction against the kernel basis: the mirrored
-    # generators are never composed
+    # only the monomials are composed: sigma-closure is a reduction against
+    # the kernel basis, and rho and the annihilators were composed with phi
+    # and v^k0 by make_phi and orbit_annihilator, which raise on a failure
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
     assert report.e == 1
     calls = []
     real = orbit.compose_many
@@ -260,18 +259,18 @@ def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manif
         return real(outers, inner)
 
     monkeypatch.setattr(orbit, "compose_many", counting)
-    ideal = orbit_ideal_in_M(segre, profile.k0, report)
-    assert ideal.sigma_closed and ideal.rho_in_kernel and ideal.annihilators_in_kernel
-    # degree 1..4 in the 4 ambient variables, then d + e
-    assert calls == [math.comb(8, 4) - 1, 2]
+    ideal = orbit_ideal_in_M(segre, profile.k0, report, 4)
+    assert ideal.sigma_closed
+    # degree 1..4 in the 4 ambient variables
+    assert calls == [math.comb(8, 4) - 1]
 
 
 @pytest.mark.parametrize("c, closed", [(gauss(0, 1), True), (gauss(0, 2), False)], ids=["unit", "non-unit"])
 def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeypatch, c, closed):
     # sigma(z1 + c ch1) = ch1 + conj(c) z1 lies in the span of z1 + c ch1 exactly when |c| = 1
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    report = orbit_annihilator(segre, profile)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
     dims = manifold_flat.dims
     real_kernel = orbit._kernel_series
     arity = dims.ambient_arity
@@ -283,10 +282,10 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
         return basis, monomials, linear_rank
 
     monkeypatch.setattr(orbit, "_kernel_series", substituted)
-    ideal = orbit_ideal_in_M(segre, profile.k0, report)
+    ideal = orbit_ideal_in_M(segre, profile.k0, report, 4)
     assert ideal.generators == tuple(basis)
     assert ideal.sigma_closed is closed
-    assert ideal.rho_in_kernel and ideal.codimension_ok
+    assert ideal.codimension_ok
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +295,8 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
 
 def test_mirror_h(manifold_h):
     segre = SegreMapping(manifold_h)
-    profile = rank_profile(segre)
-    mirror = mirror_sigma(segre, profile)
+    profile = default_profile(segre)
+    mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.k0 == 2
     # parametrization (s1, s2) -> (s1, s2, s1, 0)
     comps = mirror.parametrization.components
@@ -312,8 +311,8 @@ def test_mirror_h(manifold_h):
 
 def test_mirror_flat(manifold_flat):
     segre = SegreMapping(manifold_flat)
-    profile = rank_profile(segre)
-    mirror = mirror_sigma(segre, profile)
+    profile = default_profile(segre)
+    mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.k0 == 1
     comps = mirror.parametrization.components
     assert comps[0].terms == {(1,): gauss(1)}
@@ -324,8 +323,8 @@ def test_mirror_flat(manifold_flat):
 
 def test_mirror_c2(manifold_c2):
     segre = SegreMapping(manifold_c2)
-    profile = rank_profile(segre)
-    mirror = mirror_sigma(segre, profile)
+    profile = default_profile(segre)
+    mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.k0 == 3
     assert mirror.annihilates
     assert mirror.rank_certificate.rank == 3 == mirror.expected_rank
@@ -333,8 +332,8 @@ def test_mirror_c2(manifold_c2):
 
 def test_mirror_l4(manifold_l4):
     segre = SegreMapping(manifold_l4)
-    profile = rank_profile(segre)
-    mirror = mirror_sigma(segre, profile)
+    profile = default_profile(segre)
+    mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.annihilates
     assert mirror.rank_certificate.rank == 2
 
@@ -352,7 +351,7 @@ def test_verify_all_fixtures(all_fixture_manifolds):
         "c2": dict(k0=3, dim_g0=4, e=0, finite=True),
     }
     for name, manifold in all_fixture_manifolds.items():
-        report = verify_all(manifold, RunConfig(pushforward_samples=5))
+        report = verify_all(manifold, RunConfig())
         want = expected[name]
         assert report.passed, (name, report.failed_checks())
         assert report.profile.k0 == want["k0"]
@@ -363,7 +362,7 @@ def test_verify_all_fixtures(all_fixture_manifolds):
 
 
 def test_verify_all_curved_w(curved_w_manifold):
-    report = verify_all(curved_w_manifold, RunConfig(pushforward_samples=5))
+    report = verify_all(curved_w_manifold, RunConfig())
     assert report.passed, report.failed_checks()
     assert report.orbit.e == 1
     assert not report.finite_type_lie
@@ -371,7 +370,7 @@ def test_verify_all_curved_w(curved_w_manifold):
 
 def test_central_identity_on_random_rigid_manifolds():
     rng = random.Random(99)
-    config = RunConfig(pushforward_samples=2)
+    config = RunConfig()
     for _ in range(4):
         manifold = random_rigid_manifold(rng)
         report = verify_all(manifold, config)
@@ -425,7 +424,7 @@ def random_levi_nondegenerate_manifold(rng):
 
 def test_central_identity_on_random_finite_type_manifolds():
     rng = random.Random(271)
-    config = RunConfig(pushforward_samples=2)
+    config = RunConfig()
     for _ in range(4):
         manifold = random_levi_nondegenerate_manifold(rng)
         report = verify_all(manifold, config)
@@ -498,7 +497,7 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         monkeypatch.setattr(module, "cr_basis", counting_cr_basis)
     for module in (series, maps, rank, orbit):
         monkeypatch.setattr(module, "jacobian", lambda *args: jacobians.append(args), raising=False)
-    report = verify_all(manifold_c2)
+    report = verify_all(manifold_c2, RunConfig())
     assert report.passed
     k0 = report.profile.k0
     # only the top order's graph is solved from the source; order 12 is its truncation
@@ -528,7 +527,7 @@ def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch)
         return real_check(graph, rho)
 
     monkeypatch.setattr(orbit, "check_reality", counting_check)
-    gated = verify_all(manifold_h)
+    gated = verify_all(manifold_h, RunConfig())
     # the base order is never re-checked; the top escalated order, solved
     # without the gate, is checked exactly once
     assert [graph.valid_order for graph in calls] == [16] and manifold_h.verified
@@ -536,7 +535,7 @@ def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch)
     ungated = load_manifold(ManifoldSpec.from_file(FIXTURE_DIR / "h.json"), 8, label="h", verify=False)
     assert not ungated.verified
     calls.clear()
-    report = verify_all(ungated)
+    report = verify_all(ungated, RunConfig())
     assert calls[0] is ungated.graph and [graph.valid_order for graph in calls] == [8, 16]
     assert report.checks["reality"] == gated.checks["reality"]
     assert report.checks["reality"].witness == "identity holds"
@@ -566,13 +565,11 @@ def random_invertible(rng, size):
 def test_rank_invariance_under_linear_coordinate_changes(manifold_h, manifold_c2):
     # rank values at the working order; escalation would re-solve the
     # transformed (non-rigid) graph at higher orders for no extra content
-    from segre import RankOptions
-
     rng = random.Random(7)
-    options = RankOptions(escalations=0)
-    for manifold in (manifold_h, manifold_c2):
-        base = rank_profile(SegreMapping(manifold), options=options)
-        for _ in range(3):
-            matrix = random_invertible(rng, manifold.N)
-            transformed = linear_coordinate_change(manifold, matrix)
-            assert rank_profile(SegreMapping(transformed), options=options).ranks == base.ranks
+    with working_order_only():
+        for manifold in (manifold_h, manifold_c2):
+            base = default_profile(SegreMapping(manifold))
+            for _ in range(3):
+                matrix = random_invertible(rng, manifold.N)
+                transformed = linear_coordinate_change(manifold, matrix)
+                assert default_profile(SegreMapping(transformed)).ranks == base.ranks

@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from segre import (
-    ConfigError,
+    DEFAULT_SEED,
     FormalMap,
-    RankOptions,
     SegreMapping,
     TruncatedSeries,
     gauss,
@@ -22,7 +21,7 @@ from segre import (
 )
 from segre.expressions import ManifoldSpec, load_manifold
 
-from conftest import random_real_rho_manifold, random_rigid_manifold
+from conftest import default_profile, random_real_rho_manifold, random_rigid_manifold, working_order_only
 from oracles import brute_force_rank, from_series, rank_along
 
 
@@ -84,7 +83,7 @@ def test_jacobian_constant_component_gives_zero_row():
 
 def test_generic_rank_h_v2(manifold_h):
     gamma = SegreMapping(manifold_h)
-    cert = generic_rank(jacobian(gamma.v(2)))
+    cert = generic_rank(jacobian(gamma.v(2)), seed=DEFAULT_SEED)
     assert cert.rank == 2
     assert cert.stable
     # the full 2x2 minor has determinant -2i t2
@@ -95,7 +94,7 @@ def test_generic_rank_h_v2(manifold_h):
 
 def test_generic_rank_zero_matrix():
     matrix = [[TruncatedSeries.zero(2, 5) for _ in range(3)] for _ in range(2)]
-    cert = generic_rank(matrix)
+    cert = generic_rank(matrix, seed=DEFAULT_SEED)
     assert cert.rank == 0
     assert cert.stable
     assert cert.witness_exponent is None
@@ -106,7 +105,7 @@ def test_generic_rank_l4_v2(manifold_l4):
     matrix = jacobian(gamma.v(2))
     # rows (0, 1) and (4i t1 t2^2, 4i t1^2 t2) by hand
     assert matrix[1][0].terms == {(1, 2): gauss(0, 4)}
-    cert = generic_rank(matrix)
+    cert = generic_rank(matrix, seed=DEFAULT_SEED)
     assert cert.rank == 2
     det = minor_determinant(matrix, (0, 1), (0, 1))
     assert det.terms == {(1, 2): gauss(0, -4)}
@@ -119,7 +118,7 @@ def test_generic_rank_matches_brute_force_oracle():
         n_cols = rng.randint(1, 4)
         matrix = random_poly_matrix(rng, n_rows, n_cols)
         dense = [[from_series(e) for e in row] for row in matrix]
-        assert generic_rank(matrix).rank == brute_force_rank(dense)
+        assert generic_rank(matrix, seed=DEFAULT_SEED).rank == brute_force_rank(dense)
 
 
 # entries of total degree <= 3, so every minor of a 4x4 matrix lies below order 12
@@ -139,7 +138,8 @@ def _poly_matrices(draw):
 
 @given(_poly_matrices())
 def test_generic_rank_property_against_oracle(matrix):
-    cert = generic_rank(matrix, options=RankOptions(escalations=0))
+    with working_order_only():
+        cert = generic_rank(matrix, seed=DEFAULT_SEED)
     dense = [[from_series(e) for e in row] for row in matrix]
     assert cert.rank == brute_force_rank(dense)
     assert cert.verify(matrix)
@@ -177,26 +177,21 @@ def _cancelling(kappa):
     ids=["degree-K", "degree-K-plus-1", "positive-valuation", "positive-valuation-short"],
 )
 def test_generic_rank_at_the_truncation_order(matrix, rank, exponent):
-    cert = generic_rank(matrix, options=RankOptions(escalations=0))
+    with working_order_only():
+        cert = generic_rank(matrix, seed=DEFAULT_SEED)
     assert cert.rank == rank
     assert cert.witness_exponent == exponent
     assert cert.verify(matrix)
 
 
-@pytest.mark.parametrize("field", ["trials", "value_bound"])
-def test_rank_options_need_a_line(field):
-    with pytest.raises(ConfigError):
-        RankOptions(**{field: 0})
-
-
 def test_generic_rank_determinism(manifold_h):
     gamma = SegreMapping(manifold_h)
     matrix = jacobian(gamma.v(2))
-    first = generic_rank(matrix, options=RankOptions(seed=123))
-    second = generic_rank(matrix, options=RankOptions(seed=123))
+    first = generic_rank(matrix, seed=123)
+    second = generic_rank(matrix, seed=123)
     assert first == second
     # a different seed may pick a different witness but the same rank
-    assert generic_rank(matrix, options=RankOptions(seed=321)).rank == first.rank
+    assert generic_rank(matrix, seed=321).rank == first.rank
 
 
 def test_certified_rank_monotone_in_order():
@@ -204,8 +199,9 @@ def test_certified_rank_monotone_in_order():
     full = TruncatedSeries(1, 8, {(5,): 1})
     low = [[full.truncate(3)]]
     high = [[full]]
-    assert generic_rank(low, options=RankOptions(escalations=0)).rank == 0
-    assert generic_rank(high, options=RankOptions(escalations=0)).rank == 1
+    with working_order_only():
+        assert generic_rank(low, seed=DEFAULT_SEED).rank == 0
+        assert generic_rank(high, seed=DEFAULT_SEED).rank == 1
 
 
 def test_certificate_escalation_detects_instability():
@@ -216,10 +212,10 @@ def test_certificate_escalation_detects_instability():
     def builder(kappa):
         return [[entry.truncate(min(8, kappa)).with_order(kappa)]]
 
-    cert = generic_rank(builder=builder, kappa=3, options=RankOptions())
+    cert = generic_rank(builder=builder, kappa=3, seed=DEFAULT_SEED)
     assert cert.rank == 1
     assert not cert.stable
-    assert generic_rank(base, options=RankOptions()).rank == 0
+    assert generic_rank(base, seed=DEFAULT_SEED).rank == 0
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
@@ -247,7 +243,7 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
         levels.append(level)
         return iterate_lines(segre, 2, level)
 
-    cert = generic_rank(builder=builder, kappa=8)
+    cert = generic_rank(builder=builder, kappa=8, seed=DEFAULT_SEED)
     assert levels == [16, 12, 8]
     # only the top order is rebuilt from the source; order 12 is its truncation
     assert segre.at_order(8) is manifold_h and segre.at_order(16).kappa == 16
@@ -270,7 +266,7 @@ def test_rank_profile_fixtures(all_fixture_manifolds):
         "c2": ((1, 2, 3, 3), 3),
     }
     for name, manifold in all_fixture_manifolds.items():
-        profile = rank_profile(SegreMapping(manifold))
+        profile = default_profile(SegreMapping(manifold))
         ranks, k0 = expected[name]
         assert profile.ranks == ranks, name
         assert profile.k0 == k0, name
@@ -280,7 +276,7 @@ def test_rank_profile_fixtures(all_fixture_manifolds):
 
 def test_rank_profile_levi_flat_n9():
     spec = ManifoldSpec(N=9, d=1, form="graph", expressions=("ta1",))
-    profile = rank_profile(SegreMapping(load_manifold(spec, 8)))
+    profile = default_profile(SegreMapping(load_manifold(spec, 8)))
     assert profile.ranks == (8, 8, 8)
     assert profile.k0 == 1
     assert profile.stable
@@ -288,18 +284,18 @@ def test_rank_profile_levi_flat_n9():
 
 def test_rank_profile_rejects_small_jmax(manifold_h):
     with pytest.raises(ValueError):
-        rank_profile(SegreMapping(manifold_h), J_max=2)
+        rank_profile(SegreMapping(manifold_h), 2, DEFAULT_SEED)
 
 
 def test_rank_profile_random_manifolds_obey_the_laws():
     # laws at the working order; stability escalation is exercised separately
     rng = random.Random(41)
-    options = RankOptions(escalations=0)
     for index in range(10):
         manifold = (
             random_rigid_manifold(rng) if index % 2 == 0 else random_real_rho_manifold(rng)
         )
-        profile = rank_profile(SegreMapping(manifold), options=options)
+        with working_order_only():
+            profile = default_profile(SegreMapping(manifold))
         assert profile.ranks[0] == manifold.n
         assert profile.k0 <= manifold.d + 1
 
@@ -308,7 +304,7 @@ def test_rank_profile_escalation_on_random_rigid_manifolds():
     rng = random.Random(43)
     for _ in range(3):
         manifold = random_rigid_manifold(rng)
-        profile = rank_profile(SegreMapping(manifold))
+        profile = default_profile(SegreMapping(manifold))
         assert profile.k0 <= manifold.d + 1
         assert all(cert.kappa_used >= manifold.kappa for cert in profile.certificates)
 
@@ -345,7 +341,7 @@ def test_rank_along_identity_locus(manifold_h):
     gamma = SegreMapping(manifold_h)
     v2 = gamma.v(2)
     cert = rank_along(v2, FormalMap.identity(2, 8))
-    assert cert.rank == generic_rank(jacobian(v2)).rank
+    assert cert.rank == generic_rank(jacobian(v2), seed=DEFAULT_SEED).rank
 
 
 def test_rank_along_zero_locus_gives_rank_at_origin(all_fixture_manifolds):

@@ -33,9 +33,8 @@ def _certificate(**changes):
 
 
 def test_defaults():
-    assert RunConfig()._values() == (8, None, None, None, segre.DEFAULT_SEED, 1, 20)
+    assert RunConfig()._values() == (8, None, None, None, segre.DEFAULT_SEED)
     assert RunConfig(kappa=10).kappa == 10
-    assert RunConfig(kappa=10).pushforward_samples == 20
 
 
 def test_positional_and_keyword_construction_agree():
@@ -99,8 +98,7 @@ def test_equality_and_hash():
 def test_repr_has_the_dataclass_format():
     assert repr(Dims(3, 1)) == "Dims(N=3, d=1)"
     assert repr(RunConfig(kappa=6, seed=7)) == (
-        "RunConfig(kappa=6, J_max=None, bracket_depth=None, degree_bound=None,"
-        " seed=7, jobs=1, pushforward_samples=20)"
+        "RunConfig(kappa=6, J_max=None, bracket_depth=None, degree_bound=None, seed=7)"
     )
 
 
@@ -118,7 +116,7 @@ def test_replace():
 
 @pytest.fixture(scope="module")
 def report_h():
-    return verify_all(load_fixture("h"))
+    return verify_all(load_fixture("h"), RunConfig())
 
 
 @pytest.mark.parametrize(
@@ -142,8 +140,6 @@ def test_copy_deepcopy_and_pickle_round_trip(roundtrip, report_h):
 
 
 def test_fields_become_slots_and_defaults():
-    assert RunConfig.__slots__ == (
-        "kappa", "J_max", "bracket_depth", "degree_bound", "seed", "jobs", "pushforward_samples",
-    )
+    assert RunConfig.__slots__ == ("kappa", "J_max", "bracket_depth", "degree_bound", "seed")
     assert RunConfig._defaults["seed"] == segre.DEFAULT_SEED and "N" not in Dims._defaults
     assert not hasattr(Dims(3, 1), "__dict__")
