@@ -153,7 +153,7 @@ class SegreMapping:
         zero, one = TruncatedSeries.zero(1, level - 1), TruncatedSeries.constant(1, level - 1, 1)
         earlier = range(len(rows[0]))
         new_rows = [[zero for _ in earlier] + [one if c == i else zero for c in range(n)] for i in range(n)]
-        bar_rows = [[entry.conjugate() for entry in row] for row in rows]
+        bar_rows = [[entry.conjugate() if entry else entry for entry in row] for row in rows]
         for partials in dq:
             # many dQ/d(ch, ta) vanish identically: each adds only a 0 of order >= level - 1
             live = [(partial, row) for partial, row in zip(partials[n:], bar_rows) if partial]

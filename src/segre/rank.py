@@ -8,9 +8,13 @@ a series, so the lower bound is exact.  Only tightness is randomized: by the
 Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * VALUE_BOUND), and each certificate
 draws up to TRIALS lines.  Because a minor could first become nonzero
-beyond the truncation order, the rank is recomputed at every order of
+beyond the truncation order, the rank is read at every order of
 ORDER_LADDER (kappa, kappa + 4, kappa + 8), and ``stable`` records that
-nothing moved.
+nothing moved.  Each line is eliminated once, at the top order: over the
+discrete valuation ring Q(i)[eps]/(eps^(K+1)) the pivot valuations of a
+least-valuation elimination never decrease and the first s of them sum to
+the valuation of the s-th determinantal divisor (the Smith form), so every
+lower order keeps the longest pivot prefix its order allows.
 
 A matrix is read only on lines (``Lines``): a given one by evaluation
 (``on_line``), the iterates' Jacobians in forward mode (``SegreMapping.on_line``),
@@ -45,7 +49,9 @@ class RankCertificate(Record):
     ``minor_rows`` x ``minor_cols`` has lowest term ``witness_value`` *
     eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
     larger minor was missed at ``kappa_used``: (K / (2 VALUE_BOUND))^TRIALS,
-    or 0 when none exists.  ``stable``: no order of ORDER_LADDER changed it.
+    or 0 when none exists.  The line is one of those drawn at the top order
+    of ORDER_LADDER, and the minor is the pivot prefix that its elimination
+    keeps at ``kappa_used``.  ``stable``: no order of ORDER_LADDER changed it.
     """
 
     rank: int
@@ -210,25 +216,44 @@ def _witness(pivots: List[Pivot]) -> Tuple[int, GaussianRational]:
     return sum(valuations), value
 
 
-def _certified_rank(matrix: Lines, rng: random.Random, level: int) -> RankCertificate:
-    """The most pivots over TRIALS random lines, with their certificate."""
+def _modulo(pivots: List[Pivot], order: int) -> List[Pivot]:
+    """The pivots of the same elimination modulo eps^(order + 1): the longest
+    prefix whose valuations sum to at most ``order``.  The valuations never
+    decrease, and the first s sum to the valuation of the s-th determinantal
+    divisor, so the truncated matrix's elimination is exactly this prefix."""
+    total = 0
+    for count, (_, _, v, _) in enumerate(pivots):
+        total += v
+        if total > order:
+            return pivots[:count]
+    return pivots
+
+
+def _certified_ranks(matrix: Lines, rng: random.Random, levels: Sequence[int]) -> List[RankCertificate]:
+    """The most pivots over up to TRIALS random lines at every level, with
+    their certificates, all read off one elimination per line at the top
+    level; lines are drawn until every level has full rank or TRIALS are."""
     if not matrix.rows or not matrix.cols:
-        return RankCertificate(0, (), (), (), None, None, Fraction(0), level, True)
-    order = matrix.order
+        return [RankCertificate(0, (), (), (), None, None, Fraction(0), level, True) for level in levels]
+    orders = [matrix.order - (levels[-1] - level) for level in levels]
     full = min(matrix.rows, matrix.cols)
-    best: Optional[Tuple[Tuple[int, ...], List[Pivot]]] = None
+    best: List[Optional[Tuple[Tuple[int, ...], List[Pivot]]]] = [None] * len(levels)
     for _ in range(TRIALS):
         point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(matrix.arity))
         pivots = _eliminate(matrix.at(point))
-        if best is None or len(pivots) > len(best[1]):
-            best = (point, pivots)
-        if len(pivots) == full:
+        for k, order in enumerate(orders):
+            kept = _modulo(pivots, order)
+            if best[k] is None or len(kept) > len(best[k][1]):
+                best[k] = (point, kept)
+        if all(len(kept) == full for _, kept in best):
             break
-    point, pivots = best
-    exponent, value = _witness(pivots) if pivots else (None, None)
-    error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * VALUE_BOUND) ** TRIALS
-    rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
-    return RankCertificate(len(pivots), rows, cols, point, exponent, value, error, level, True)
+    certificates = []
+    for (point, pivots), order, level in zip(best, orders, levels):
+        exponent, value = _witness(pivots) if pivots else (None, None)
+        error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * VALUE_BOUND) ** TRIALS
+        rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
+        certificates.append(RankCertificate(len(pivots), rows, cols, point, exponent, value, error, level, True))
+    return certificates
 
 
 def _exact_entry_builder(matrix: Matrix) -> Callable[[int], Matrix]:
@@ -250,14 +275,14 @@ def generic_rank(
     """Certified generic rank at every order of ORDER_LADDER.
 
     ``builder(kappa)`` must return the matrix at that order, or its
-    ``Lines``, with higher orders refining lower ones.  The orders are built
-    top-down, the top of the ladder first, each certified with its own line
-    generator seeded from ``seed``, and the certificates are then compared
-    in ascending order (so ``SegreMapping.at_order`` rebuilds only the top
-    order).  When
-    only a plain matrix is given, its entries are treated as exact
-    polynomial data, which holds for every matrix this engine constructs
-    from parsed polynomial input.
+    ``Lines``, with higher orders refining lower ones.  It is called once,
+    at the top order of the ladder, whose line generator (seeded from
+    ``seed`` and that order) draws the lines.  Each line is eliminated once
+    at the top order and read at every order of the ladder (``_modulo``);
+    the lowest order at the final rank gives the certificate.  When only a
+    plain matrix is given, its entries are treated as exact polynomial
+    data, which holds for every matrix this engine constructs from parsed
+    polynomial input.
     """
     if builder is None:
         if matrix is None:
@@ -268,12 +293,10 @@ def generic_rank(
     if kappa is None:
         raise ValueError("builder form needs an explicit base truncation order")
 
-    certificates = []
-    # the top order first, so that every lower one can be cut from what it built
-    for level in reversed([kappa + step for step in ORDER_LADDER]):
-        built = builder(level)
-        built = built if isinstance(built, Lines) else lines(built)
-        certificates.insert(0, _certified_rank(built, random.Random(seed * 1000003 + level), level))
+    levels = [kappa + step for step in ORDER_LADDER]
+    built = builder(levels[-1])
+    built = built if isinstance(built, Lines) else lines(built)
+    certificates = _certified_ranks(built, random.Random(seed * 1000003 + levels[-1]), levels)
 
     ranks = [cert.rank for cert in certificates]
     if any(b < a for a, b in zip(ranks, ranks[1:])):
@@ -309,9 +332,9 @@ def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     monotone and strict-increase laws are validated and any violation is
     reported as an internal-consistency error (it would indicate a
     truncation artifact, not a property of the manifold).  ``segre`` is the
-    run's mapping of the manifold; every order reads J v^j on lines from it
-    (``iterate_lines``), so the later phases share its rebuilt orders and
-    line evaluations.
+    run's mapping of the manifold; each certificate reads J v^j on lines
+    from it at the top order (``iterate_lines``), so the later phases share
+    its rebuilt order and line evaluations.
     """
     dims = segre.dims
     if J_max < dims.d + 2:

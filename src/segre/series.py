@@ -387,6 +387,8 @@ class TruncatedSeries:
 
     def scale(self, value: CoeffLike) -> "TruncatedSeries":
         coeff = as_coeff(value)
+        if coeff == ONE:
+            return self
         return _series(self.arity, self.kappa, {e: c * coeff for e, c in self.terms.items()} if coeff else {})
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":

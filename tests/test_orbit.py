@@ -243,7 +243,7 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
         assert ideal.linear_rank == 0 and not ideal.codimension_ok
 
 
-def test_orbit_ideal_composes_the_monomials_then_rho_with_the_annihilators(manifold_flat, monkeypatch):
+def test_orbit_ideal_composes_only_the_monomials(manifold_flat, monkeypatch):
     # only the monomials are composed: sigma-closure is a reduction against
     # the kernel basis, and rho and the annihilators were composed with phi
     # and v^k0 by make_phi and orbit_annihilator, which raise on a failure

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from segre import (
     rank_profile,
 )
 from segre.expressions import ManifoldSpec, load_manifold
+from segre.rank import ORDER_LADDER, TRIALS, VALUE_BOUND, lines
 
 from conftest import default_profile, random_real_rho_manifold, random_rigid_manifold, working_order_only
 from oracles import brute_force_rank, from_series, rank_along
@@ -218,6 +220,69 @@ def test_certificate_escalation_detects_instability():
     assert generic_rank(base, seed=DEFAULT_SEED).rank == 0
 
 
+# univariate entries at order 8 with valuations up to 10, so that some vanish at every order
+_line_entry = st.dictionaries(
+    st.integers(0, 10), st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any), max_size=3
+).map(lambda terms: TruncatedSeries(1, 8, {(k,): gauss(*c) for k, c in terms.items() if k <= 8}))
+
+
+@st.composite
+def _line_matrices(draw):
+    """Matrices over Q(i)[eps]/(eps^9); a product through a narrower inner
+    dimension is rank-deficient."""
+    n_rows, n_cols, inner = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if inner >= min(n_rows, n_cols):
+        return [[draw(_line_entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    left = [[draw(_line_entry) for _ in range(inner)] for _ in range(n_rows)]
+    right = [[draw(_line_entry) for _ in range(n_cols)] for _ in range(inner)]
+    return [
+        [sum((left[i][k] * right[k][j] for k in range(inner)), TruncatedSeries.zero(1, 8)) for j in range(n_cols)]
+        for i in range(n_rows)
+    ]
+
+
+@given(_line_matrices())
+def test_every_lower_order_is_a_pivot_prefix_of_the_top_elimination(matrix):
+    from segre.rank import _eliminate, _modulo, _witness
+
+    top = _eliminate(matrix)
+    for order in range(9):
+        direct = _eliminate([[entry.truncate(order) for entry in row] for row in matrix])
+        kept = _modulo(top, order)
+        assert [p[:3] for p in kept] == [p[:3] for p in direct], order
+        assert (_witness(kept) if kept else None) == (_witness(direct) if direct else None), order
+
+
+def _x(kappa, *exponents):
+    return TruncatedSeries(2, kappa, {exponent: 1 for exponent in exponents})
+
+
+@pytest.mark.parametrize(
+    "matrix, kappa, rank, drawn",
+    [
+        ([[_x(5, (1, 0)), _x(5, (0, 0))], [_x(5, (0, 0)), _x(5, (0, 1))]], 5, 2, 1),
+        ([[_x(5, (1, 0)), _x(5, (0, 1))], [_x(5, (1, 0)), _x(5, (0, 1))]], 5, 1, TRIALS),
+        # full rank from order 7 up only: the working order keeps drawing
+        ([[TruncatedSeries(1, 8, {(6,): 1})]], 3, 1, TRIALS),
+    ],
+    ids=["full-rank", "rank-deficient", "full-at-the-top-only"],
+)
+def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, rank, drawn):
+    points, levels = [], []
+
+    def builder(level):
+        levels.append(level)
+        built = lines([[entry.with_order(level) for entry in row] for row in matrix])
+        return built.replace(at=lambda point: points.append(point) or built.at(point))
+
+    cert = generic_rank(builder=builder, kappa=kappa, seed=DEFAULT_SEED)
+    assert levels == [kappa + ORDER_LADDER[-1]]
+    assert (cert.rank, len(points)) == (rank, drawn)
+    # a plain matrix's order is its level
+    full = rank == min(len(matrix), len(matrix[0]))
+    assert cert.error_bound == (0 if full else Fraction(cert.kappa_used, 2 * VALUE_BOUND) ** TRIALS)
+
+
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
     from segre import expressions, series
     from segre.rank import iterate_lines
@@ -244,8 +309,8 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
         return iterate_lines(segre, 2, level)
 
     cert = generic_rank(builder=builder, kappa=8, seed=DEFAULT_SEED)
-    assert levels == [16, 12, 8]
-    # only the top order is rebuilt from the source; order 12 is its truncation
+    assert levels == [16]
+    # only the top order is built, and every lower order is read off its lines
     assert segre.at_order(8) is manifold_h and segre.at_order(16).kappa == 16
     assert lifts == [16]
     # the certificate's line reads the multivariate Jacobian at the run's order
