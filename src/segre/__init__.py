@@ -56,7 +56,6 @@ from .orbit import (
     OrbitIdealReport,
     OrbitReport,
     VerificationReport,
-    linear_coordinate_change,
     mirror_sigma,
     orbit_annihilator,
     orbit_ideal_in_M,

@@ -126,48 +126,51 @@ def _emit_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _config_json(config: RunConfig, manifold: GenericManifold) -> dict:
+def _json_report(manifold: GenericManifold, config: RunConfig, **fields) -> dict:
+    """The layout every JSON report shares: the schema, the manifold and the
+    run configuration, followed by the command's own ``fields``."""
     return {
-        "kappa": config.kappa,
-        "jmax": config.resolve_jmax(manifold.d),
-        "depth": config.resolve_depth(),
-        "degree": config.resolve_degree(),
-        "seed": config.seed,
+        "schema": SCHEMA,
+        "manifold": {
+            "label": manifold.label,
+            "N": manifold.N,
+            "d": manifold.d,
+            "n": manifold.n,
+            "kappa": manifold.kappa,
+        },
+        "config": {
+            "kappa": config.kappa,
+            "jmax": config.resolve_jmax(manifold.d),
+            "depth": config.resolve_depth(),
+            "degree": config.resolve_degree(),
+            "seed": config.seed,
+        },
+        **fields,
     }
 
 
-def _manifold_json(manifold: GenericManifold) -> dict:
-    return {
-        "label": manifold.label,
-        "N": manifold.N,
-        "d": manifold.d,
-        "n": manifold.n,
-        "kappa": manifold.kappa,
-    }
+def _checks_json(checks: dict) -> dict:
+    return {name: {"pass": check.passed, "witness": check.witness} for name, check in checks.items()}
 
 
 def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
-    return {
-        "schema": SCHEMA,
-        "manifold": _manifold_json(manifold),
-        "config": _config_json(report.config, manifold),
-        "ranks": list(report.profile.ranks),
-        "k0": report.profile.k0,
-        "stable": report.profile.stable,
-        "dim_g0": report.lie.dim_g0,
-        "e": report.orbit.e,
-        "finite_type": {"lie": report.finite_type_lie, "segre": report.finite_type_segre},
-        "orbit_generators": report.orbit.generator_texts(report.dims),
-        "mirror": {
+    return _json_report(
+        manifold,
+        report.config,
+        ranks=list(report.profile.ranks),
+        k0=report.profile.k0,
+        stable=report.profile.stable,
+        dim_g0=report.lie.dim_g0,
+        e=report.orbit.e,
+        finite_type={"lie": report.finite_type_lie, "segre": report.finite_type_segre},
+        orbit_generators=report.orbit.generator_texts(report.dims),
+        mirror={
             "annihilates": report.mirror.annihilates,
             "rank": report.mirror.rank_certificate.rank,
             "generators": report.mirror.generator_texts(report.dims.n),
         },
-        "checks": {
-            name: {"pass": check.passed, "witness": check.witness}
-            for name, check in report.checks.items()
-        },
-    }
+        checks=_checks_json(report.checks),
+    )
 
 
 def _exit_code(passed: bool, profile: RankProfile, lie: Optional[LieHullReport] = None) -> int:
@@ -209,16 +212,7 @@ def cmd_rank(args) -> int:
     manifold = _load(args, config)
     profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     if args.json:
-        _emit_json(
-            {
-                "schema": SCHEMA,
-                "manifold": _manifold_json(manifold),
-                "config": _config_json(config, manifold),
-                "ranks": list(profile.ranks),
-                "k0": profile.k0,
-                "stable": profile.stable,
-            }
-        )
+        _emit_json(_json_report(manifold, config, ranks=list(profile.ranks), k0=profile.k0, stable=profile.stable))
     else:
         print("\n".join(_rank_table(manifold, profile)))
     return _exit_code(True, profile)
@@ -233,16 +227,15 @@ def cmd_finite_type(args) -> int:
     finite_segre = profile.rank_at_k0 == manifold.N
     if args.json:
         _emit_json(
-            {
-                "schema": SCHEMA,
-                "manifold": _manifold_json(manifold),
-                "config": _config_json(config, manifold),
-                "ranks": list(profile.ranks),
-                "k0": profile.k0,
-                "stable": profile.stable and lie.stable,
-                "dim_g0": lie.dim_g0,
-                "finite_type": {"lie": finite_lie, "segre": finite_segre},
-            }
+            _json_report(
+                manifold,
+                config,
+                ranks=list(profile.ranks),
+                k0=profile.k0,
+                stable=profile.stable and lie.stable,
+                dim_g0=lie.dim_g0,
+                finite_type={"lie": finite_lie, "segre": finite_segre},
+            )
         )
     else:
         print(manifold.describe())
@@ -266,18 +259,14 @@ def cmd_orbit(args) -> int:
     orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
     if args.json:
         _emit_json(
-            {
-                "schema": SCHEMA,
-                "manifold": _manifold_json(manifold),
-                "config": _config_json(config, manifold),
-                "e": orbit.e,
-                "dim_O": orbit.dim_O,
-                "orbit_generators": orbit.generator_texts(manifold.dims),
-                "checks": {
-                    name: {"pass": check.passed, "witness": check.witness}
-                    for name, check in orbit.checks.items()
-                },
-            }
+            _json_report(
+                manifold,
+                config,
+                e=orbit.e,
+                dim_O=orbit.dim_O,
+                orbit_generators=orbit.generator_texts(manifold.dims),
+                checks=_checks_json(orbit.checks),
+            )
         )
     else:
         print(manifold.describe())

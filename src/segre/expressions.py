@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import linalg
 from .coords import Dims
 from .errors import GenericityError, ManifoldError, RealityError, SplitError
-from .implicit import GraphForm, check_reality, ideal_member, solve_graph
+from .implicit import GraphForm, check_reality, solve_graph
 from .record import Record
 from .series import (
     FormalMap,
@@ -308,10 +308,10 @@ class GenericManifold(Record):
     """A loaded formal generic manifold in solved graph coordinates.
 
     Carries both the graph form (Q, Qbar) and the canonical defining
-    functions rho = w - Q in the ambient ring; ``w_columns`` records which
-    raw Z-coordinates were renamed to w (the identity split for graph-form
-    input).  ``source`` retains enough information to rebuild the manifold
-    at a different truncation order; ``verified``: it passed the load gate.
+    functions rho = w - Q in the ambient ring, both exactly at order
+    ``kappa``; ``w_columns`` records which raw Z-coordinates were renamed to
+    w (the identity split for graph-form input).  ``source`` retains enough
+    information to rebuild the manifold at a different truncation order.
     """
 
     dims: Dims
@@ -321,7 +321,6 @@ class GenericManifold(Record):
     w_columns: Tuple[int, ...]
     source: Tuple
     label: str = "manifold"
-    verified: bool = False
 
     @property
     def N(self) -> int:
@@ -339,16 +338,11 @@ class GenericManifold(Record):
     def Q(self) -> FormalMap:
         return self.graph.Q
 
-    def ideal_member(self, g: TruncatedSeries) -> bool:
-        return ideal_member(g, self.graph)
-
     def at_kappa(self, kappa: int) -> "GenericManifold":
-        """The same manifold rebuilt at another truncation order.
+        """The same manifold rebuilt at order ``kappa`` from its source.
 
-        The load-time invariants were verified at the original order; the
-        rebuild skips re-verifying them (they are identities in the same
-        polynomial input, and the refined data is consumed by rank
-        certification, which carries its own witnesses).
+        The rebuild skips the reality gate: ``verify_all`` checks reality at
+        the top order it rebuilds, which implies it at every order below.
         """
         if kappa == self.kappa:
             return self
@@ -356,13 +350,12 @@ class GenericManifold(Record):
         if kind == "spec":
             return load_manifold(self.source[1], kappa, label=self.label, verify=False)
         _, form, components, split = self.source
-        lifted = [c.with_order(kappa) for c in components]
         if form == "graph":
             return manifold_from_graph_series(
-                self.dims, lifted, kappa, label=self.label, verify=False
+                self.dims, components, kappa, label=self.label, verify=False
             )
         return manifold_from_rho_series(
-            self.dims, lifted, kappa, split=split, label=self.label, verify=False
+            self.dims, components, kappa, split=split, label=self.label, verify=False
         )
 
     def describe(self) -> str:
@@ -388,19 +381,19 @@ def _finish_load(
     label: str,
     verify: bool = True,
 ) -> GenericManifold:
+    """The manifold, after the reality gate when ``verify`` is set.
+
+    Genericity needs no check here: a graph's rho = w - Q has an identity
+    w-differential, and ``manifold_from_rho_series`` checked the rank of the
+    Z-differentials before it solved for the graph.
+    """
     if verify:
         ok, witness = check_reality(graph, rho)
         if not ok:
             raise RealityError(
                 f"defining ideal is not real: reality identity fails at {witness}", witness or ""
             )
-    linear = [
-        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
-        for j in range(dims.d)
-    ]
-    if linalg.rank(linear) != dims.d:
-        raise GenericityError("rank of the Z-differentials at 0 is below d")
-    return GenericManifold(dims, kappa, graph, rho, w_columns, source, label, verify)
+    return GenericManifold(dims, kappa, graph, rho, w_columns, source, label)
 
 
 def manifold_from_graph_series(
@@ -418,7 +411,7 @@ def manifold_from_graph_series(
         if q.constant_term():
             raise ManifoldError("the manifold must pass through the origin (Q has a constant term)")
         comps.append(q.truncate(min(q.kappa, kappa)).with_order(kappa))
-    graph = GraphForm(dims, FormalMap(comps), kappa)
+    graph = GraphForm(dims, FormalMap(comps))
     rho = graph.rho()
     w_columns = tuple(range(dims.n, dims.N))
     source = ("series", "graph", tuple(q_components), None)
@@ -462,19 +455,18 @@ def manifold_from_rho_series(
 
 
 def load_manifold(
-    spec: ManifoldSpec, kappa: int, label: Optional[str] = None, verify: bool = True
+    spec: ManifoldSpec, kappa: int, label: str = "manifold", verify: bool = True
 ) -> GenericManifold:
-    """Parse a manifold specification and verify all load-time invariants.
+    """Parse a manifold specification and build it by its graph or rho route.
 
-    Raises GenericityError, RealityError, SplitError, or ParseError with the
-    offending detail; a returned manifold has a verified real ideal, rank-d
-    Z-differentials, and mutually consistent graph and rho generators.
+    Raises GenericityError, RealityError (only when ``verify`` is set),
+    SplitError, or ParseError with the offending detail; a returned manifold
+    has rank-d Z-differentials, mutually consistent graph and rho generators
+    and, when verified, a real ideal.  Its source is the spec itself.
     """
     dims = Dims(spec.N, spec.d)
     if kappa < 2:
         raise ManifoldError("truncation order must be at least 2")
-    if label is None:
-        label = "manifold"
     if spec.form == "graph":
         table = variable_table(dims.graph_names())
         components = [
@@ -489,16 +481,7 @@ def load_manifold(
         manifold = manifold_from_rho_series(
             dims, components, kappa, split=spec.split, label=label, verify=verify
         )
-    return GenericManifold(
-        manifold.dims,
-        manifold.kappa,
-        manifold.graph,
-        manifold.rho,
-        manifold.w_columns,
-        ("spec", spec),
-        label,
-        manifold.verified,
-    )
+    return manifold.replace(source=("spec", spec))
 
 
 def load_manifold_file(path: Union[str, Path], kappa: int) -> GenericManifold:

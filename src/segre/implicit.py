@@ -24,7 +24,8 @@ class GraphForm(Record):
 
     ``Q`` lives in the graph ring (slots z, ch, ta).  ``Qbar`` is the
     coefficientwise conjugate of Q with its slots read in the order
-    (ch, z, w); both identities below hold modulo degree > valid_order:
+    (ch, z, w); both identities below hold modulo degree > valid_order,
+    the truncation order of Q:
 
         rho((z, Q(z, ch, ta)), (ch, ta)) = 0
         Q(z, ch, Qbar(ch, z, w)) = w
@@ -32,13 +33,16 @@ class GraphForm(Record):
 
     dims: Dims
     Q: FormalMap
-    valid_order: int
 
     def __post_init__(self):
         if self.Q.target_arity != self.dims.d:
             raise ValueError("graph form needs d components")
         if self.Q.source_arity != self.dims.graph_arity:
             raise ValueError("graph components must live in the (z, ch, ta) ring")
+
+    @property
+    def valid_order(self) -> int:
+        return self.Q.kappa
 
     @property
     def Qbar(self) -> FormalMap:
@@ -100,8 +104,7 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
 
     Modulo degree > kappa the solution with Q(0) = 0 is unique, so this Q
     is, term for term, the one a degree-by-degree solve gives; the final
-    annihilation check is the one place that verifies it (valid_order stays
-    kappa).
+    annihilation check is the one place that verifies it.
     """
     if rho.source_arity != dims.ambient_arity:
         raise ValueError("rho must live in the ambient (z, w, ch, ta) ring")
@@ -112,7 +115,7 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
     chs = [TruncatedSeries.variable(arity, kappa, dims.gch(i)) for i in range(dims.n)]
     tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(dims.d)]
     q, _, _ = lift(rho, dims, kappa, zs, chs, tas)
-    graph = GraphForm(dims, FormalMap(q), kappa)
+    graph = GraphForm(dims, FormalMap(q))
 
     inner = FormalMap([*zs, *q, *chs, *tas])
     for image in compose_many(list(rho.components), inner):

@@ -87,14 +87,11 @@ class SegreMapping:
         """What ``on_line`` composes at order ``level``: None with Q and its
         partials when Q has no more terms than rho, else rho with its partials.
 
-        Q and rho are the manifold's own at kappa; above it, the truncation of
-        the highest order rebuilt (``at_order``), which is what a rebuild gives.
+        Q and rho are those of the manifold at order ``level`` (``at_order``).
         """
         if level not in self._orders:
-            top = self._rebuilt.get(level) or self._rebuilt[max(self._rebuilt)]
-            if top.kappa < level:
-                top = self.at_order(level)
-            q, rho = top.graph.Q.truncate(level), top.rho.truncate(level)
+            at = self.at_order(level)
+            q, rho = at.graph.Q, at.rho
             if sum(len(c.terms) for c in q) <= sum(len(c.terms) for c in rho):
                 rho, outers = None, [*q, *(c.partial(s) for c in q for s in range(self.dims.graph_arity))]
             else:

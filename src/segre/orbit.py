@@ -25,7 +25,7 @@ from . import linalg
 from .config import RunConfig
 from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
-from .expressions import GenericManifold, manifold_from_rho_series
+from .expressions import GenericManifold
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
 from .maps import SegreMapping, iterate, make_T, pushforward_residuals
@@ -536,28 +536,8 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     except InternalConsistencyError as exc:
         record("collapse_identities", False, str(exc))
 
-    # the load gate checked reality at this order
-    ok, witness = (True, None) if manifold.verified else check_reality(manifold.graph, manifold.rho)
-    record("reality", ok, witness or "identity holds")
-
-    basis = cr_basis(manifold)  # raises InternalConsistencyError on a field that is not tangent
-    record("cr_basis_tangent", True, f"{2 * dims.n} fields tangent")
-
-    lie = lie_hull_dimension(manifold, basis, config.resolve_depth())
-
-    try:
-        for j in range(0, k0 + 1):
-            segre.theta_phi(j)
-        segre.phi(k0 + 1)
-        record("theta_phi_into_manifold", True, f"built for j <= {k0 + 1}")
-    except InternalConsistencyError as exc:
-        record("theta_phi_into_manifold", False, str(exc))
-
-    rank_relation_ok = True
-    relation_notes = []
-    theta_ranks: Dict[int, int] = {}
-    # the escalated orders skip the load gate: reality at the top one holds
-    # below it and implies the identities of phi^j
+    # reality at the top escalated order, the one check of it in a run: it
+    # holds below that order too, and it implies the identities of phi^j
     top = manifold.kappa + ORDER_LADDER[-1]
     high = segre.at_order(top)
     ok, witness = check_reality(high.graph, high.rho)
@@ -565,7 +545,21 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         raise InternalConsistencyError(
             f"defining ideal is not real at order {top}: reality identity fails at {witness}"
         )
+    record("reality", True, "identity holds")
 
+    basis = cr_basis(manifold)  # raises InternalConsistencyError on a field that is not tangent
+    record("cr_basis_tangent", True, f"{2 * dims.n} fields tangent")
+
+    lie = lie_hull_dimension(manifold, basis, config.resolve_depth())
+
+    for j in range(0, k0 + 1):
+        segre.theta_phi(j)
+    segre.phi(k0 + 1)
+    record("theta_phi_into_manifold", True, f"built for j <= {k0 + 1}")
+
+    rank_relation_ok = True
+    relation_notes = []
+    theta_ranks: Dict[int, int] = {}
     for j in range(1, k0 + 2):
         theta_cert = generic_rank(
             builder=lambda level, j=j: theta_lines(segre, j, level),
@@ -668,62 +662,4 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         ideal=ideal,
         mirror=mirror,
         checks=checks,
-    )
-
-
-# ---------------------------------------------------------------------------
-# coordinate changes (used by the invariance checks)
-# ---------------------------------------------------------------------------
-
-
-def linear_coordinate_change(
-    manifold: GenericManifold,
-    matrix: Sequence[Sequence[GaussianRational]],
-) -> GenericManifold:
-    """The same manifold, defined in new coordinates Z' = A Z.
-
-    The defining functions, at the top order of the rank certificates'
-    ORDER_LADDER, are pulled back through the inverse linear map (with the
-    conjugate matrix acting on the conjugate block) and reloaded through the
-    rho route, so the coordinate split is re-derived.
-    """
-    dims = manifold.dims
-    kappa_master = manifold.kappa + ORDER_LADDER[-1]
-    inverse = linalg.invert(matrix)
-    high = manifold.at_kappa(kappa_master)
-
-    # ambient -> raw relabeling that undoes the load-time split
-    w_cols = list(manifold.w_columns)
-    z_cols = [c for c in range(dims.N) if c not in w_cols]
-    assignment: List[Optional[int]] = [0] * dims.ambient_arity
-    for i, c in enumerate(z_cols):
-        assignment[dims.z(i)] = c
-        assignment[dims.ch(i)] = dims.N + c
-    for l, c in enumerate(w_cols):
-        assignment[dims.w(l)] = c
-        assignment[dims.ta(l)] = dims.N + c
-    raw = [component.map_vars(dims.ambient_arity, assignment) for component in high.rho.components]
-
-    arity = dims.ambient_arity
-    substitution: List[TruncatedSeries] = []
-    for c in range(dims.N):
-        series = TruncatedSeries.zero(arity, kappa_master)
-        for b in range(dims.N):
-            if inverse[c][b]:
-                series = series + TruncatedSeries.variable(arity, kappa_master, b).scale(inverse[c][b])
-        substitution.append(series)
-    for c in range(dims.N):
-        series = TruncatedSeries.zero(arity, kappa_master)
-        for b in range(dims.N):
-            value = inverse[c][b].conjugate()
-            if value:
-                series = series + TruncatedSeries.variable(arity, kappa_master, dims.N + b).scale(value)
-        substitution.append(series)
-    inner = FormalMap(substitution)
-    transformed = compose_many(raw, inner)
-    # the substitution acts by H on the holomorphic block and conj(H) on the
-    # conjugate block, so it commutes with the conjugation involution and
-    # reality is inherited; skip re-verifying the load gate
-    return manifold_from_rho_series(
-        dims, transformed, manifold.kappa, label=f"{manifold.label}'", verify=False
     )

@@ -14,18 +14,20 @@ to a line, where the engine evaluates them on the line in forward mode.  The
 kernel oracle (``carried_kernel``, then ``sparse_rref``) shares
 ``linalg.Echelon`` with the engine but reaches the kernel by another route:
 it carries each column's combination along, where the engine eliminates the
-transposed rows and reads the kernel off their reduced form.
+transposed rows and reads the kernel off their reduced form.  Last,
+``linear_coordinate_change`` makes the inputs of the invariance checks: the
+same manifold in other linear coordinates, loaded through the rho route.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from segre import DEFAULT_SEED, generic_rank, jacobian, linalg
+from segre import DEFAULT_SEED, GenericManifold, generic_rank, jacobian, linalg, manifold_from_rho_series
 from segre.maps import SegreMapping, make_theta_phi
 from segre.orbit import _mirror_parametrization
-from segre.rank import _on_line
+from segre.rank import ORDER_LADDER, _on_line
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
@@ -342,3 +344,57 @@ def rank_along(mapping: FormalMap, locus: FormalMap):
         if component.constant_term():
             raise ValueError("locus components must vanish at the origin")
     return generic_rank(jacobian_along(mapping, locus), seed=DEFAULT_SEED)
+
+
+def linear_coordinate_change(
+    manifold: GenericManifold,
+    matrix: Sequence[Sequence[GaussianRational]],
+) -> GenericManifold:
+    """The same manifold, defined in new coordinates Z' = A Z (the oracle of
+    the invariance checks: ranks and finite type must not move).
+
+    The defining functions, at the top order of the rank certificates'
+    ORDER_LADDER, are pulled back through the inverse linear map (with the
+    conjugate matrix acting on the conjugate block) and reloaded through the
+    rho route, so the coordinate split is re-derived.
+    """
+    dims = manifold.dims
+    kappa_master = manifold.kappa + ORDER_LADDER[-1]
+    inverse = linalg.invert(matrix)
+    high = manifold.at_kappa(kappa_master)
+
+    # ambient -> raw relabeling that undoes the load-time split
+    w_cols = list(manifold.w_columns)
+    z_cols = [c for c in range(dims.N) if c not in w_cols]
+    assignment: List[Optional[int]] = [0] * dims.ambient_arity
+    for i, c in enumerate(z_cols):
+        assignment[dims.z(i)] = c
+        assignment[dims.ch(i)] = dims.N + c
+    for l, c in enumerate(w_cols):
+        assignment[dims.w(l)] = c
+        assignment[dims.ta(l)] = dims.N + c
+    raw = [component.map_vars(dims.ambient_arity, assignment) for component in high.rho.components]
+
+    arity = dims.ambient_arity
+    substitution: List[TruncatedSeries] = []
+    for c in range(dims.N):
+        series = TruncatedSeries.zero(arity, kappa_master)
+        for b in range(dims.N):
+            if inverse[c][b]:
+                series = series + TruncatedSeries.variable(arity, kappa_master, b).scale(inverse[c][b])
+        substitution.append(series)
+    for c in range(dims.N):
+        series = TruncatedSeries.zero(arity, kappa_master)
+        for b in range(dims.N):
+            value = inverse[c][b].conjugate()
+            if value:
+                series = series + TruncatedSeries.variable(arity, kappa_master, dims.N + b).scale(value)
+        substitution.append(series)
+    inner = FormalMap(substitution)
+    transformed = compose_many(raw, inner)
+    # the substitution acts by H on the holomorphic block and conj(H) on the
+    # conjugate block, so it commutes with the conjugation involution and
+    # reality is inherited; skip re-verifying the load gate
+    return manifold_from_rho_series(
+        dims, transformed, manifold.kappa, label=f"{manifold.label}'", verify=False
+    )

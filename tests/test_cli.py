@@ -190,6 +190,20 @@ def test_verify_c2_dense_golden_at_default_kappa(tmp_path, capsys):
     assert (GOLDEN_DIR / "verify_c2_dense_k8.txt").read_text() == out
 
 
+# the Heisenberg quadric Im w = |z|^2 given by its defining function: loaded
+# through the rho route, which chooses the split and solves the graph itself
+RHO_QUADRIC = {"N": 2, "d": 1, "form": "rho", "expressions": ["-(i/2)*(Z2 - ze2) - Z1*ze1"]}
+
+
+@pytest.mark.parametrize("command", ["rank", "verify"])
+def test_rho_quadric_json_golden(tmp_path, capsys, command):
+    manifold = tmp_path / "rho-quadric.json"
+    manifold.write_text(json.dumps(RHO_QUADRIC))
+    code, out, _ = run_cli(capsys, command, str(manifold), "--json")
+    assert code == 0
+    assert (GOLDEN_DIR / f"{command}_rho_quadric.txt").read_text() == out
+
+
 # real to order 8 but not to order 16: the load gate passes at kappa = 8, and
 # the top escalated order, solved without the gate, must still refuse it
 UNREAL_ABOVE_8 = {"N": 2, "d": 1, "form": "rho", "expressions": ["-(i/2)*(Z2 - ze2) - Z1*ze1 + i*Z1^6*ze1^6"]}

@@ -1,7 +1,8 @@
 """No dead helpers in the engine: every module-level function and class of
 ``src/segre/*.py`` must be referenced outside its own definition, somewhere in
 ``src/segre`` (a re-export in ``__init__`` counts) or in ``bench/``.  Tests do
-not count as users."""
+not count as users.  Nor dead imports: every module but ``__init__`` uses each
+name it imports."""
 
 from __future__ import annotations
 
@@ -57,6 +58,27 @@ def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[s
     ]
 
 
+def unused_imports(source: str) -> List[str]:
+    """Names that ``source`` imports (``__future__`` aside) but never uses.
+
+    A use is a bare name anywhere in the module or an identifier string (a
+    string annotation); ``import a.b`` binds and is used as ``a``.
+    """
+    tree = ast.parse(source)
+    imported: List[str] = []
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            used.add(node.value)
+    return [name for name in imported if name not in used]
+
+
 def _sources(directory: Path) -> Dict[str, str]:
     return {path.name: path.read_text() for path in sorted(directory.glob("*.py"))}
 
@@ -88,3 +110,25 @@ def test_scanner_flags_dead_helpers():
     }
     bench = {"spans.py": "TARGETS = (('x', 'pkg.a', 'traced'),)\n"}
     assert unreferenced(engine, bench) == [("a.py", "recursive"), ("a.py", "dead")]
+
+
+def test_every_engine_module_uses_its_imports():
+    engine = _sources(SOURCE)
+    del engine["__init__.py"]  # its imports are the package's re-exports
+    unused = {module: unused_imports(source) for module, source in engine.items()}
+    assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_scanner_flags_unused_imports():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os.path",
+            "import json as j",
+            "from typing import List, Optional",
+            "from .a import used, annotated, dead",
+            "def f(x: List[int]) -> 'annotated':",
+            "    return used(os.sep)",
+        ]
+    )
+    assert unused_imports(source) == ["j", "Optional", "dead"]

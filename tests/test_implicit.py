@@ -105,7 +105,7 @@ def test_check_reality_failure_witness():
     dims = Dims(2, 1)
     arity = dims.graph_arity
     q = TruncatedSeries(arity, 6, {(0, 0, 1): gauss(1), (1, 1, 0): gauss(1)})
-    graph = GraphForm(dims, FormalMap([q]), 6)
+    graph = GraphForm(dims, FormalMap([q]))
     ok, witness = check_reality(graph, graph.rho())
     assert not ok
     assert "z1" in witness and "ch1" in witness

@@ -14,13 +14,13 @@ from segre import (
     DEFAULT_SEED,
     GaussianRational,
     InconclusiveError,
+    InternalConsistencyError,
     ManifoldSpec,
     RunConfig,
     SegreMapping,
     cr_basis,
     gauss,
     lie_hull_dimension,
-    linear_coordinate_change,
     load_manifold,
     mirror_sigma,
     orbit_annihilator,
@@ -32,6 +32,7 @@ from segre import orbit
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 from conftest import default_profile, load_fixture, random_rigid_manifold, working_order_only
+from oracles import linear_coordinate_change
 
 
 @pytest.fixture(scope="module")
@@ -514,9 +515,7 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
     assert mappings == [8]
 
 
-def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch):
-    from segre import ManifoldSpec, load_manifold
-
+def test_verify_checks_reality_once_at_the_top_order(manifold_h, monkeypatch):
     from conftest import FIXTURE_DIR
 
     calls = []
@@ -528,17 +527,23 @@ def test_verify_all_reuses_the_load_gates_reality_check(manifold_h, monkeypatch)
 
     monkeypatch.setattr(orbit, "check_reality", counting_check)
     gated = verify_all(manifold_h, RunConfig())
-    # the base order is never re-checked; the top escalated order, solved
-    # without the gate, is checked exactly once
-    assert [graph.valid_order for graph in calls] == [16] and manifold_h.verified
-    # a manifold loaded past the gate is checked by verify itself, with the same witness
+    # reality at the top escalated order implies it at the run's order, which
+    # is never checked again, whether or not the load gate checked it
+    assert [graph.valid_order for graph in calls] == [16]
     ungated = load_manifold(ManifoldSpec.from_file(FIXTURE_DIR / "h.json"), 8, label="h", verify=False)
-    assert not ungated.verified
     calls.clear()
     report = verify_all(ungated, RunConfig())
-    assert calls[0] is ungated.graph and [graph.valid_order for graph in calls] == [8, 16]
+    assert [graph.valid_order for graph in calls] == [16]
     assert report.checks["reality"] == gated.checks["reality"]
     assert report.checks["reality"].witness == "identity holds"
+
+
+def test_verify_refuses_an_ungated_unreal_manifold_by_its_reality_check():
+    # z1^2 has no conjugate partner ch1^2, so the ideal is not real at any order
+    spec = ManifoldSpec(N=2, d=1, form="graph", expressions=("ta1 + 2*i*z1*ch1 + z1^2",))
+    manifold = load_manifold(spec, 8, verify=False)
+    with pytest.raises(InternalConsistencyError, match=r"defining ideal is not real at order 16: .*ch1\^2"):
+        verify_all(manifold, RunConfig())
 
 
 def random_invertible(rng, size):

@@ -10,7 +10,6 @@ import pytest
 import segre
 from segre import (
     lie_hull_dimension,
-    linear_coordinate_change,
     mirror_sigma,
     orbit_annihilator,
     orbit_ideal_in_M,
@@ -26,7 +25,6 @@ PHASES = [
     mirror_sigma,
     lie_hull_dimension,
     verify_all,
-    linear_coordinate_change,
 ]
 
 
