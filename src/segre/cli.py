@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .config import DEFAULT_SEED, RunConfig
 from .errors import (
@@ -31,10 +31,14 @@ from .errors import (
     SegreError,
 )
 from .expressions import GenericManifold, load_manifold_file
-from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .maps import SegreMapping, default_var_cap
-from .orbit import VerificationReport, check_kernel_caps, orbit_annihilator, verify_all
 from .rank import RankProfile, rank_profile
+
+# segre.orbit and segre.fields are imported by the commands that run them,
+# so that ``segre rank`` never compiles them
+if TYPE_CHECKING:
+    from .fields import LieHullReport
+    from .orbit import VerificationReport
 
 EXIT_OK = 0
 EXIT_LOAD = 2
@@ -219,6 +223,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_finite_type(args) -> int:
+    from .fields import cr_basis, lie_hull_dimension
+
     config = _config_from_args(args)
     manifold = _load(args, config)
     profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
@@ -250,6 +256,9 @@ def cmd_finite_type(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .fields import cr_basis, lie_hull_dimension
+    from .orbit import check_kernel_caps, orbit_annihilator
+
     config = _config_from_args(args)
     manifold = _load(args, config)
     check_kernel_caps([manifold.N], config.resolve_degree())
@@ -282,6 +291,8 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .orbit import verify_all
+
     config = _config_from_args(args)
     manifold = _load(args, config)
     report = verify_all(manifold, config)

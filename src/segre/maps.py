@@ -18,16 +18,18 @@ at any order from the graph or the defining functions at that order
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .coords import Dims
 from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
-from .fields import FormalVectorField
 from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
 from .series import FormalMap, TruncatedSeries, compose_many, on_line, series_match, unit_exponent
+
+if TYPE_CHECKING:  # only make_T's annotations name it; a rank run never loads segre.fields
+    from .fields import FormalVectorField
 
 Matrix = List[List[TruncatedSeries]]
 

@@ -304,7 +304,7 @@ def test_check_failure_exit_code(monkeypatch, capsys):
         object.__setattr__(report, "checks", checks)
         return report
 
-    monkeypatch.setattr(cli, "verify_all", sabotaged)
+    monkeypatch.setattr(orbit_module, "verify_all", sabotaged)
     code, out, _ = run_cli(capsys, "verify", "--fixture", "flat")
     assert code == cli.EXIT_CHECK_FAILED
     assert "CHECKS FAILED" in out
@@ -435,6 +435,37 @@ def test_cli_import_skips_dataclasses_and_resources():
     proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_each_entry_point_loads_only_its_modules():
+    # without bytecode caches every loaded module is compiled from source
+    script = "\n".join(
+        [
+            "import contextlib, io, json, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('segre.'))",
+            "import segre",
+            "steps = {'import': loaded()}",
+            "from segre import cli",
+            "for command in ('rank', 'verify'):",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        code = cli.main([command, '--fixture', 'h'])",
+            "    steps[command] = (code, loaded())",
+            "print(json.dumps(steps))",
+        ]
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    assert steps["import"] == []
+    code, after_rank = steps["rank"]
+    assert code == cli.EXIT_OK
+    assert "segre.rank" in after_rank
+    assert "segre.orbit" not in after_rank and "segre.fields" not in after_rank
+    code, after_verify = steps["verify"]
+    assert code == cli.EXIT_OK
+    assert {"segre.orbit", "segre.fields"} <= set(after_verify)
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

@@ -1,8 +1,9 @@
 """No dead helpers in the engine: every module-level function and class of
 ``src/segre/*.py`` must be referenced outside its own definition, somewhere in
-``src/segre`` (a re-export in ``__init__`` counts) or in ``bench/``.  Tests do
-not count as users.  Nor dead imports: every module but ``__init__`` uses each
-name it imports."""
+``src/segre`` (a name in ``__init__``'s export table counts) or in ``bench/``.
+Tests do not count as users; the interpreter does, for the package's PEP 562
+hooks ``__getattr__`` and ``__dir__``.  Nor dead imports: every module uses
+each name it imports."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ SOURCE = ROOT / "src" / "segre"
 BENCH = ROOT / "bench"
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# module-level hooks that the interpreter calls on attribute access and dir()
+INTERPRETER_HOOKS = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
 
 
 def definitions(source: str) -> List[str]:
@@ -54,7 +57,7 @@ def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[s
         (module, name)
         for module, source in engine.items()
         for name in definitions(source)
-        if name not in used
+        if name not in used and (module, name) not in INTERPRETER_HOOKS
     ]
 
 
@@ -112,10 +115,18 @@ def test_scanner_flags_dead_helpers():
     assert unreferenced(engine, bench) == [("a.py", "recursive"), ("a.py", "dead")]
 
 
+def test_scanner_exempts_only_the_package_hooks():
+    hooks = "def __getattr__(name):\n    raise AttributeError(name)\ndef __dir__():\n    return []\n"
+    engine = {"__init__.py": hooks + "def dead():\n    pass\n", "a.py": hooks}
+    assert unreferenced(engine, {}) == [
+        ("__init__.py", "dead"),
+        ("a.py", "__getattr__"),
+        ("a.py", "__dir__"),
+    ]
+
+
 def test_every_engine_module_uses_its_imports():
-    engine = _sources(SOURCE)
-    del engine["__init__.py"]  # its imports are the package's re-exports
-    unused = {module: unused_imports(source) for module, source in engine.items()}
+    unused = {module: unused_imports(source) for module, source in _sources(SOURCE).items()}
     assert {module: names for module, names in unused.items() if names} == {}
 
 

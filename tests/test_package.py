@@ -1,0 +1,105 @@
+"""The package root exports the engine's public names, each resolved on first use."""
+
+from __future__ import annotations
+
+import importlib
+import types
+
+import pytest
+
+import segre
+
+# every name the package root exports, by the module that defines it
+EXPORTS = {
+    "config": ["DEFAULT_SEED", "RunConfig"],
+    "coords": ["Dims"],
+    "errors": [
+        "ConfigError",
+        "GenericityError",
+        "InconclusiveError",
+        "InternalConsistencyError",
+        "ManifoldError",
+        "RealityError",
+        "SegreError",
+        "SplitError",
+    ],
+    "expressions": [
+        "GenericManifold",
+        "ManifoldSpec",
+        "ParseError",
+        "load_manifold",
+        "load_manifold_file",
+        "manifold_from_graph_series",
+        "manifold_from_rho_series",
+        "parse_expression",
+        "variable_table",
+    ],
+    "fields": ["FormalVectorField", "LieHullReport", "bracket", "cr_basis", "lie_hull_dimension", "sigma_field"],
+    "implicit": ["GraphForm", "check_reality", "ideal_member", "solve_graph"],
+    "maps": [
+        "IteratedSegre",
+        "SegreManifoldParam",
+        "SegreMapping",
+        "ThetaPhi",
+        "VariableCapError",
+        "iterate",
+        "make_T",
+        "make_theta_phi",
+        "pushforward_residuals",
+    ],
+    "orbit": [
+        "CheckResult",
+        "MirrorManifold",
+        "OrbitIdealReport",
+        "OrbitReport",
+        "VerificationReport",
+        "mirror_sigma",
+        "orbit_annihilator",
+        "orbit_ideal_in_M",
+        "verify_all",
+    ],
+    "rank": ["RankCertificate", "RankProfile", "generic_rank", "minor_determinant", "rank_profile"],
+    "series": [
+        "CompositionError",
+        "FormalMap",
+        "GaussianRational",
+        "I",
+        "ONE",
+        "SeriesError",
+        "TruncatedSeries",
+        "ZERO",
+        "gauss",
+        "jacobian",
+        "series_match",
+    ],
+}
+PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+def test_every_export_resolves_to_its_modules_object():
+    wrong = []
+    for module, name in PAIRS:
+        namespace = {}
+        exec(f"from segre import {name}", namespace)
+        defined = getattr(importlib.import_module(f"segre.{module}"), name)
+        # cached in the package's namespace: the next lookup skips __getattr__
+        if not namespace[name] is vars(segre).get(name) is defined:
+            wrong.append(f"{module}.{name}")
+    assert wrong == []
+
+
+def test_dir_lists_every_export():
+    listed = dir(segre)
+    assert listed == sorted(listed)
+    assert {name for _, name in PAIRS} <= set(listed)
+    assert set(segre.__all__) == {name for _, name in PAIRS}
+
+
+def test_unknown_names_raise_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        segre.no_such_name
+    from segre import cli, linalg, orbit
+
+    for module in (cli, linalg, orbit):
+        assert isinstance(module, types.ModuleType)
+    assert orbit.verify_all is segre.verify_all

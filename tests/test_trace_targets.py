@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-import segre  # noqa: F401  (imports every engine module the tracer rebinds)
+import segre  # its exports resolve on first use; the loop below loads each traced module
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
