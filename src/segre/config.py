@@ -1,7 +1,8 @@
 """The settings a command takes from its options, each default decided here.
 
-The rank certificates' constants (lines per certificate, value bound, order
-ladder) live in ``rank``; a run chooses only their seed.
+``ORDER_LADDER`` is no setting: every rank is read at kappa plus each of its
+steps, and every manifold is loaded at kappa plus the last.  The rank
+certificates' other constants live in ``rank``; a run chooses only their seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from .errors import ConfigError
 from .record import Record
 
 DEFAULT_SEED = 0x5E62E
+ORDER_LADDER = (0, 4, 8)
 
 
 class RunConfig(Record):

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
+from .config import ORDER_LADDER
 from .coords import Dims
 from .errors import GenericityError, ManifoldError, RealityError, SplitError
 from .implicit import GraphForm, check_reality, solve_graph
@@ -310,8 +311,9 @@ class GenericManifold(Record):
     Carries both the graph form (Q, Qbar) and the canonical defining
     functions rho = w - Q in the ambient ring, both exactly at order
     ``kappa``; ``w_columns`` records which raw Z-coordinates were renamed to
-    w (the identity split for graph-form input).  ``source`` retains enough
-    information to rebuild the manifold at a different truncation order.
+    w (the identity split for graph-form input).  ``top`` is the same
+    manifold at the top order kappa + ORDER_LADDER[-1], the one order its
+    input was parsed and solved at (None on that manifold itself).
     """
 
     dims: Dims
@@ -319,7 +321,7 @@ class GenericManifold(Record):
     graph: GraphForm
     rho: FormalMap
     w_columns: Tuple[int, ...]
-    source: Tuple
+    top: Optional["GenericManifold"]
     label: str = "manifold"
 
     @property
@@ -339,24 +341,19 @@ class GenericManifold(Record):
         return self.graph.Q
 
     def at_kappa(self, kappa: int) -> "GenericManifold":
-        """The same manifold rebuilt at order ``kappa`` from its source.
-
-        The rebuild skips the reality gate: ``verify_all`` checks reality at
-        the top order it rebuilds, which implies it at every order below.
-        """
+        """The same manifold at order ``kappa``: Q and rho of the top form
+        truncated, which is term for term what a load at ``kappa`` builds
+        (truncation is a ring homomorphism, and the solved graph is unique
+        modulo degree > kappa).  No order above the top is kept."""
+        top = self.top or self
         if kappa == self.kappa:
             return self
-        kind = self.source[0]
-        if kind == "spec":
-            return load_manifold(self.source[1], kappa, label=self.label, verify=False)
-        _, form, components, split = self.source
-        if form == "graph":
-            return manifold_from_graph_series(
-                self.dims, components, kappa, label=self.label, verify=False
-            )
-        return manifold_from_rho_series(
-            self.dims, components, kappa, split=split, label=self.label, verify=False
-        )
+        if kappa == top.kappa:
+            return top
+        if kappa > top.kappa:
+            raise ValueError(f"order {kappa} is above the top order {top.kappa}")
+        graph = GraphForm(self.dims, top.Q.truncate(kappa))
+        return top.replace(kappa=kappa, graph=graph, rho=top.rho.truncate(kappa), top=top)
 
     def describe(self) -> str:
         return f"{self.label}: N={self.N} d={self.d} n={self.n} kappa={self.kappa}"
@@ -377,23 +374,20 @@ def _finish_load(
     rho: FormalMap,
     kappa: int,
     w_columns: Tuple[int, ...],
-    source: Tuple,
     label: str,
-    verify: bool = True,
 ) -> GenericManifold:
-    """The manifold, after the reality gate when ``verify`` is set.
+    """The manifold at ``kappa``, truncated from ``graph`` and ``rho`` at the
+    top order, after the reality gate at ``kappa``.
 
     Genericity needs no check here: a graph's rho = w - Q has an identity
     w-differential, and ``manifold_from_rho_series`` checked the rank of the
     Z-differentials before it solved for the graph.
     """
-    if verify:
-        ok, witness = check_reality(graph, rho)
-        if not ok:
-            raise RealityError(
-                f"defining ideal is not real: reality identity fails at {witness}", witness or ""
-            )
-    return GenericManifold(dims, kappa, graph, rho, w_columns, source, label)
+    manifold = GenericManifold(dims, graph.valid_order, graph, rho, w_columns, None, label).at_kappa(kappa)
+    ok, witness = check_reality(manifold.graph, manifold.rho)
+    if not ok:
+        raise RealityError(f"defining ideal is not real: reality identity fails at {witness}", witness or "")
+    return manifold
 
 
 def manifold_from_graph_series(
@@ -401,21 +395,19 @@ def manifold_from_graph_series(
     q_components: Sequence[TruncatedSeries],
     kappa: int,
     label: str = "manifold",
-    verify: bool = True,
 ) -> GenericManifold:
-    """Build a manifold from already-parsed graph components Q_l(z, ch, ta)."""
+    """Build a manifold at ``kappa`` from already-parsed graph components
+    Q_l(z, ch, ta), read at the top order kappa + ORDER_LADDER[-1]."""
+    top = kappa + ORDER_LADDER[-1]
     comps = []
     for q in q_components:
         if q.arity != dims.graph_arity:
             raise ManifoldError("graph components must live in the (z, ch, ta) ring")
         if q.constant_term():
             raise ManifoldError("the manifold must pass through the origin (Q has a constant term)")
-        comps.append(q.truncate(min(q.kappa, kappa)).with_order(kappa))
+        comps.append(q.with_order(top))
     graph = GraphForm(dims, FormalMap(comps))
-    rho = graph.rho()
-    w_columns = tuple(range(dims.n, dims.N))
-    source = ("series", "graph", tuple(q_components), None)
-    return _finish_load(dims, graph, rho, kappa, w_columns, source, label, verify)
+    return _finish_load(dims, graph, graph.rho(), kappa, tuple(range(dims.n, dims.N)), label)
 
 
 def manifold_from_rho_series(
@@ -424,16 +416,17 @@ def manifold_from_rho_series(
     kappa: int,
     split: Optional[Sequence[int]] = None,
     label: str = "manifold",
-    verify: bool = True,
 ) -> GenericManifold:
-    """Build a manifold from defining functions in the raw (Z, ze) ring."""
+    """Build a manifold at ``kappa`` from defining functions in the raw (Z, ze)
+    ring, read and solved for the graph at the top order kappa + ORDER_LADDER[-1]."""
+    top = kappa + ORDER_LADDER[-1]
     raw = []
     for component in raw_components:
         if component.arity != dims.ambient_arity:
             raise ManifoldError("rho components must live in the 2N-variable (Z, ze) ring")
         if component.constant_term():
             raise ManifoldError("the manifold must pass through the origin (rho has a constant term)")
-        raw.append(component.truncate(min(component.kappa, kappa)).with_order(kappa))
+        raw.append(component.with_order(top))
     linear = [
         [raw[j].coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
         for j in range(dims.d)
@@ -449,39 +442,34 @@ def manifold_from_rho_series(
         w_columns = _choose_w_columns(linear, dims)
     assignment = dims.raw_to_ambient(w_columns)
     rho = FormalMap([component.map_vars(dims.ambient_arity, assignment) for component in raw])
-    graph = solve_graph(rho, dims, kappa)
-    source = ("series", "rho", tuple(raw_components), w_columns)
-    return _finish_load(dims, graph, rho, kappa, w_columns, source, label, verify)
+    return _finish_load(dims, solve_graph(rho, dims, top), rho, kappa, w_columns, label)
 
 
-def load_manifold(
-    spec: ManifoldSpec, kappa: int, label: str = "manifold", verify: bool = True
-) -> GenericManifold:
-    """Parse a manifold specification and build it by its graph or rho route.
+def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> GenericManifold:
+    """Parse a manifold specification once, at the top order kappa +
+    ORDER_LADDER[-1], and build it by its graph or rho route.
 
-    Raises GenericityError, RealityError (only when ``verify`` is set),
-    SplitError, or ParseError with the offending detail; a returned manifold
-    has rank-d Z-differentials, mutually consistent graph and rho generators
-    and, when verified, a real ideal.  Its source is the spec itself.
+    Raises GenericityError, RealityError, SplitError, or ParseError with the
+    offending detail; the manifold returned at ``kappa`` has rank-d
+    Z-differentials, mutually consistent graph and rho generators and a real
+    ideal.  It keeps no spec: an order above its top needs a new load.
     """
     dims = Dims(spec.N, spec.d)
     if kappa < 2:
         raise ManifoldError("truncation order must be at least 2")
-    if spec.form == "graph":
-        table = variable_table(dims.graph_names())
-        components = [
-            parse_expression(text, table, kappa, dims.graph_arity) for text in spec.expressions
-        ]
-        manifold = manifold_from_graph_series(dims, components, kappa, label=label, verify=verify)
-    else:
-        table = variable_table(dims.raw_names())
-        components = [
-            parse_expression(text, table, kappa, dims.ambient_arity) for text in spec.expressions
-        ]
-        manifold = manifold_from_rho_series(
-            dims, components, kappa, split=spec.split, label=label, verify=verify
-        )
-    return manifold.replace(source=("spec", spec))
+    graph = spec.form == "graph"
+    names, arity = (dims.graph_names(), dims.graph_arity) if graph else (dims.raw_names(), dims.ambient_arity)
+    table = variable_table(names)
+    try:
+        components = [parse_expression(text, table, kappa + ORDER_LADDER[-1], arity) for text in spec.expressions]
+    except ParseError:
+        # only the power cap depends on the order: report a refusal at kappa as a load there would
+        for text in spec.expressions:
+            parse_expression(text, table, kappa, arity)
+        raise
+    if graph:
+        return manifold_from_graph_series(dims, components, kappa, label=label)
+    return manifold_from_rho_series(dims, components, kappa, split=spec.split, label=label)
 
 
 def load_manifold_file(path: Union[str, Path], kappa: int) -> GenericManifold:

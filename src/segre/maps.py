@@ -12,8 +12,8 @@ argument convention and are re-verified on every constructed iterate: setting
 the first block to zero drops the iterate by one, and identifying the last
 block with the (j-2)-nd drops it by two.  The same recursion, run on one line
 x = eps * p in univariate series, gives the iterates and their Jacobian rows
-at any order from the graph or the defining functions at that order
-(``SegreMapping.on_line``).
+at any order up to the manifold's top from the graph or the defining
+functions at that order (``SegreMapping.on_line``).
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
     The iterates ``v`` are built at the manifold's order kappa only; any
-    order L is read on lines (``on_line``) from them and rho at L.
+    order L up to the manifold's top is read on lines (``on_line``) from them
+    and Q or rho at L, the truncations of its top form.
     """
 
     def __init__(self, manifold: GenericManifold):
@@ -61,7 +62,6 @@ class SegreMapping:
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
         self._phi: Dict[int, FormalMap] = {}
-        self._rebuilt: Dict[int, GenericManifold] = {self.kappa: manifold}
         self._orders: Dict[int, tuple] = {}
         self._lines: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
 
@@ -79,20 +79,15 @@ class SegreMapping:
             phi = self._phi[j] = make_phi(self, j)
         return phi
 
-    def at_order(self, level: int) -> GenericManifold:
-        """The manifold at order ``level``: its own at kappa, else rebuilt once from its source."""
-        if level not in self._rebuilt:
-            self._rebuilt[level] = self.manifold.at_kappa(level)
-        return self._rebuilt[level]
-
     def _outers_at(self, level: int) -> tuple:
         """What ``on_line`` composes at order ``level``: None with Q and its
         partials when Q has no more terms than rho, else rho with its partials.
 
-        Q and rho are those of the manifold at order ``level`` (``at_order``).
+        Q and rho are the manifold's at order ``level``, truncated from its
+        top form (``GenericManifold.at_kappa``).
         """
         if level not in self._orders:
-            at = self.at_order(level)
+            at = self.manifold.at_kappa(level)
             q, rho = at.graph.Q, at.rho
             if sum(len(c.terms) for c in q) <= sum(len(c.terms) for c in rho):
                 rho, outers = None, [*q, *(c.partial(s) for c in q for s in range(self.dims.graph_arity))]

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .config import RunConfig
+from .config import ORDER_LADDER, RunConfig
 from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold
@@ -30,7 +30,6 @@ from .fields import LieHullReport, cr_basis, lie_hull_dimension
 from .implicit import check_reality
 from .maps import SegreMapping, iterate, make_T, pushforward_residuals
 from .rank import (
-    ORDER_LADDER,
     Lines,
     RankCertificate,
     RankProfile,
@@ -536,10 +535,10 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     except InternalConsistencyError as exc:
         record("collapse_identities", False, str(exc))
 
-    # reality at the top escalated order, the one check of it in a run: it
+    # reality of the top form, which the load gate (at kappa) never saw: it
     # holds below that order too, and it implies the identities of phi^j
     top = manifold.kappa + ORDER_LADDER[-1]
-    high = segre.at_order(top)
+    high = manifold.at_kappa(top)
     ok, witness = check_reality(high.graph, high.rho)
     if not ok:
         raise InternalConsistencyError(

@@ -28,6 +28,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from .config import ORDER_LADDER
 from .errors import InternalConsistencyError
 from .maps import Matrix, SegreMapping
 from .record import Record
@@ -38,8 +39,6 @@ Pivot = Tuple[int, int, int, GaussianRational]
 # lines per certificate, and the bound on their integer coordinates
 TRIALS = 3
 VALUE_BOUND = 1 << 16
-# every rank is certified at the working order kappa plus each of these
-ORDER_LADDER = (0, 4, 8)
 
 
 class RankCertificate(Record):
@@ -334,7 +333,7 @@ def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     truncation artifact, not a property of the manifold).  ``segre`` is the
     run's mapping of the manifold; each certificate reads J v^j on lines
     from it at the top order (``iterate_lines``), so the later phases share
-    its rebuilt order and line evaluations.
+    its top order's outer series and line evaluations.
     """
     dims = segre.dims
     if J_max < dims.d + 2:

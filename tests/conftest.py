@@ -48,6 +48,27 @@ def working_order_only():
         yield
 
 
+def count_loads(monkeypatch):
+    """The order of every ``parse_expression`` and ``solve_graph`` call that a
+    load makes from now on, under "parse" and "solve"."""
+    from segre import expressions
+
+    calls = {"parse": [], "solve": []}
+    real_parse, real_solve = expressions.parse_expression, expressions.solve_graph
+
+    def parse(text, table, kappa, arity=None):
+        calls["parse"].append(kappa)
+        return real_parse(text, table, kappa, arity)
+
+    def solve(rho, dims, kappa):
+        calls["solve"].append(kappa)
+        return real_solve(rho, dims, kappa)
+
+    monkeypatch.setattr(expressions, "parse_expression", parse)
+    monkeypatch.setattr(expressions, "solve_graph", solve)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def manifold_h():
     return load_fixture("h")
@@ -83,11 +104,18 @@ def random_coefficient(rng: random.Random, height: int = 4) -> GaussianRational:
 
 
 def random_rigid_manifold(rng: random.Random, kappa: int = 8, master: int = 16):
-    """A random rigid real graph manifold: Q = ta + (psi - conj-swap psi).
+    """A random rigid real graph manifold (``random_rigid_graph``) at ``kappa``."""
+    dims, components = random_rigid_graph(rng, master)
+    return manifold_from_graph_series(dims, components, kappa, label="random-rigid")
+
+
+def random_rigid_graph(rng: random.Random, master: int = 16):
+    """The dimensions and graph components Q = ta + (psi - conj-swap psi) of a
+    random rigid real manifold, at order ``master``.
 
     The antisymmetrization makes the reality identity hold by construction;
     coefficients have height at most 4 and the perturbation degree is at
-    most 4.  Built at a high master order so the manifold can be re-expanded.
+    most 4.
     """
     N = rng.randint(2, 3)
     d = rng.randint(1, min(2, N - 1))
@@ -116,11 +144,19 @@ def random_rigid_manifold(rng: random.Random, kappa: int = 8, master: int = 16):
         phi = psi_series - psi_bar
         q = TruncatedSeries.variable(arity, master, dims.gta(l)) + phi
         components.append(q)
-    return manifold_from_graph_series(dims, components, kappa, label="random-rigid")
+    return dims, components
 
 
 def random_real_rho_manifold(rng: random.Random, kappa: int = 8, master: int = 16):
-    """A random non-rigid real manifold built from a + sigma(a) defining functions."""
+    """A random non-rigid real manifold (``random_real_rho``) at ``kappa``."""
+    dims, components = random_real_rho(rng, master)
+    # with the standard split the raw (Z, ze) layout coincides with the ambient one
+    return manifold_from_rho_series(dims, components, kappa, label="random-rho")
+
+
+def random_real_rho(rng: random.Random, master: int = 16):
+    """The dimensions and raw defining functions a + sigma(a) of a random
+    non-rigid real manifold, at order ``master``."""
     N = rng.randint(2, 3)
     d = rng.randint(1, min(2, N - 1))
     dims = Dims(N, d)
@@ -142,5 +178,4 @@ def random_real_rho_manifold(rng: random.Random, kappa: int = 8, master: int = 1
         a = base + TruncatedSeries(arity, master, extra)
         r = a + a.sigma(dims.N)
         components.append(r)
-    # with the standard split the raw (Z, ze) layout coincides with the ambient one
-    return manifold_from_rho_series(dims, components, kappa, label="random-rho")
+    return dims, components

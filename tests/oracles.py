@@ -394,7 +394,5 @@ def linear_coordinate_change(
     transformed = compose_many(raw, inner)
     # the substitution acts by H on the holomorphic block and conj(H) on the
     # conjugate block, so it commutes with the conjugation involution and
-    # reality is inherited; skip re-verifying the load gate
-    return manifold_from_rho_series(
-        dims, transformed, manifold.kappa, label=f"{manifold.label}'", verify=False
-    )
+    # reality is inherited: the load gate passes
+    return manifold_from_rho_series(dims, transformed, manifold.kappa, label=f"{manifold.label}'")

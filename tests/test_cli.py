@@ -20,7 +20,7 @@ from segre.errors import InternalConsistencyError
 from segre.expressions import MAX_N
 from segre.series import SeriesError
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, count_loads
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -219,6 +219,22 @@ def test_verify_checks_phi_at_the_top_order(tmp_path, capsys):
         "internal consistency error: defining ideal is not real at order 16: "
         "reality identity fails at component 1, monomial z1^6*ch1^6\n"
     )
+
+
+@pytest.mark.parametrize("command", ["rank", "finite-type", "orbit", "verify"])
+@pytest.mark.parametrize("source", ["c2", "rho-quadric"])
+def test_each_expression_is_parsed_and_solved_once_at_the_top_order(tmp_path, monkeypatch, capsys, source, command):
+    # every lower order of the run is a truncation of the one load at kappa + 8
+    if source == "c2":
+        argv, expected = ["--fixture", "c2"], {"parse": [16, 16], "solve": []}
+    else:
+        manifold = tmp_path / "rho-quadric.json"
+        manifold.write_text(json.dumps(RHO_QUADRIC))
+        argv, expected = [str(manifold)], {"parse": [16], "solve": [16]}
+    loads = count_loads(monkeypatch)
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == cli.EXIT_OK and out
+    assert loads == expected
 
 
 def test_verify_json_schema(capsys):

@@ -21,9 +21,14 @@ from segre import (
     parse_expression,
     variable_table,
 )
-from segre.expressions import MAX_NESTING, load_manifold_file
+from segre.config import ORDER_LADDER
+from segre.expressions import MAX_NESTING, load_manifold_file, manifold_from_graph_series, manifold_from_rho_series
+from segre.implicit import GraphForm
+from segre.series import FormalMap
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, random_real_rho, random_rigid_graph
+from oracles import degree_by_degree_graph
+from test_implicit import _bench_cases
 
 
 H_DIMS = Dims(2, 1)
@@ -141,6 +146,14 @@ def test_load_rejects_broken_reality():
     assert "z1" in err.value.witness and "ch1" in err.value.witness
 
 
+def test_a_power_past_the_cap_is_reported_at_the_first_order_that_refuses_it():
+    # 3^8140 passes the cap at order 8 (16384 bits) and fails it at the top order 16
+    for exponent, bits in ((100000000, 200000216), (8140, 16488)):
+        spec = ManifoldSpec(2, 1, "graph", (f"ta1 + 2*i*z1*ch1 + 0*3^{exponent}",))
+        with pytest.raises(ParseError, match=f"power of about {bits} bits exceeds"):
+            load_manifold(spec, 8)
+
+
 def test_spec_validation():
     with pytest.raises(ManifoldError):
         ManifoldSpec(1, 1, "graph", ("ta1",))
@@ -176,11 +189,70 @@ def test_reality_holds_at_every_order_up_to_twelve():
         assert ok, (kappa, witness)
 
 
-def test_at_kappa_reloads_from_spec():
-    manifold = load_manifold_file(FIXTURE_DIR / "h.json", 8)
-    lifted = manifold.at_kappa(12)
-    assert lifted.kappa == 12
-    assert lifted.Q.component(0).terms == manifold.Q.component(0).terms
+def _assert_truncations_are_fresh_builds(manifold, reference):
+    """``at_kappa(L)`` equals ``reference(L)``, the (Q, rho) of a fresh build
+    at L, term for term at every order L from kappa to the top, and no order
+    above the top is given."""
+    for level in range(manifold.kappa, manifold.kappa + ORDER_LADDER[-1] + 1):
+        at = manifold.at_kappa(level)
+        q, rho = reference(level)
+        assert at.kappa == at.graph.valid_order == level
+        assert [(c.kappa, c.terms) for c in at.Q] == [(c.kappa, c.terms) for c in q], level
+        assert [(c.kappa, c.terms) for c in at.rho] == [(c.kappa, c.terms) for c in rho], level
+    with pytest.raises(ValueError, match="above the top order"):
+        manifold.at_kappa(level + 1)
+
+
+def _fresh_build(dims, w_columns, form, components):
+    """Q and rho at order L from input ``components(L)`` alone: a graph's rho is
+    w - Q, and a rho-form input is solved degree by degree."""
+
+    def build(level):
+        if form == "graph":
+            q = FormalMap(components(level))
+            return q, GraphForm(dims, q).rho()
+        raw = FormalMap(components(level))
+        rho = raw.map_vars(dims.ambient_arity, dims.raw_to_ambient(w_columns))
+        return degree_by_degree_graph(rho, dims, level), rho
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "name", ["h", "flat", "l4", "c2", "n2", "rho-quadric", "c3", "h-dense", "l4-dense"]
+)
+def test_at_kappa_equals_a_fresh_build(name, tmp_path):
+    bench = _bench_cases()
+    documents = {"n2": bench.N2, "rho-quadric": bench.RHO_QUADRIC, "c3": bench.C3}
+    if name in documents:
+        spec = ManifoldSpec.from_json(documents[name])
+    elif name.endswith("-dense"):
+        bench.write_inputs("dense-coords", tmp_path, 301)
+        spec = ManifoldSpec.from_file(tmp_path / f"{name}.json")
+    else:
+        spec = ManifoldSpec.from_file(FIXTURE_DIR / f"{name}.json")
+    manifold = load_manifold(spec, 8)
+    dims = manifold.dims
+    names, arity = (
+        (dims.graph_names(), dims.graph_arity) if spec.form == "graph" else (dims.raw_names(), dims.ambient_arity)
+    )
+
+    def parsed(level):
+        return [parse_expression(text, names, level, arity) for text in spec.expressions]
+
+    _assert_truncations_are_fresh_builds(manifold, _fresh_build(dims, manifold.w_columns, spec.form, parsed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_at_kappa_of_random_manifolds_equals_a_fresh_build(seed):
+    for form, draw, build in (
+        ("graph", random_rigid_graph, manifold_from_graph_series),
+        ("rho", random_real_rho, manifold_from_rho_series),
+    ):
+        dims, components = draw(random.Random(seed))
+        manifold = build(dims, components, 8)
+        reference = _fresh_build(dims, manifold.w_columns, form, lambda level: [c.truncate(level) for c in components])
+        _assert_truncations_are_fresh_builds(manifold, reference)
 
 
 def test_rho_form_split_selection():

@@ -31,7 +31,7 @@ from segre import (
 from segre import orbit
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
-from conftest import default_profile, load_fixture, random_rigid_manifold, working_order_only
+from conftest import count_loads, default_profile, load_fixture, random_rigid_manifold, working_order_only
 from oracles import linear_coordinate_change
 
 
@@ -444,28 +444,22 @@ def test_central_identity_on_random_finite_type_manifolds():
 # ---------------------------------------------------------------------------
 
 
-def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
+def test_verify_all_builds_each_order_once(monkeypatch):
     from collections import Counter
 
-    from segre import expressions, fields, maps, rank, series
+    from segre import fields, maps, rank, series
 
-    lifts = Counter()
     pairs = Counter()
     phis = Counter()
     iterates = Counter()
     jacobians = []
     bases = []
     mappings = []
-    real_at_kappa = expressions.GenericManifold.at_kappa
     real_theta_phi = maps.make_theta_phi
     real_phi = maps.make_phi
     real_v = maps.SegreMapping.v
     real_cr_basis = fields.cr_basis
     real_init = maps.SegreMapping.__init__
-
-    def counting_at_kappa(self, kappa):
-        lifts[kappa] += 1
-        return real_at_kappa(self, kappa)
 
     def counting_theta_phi(gamma, j):
         pairs[gamma.kappa, j] += 1
@@ -487,7 +481,7 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         mappings.append(manifold.kappa)
         real_init(self, manifold)
 
-    monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
+    loads = count_loads(monkeypatch)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
     monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
     monkeypatch.setattr(maps, "make_phi", counting_phi)
@@ -498,11 +492,12 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
         monkeypatch.setattr(module, "cr_basis", counting_cr_basis)
     for module in (series, maps, rank, orbit):
         monkeypatch.setattr(module, "jacobian", lambda *args: jacobians.append(args), raising=False)
-    report = verify_all(manifold_c2, RunConfig())
+    report = verify_all(load_fixture("c2"), RunConfig())
     assert report.passed
     k0 = report.profile.k0
-    # only the top order's graph is solved from the source; order 12 is its truncation
-    assert lifts == {16: 1}
+    # each of the two expressions is parsed once, at the top order, and every
+    # lower order is its truncation
+    assert loads == {"parse": [16, 16], "solve": []}
     # nothing multivariate is built above the run's order: the rank
     # certificates read every order's iterates on lines, and no Jacobian is formed
     assert set(iterates) == {8}
@@ -516,8 +511,6 @@ def test_verify_all_builds_each_order_once(manifold_c2, monkeypatch):
 
 
 def test_verify_checks_reality_once_at_the_top_order(manifold_h, monkeypatch):
-    from conftest import FIXTURE_DIR
-
     calls = []
     real_check = orbit.check_reality
 
@@ -526,23 +519,20 @@ def test_verify_checks_reality_once_at_the_top_order(manifold_h, monkeypatch):
         return real_check(graph, rho)
 
     monkeypatch.setattr(orbit, "check_reality", counting_check)
-    gated = verify_all(manifold_h, RunConfig())
+    report = verify_all(manifold_h, RunConfig())
     # reality at the top escalated order implies it at the run's order, which
-    # is never checked again, whether or not the load gate checked it
+    # the load gate checked and verify_all never checks again
     assert [graph.valid_order for graph in calls] == [16]
-    ungated = load_manifold(ManifoldSpec.from_file(FIXTURE_DIR / "h.json"), 8, label="h", verify=False)
-    calls.clear()
-    report = verify_all(ungated, RunConfig())
-    assert [graph.valid_order for graph in calls] == [16]
-    assert report.checks["reality"] == gated.checks["reality"]
     assert report.checks["reality"].witness == "identity holds"
 
 
 def test_verify_refuses_an_ungated_unreal_manifold_by_its_reality_check():
-    # z1^2 has no conjugate partner ch1^2, so the ideal is not real at any order
-    spec = ManifoldSpec(N=2, d=1, form="graph", expressions=("ta1 + 2*i*z1*ch1 + z1^2",))
-    manifold = load_manifold(spec, 8, verify=False)
-    with pytest.raises(InternalConsistencyError, match=r"defining ideal is not real at order 16: .*ch1\^2"):
+    from test_cli import UNREAL_ABOVE_8
+
+    # the load gate passes at order 8; the top form, which no gate checked,
+    # is not real, and verify_all refuses it
+    manifold = load_manifold(ManifoldSpec.from_json(UNREAL_ABOVE_8), 8)
+    with pytest.raises(InternalConsistencyError, match=r"defining ideal is not real at order 16: .*z1\^6\*ch1\^6$"):
         verify_all(manifold, RunConfig())
 
 

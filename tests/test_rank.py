@@ -23,7 +23,14 @@ from segre import (
 from segre.expressions import ManifoldSpec, load_manifold
 from segre.rank import ORDER_LADDER, TRIALS, VALUE_BOUND, lines
 
-from conftest import default_profile, random_real_rho_manifold, random_rigid_manifold, working_order_only
+from conftest import (
+    count_loads,
+    default_profile,
+    load_fixture,
+    random_real_rho_manifold,
+    random_rigid_manifold,
+    working_order_only,
+)
 from oracles import brute_force_rank, from_series, rank_along
 
 
@@ -284,7 +291,7 @@ def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, rank, dr
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
-    from segre import expressions, series
+    from segre import series
     from segre.rank import iterate_lines
 
     matrix = jacobian(SegreMapping(manifold_h).v(2))
@@ -293,15 +300,9 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
         raise AssertionError("a certificate formed a multivariate Jacobian")
 
     monkeypatch.setattr(series, "jacobian", never)
-    lifts = []
-    real_at_kappa = expressions.GenericManifold.at_kappa
-
-    def counting_at_kappa(self, kappa):
-        lifts.append(kappa)
-        return real_at_kappa(self, kappa)
-
-    monkeypatch.setattr(expressions.GenericManifold, "at_kappa", counting_at_kappa)
-    segre = SegreMapping(manifold_h)
+    loads = count_loads(monkeypatch)
+    manifold = load_fixture("h")
+    segre = SegreMapping(manifold)
     levels = []
 
     def builder(level):
@@ -310,9 +311,10 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
 
     cert = generic_rank(builder=builder, kappa=8, seed=DEFAULT_SEED)
     assert levels == [16]
-    # only the top order is built, and every lower order is read off its lines
-    assert segre.at_order(8) is manifold_h and segre.at_order(16).kappa == 16
-    assert lifts == [16]
+    # the one expression is parsed once, at the top order, and every lower
+    # order is read off the lines of the top form
+    assert loads == {"parse": [16], "solve": []}
+    assert manifold.at_kappa(8) is manifold and manifold.at_kappa(16) is manifold.top
     # the certificate's line reads the multivariate Jacobian at the run's order
     assert cert.rank == 2 and cert.kappa_used == 8 and cert.stable
     assert cert.verify(matrix)

@@ -1,5 +1,6 @@
 """Each run setting is decided in one place: ``RunConfig`` resolves a command's
-options, ``rank`` holds the certificates' constants, and no phase has a default."""
+options, ``config`` holds the order ladder and ``rank`` the certificates' other
+constants, no phase has a default, and a load has no switch."""
 
 from __future__ import annotations
 
@@ -42,3 +43,17 @@ def test_the_rank_certificates_have_no_options():
 
 def test_the_certificate_constants():
     assert (rank.TRIALS, rank.VALUE_BOUND, rank.ORDER_LADDER) == (3, 1 << 16, (0, 4, 8))
+    # the ladder has one owner, which the loads read their top order from too
+    assert rank.ORDER_LADDER is segre.config.ORDER_LADDER is segre.expressions.ORDER_LADDER
+
+
+@pytest.mark.parametrize("constructor", ["load_manifold", "manifold_from_graph_series", "manifold_from_rho_series"])
+def test_a_load_has_no_verify_switch(constructor):
+    # every load passes the reality gate at its order
+    assert "verify" not in inspect.signature(getattr(segre, constructor)).parameters
+
+
+def test_a_manifold_keeps_no_source():
+    # every order up to the top is a truncation of the top form
+    assert "source" not in segre.GenericManifold.__slots__
+    assert "top" in segre.GenericManifold.__slots__
