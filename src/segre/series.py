@@ -756,7 +756,7 @@ def series_match(a: TruncatedSeries, b: TruncatedSeries) -> bool:
 
 
 def compose_many(
-    outers: Sequence[TruncatedSeries], inner: "FormalMap"
+    outers: Sequence[TruncatedSeries], inner: "FormalMap", memo: Optional[dict] = None
 ) -> list:
     """Compose several series with one inner map, sharing all partial products.
 
@@ -766,7 +766,10 @@ def compose_many(
     a previously computed sub-monomial, and one-term components shift those
     rows as they are summed.  Results carry per-outer truncation orders;
     sharing at the maximum order and truncating afterwards is sound because
-    truncation is a quotient homomorphism.
+    truncation is a quotient homomorphism.  A caller that composes in
+    batches passes one ``memo`` dict to every batch, and each batch builds
+    only the products that the batches before it did not; the batches must
+    share the inner map and the highest outer order (SeriesError otherwise).
     """
     if not outers:
         return []
@@ -790,7 +793,13 @@ def compose_many(
     single = [len(rows) == 1 for rows, _ in components]
     shifts = [(k, rows[0], den) for k, (rows, den) in enumerate(components) if single[k]]
     sparsest = sorted((k for k in range(arity - 1, -1, -1) if not single[k]), key=lambda k: len(components[k][0]))
-    memo: dict = {(0,) * arity: ([(0, 1, 0)], 1)}
+    # the rows are packed for one inner map at one order: a memo serves no other
+    key = (cache_kappa, inner.components)
+    if memo is None:
+        memo = {}
+    if memo.setdefault(None, key) != key:
+        raise SeriesError("a composition memo serves one inner map at one order")
+    memo.setdefault((0,) * arity, ([(0, 1, 0)], 1))
     memo_bound = packing.bound(cache_kappa)
 
     results = []

@@ -41,10 +41,16 @@ def default_profile(segre):
 
 @contextlib.contextmanager
 def working_order_only():
-    """Certify every rank at the working order alone, without the escalated
-    orders: the law and invariance tests compare ranks, not their stability."""
+    """Load every manifold and certify every rank at the working order alone,
+    without the escalated orders: the law and invariance tests compare
+    ranks, not their stability.  The ladder is lowered in each module that
+    reads it: the rank certificates, the load's top order, and the order of
+    verify_all's reality check."""
+    from segre import expressions, orbit
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rank, "ORDER_LADDER", (0,))
+        for module in (rank, expressions, orbit):
+            patch.setattr(module, "ORDER_LADDER", (0,))
         yield
 
 

@@ -14,7 +14,9 @@ to a line, where the engine evaluates them on the line in forward mode.  The
 kernel oracle (``carried_kernel``, then ``sparse_rref``) shares
 ``linalg.Echelon`` with the engine but reaches the kernel by another route:
 it carries each column's combination along, where the engine eliminates the
-transposed rows and reads the kernel off their reduced form.  Last,
+transposed rows and reads the kernel off their reduced form.  The one-shot
+kernel (``one_shot_kernel_series``) is the orbit kernel search without its
+early stop: every monomial up to the bound at once.  Last,
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 """
@@ -26,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, jacobian, linalg, manifold_from_rho_series
 from segre.maps import SegreMapping, make_theta_phi
-from segre.orbit import _mirror_parametrization
+from segre.orbit import _mirror_parametrization, _monomials
 from segre.rank import ORDER_LADDER, _on_line
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
@@ -218,6 +220,26 @@ def sparse_rref(rows: Sequence[Dict]) -> List[Dict]:
     for row in rows:
         echelon.add(row)
     return echelon.reduced()
+
+
+def one_shot_kernel_series(
+    components: Sequence[TruncatedSeries], arity: int, max_degree: int, kappa: int
+) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
+    """Kernel of f -> f(components) over every polynomial f with 1 <= deg f <= max_degree at once.
+
+    The search the orbit kernels made before they went degree by degree:
+    every monomial composed in one ``compose_many`` and eliminated in one
+    ``linalg.sparse_kernel``.  Returns the kernel elements as series of
+    order ``kappa``, the monomials and the number of kernel elements with
+    nonzero linear part, as ``orbit._kernel_series`` does.
+    """
+    monomials = _monomials(arity, max_degree)
+    outers = [TruncatedSeries(arity, kappa, {exp: GaussianRational(1)}) for exp in monomials]
+    images = compose_many(outers, FormalMap(list(components)))
+    kernel = linalg.sparse_kernel([image.terms for image in images])
+    linear_rank = sum(1 for row in kernel if min(row) < arity)
+    series = [TruncatedSeries(arity, kappa, {monomials[c]: value for c, value in row.items()}) for row in kernel]
+    return series, monomials, linear_rank
 
 
 # ---------------------------------------------------------------------------

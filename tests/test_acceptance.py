@@ -203,8 +203,8 @@ def test_criterion_11_coordinate_invariance():
                 base = default_profile(SegreMapping(manifold)).ranks
             for _ in range(10):
                 matrix = random_invertible(rng, manifold.N)
-                transformed = linear_coordinate_change(manifold, matrix)
                 with working_order_only():
+                    transformed = linear_coordinate_change(manifold, matrix)
                     assert default_profile(SegreMapping(transformed)).ranks == base, name
 
 

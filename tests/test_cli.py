@@ -351,6 +351,23 @@ def test_unstable_profile_exits_inconclusive(capsys, command):
     assert all(check["pass"] for check in payload["checks"].values())
 
 
+def test_failed_check_on_a_moved_rank_exits_inconclusive(tmp_path, capsys):
+    # c4 (N=5, d=4) at the default order: Rk v^4 first reads 4 at order 12,
+    # so the profile moves and the rank route's "not of finite type" rests on
+    # it; the routes' disagreement is inconclusive, with the moved ranks as
+    # the reason, and no theorem failure
+    manifold = tmp_path / "c4.json"
+    expressions = [f"ta{k} + 2*i*z1^{k}*ch1^{k}" for k in range(1, 5)]
+    manifold.write_text(json.dumps({"N": 5, "d": 4, "form": "graph", "expressions": expressions}))
+    code, out, err = run_cli(capsys, "finite-type", str(manifold))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert "routes agree: NO" in out
+    assert err == (
+        "inconclusive: ranks moved under order escalation "
+        "(Rk v^4 = 4 from order 12, Rk v^5 = 4 from order 12, Rk v^6 = 4 from order 12)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, seed",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import random
@@ -9,6 +10,8 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre import (
     DEFAULT_SEED,
@@ -32,7 +35,7 @@ from segre import orbit
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 from conftest import count_loads, default_profile, load_fixture, random_rigid_manifold, working_order_only
-from oracles import linear_coordinate_change
+from oracles import linear_coordinate_change, one_shot_kernel_series
 
 
 @pytest.fixture(scope="module")
@@ -255,15 +258,37 @@ def test_orbit_ideal_composes_only_the_monomials(manifold_flat, monkeypatch):
     calls = []
     real = orbit.compose_many
 
-    def counting(outers, inner):
+    def counting(outers, inner, memo=None):
         calls.append(len(outers))
-        return real(outers, inner)
+        return real(outers, inner, memo)
 
     monkeypatch.setattr(orbit, "compose_many", counting)
     ideal = orbit_ideal_in_M(segre, profile.k0, report, 4)
     assert ideal.sigma_closed
-    # degree 1..4 in the 4 ambient variables
-    assert calls == [math.comb(8, 4) - 1]
+    # w1 and ta1 reach d + e = 2 in degree 1: the 4 ambient variables, and
+    # none of the 65 monomials of degree 2..4
+    assert calls == [4]
+
+
+def test_orbit_ideal_composes_each_monomial_once_on_its_way_to_the_top_degree(manifold_l4, monkeypatch):
+    # l4's quartic defining function takes the search to degree 4: one batch
+    # per degree, 4 + 10 + 20 + 35 = 69 monomials, as many as one search of
+    # degree <= 4 composes at once, with one memo for all four batches
+    segre = SegreMapping(manifold_l4)
+    profile = default_profile(segre)
+    report = orbit_annihilator(segre, profile, 4, None)
+    calls = []
+    real = orbit.compose_many
+
+    def counting(outers, inner, memo=None):
+        calls.append((len(outers), id(memo)))
+        return real(outers, inner, memo)
+
+    monkeypatch.setattr(orbit, "compose_many", counting)
+    ideal = orbit_ideal_in_M(segre, profile.k0, report, 4)
+    assert ideal.codimension_ok
+    assert [count for count, _ in calls] == [math.comb(3 + k, k) for k in range(1, 5)]
+    assert len({memo for _, memo in calls}) == 1
 
 
 @pytest.mark.parametrize("c, closed", [(gauss(0, 1), True), (gauss(0, 2), False)], ids=["unit", "non-unit"])
@@ -287,6 +312,133 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
     assert ideal.generators == tuple(basis)
     assert ideal.sigma_closed is closed
     assert ideal.codimension_ok
+
+
+# ---------------------------------------------------------------------------
+# the degree-by-degree kernel search
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _reached_degrees():
+    """The degree at which each kernel search stops, in call order."""
+    degrees = []
+    real_kernel = orbit._kernel_series
+
+    def spy(*args):
+        result = real_kernel(*args)
+        degrees.append(sum(result[1][-1]))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit, "_kernel_series", spy)
+        yield degrees
+
+
+def _kernel_degrees(manifold):
+    """The degree at which the annihilator search and then the orbit ideal search stop."""
+    segre = SegreMapping(manifold)
+    profile = default_profile(segre)
+    bound = RunConfig(kappa=manifold.kappa).resolve_degree()
+    with _reached_degrees() as degrees:
+        report = orbit_annihilator(segre, profile, bound, None)
+        orbit_ideal_in_M(segre, profile.k0, report, bound)
+    return degrees
+
+
+C3 = ("ta1 + 2*i*z1*ch1", "ta2 + 2*i*z1^2*ch1^2", "ta3 + 2*i*z1^3*ch1^3")
+
+
+@pytest.mark.parametrize(
+    "spec, kappa, degrees",
+    [
+        (ManifoldSpec(4, 3, "graph", C3), 10, [1, 2]),
+        ("h", 8, [1, 2]),
+        ("c2", 8, [1, 2]),
+        (ManifoldSpec(3, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2)",)), 8, [1, 2]),
+        ("flat", 8, [1, 1]),
+        ("l4", 8, [1, 4]),
+        ("l4-dense", 8, [1, 4]),
+    ],
+    ids=["c3", "h", "c2", "n2", "flat", "l4", "l4-dense"],
+)
+def test_kernel_search_stops_at_the_first_degree_that_reaches_its_target(spec, kappa, degrees):
+    # e = N - Rk v^k0 annihilators, and d + e generators of the orbit ideal
+    # with independent differentials: c3's ideal holds ta1 - w1 + 2i z1 ch1
+    # and two quadratic relations, l4's needs its quartic defining function
+    if spec == "l4-dense":
+        from test_cli import L4_DENSE_RHO
+
+        spec = ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,))
+    manifold = load_fixture(spec, kappa) if isinstance(spec, str) else load_manifold(spec, kappa)
+    assert _kernel_degrees(manifold) == degrees
+
+
+def test_escalation_is_the_tail_of_the_search(curved_w_manifold):
+    # w - i z^2 is out of reach of bound 1: the search goes on past it and
+    # stops at 2, inside the escalated bound 3 that the witness names
+    segre = SegreMapping(curved_w_manifold)
+    profile = default_profile(segre)
+    with _reached_degrees() as degrees:
+        report = orbit_annihilator(segre, profile, 1, None)
+        assert "degree_escalated" not in orbit_annihilator(segre, profile, 2, None).checks
+    assert degrees == [2, 2]
+    assert list(report.checks)[-1] == "degree_escalated"
+    assert report.checks["degree_escalated"].witness == "degree bound raised 1 -> 3"
+
+
+def test_monomials_of_one_degree_are_a_slice_of_all():
+    for arity in range(1, 5):
+        everything = orbit._monomials(arity, 4)
+        assert [m for k in range(1, 5) for m in orbit._monomials(arity, k, k)] == everything
+        assert orbit._monomials(arity, 4, 3) == [m for m in everything if sum(m) >= 3]
+
+
+def _orbit_outcome(segre, profile, bound):
+    """e, the generators and the orbit ideal's report, or the inconclusive reason."""
+    try:
+        report = orbit_annihilator(segre, profile, bound, None)
+        ideal = orbit_ideal_in_M(segre, profile.k0, report, bound)
+    except InconclusiveError as exc:
+        return str(exc)
+    return report.e, report.f_generators, ideal.linear_rank, ideal.sigma_closed, ideal.generators
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 2**32 - 1))
+def test_degree_by_degree_search_equals_the_one_shot_kernel_at_the_degree_reached(seed):
+    manifold = random_rigid_manifold(random.Random(seed))
+    segre = SegreMapping(manifold)
+    profile = default_profile(segre)
+    bound = RunConfig().resolve_degree()
+    calls = []
+    real_kernel = orbit._kernel_series
+
+    def spy(*args):
+        result = real_kernel(*args)
+        calls.append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit, "_kernel_series", spy)
+        searched = _orbit_outcome(segre, profile, bound)
+    for args, result in calls:
+        components, arity, kappa, target, search_bound = args[:5]
+        end = args[5] if len(args) > 5 else search_bound
+        degree = sum(result[1][-1])
+        assert result == one_shot_kernel_series(components, arity, degree, kappa)
+        # the first degree that reaches the target, or the last one searched
+        assert result[2] == target or degree == end
+        if degree > 1:
+            assert one_shot_kernel_series(components, arity, degree - 1, kappa)[2] != target
+    reached = iter([sum(monomials[-1]) for _, (_, monomials, _) in calls])
+
+    def one_shot(components, arity, kappa, *_):
+        return one_shot_kernel_series(components, arity, next(reached), kappa)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit, "_kernel_series", one_shot)
+        assert _orbit_outcome(segre, profile, bound) == searched
 
 
 # ---------------------------------------------------------------------------

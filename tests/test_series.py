@@ -697,6 +697,26 @@ def test_compose_many_shifts_one_term_factors(case):
         assert ref_terms(result) == ref_compose(ref_terms(f), [ref_terms(h) for h in inner], source, kappa)
 
 
+@settings(max_examples=40, deadline=None)
+@given(shifted_composition(), st.integers(min_value=1, max_value=3))
+def test_compose_many_in_batches_with_one_memo_equals_one_call(case, cut):
+    # a later batch reads the products an earlier one stored in the memo
+    outer, inner = case
+    kappa = outer.kappa
+    units = TruncatedSeries(outer.arity, kappa, {unit_exponent(outer.arity, i): 1 for i in range(outer.arity)})
+    outers = [outer.truncate(2).with_order(kappa), units, outer, outer.truncate(1).with_order(kappa)]
+    memo: dict = {}
+    batched = compose_many(outers[:cut], FormalMap(inner), memo)
+    batched += compose_many(outers[cut:], FormalMap(inner), memo)
+    assert batched == compose_many(outers, FormalMap(inner))
+    # its rows are packed at the first batches' order and for their inner map
+    with pytest.raises(SeriesError, match="one inner map at one order"):
+        compose_many([outer.truncate(1)], FormalMap(inner), memo)
+    moved = [inner[0] + var(inner[0].arity, kappa, 0), *inner[1:]]
+    with pytest.raises(SeriesError, match="one inner map at one order"):
+        compose_many([outer], FormalMap(moved), memo)
+
+
 @pytest.mark.parametrize("kappa", WIDTH_EDGES)
 def test_packed_fields_hold_a_full_power(kappa):
     # c * x_i^kappa fills one field to kappa; x_0 lands in the highest field
