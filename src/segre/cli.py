@@ -171,7 +171,7 @@ def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
         stable=report.profile.stable,
         dim_g0=report.lie.dim_g0,
         e=report.orbit.e,
-        finite_type={"lie": report.finite_type_lie, "segre": report.finite_type_segre},
+        finite_type={"lie": report.lie.finite_type(), "segre": report.profile.finite_type(report.dims.N)},
         orbit_generators=report.orbit.generator_texts(report.dims),
         mirror={
             "annihilates": report.mirror.annihilates,
@@ -191,16 +191,10 @@ def _exit_code(passed: bool, profile: RankProfile, lie: Optional[LieHullReport] 
     with ``lie`` given, the bracket closure did not stabilize; else 0.  Each
     3 gives its reasons on stderr.
     """
-    moved = [
-        f"Rk v^{j} = {cert.rank} from order {cert.kappa_used}"
-        for j, cert in enumerate(profile.certificates, start=1)
-        if not cert.stable
-    ]
-    if not passed and not moved:
+    moved = profile.moved_reason()
+    if not passed and moved is None:
         return EXIT_CHECK_FAILED
-    reasons = []
-    if moved:
-        reasons.append(f"ranks moved under order escalation ({', '.join(moved)})")
+    reasons = [moved] if moved else []
     if lie is not None and not lie.stable:
         reasons.append(f"dim g(0) still grew at bracket depth {lie.bracket_depth_used}")
     if reasons:
@@ -237,7 +231,7 @@ def cmd_finite_type(args) -> int:
     profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
     finite_lie = lie.finite_type()
-    finite_segre = profile.rank_at_k0 == manifold.N
+    finite_segre = profile.finite_type(manifold.N)
     if args.json:
         _emit_json(
             _json_report(
@@ -264,7 +258,7 @@ def cmd_finite_type(args) -> int:
 
 def cmd_orbit(args) -> int:
     from .fields import cr_basis, lie_hull_dimension
-    from .orbit import check_kernel_caps, orbit_annihilator
+    from .orbit import check_kernel_caps, moved_ranks_first, orbit_annihilator
 
     config = _config_from_args(args)
     manifold = _load(args, config)
@@ -272,7 +266,8 @@ def cmd_orbit(args) -> int:
     segre = SegreMapping(manifold)
     profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
-    orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
+    with moved_ranks_first(profile):
+        orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
     if args.json:
         _emit_json(
             _json_report(

@@ -1,8 +1,9 @@
 """The settings a command takes from its options, each default decided here.
 
 ``ORDER_LADDER`` is no setting: every rank is read at kappa plus each of its
-steps, and every manifold is loaded at kappa plus the last.  The rank
-certificates' other constants live in ``rank``; a run chooses only their seed.
+steps, and every manifold is loaded at kappa plus the last (``top_order``).
+The rank certificates' other constants live in ``rank``; a run chooses only
+their seed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,11 @@ from .record import Record
 
 DEFAULT_SEED = 0x5E62E
 ORDER_LADDER = (0, 4, 8)
+
+
+def top_order(kappa: int) -> int:
+    """The order a manifold is loaded at, the highest a run at ``kappa`` reads."""
+    return kappa + ORDER_LADDER[-1]
 
 
 class RunConfig(Record):

@@ -104,10 +104,6 @@ class Dims(Record):
             + [self.ta(l) for l in range(self.d)]
         )
 
-    def z_to_ambient(self) -> List[int]:
-        """Embed a series in Z = (z, w) alone into the ambient ring."""
-        return [self.z(i) for i in range(self.n)] + [self.w(l) for l in range(self.d)]
-
     def raw_to_ambient(self, w_columns: Sequence[int]) -> List[Optional[int]]:
         """Assignment for the raw (Z, ze) ring once the w-columns are chosen.
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .config import ORDER_LADDER
+from .config import top_order
 from .coords import Dims
 from .errors import GenericityError, ManifoldError, RealityError, SplitError
 from .implicit import GraphForm, check_reality, solve_graph
@@ -33,7 +33,7 @@ from .series import (
     GaussianRational,
     TruncatedSeries,
     I,
-    unit_exponent,
+    linear_part,
 )
 
 
@@ -312,7 +312,7 @@ class GenericManifold(Record):
     functions rho = w - Q in the ambient ring, both exactly at order
     ``kappa``; ``w_columns`` records which raw Z-coordinates were renamed to
     w (the identity split for graph-form input).  ``top`` is the same
-    manifold at the top order kappa + ORDER_LADDER[-1], the one order its
+    manifold at the top order ``top_order(kappa)``, the one order its
     input was parsed and solved at (None on that manifold itself).
     """
 
@@ -397,8 +397,8 @@ def manifold_from_graph_series(
     label: str = "manifold",
 ) -> GenericManifold:
     """Build a manifold at ``kappa`` from already-parsed graph components
-    Q_l(z, ch, ta), read at the top order kappa + ORDER_LADDER[-1]."""
-    top = kappa + ORDER_LADDER[-1]
+    Q_l(z, ch, ta), read at the top order ``top_order(kappa)``."""
+    top = top_order(kappa)
     comps = []
     for q in q_components:
         if q.arity != dims.graph_arity:
@@ -418,8 +418,8 @@ def manifold_from_rho_series(
     label: str = "manifold",
 ) -> GenericManifold:
     """Build a manifold at ``kappa`` from defining functions in the raw (Z, ze)
-    ring, read and solved for the graph at the top order kappa + ORDER_LADDER[-1]."""
-    top = kappa + ORDER_LADDER[-1]
+    ring, read and solved for the graph at the top order ``top_order(kappa)``."""
+    top = top_order(kappa)
     raw = []
     for component in raw_components:
         if component.arity != dims.ambient_arity:
@@ -427,10 +427,7 @@ def manifold_from_rho_series(
         if component.constant_term():
             raise ManifoldError("the manifold must pass through the origin (rho has a constant term)")
         raw.append(component.with_order(top))
-    linear = [
-        [raw[j].coefficient(unit_exponent(dims.ambient_arity, c)) for c in range(dims.N)]
-        for j in range(dims.d)
-    ]
+    linear = linear_part(raw, range(dims.N))
     if linalg.rank(linear) != dims.d:
         raise GenericityError("rank of the Z-differentials at 0 is below d")
     if split is not None:
@@ -446,8 +443,8 @@ def manifold_from_rho_series(
 
 
 def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> GenericManifold:
-    """Parse a manifold specification once, at the top order kappa +
-    ORDER_LADDER[-1], and build it by its graph or rho route.
+    """Parse a manifold specification once, at the top order
+    ``top_order(kappa)``, and build it by its graph or rho route.
 
     Raises GenericityError, RealityError, SplitError, or ParseError with the
     offending detail; the manifold returned at ``kappa`` has rank-d
@@ -461,7 +458,7 @@ def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> Ge
     names, arity = (dims.graph_names(), dims.graph_arity) if graph else (dims.raw_names(), dims.ambient_arity)
     table = variable_table(names)
     try:
-        components = [parse_expression(text, table, kappa + ORDER_LADDER[-1], arity) for text in spec.expressions]
+        components = [parse_expression(text, table, top_order(kappa), arity) for text in spec.expressions]
     except ParseError:
         # only the power cap depends on the order: report a refusal at kappa as a load there would
         for text in spec.expressions:

@@ -16,7 +16,7 @@ from . import linalg
 from .coords import Dims
 from .errors import SplitError
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
+from .series import FormalMap, TruncatedSeries, compose_many, grlex_key, linear_part
 
 
 class GraphForm(Record):
@@ -138,10 +138,7 @@ def lift(rho: FormalMap, dims: Dims, kappa: int, zs, chs, tas, q=None, valid: in
     ``compose_many``.  Returns w, X and the degree to which X inverts J at w.
     """
     d, arity = dims.d, zs[0].arity
-    matrix = [
-        [rho.component(j).coefficient(unit_exponent(dims.ambient_arity, dims.w(l))) for l in range(d)]
-        for j in range(d)
-    ]
+    matrix = linear_part(rho, [dims.w(l) for l in range(d)])
     try:
         inverse = linalg.invert(matrix)
     except ValueError as exc:

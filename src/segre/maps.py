@@ -26,7 +26,7 @@ from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, on_line, series_match, unit_exponent
+from .series import FormalMap, TruncatedSeries, compose_many, linear_part, on_line, series_match
 
 if TYPE_CHECKING:  # only make_T's annotations name it; a rank run never loads segre.fields
     from .fields import FormalVectorField
@@ -168,11 +168,7 @@ class SegreMapping:
         relabel = [dims.N + i for i in range(dims.n)] + list(range(dims.N))
         gamma = FormalMap([*ts, *self.graph.Q.map_vars(arity, relabel).components])
         # full t-rank at 0
-        jac = [
-            [component.coefficient(unit_exponent(arity, dims.N + i)) for i in range(dims.n)]
-            for component in gamma.components
-        ]
-        if linalg.rank(jac) != dims.n:
+        if linalg.rank(linear_part(gamma, range(dims.N, arity))) != dims.n:
             raise InternalConsistencyError("gamma has deficient t-rank at 0")
         return gamma
 
@@ -315,11 +311,7 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
                 raise InternalConsistencyError(
                     f"chain generator pair {(a, b)} does not annihilate under T^{k}"
                 )
-    jac = [
-        [component.coefficient(unit_exponent(arity, col)) for col in range(arity)]
-        for component in mapping.components
-    ]
-    if linalg.rank(jac) != arity:
+    if linalg.rank(linear_part(mapping, range(arity))) != arity:
         raise InternalConsistencyError(f"T^{k} is rank-deficient at 0")
     return SegreManifoldParam(k, mapping, pairs)
 

@@ -26,11 +26,12 @@ manifold, not assumed.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .config import ORDER_LADDER, RunConfig
+from .config import RunConfig
 from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold
@@ -50,13 +51,14 @@ from .rank import (
 from .record import Record
 from .series import (
     ONE,
+    ZERO,
     FormalMap,
     GaussianRational,
     TruncatedSeries,
     _series,
     compose_many,
     grlex_key,
-    unit_exponent,
+    linear_part,
 )
 
 
@@ -174,6 +176,19 @@ def _kernel_series(
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def moved_ranks_first(profile: RankProfile):
+    """Re-raise an InconclusiveError of the orbit phase on a moving profile as
+    its moved ranks, on which the orbit counts rest."""
+    try:
+        yield
+    except InconclusiveError as exc:
+        reason = profile.moved_reason()
+        if reason is None:
+            raise
+        raise InconclusiveError(reason) from exc
+
+
 class OrbitReport(Record):
     """Orbit dimension, codimension count e, and the Z-only annihilators."""
 
@@ -235,24 +250,10 @@ def orbit_annihilator(
             "orbit_count_vs_lie", True, f"e = {e_reported} = 2N - d - dim g(0)"
         )
 
-    # linear parts of the generators and of the defining functions are jointly independent
-    rows = []
-    for g in f_generators:
-        row = [GaussianRational(0)] * dims.ambient_arity
-        for exp, value in g.terms.items():
-            if sum(exp) != 1:
-                continue
-            slot = exp.index(1)
-            row[dims.z_to_ambient()[slot]] = value
-        rows.append(row)
-    for j in range(dims.d):
-        rows.append(
-            [
-                manifold.rho.component(j).coefficient(unit_exponent(dims.ambient_arity, c))
-                for c in range(dims.ambient_arity)
-            ]
-        )
-    joint = linalg.rank(rows) if rows else 0
+    # the generators' linear parts (Z is the first N ambient slots) and rho's are independent
+    rows = [row + [ZERO] * dims.N for row in linear_part(f_generators, range(dims.N))]
+    rows += linear_part(manifold.rho, range(dims.ambient_arity))
+    joint = linalg.rank(rows)
     if joint != dims.d + e_reported:
         raise InternalConsistencyError(
             f"differentials of annihilators and defining functions have rank {joint}, expected {dims.d + e_reported}"
@@ -446,11 +447,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
     param = _mirror_parametrization(dims, k0, kappa)
     gens = _mirror_generators(dims, k0, kappa)
 
-    jac = [
-        [component.coefficient(unit_exponent(k0 * dims.n, col)) for col in range(k0 * dims.n)]
-        for component in param.components
-    ]
-    if linalg.rank(jac) != k0 * dims.n:
+    if linalg.rank(linear_part(param, range(k0 * dims.n))) != k0 * dims.n:
         raise InternalConsistencyError("mirror parametrization is rank-deficient at 0")
     zero = [image.is_zero() for image in compose_many(gens + list(v2k.components), param)]
     if not all(zero[: len(gens)]):
@@ -494,14 +491,6 @@ class VerificationReport(Record):
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks.values())
-
-    @property
-    def finite_type_lie(self) -> bool:
-        return self.lie.finite_type()
-
-    @property
-    def finite_type_segre(self) -> bool:
-        return self.profile.rank_at_k0 == self.dims.N
 
     def failed_checks(self) -> List[str]:
         return [name for name, check in self.checks.items() if not check.passed]
@@ -559,14 +548,13 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     except InternalConsistencyError as exc:
         record("collapse_identities", False, str(exc))
 
-    # reality of the top form, which the load gate (at kappa) never saw: it
-    # holds below that order too, and it implies the identities of phi^j
-    top = manifold.kappa + ORDER_LADDER[-1]
-    high = manifold.at_kappa(top)
-    ok, witness = check_reality(high.graph, high.rho)
+    # reality of the top form the load kept, which the load gate (at kappa) never
+    # saw: it holds below that order too, and it implies the identities of phi^j
+    top = manifold.top or manifold
+    ok, witness = check_reality(top.graph, top.rho)
     if not ok:
         raise InternalConsistencyError(
-            f"defining ideal is not real at order {top}: reality identity fails at {witness}"
+            f"defining ideal is not real at order {top.kappa}: reality identity fails at {witness}"
         )
     record("reality", True, "identity holds")
 
@@ -623,11 +611,11 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     except InternalConsistencyError as exc:
         record("segre_chain_parametrizations", False, str(exc))
 
-    orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
+    with moved_ranks_first(profile):
+        orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)
+        ideal = orbit_ideal_in_M(segre, k0, orbit, config.resolve_degree())
     for check in orbit.checks.values():
         checks[check.name] = check
-
-    ideal = orbit_ideal_in_M(segre, k0, orbit, config.resolve_degree())
     # make_phi and orbit_annihilator raise when either membership fails
     record("orbit_ideal_membership", True, "defining functions and annihilators kill phi")
     record(
@@ -650,7 +638,7 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     )
 
     finite_lie = lie.finite_type()
-    finite_segre = profile.rank_at_k0 == dims.N
+    finite_segre = profile.finite_type(dims.N)
     record(
         "finite_type_agree",
         finite_lie == finite_segre,

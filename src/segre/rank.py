@@ -9,12 +9,12 @@ Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * VALUE_BOUND), and each certificate
 draws up to TRIALS lines.  Because a minor could first become nonzero
 beyond the truncation order, the rank is read at every order of
-ORDER_LADDER (kappa, kappa + 4, kappa + 8), and ``stable`` records that
-nothing moved.  Each line is eliminated once, at the top order: over the
-discrete valuation ring Q(i)[eps]/(eps^(K+1)) the pivot valuations of a
-least-valuation elimination never decrease and the first s of them sum to
-the valuation of the s-th determinantal divisor (the Smith form), so every
-lower order keeps the longest pivot prefix its order allows.
+``config.ORDER_LADDER`` (kappa, kappa + 4, kappa + 8), and ``stable``
+records that nothing moved.  Each line is eliminated once, at the top order:
+over the discrete valuation ring Q(i)[eps]/(eps^(K+1)) the pivot valuations
+of a least-valuation elimination never decrease and the first s of them sum
+to the valuation of the s-th determinantal divisor (the Smith form), so
+every lower order keeps the longest pivot prefix its order allows.
 
 A matrix is read only on lines (``Lines``): a given one by evaluation
 (``on_line``), the iterates' Jacobians in forward mode (``SegreMapping.on_line``),
@@ -28,7 +28,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .config import ORDER_LADDER
+from . import config
 from .errors import InternalConsistencyError
 from .maps import Matrix, SegreMapping
 from .record import Record
@@ -49,8 +49,8 @@ class RankCertificate(Record):
     eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
     larger minor was missed at ``kappa_used``: (K / (2 VALUE_BOUND))^TRIALS,
     or 0 when none exists.  The line is one of those drawn at the top order
-    of ORDER_LADDER, and the minor is the pivot prefix that its elimination
-    keeps at ``kappa_used``.  ``stable``: no order of ORDER_LADDER changed it.
+    of the ladder, and the minor is the pivot prefix that its elimination
+    keeps at ``kappa_used``.  ``stable``: no order of the ladder changed it.
     """
 
     rank: int
@@ -271,7 +271,7 @@ def generic_rank(
     kappa: Optional[int] = None,
     seed: int,
 ) -> RankCertificate:
-    """Certified generic rank at every order of ORDER_LADDER.
+    """Certified generic rank at every order of ``config.ORDER_LADDER``.
 
     ``builder(kappa)`` must return the matrix at that order, or its
     ``Lines``, with higher orders refining lower ones.  It is called once,
@@ -294,7 +294,7 @@ def generic_rank(
     if kappa is None:
         raise ValueError("builder form needs an explicit base truncation order")
 
-    levels = [kappa + step for step in ORDER_LADDER]
+    levels = [kappa + step for step in config.ORDER_LADDER]
     built = builder(levels[-1])
     built = built if isinstance(built, Lines) else lines(built)
     certificates = _certified_ranks(built, random.Random(seed * 1000003 + levels[-1]), levels)
@@ -320,6 +320,19 @@ class RankProfile(Record):
     @property
     def rank_at_k0(self) -> int:
         return self.ranks[self.k0 - 1]
+
+    def finite_type(self, N: int) -> bool:
+        """Finite type by the rank route: Rk v^k0 = N."""
+        return self.rank_at_k0 == N
+
+    def moved_reason(self) -> Optional[str]:
+        """Each rank that moved under order escalation, or None when none did."""
+        moved = [
+            f"Rk v^{j} = {cert.rank} from order {cert.kappa_used}"
+            for j, cert in enumerate(self.certificates, start=1)
+            if not cert.stable
+        ]
+        return f"ranks moved under order escalation ({', '.join(moved)})" if moved else None
 
 
 def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:

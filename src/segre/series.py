@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd
 from operator import getitem, mul
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import SegreError
 
@@ -255,6 +255,12 @@ def unit_exponent(arity: int, index: int) -> Exponent:
     exp = [0] * arity
     exp[index] = 1
     return tuple(exp)
+
+
+def linear_part(series: Iterable[TruncatedSeries], columns: Iterable[int]) -> List[List[GaussianRational]]:
+    """The coefficient of x_c in each series, for each c of ``columns``: one row per series."""
+    columns = list(columns)
+    return [[s.coefficient(unit_exponent(s.arity, c)) for c in columns] for s in series]
 
 
 class TruncatedSeries:

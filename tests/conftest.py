@@ -17,8 +17,8 @@ from segre import (
     TruncatedSeries,
     load_manifold_file,
     manifold_from_graph_series,
+    config,
     manifold_from_rho_series,
-    rank,
     rank_profile,
 )
 
@@ -43,14 +43,11 @@ def default_profile(segre):
 def working_order_only():
     """Load every manifold and certify every rank at the working order alone,
     without the escalated orders: the law and invariance tests compare
-    ranks, not their stability.  The ladder is lowered in each module that
-    reads it: the rank certificates, the load's top order, and the order of
-    verify_all's reality check."""
-    from segre import expressions, orbit
-
+    ranks, not their stability.  The ladder has one owner, ``config``, which
+    every reader reads when called, so lowering it there lowers the load's
+    top order, the rank certificates and verify_all's reality order at once."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (rank, expressions, orbit):
-            patch.setattr(module, "ORDER_LADDER", (0,))
+        patch.setattr(config, "ORDER_LADDER", (0,))
         yield
 
 

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, jacobian, linalg, manifold_from_rho_series
 from segre.maps import SegreMapping, make_theta_phi
 from segre.orbit import _mirror_parametrization, _monomials
-from segre.rank import ORDER_LADDER, _on_line
+from segre.config import top_order
+from segre.rank import _on_line
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
@@ -375,13 +376,13 @@ def linear_coordinate_change(
     """The same manifold, defined in new coordinates Z' = A Z (the oracle of
     the invariance checks: ranks and finite type must not move).
 
-    The defining functions, at the top order of the rank certificates'
-    ORDER_LADDER, are pulled back through the inverse linear map (with the
-    conjugate matrix acting on the conjugate block) and reloaded through the
-    rho route, so the coordinate split is re-derived.
+    The defining functions, at the top order of the ladder as it reads when
+    called (``config.top_order``), are pulled back through the inverse
+    linear map (with the conjugate matrix acting on the conjugate block) and
+    reloaded through the rho route, so the coordinate split is re-derived.
     """
     dims = manifold.dims
-    kappa_master = manifold.kappa + ORDER_LADDER[-1]
+    kappa_master = top_order(manifold.kappa)
     inverse = linalg.invert(matrix)
     high = manifold.at_kappa(kappa_master)
 

@@ -65,7 +65,7 @@ def test_criterion_01_fixture_h(reports):
         report = reports["h"]
         assert report.profile.ranks[:2] == (1, 2)
         assert report.profile.k0 == 2
-        assert report.finite_type_lie and report.finite_type_segre
+        assert report.lie.finite_type() and report.profile.finite_type(report.dims.N)
         assert report.lie.dim_g0 == 3
         assert report.orbit.e == 0
         assert report.profile.rank_at_k0 == report.lie.dim_g0 + 1 - 2 == 2
@@ -77,7 +77,7 @@ def test_criterion_02_fixture_flat(reports, gammas):
         report = reports["flat"]
         assert set(report.profile.ranks) == {1}
         assert report.profile.k0 == 1
-        assert not report.finite_type_lie and not report.finite_type_segre
+        assert not report.lie.finite_type() and not report.profile.finite_type(report.dims.N)
         assert report.orbit.e == 1
         texts = report.orbit.generator_texts(report.dims)
         assert texts == ["w1"]
@@ -94,7 +94,7 @@ def test_criterion_03_fixture_l4(reports):
         report = reports["l4"]
         assert report.profile.k0 == 2
         assert report.lie.bracket_depth_used == 4
-        assert report.finite_type_lie and report.finite_type_segre
+        assert report.lie.finite_type() and report.profile.finite_type(report.dims.N)
         assert report.passed, report.failed_checks()
 
 

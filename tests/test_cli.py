@@ -351,21 +351,35 @@ def test_unstable_profile_exits_inconclusive(capsys, command):
     assert all(check["pass"] for check in payload["checks"].values())
 
 
+# c4 (N=5, d=4) at the default order: Rk v^4 first reads 4 at order 12, so
+# its profile moves, and every command names the moved ranks
+C4 = {"N": 5, "d": 4, "form": "graph", "expressions": [f"ta{k} + 2*i*z1^{k}*ch1^{k}" for k in range(1, 5)]}
+C4_MOVED = (
+    "inconclusive: ranks moved under order escalation "
+    "(Rk v^4 = 4 from order 12, Rk v^5 = 4 from order 12, Rk v^6 = 4 from order 12)\n"
+)
+
+
 def test_failed_check_on_a_moved_rank_exits_inconclusive(tmp_path, capsys):
-    # c4 (N=5, d=4) at the default order: Rk v^4 first reads 4 at order 12,
-    # so the profile moves and the rank route's "not of finite type" rests on
-    # it; the routes' disagreement is inconclusive, with the moved ranks as
-    # the reason, and no theorem failure
+    # the rank route's "not of finite type" rests on the moved ranks; the
+    # routes' disagreement is inconclusive, with the moved ranks as the
+    # reason, and no theorem failure
     manifold = tmp_path / "c4.json"
-    expressions = [f"ta{k} + 2*i*z1^{k}*ch1^{k}" for k in range(1, 5)]
-    manifold.write_text(json.dumps({"N": 5, "d": 4, "form": "graph", "expressions": expressions}))
+    manifold.write_text(json.dumps(C4))
     code, out, err = run_cli(capsys, "finite-type", str(manifold))
     assert code == cli.EXIT_INCONCLUSIVE
     assert "routes agree: NO" in out
-    assert err == (
-        "inconclusive: ranks moved under order escalation "
-        "(Rk v^4 = 4 from order 12, Rk v^5 = 4 from order 12, Rk v^6 = 4 from order 12)\n"
-    )
+    assert err == C4_MOVED
+
+
+@pytest.mark.parametrize("command", ["orbit", "verify"])
+def test_an_inconclusive_orbit_phase_on_a_moved_rank_names_the_moved_ranks(tmp_path, capsys, command):
+    # c4's annihilator count N - Rk v^k0 rests on the moved ranks, so the
+    # reason is those ranks, never a larger degree bound
+    manifold = tmp_path / "c4.json"
+    manifold.write_text(json.dumps(C4))
+    code, out, err = run_cli(capsys, command, str(manifold))
+    assert (code, out, err) == (cli.EXIT_INCONCLUSIVE, "", C4_MOVED)
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,21 @@ def test_orbit_annihilator_cross_checks_lie_dimension(manifold_flat):
         orbit_annihilator(segre, profile, 4, lie.dim_g0 + 1)
 
 
+def test_an_inconclusive_orbit_phase_names_the_moved_ranks_on_a_moved_profile_only(manifold_flat):
+    # a Lie-route mismatch keeps its own reason on a stable profile; on a
+    # profile that moved, the moved ranks are the reason
+    segre = SegreMapping(manifold_flat)
+    profile = default_profile(segre)
+    with pytest.raises(InconclusiveError, match=r"disagrees with 2N - d - dim g\(0\)"):
+        with orbit.moved_ranks_first(profile):
+            orbit_annihilator(segre, profile, 4, 99)
+    first, *rest = profile.certificates
+    moved = profile.replace(certificates=(first.replace(stable=False), *rest), stable=False)
+    with pytest.raises(InconclusiveError, match=r"^ranks moved under order escalation \(Rk v\^1 = 1 from order 8\)$"):
+        with orbit.moved_ranks_first(moved):
+            orbit_annihilator(segre, moved, 4, 99)
+
+
 def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):
     segre = SegreMapping(manifold_h)
     profile = default_profile(segre)
@@ -510,15 +525,15 @@ def test_verify_all_fixtures(all_fixture_manifolds):
         assert report.profile.k0 == want["k0"]
         assert report.lie.dim_g0 == want["dim_g0"]
         assert report.orbit.e == want["e"]
-        assert report.finite_type_lie == want["finite"]
-        assert report.finite_type_segre == want["finite"]
+        assert report.lie.finite_type() == want["finite"]
+        assert report.profile.finite_type(report.dims.N) == want["finite"]
 
 
 def test_verify_all_curved_w(curved_w_manifold):
     report = verify_all(curved_w_manifold, RunConfig())
     assert report.passed, report.failed_checks()
     assert report.orbit.e == 1
-    assert not report.finite_type_lie
+    assert not report.lie.finite_type()
 
 
 def test_central_identity_on_random_rigid_manifolds():
@@ -582,7 +597,7 @@ def test_central_identity_on_random_finite_type_manifolds():
         manifold = random_levi_nondegenerate_manifold(rng)
         report = verify_all(manifold, config)
         assert report.passed, report.failed_checks()
-        assert report.finite_type_lie and report.finite_type_segre
+        assert report.lie.finite_type() and report.profile.finite_type(report.dims.N)
         assert report.lie.stable
         assert (
             report.profile.rank_at_k0

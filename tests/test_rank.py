@@ -20,8 +20,9 @@ from segre import (
     minor_determinant,
     rank_profile,
 )
+from segre.config import ORDER_LADDER
 from segre.expressions import ManifoldSpec, load_manifold
-from segre.rank import ORDER_LADDER, TRIALS, VALUE_BOUND, lines
+from segre.rank import TRIALS, VALUE_BOUND, lines
 
 from conftest import (
     count_loads,

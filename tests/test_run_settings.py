@@ -4,13 +4,19 @@ constants, no phase has a default, and a load has no switch."""
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
 import segre
 from segre import (
+    ManifoldSpec,
+    RunConfig,
+    config,
     lie_hull_dimension,
+    load_manifold,
     mirror_sigma,
     orbit_annihilator,
     orbit_ideal_in_M,
@@ -18,6 +24,10 @@ from segre import (
     rank_profile,
     verify_all,
 )
+
+from conftest import count_loads
+
+SOURCE = Path(segre.__file__).resolve().parent
 
 PHASES = [
     rank_profile,
@@ -41,10 +51,52 @@ def test_the_rank_certificates_have_no_options():
     assert not hasattr(segre.config, "RankOptions")
 
 
+def _binds_the_ladder(source: str) -> bool:
+    """Whether a module assigns or imports the name ORDER_LADDER."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and (node.asname or node.name) == "ORDER_LADDER":
+            return True
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "ORDER_LADDER":
+            return True
+    return False
+
+
 def test_the_certificate_constants():
-    assert (rank.TRIALS, rank.VALUE_BOUND, rank.ORDER_LADDER) == (3, 1 << 16, (0, 4, 8))
-    # the ladder has one owner, which the loads read their top order from too
-    assert rank.ORDER_LADDER is segre.config.ORDER_LADDER is segre.expressions.ORDER_LADDER
+    assert (rank.TRIALS, rank.VALUE_BOUND, config.ORDER_LADDER) == (3, 1 << 16, (0, 4, 8))
+    # the ladder has one owner, which every reader looks up when called
+    binders = [path.name for path in sorted(SOURCE.glob("*.py")) if _binds_the_ladder(path.read_text())]
+    assert binders == ["config.py"]
+
+
+def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
+    # only config's ladder is patched: the parse, the graph solve, every rank
+    # certificate and verify_all's reality check all read kappa alone
+    from segre import orbit
+
+    monkeypatch.setattr(config, "ORDER_LADDER", (0,))
+    loads = count_loads(monkeypatch)
+    realities, certificates = [], []
+
+    def check_reality(graph, rho):
+        realities.append(graph.valid_order)
+        return real_check_reality(graph, rho)
+
+    def generic_rank(*args, **kwargs):
+        certificates.append(real_generic_rank(*args, **kwargs))
+        return certificates[-1]
+
+    real_check_reality, real_generic_rank = orbit.check_reality, rank.generic_rank
+    monkeypatch.setattr(orbit, "check_reality", check_reality)
+    for module in (rank, orbit):
+        monkeypatch.setattr(module, "generic_rank", generic_rank)
+    spec = ManifoldSpec(2, 1, "rho", ("-(i/2)*(Z2 - ze2) - Z1*ze1",))
+    report = verify_all(load_manifold(spec, 8), RunConfig())
+    assert report.passed
+    assert loads == {"parse": [8], "solve": [8]}
+    assert realities == [8]
+    # the profile's J = d + 2 = 3, theta and phi at j = 1..k0 + 1 = 3, and the mirror
+    assert len(certificates) == 3 + 2 * 3 + 1
+    assert {cert.kappa_used for cert in certificates} == {8}
 
 
 @pytest.mark.parametrize("constructor", ["load_manifold", "manifold_from_graph_series", "manifold_from_rho_series"])

@@ -21,7 +21,7 @@ from segre import (
     gauss,
     series_match,
 )
-from segre.series import _Packing, as_coeff, compose_many, on_line, unit_exponent
+from segre.series import _Packing, as_coeff, compose_many, linear_part, on_line, unit_exponent
 
 from oracles import (
     d_add,
@@ -813,3 +813,15 @@ def test_leading_term_is_graded_lex_minimal():
     f = ts(2, 4, {(0, 2): 1, (1, 0): 2, (0, 1): 3})
     exp, coeff = f.leading_term()
     assert exp == (0, 1) and coeff == gauss(3)
+
+
+def test_linear_part_reads_only_the_degree_one_terms():
+    # a constant, linear terms and terms of degree 2 and 3: each row keeps the
+    # coefficient of x_c for each listed column, in the listed order
+    g = GaussianRational
+    s = TruncatedSeries(3, 4, {(0, 0, 0): 5, (1, 0, 0): 2, (0, 0, 1): g(1, -3), (1, 1, 0): 7, (0, 0, 3): 4})
+    t = TruncatedSeries(3, 4, {(0, 1, 0): -1, (0, 2, 0): 1})
+    assert linear_part([s, t], [2, 0, 1]) == [[g(1, -3), g(2), g(0)], [g(0), g(0), g(-1)]]
+    assert linear_part(iter([s, t]), iter(range(3))) == [[g(2), g(0), g(1, -3)], [g(0), g(-1), g(0)]]
+    assert linear_part([s, t], []) == [[], []]
+    assert linear_part([], range(3)) == []
