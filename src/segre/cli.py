@@ -212,9 +212,7 @@ def _rank_table(manifold: GenericManifold, profile) -> List[str]:
     return lines
 
 
-def cmd_rank(args) -> int:
-    config = _config_from_args(args)
-    manifold = _load(args, config)
+def cmd_rank(args, config: RunConfig, manifold: GenericManifold) -> int:
     profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     if args.json:
         _emit_json(_json_report(manifold, config, ranks=list(profile.ranks), k0=profile.k0, stable=profile.stable))
@@ -223,11 +221,9 @@ def cmd_rank(args) -> int:
     return _exit_code(True, profile)
 
 
-def cmd_finite_type(args) -> int:
+def cmd_finite_type(args, config: RunConfig, manifold: GenericManifold) -> int:
     from .fields import cr_basis, lie_hull_dimension
 
-    config = _config_from_args(args)
-    manifold = _load(args, config)
     profile = rank_profile(SegreMapping(manifold), config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())
     finite_lie = lie.finite_type()
@@ -256,12 +252,10 @@ def cmd_finite_type(args) -> int:
     return _exit_code(finite_lie == finite_segre, profile, lie)
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args, config: RunConfig, manifold: GenericManifold) -> int:
     from .fields import cr_basis, lie_hull_dimension
     from .orbit import check_kernel_caps, moved_ranks_first, orbit_annihilator
 
-    config = _config_from_args(args)
-    manifold = _load(args, config)
     check_kernel_caps([manifold.N], config.resolve_degree())
     segre = SegreMapping(manifold)
     profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.seed)
@@ -292,11 +286,9 @@ def cmd_orbit(args) -> int:
     return _exit_code(all(check.passed for check in orbit.checks.values()), profile)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: RunConfig, manifold: GenericManifold) -> int:
     from .orbit import verify_all
 
-    config = _config_from_args(args)
-    manifold = _load(args, config)
     report = verify_all(manifold, config)
     if args.json:
         _emit_json(_report_json(report, manifold))
@@ -321,7 +313,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        config = _config_from_args(args)
+        return handlers[args.command](args, config, _load(args, config))
     except (ManifoldError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD

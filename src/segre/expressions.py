@@ -313,7 +313,8 @@ class GenericManifold(Record):
     ``kappa``; ``w_columns`` records which raw Z-coordinates were renamed to
     w (the identity split for graph-form input).  ``top`` is the same
     manifold at the top order ``top_order(kappa)``, the one order its
-    input was parsed and solved at (None on that manifold itself).
+    input was parsed, solved and checked for reality at (None on that
+    manifold itself).
     """
 
     dims: Dims
@@ -377,17 +378,18 @@ def _finish_load(
     label: str,
 ) -> GenericManifold:
     """The manifold at ``kappa``, truncated from ``graph`` and ``rho`` at the
-    top order, after the reality gate at ``kappa``.
+    top order after the reality gate there, the one order every certificate
+    of a run reads (reality at the top holds at every lower order, since
+    truncation is a ring homomorphism).
 
     Genericity needs no check here: a graph's rho = w - Q has an identity
     w-differential, and ``manifold_from_rho_series`` checked the rank of the
     Z-differentials before it solved for the graph.
     """
-    manifold = GenericManifold(dims, graph.valid_order, graph, rho, w_columns, None, label).at_kappa(kappa)
-    ok, witness = check_reality(manifold.graph, manifold.rho)
+    ok, witness = check_reality(graph, rho)
     if not ok:
         raise RealityError(f"defining ideal is not real: reality identity fails at {witness}", witness or "")
-    return manifold
+    return GenericManifold(dims, graph.valid_order, graph, rho, w_columns, None, label).at_kappa(kappa)
 
 
 def manifold_from_graph_series(
@@ -447,9 +449,10 @@ def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> Ge
     ``top_order(kappa)``, and build it by its graph or rho route.
 
     Raises GenericityError, RealityError, SplitError, or ParseError with the
-    offending detail; the manifold returned at ``kappa`` has rank-d
-    Z-differentials, mutually consistent graph and rho generators and a real
-    ideal.  It keeps no spec: an order above its top needs a new load.
+    offending detail, each judged at the top order (the power cap too); the
+    manifold returned at ``kappa`` has rank-d Z-differentials, mutually
+    consistent graph and rho generators and an ideal that is real up to the
+    top order.  It keeps no spec: an order above its top needs a new load.
     """
     dims = Dims(spec.N, spec.d)
     if kappa < 2:
@@ -457,13 +460,7 @@ def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> Ge
     graph = spec.form == "graph"
     names, arity = (dims.graph_names(), dims.graph_arity) if graph else (dims.raw_names(), dims.ambient_arity)
     table = variable_table(names)
-    try:
-        components = [parse_expression(text, table, top_order(kappa), arity) for text in spec.expressions]
-    except ParseError:
-        # only the power cap depends on the order: report a refusal at kappa as a load there would
-        for text in spec.expressions:
-            parse_expression(text, table, kappa, arity)
-        raise
+    components = [parse_expression(text, table, top_order(kappa), arity) for text in spec.expressions]
     if graph:
         return manifold_from_graph_series(dims, components, kappa, label=label)
     return manifold_from_rho_series(dims, components, kappa, split=spec.split, label=label)

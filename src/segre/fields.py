@@ -21,7 +21,7 @@ stability flag rather than a completeness claim.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
@@ -36,7 +36,7 @@ class FormalVectorField:
 
     __slots__ = ("arity", "coefficients", "valid_order")
 
-    def __init__(self, coefficients: Sequence[TruncatedSeries], valid_order: Optional[int] = None):
+    def __init__(self, coefficients: Sequence[TruncatedSeries]):
         coeffs = tuple(coefficients)
         if not coeffs:
             raise ValueError("a vector field needs at least one coefficient")
@@ -44,20 +44,15 @@ class FormalVectorField:
         for c in coeffs:
             if c.arity != arity:
                 raise ValueError("coefficient arities must equal the ambient arity")
-        max_valid = min(c.kappa for c in coeffs)
-        if valid_order is None:
-            valid_order = max_valid
-        if valid_order > max_valid:
-            raise ValueError("valid_order exceeds the coefficients' truncation orders")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "valid_order", valid_order)
+        object.__setattr__(self, "valid_order", min(c.kappa for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalVectorField is immutable")
 
     def __reduce__(self):
-        return FormalVectorField, (self.coefficients, self.valid_order)
+        return FormalVectorField, (self.coefficients,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalVectorField):
@@ -84,11 +79,6 @@ class FormalVectorField:
 
     def evaluate_at_origin(self) -> Tuple[GaussianRational, ...]:
         return tuple(c.constant_term() for c in self.coefficients)
-
-    def truncate(self, order: int) -> "FormalVectorField":
-        return FormalVectorField(
-            [c.truncate(min(c.kappa, order)) for c in self.coefficients], valid_order=order
-        )
 
 
 def bracket(x: FormalVectorField, y: FormalVectorField) -> FormalVectorField:

@@ -116,9 +116,7 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
     tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(dims.d)]
     q, _, _ = lift(rho, dims, kappa, zs, chs, tas)
     graph = GraphForm(dims, FormalMap(q))
-
-    inner = FormalMap([*zs, *q, *chs, *tas])
-    for image in compose_many(list(rho.components), inner):
+    for image in compose_many(list(rho.components), graph.membership_map()):
         if not image.is_zero():
             raise SplitError("graph solve failed to annihilate the defining functions")
     return graph

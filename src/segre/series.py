@@ -672,14 +672,14 @@ def _coeff_factor(coeff: GaussianRational, has_monomial: bool) -> Tuple[str, boo
 class FormalMap:
     """A tuple of series with declared source and target arities.
 
-    Models a formal mapping (C^p, 0) -> (C^m, .); when ``vanishes_at_origin``
-    is set every component has zero constant term and the map may be used as
-    the inner map of a composition.
+    Models a formal mapping (C^p, 0) -> (C^m, .).  It may be the inner map of
+    a composition only when every component has zero constant term, which
+    ``compose_many`` checks (CompositionError).
     """
 
-    __slots__ = ("source_arity", "target_arity", "components", "vanishes_at_origin")
+    __slots__ = ("source_arity", "target_arity", "components")
 
-    def __init__(self, components: Iterable[TruncatedSeries], vanishes_at_origin: bool = True):
+    def __init__(self, components: Iterable[TruncatedSeries]):
         comps = tuple(components)
         if not comps:
             raise SeriesError("a formal map needs at least one component")
@@ -687,20 +687,15 @@ class FormalMap:
         for comp in comps:
             if comp.arity != arity:
                 raise SeriesError("all components must share the source arity")
-        if vanishes_at_origin:
-            for comp in comps:
-                if comp.constant_term():
-                    raise SeriesError("component has nonzero constant term but the map is declared to vanish at 0")
         object.__setattr__(self, "source_arity", arity)
         object.__setattr__(self, "target_arity", len(comps))
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "vanishes_at_origin", vanishes_at_origin)
 
     def __setattr__(self, name, value):
         raise AttributeError("FormalMap is immutable")
 
     def __reduce__(self):
-        return FormalMap, (self.components, self.vanishes_at_origin)
+        return FormalMap, (self.components,)
 
     @staticmethod
     def identity(arity: int, kappa: int) -> "FormalMap":
@@ -726,25 +721,19 @@ class FormalMap:
 
     def conjugate(self) -> "FormalMap":
         """Coefficientwise conjugation of every component (no variable swap)."""
-        return FormalMap((c.conjugate() for c in self.components), self.vanishes_at_origin)
+        return FormalMap(c.conjugate() for c in self.components)
 
     def compose(self, inner: "FormalMap") -> "FormalMap":
-        return FormalMap(
-            compose_many(list(self.components), inner),
-            vanishes_at_origin=self.vanishes_at_origin,
-        )
+        return FormalMap(compose_many(list(self.components), inner))
 
     def map_vars(self, target_arity: int, assignment: Sequence[Optional[int]]) -> "FormalMap":
-        return FormalMap(
-            (c.map_vars(target_arity, assignment) for c in self.components),
-            vanishes_at_origin=self.vanishes_at_origin,
-        )
+        return FormalMap(c.map_vars(target_arity, assignment) for c in self.components)
 
     def extend(self, target_arity: int) -> "FormalMap":
-        return FormalMap((c.extend(target_arity) for c in self.components), self.vanishes_at_origin)
+        return FormalMap(c.extend(target_arity) for c in self.components)
 
     def truncate(self, kappa: int) -> "FormalMap":
-        return FormalMap((c.truncate(min(kappa, c.kappa)) for c in self.components), self.vanishes_at_origin)
+        return FormalMap(c.truncate(min(kappa, c.kappa)) for c in self.components)
 
     def equals_mod(self, other: "FormalMap") -> bool:
         """Componentwise equality after truncating both sides to the shared order."""

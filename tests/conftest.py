@@ -45,7 +45,7 @@ def working_order_only():
     without the escalated orders: the law and invariance tests compare
     ranks, not their stability.  The ladder has one owner, ``config``, which
     every reader reads when called, so lowering it there lowers the load's
-    top order, the rank certificates and verify_all's reality order at once."""
+    top order, where it checks reality, and the rank certificates at once."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(config, "ORDER_LADDER", (0,))
         yield

@@ -204,21 +204,22 @@ def test_rho_quadric_json_golden(tmp_path, capsys, command):
     assert (GOLDEN_DIR / f"{command}_rho_quadric.txt").read_text() == out
 
 
-# real to order 8 but not to order 16: the load gate passes at kappa = 8, and
-# the top escalated order, solved without the gate, must still refuse it
+# real to order 8 but not to order 16: the load gate, which reads the top
+# order, refuses it at kappa = 8
 UNREAL_ABOVE_8 = {"N": 2, "d": 1, "form": "rho", "expressions": ["-(i/2)*(Z2 - ze2) - Z1*ze1 + i*Z1^6*ze1^6"]}
 
 
-def test_verify_checks_phi_at_the_top_order(tmp_path, capsys):
+def test_every_command_refuses_an_ideal_real_only_below_the_top_order(tmp_path, capsys):
+    # every command's load refuses it before the command runs
     manifold = tmp_path / "unreal-above-8.json"
     manifold.write_text(json.dumps(UNREAL_ABOVE_8))
-    code, out, err = run_cli(capsys, "verify", str(manifold), "--kappa", "8")
-    assert code == 5
-    assert out == ""
-    assert err == (
-        "internal consistency error: defining ideal is not real at order 16: "
-        "reality identity fails at component 1, monomial z1^6*ch1^6\n"
-    )
+    for command in ("rank", "finite-type", "orbit", "verify"):
+        code, out, err = run_cli(capsys, command, str(manifold), "--kappa", "8")
+        assert code == cli.EXIT_LOAD == 2
+        assert out == ""
+        assert err == (
+            "error: defining ideal is not real: reality identity fails at component 1, monomial z1^6*ch1^6\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["rank", "finite-type", "orbit", "verify"])
@@ -235,6 +236,32 @@ def test_each_expression_is_parsed_and_solved_once_at_the_top_order(tmp_path, mo
     code, out, _ = run_cli(capsys, command, *argv)
     assert code == cli.EXIT_OK and out
     assert loads == expected
+
+
+@pytest.mark.parametrize("command", ["rank", "finite-type", "orbit", "verify"])
+@pytest.mark.parametrize("source", ["h", "rho-quadric"])
+def test_each_command_checks_reality_once_at_the_top_order(tmp_path, monkeypatch, capsys, source, command):
+    # the load's gate is the one reality check of a run; every order below the
+    # top is a truncation of the form it checked
+    from segre import expressions
+
+    if source == "h":
+        argv = ["--fixture", "h"]
+    else:
+        manifold = tmp_path / "rho-quadric.json"
+        manifold.write_text(json.dumps(RHO_QUADRIC))
+        argv = [str(manifold)]
+    orders = []
+    real_check = expressions.check_reality
+
+    def counting_check(graph, rho):
+        orders.append(graph.valid_order)
+        return real_check(graph, rho)
+
+    monkeypatch.setattr(expressions, "check_reality", counting_check)
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert code == cli.EXIT_OK and out
+    assert orders == [16]
 
 
 def test_verify_json_schema(capsys):

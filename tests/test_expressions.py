@@ -147,8 +147,9 @@ def test_load_rejects_broken_reality():
 
 
 def test_a_power_past_the_cap_is_reported_at_the_first_order_that_refuses_it():
-    # 3^8140 passes the cap at order 8 (16384 bits) and fails it at the top order 16
-    for exponent, bits in ((100000000, 200000216), (8140, 16488)):
+    # a load parses at the top order 16 alone, so the estimate is the one there:
+    # 3^8140 would pass the cap at order 8 (16384 bits) and fails it at 16
+    for exponent, bits in ((100000000, 200000432), (8140, 16488)):
         spec = ManifoldSpec(2, 1, "graph", (f"ta1 + 2*i*z1*ch1 + 0*3^{exponent}",))
         with pytest.raises(ParseError, match=f"power of about {bits} bits exceeds"):
             load_manifold(spec, 8)

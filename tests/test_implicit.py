@@ -88,7 +88,7 @@ def test_solve_graph_singular_split_rejected():
     dims = Dims(2, 1)
     arity = dims.ambient_arity
     # rho with no linear w-part under the standard split
-    rho = FormalMap([TruncatedSeries.variable(arity, 6, dims.z(0))], vanishes_at_origin=True)
+    rho = FormalMap([TruncatedSeries.variable(arity, 6, dims.z(0))])
     with pytest.raises(SplitError):
         solve_graph(rho, dims, 6)
 

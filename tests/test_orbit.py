@@ -17,8 +17,8 @@ from segre import (
     DEFAULT_SEED,
     GaussianRational,
     InconclusiveError,
-    InternalConsistencyError,
     ManifoldSpec,
+    RealityError,
     RunConfig,
     SegreMapping,
     cr_basis,
@@ -677,30 +677,34 @@ def test_verify_all_builds_each_order_once(monkeypatch):
     assert mappings == [8]
 
 
-def test_verify_checks_reality_once_at_the_top_order(manifold_h, monkeypatch):
+def test_verify_checks_reality_once_at_the_top_order(monkeypatch):
+    from segre import expressions
+
     calls = []
-    real_check = orbit.check_reality
+    real_check = expressions.check_reality
 
     def counting_check(graph, rho):
-        calls.append(graph)
+        calls.append(graph.valid_order)
         return real_check(graph, rho)
 
-    monkeypatch.setattr(orbit, "check_reality", counting_check)
-    report = verify_all(manifold_h, RunConfig())
-    # reality at the top escalated order implies it at the run's order, which
-    # the load gate checked and verify_all never checks again
-    assert [graph.valid_order for graph in calls] == [16]
+    monkeypatch.setattr(expressions, "check_reality", counting_check)
+    report = verify_all(load_fixture("h"), RunConfig())
+    # the load checks the top order, which implies reality at the run's order,
+    # and verify_all never checks again
+    assert calls == [16]
     assert report.checks["reality"].witness == "identity holds"
 
 
-def test_verify_refuses_an_ungated_unreal_manifold_by_its_reality_check():
+def test_the_load_refuses_an_ideal_real_only_below_the_top_order():
     from test_cli import UNREAL_ABOVE_8
 
-    # the load gate passes at order 8; the top form, which no gate checked,
-    # is not real, and verify_all refuses it
-    manifold = load_manifold(ManifoldSpec.from_json(UNREAL_ABOVE_8), 8)
-    with pytest.raises(InternalConsistencyError, match=r"defining ideal is not real at order 16: .*z1\^6\*ch1\^6$"):
-        verify_all(manifold, RunConfig())
+    # real at order 8 but not at the top order 16, which the load gate reads
+    with pytest.raises(RealityError) as refused:
+        load_manifold(ManifoldSpec.from_json(UNREAL_ABOVE_8), 8)
+    assert refused.value.witness == "component 1, monomial z1^6*ch1^6"
+    assert str(refused.value) == (
+        "defining ideal is not real: reality identity fails at component 1, monomial z1^6*ch1^6"
+    )
 
 
 def random_invertible(rng, size):

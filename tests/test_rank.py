@@ -78,10 +78,7 @@ def test_jacobian_h_v2(manifold_h):
 
 
 def test_jacobian_constant_component_gives_zero_row():
-    mapping = FormalMap(
-        [TruncatedSeries.variable(2, 5, 0), TruncatedSeries.zero(2, 5)],
-        vanishes_at_origin=True,
-    )
+    mapping = FormalMap([TruncatedSeries.variable(2, 5, 0), TruncatedSeries.zero(2, 5)])
     matrix = jacobian(mapping)
     assert all(entry.is_zero() for entry in matrix[1])
 
@@ -427,10 +424,7 @@ def test_rank_along_rejects_bad_locus(manifold_h):
     gamma = SegreMapping(manifold_h)
     with pytest.raises(ValueError):
         rank_along(gamma.v(2), FormalMap.identity(3, 8))
-    bad = FormalMap(
-        [TruncatedSeries.constant(1, 8, 1), TruncatedSeries.variable(1, 8, 0)],
-        vanishes_at_origin=False,
-    )
+    bad = FormalMap([TruncatedSeries.constant(1, 8, 1), TruncatedSeries.variable(1, 8, 0)])
     with pytest.raises(ValueError):
         rank_along(gamma.v(2), bad)
 

@@ -68,10 +68,24 @@ def test_the_certificate_constants():
     assert binders == ["config.py"]
 
 
+def _reality_checks(source: str) -> int:
+    """The number of calls to check_reality in a module, by name or attribute."""
+    return sum(
+        isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "check_reality"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_reality_is_checked_in_one_place():
+    # the load's gate at the top order; no command checks again
+    sites = {path.name: _reality_checks(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: count for name, count in sites.items() if count} == {"expressions.py": 1}
+
+
 def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
-    # only config's ladder is patched: the parse, the graph solve, every rank
-    # certificate and verify_all's reality check all read kappa alone
-    from segre import orbit
+    # only config's ladder is patched: the parse, the graph solve, the load's
+    # reality gate and every rank certificate all read kappa alone
+    from segre import expressions, orbit
 
     monkeypatch.setattr(config, "ORDER_LADDER", (0,))
     loads = count_loads(monkeypatch)
@@ -85,8 +99,8 @@ def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
         certificates.append(real_generic_rank(*args, **kwargs))
         return certificates[-1]
 
-    real_check_reality, real_generic_rank = orbit.check_reality, rank.generic_rank
-    monkeypatch.setattr(orbit, "check_reality", check_reality)
+    real_check_reality, real_generic_rank = expressions.check_reality, rank.generic_rank
+    monkeypatch.setattr(expressions, "check_reality", check_reality)
     for module in (rank, orbit):
         monkeypatch.setattr(module, "generic_rank", generic_rank)
     spec = ManifoldSpec(2, 1, "rho", ("-(i/2)*(Z2 - ze2) - Z1*ze1",))
@@ -101,7 +115,7 @@ def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
 
 @pytest.mark.parametrize("constructor", ["load_manifold", "manifold_from_graph_series", "manifold_from_rho_series"])
 def test_a_load_has_no_verify_switch(constructor):
-    # every load passes the reality gate at its order
+    # every load passes the reality gate at its top order
     assert "verify" not in inspect.signature(getattr(segre, constructor)).parameters
 
 

@@ -266,7 +266,7 @@ def test_compose_annihilates_on_zero_component():
 
 def test_compose_requires_vanishing_inner():
     f = var(1, 4, 0)
-    inner = FormalMap([TruncatedSeries.constant(1, 4, 1)], vanishes_at_origin=False)
+    inner = FormalMap([TruncatedSeries.constant(1, 4, 1)])
     with pytest.raises(CompositionError):
         f.compose(inner)
 
