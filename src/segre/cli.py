@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--degree",
             type=int,
             default=None,
-            help="highest degree searched by the orbit kernels (default min(4, kappa/2)); each stops at the first degree that suffices, and the annihilator may go 2 past it",
+            help="highest degree searched by the orbit kernels (default min(4, kappa/2)); each stops at the first degree that suffices",
         )
         cmd.add_argument(
             "--seed",
@@ -254,9 +254,8 @@ def cmd_finite_type(args, config: RunConfig, manifold: GenericManifold) -> int:
 
 def cmd_orbit(args, config: RunConfig, manifold: GenericManifold) -> int:
     from .fields import cr_basis, lie_hull_dimension
-    from .orbit import check_kernel_caps, moved_ranks_first, orbit_annihilator
+    from .orbit import moved_ranks_first, orbit_annihilator
 
-    check_kernel_caps([manifold.N], config.resolve_degree())
     segre = SegreMapping(manifold)
     profile = rank_profile(segre, config.resolve_jmax(manifold.d), config.seed)
     lie = lie_hull_dimension(manifold, cr_basis(manifold), config.resolve_depth())

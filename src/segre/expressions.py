@@ -67,8 +67,8 @@ degree k <= kappa."""
 MAX_N = 64
 """Largest ambient dimension N a manifold file may declare, refused at load
 before any variable is named.  ``segre rank`` on a Levi-flat N = 64 graph
-takes about 2 s, and the kernel searches of ``orbit`` and ``verify`` refuse
-far smaller N (``orbit.MAX_MONOMIALS``)."""
+takes about 2 s; the kernel searches of ``orbit`` and ``verify`` cap the
+monomials of each degree they enter instead (``orbit.MAX_MONOMIALS``)."""
 
 
 def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
@@ -254,6 +254,11 @@ def parse_expression(
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """Whether a JSON value is an integer; JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ManifoldSpec(Record):
     """A manifold definition file: dimensions, form, and defining expressions."""
 
@@ -284,23 +289,32 @@ class ManifoldSpec(Record):
         if not isinstance(data, dict):
             raise ManifoldError(f"malformed manifold file: expected a JSON object, got {type(data).__name__}")
         try:
-            split = data.get("split")
-            return ManifoldSpec(
-                N=int(data["N"]),
-                d=int(data["d"]),
-                form=str(data["form"]),
-                expressions=tuple(str(e) for e in data["expressions"]),
-                split=tuple(int(c) for c in split) if split is not None else None,
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            N, d, form, expressions = data["N"], data["d"], data["form"], data["expressions"]
+        except KeyError as exc:
             raise ManifoldError(f"malformed manifold file: {exc}") from exc
+        split = data.get("split")
+        for name, value in (("N", N), ("d", d)):
+            if not _is_integer(value):
+                raise ManifoldError(f"malformed manifold file: {name} must be an integer, got {type(value).__name__}")
+        if not (isinstance(expressions, list) and all(isinstance(e, str) for e in expressions)):
+            raise ManifoldError("malformed manifold file: expressions must be a list of strings")
+        if split is not None and not (isinstance(split, list) and all(_is_integer(c) for c in split)):
+            raise ManifoldError("malformed manifold file: split must be a list of integers")
+        return ManifoldSpec(
+            N=N,
+            d=d,
+            form=str(form),
+            expressions=tuple(expressions),
+            split=tuple(split) if split is not None else None,
+        )
 
     @staticmethod
     def from_file(path: Union[str, Path]) -> "ManifoldSpec":
         path = Path(path)
         try:
             data = json.loads(path.read_text())
-        except (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer past the interpreter's digit limit
+        except (OSError, RecursionError, ValueError) as exc:
             raise ManifoldError(f"cannot read manifold file {path}: {exc}") from exc
         return ManifoldSpec.from_json(data)
 

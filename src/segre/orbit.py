@@ -8,13 +8,15 @@ count of those generators is cross-checked against two independent routes,
 the certified rank of v^(k0) and the Lie-hull dimension; disagreement is
 reported as inconclusive rather than resolved silently.
 
-Each kernel is searched degree by degree, and the search stops at the first
-degree whose linear rank meets its target.  The intrinsic complexification
-is cut out by d + e functions with independent differentials, so the target
-is N - Rk v^(k0) for the annihilators and d + e for the orbit ideal: degree
-1 for a Levi-flat manifold, and 2 for the quadrics and c3, whose orbit
-ideal needs the 44 monomials of degree <= 2 in 8 variables, not the 494 of
-degree <= 4.
+Each kernel is searched degree by degree up to the run's degree bound, and
+the search stops at the first degree whose linear rank meets its target.
+The intrinsic complexification is cut out by d + e functions with
+independent differentials, so the target is N - Rk v^(k0) for the
+annihilators and d + e for the orbit ideal: degree 1 for a Levi-flat
+manifold, and 2 for the quadrics and c3, whose orbit ideal needs the 44
+monomials of degree <= 2 in 8 variables, not the 494 of degree <= 4.  The
+monomial cap is counted at each degree the search enters, so a search that
+stops early is never refused for a degree it does not reach.
 
 The mirror construction at the end builds the linear locus on which the
 doubled iterate collapses to the origin while retaining the stabilized rank.
@@ -72,50 +74,24 @@ class CheckResult(Record):
 # ---------------------------------------------------------------------------
 
 
-# Most monomials a kernel search may enumerate, counted up to its degree bound.
-# There are C(arity + b, b) - 1 of degree 1..b: the cap admits the orbit ideal
-# of a Levi-flat N=16 (58,904 in 32 variables at b = 4) and refuses the
-# annihilator kernel of N=40 (135,750 in 40 variables), which would take
-# minutes to compose if its search ever climbed that far.
+# Most monomials a kernel search may compose, counted up to the degree it is
+# about to enter.  There are C(arity + k, k) - 1 of degree 1..k: the cap
+# admits degree 4 of the orbit ideal of a Levi-flat N=16 (58,904 in 32
+# variables) and refuses degree 4 in 40 variables (135,750), which would take
+# minutes to compose.  A search that stops below such a degree never counts it.
 MAX_MONOMIALS = 100_000
 
 
-def check_kernel_caps(arities: Sequence[int], max_degree: int) -> None:
-    """Raise InconclusiveError if a kernel search in any of ``arities`` would pass MAX_MONOMIALS.
-
-    The count C(arity + b, b) - 1 of monomials of degree 1..b is exact and
-    needs no series, so a command can refuse an oversized search first.
-    """
-    for arity in arities:
-        count = 1  # C(arity + k, k), exactly, for k = 1..max_degree
-        for k in range(1, max_degree + 1):
-            count = count * (arity + k) // k
-        count -= 1
-        if count > MAX_MONOMIALS:
-            raise InconclusiveError(
-                f"{count} monomials of degree <= {max_degree} in {arity} variables "
-                f"exceed the cap MAX_MONOMIALS = {MAX_MONOMIALS}"
-            )
-
-
-def _monomials(arity: int, max_degree: int, min_degree: int = 1) -> List[Tuple[int, ...]]:
-    """Exponent tuples with min_degree <= total degree <= max_degree, graded-lex order.
-
-    Raises InconclusiveError, before enumerating any, when those of degree
-    1..max_degree pass MAX_MONOMIALS.
-    """
-    check_kernel_caps([arity], max_degree)
-    out: List[Tuple[int, ...]] = []
-    for degree in range(min_degree, max_degree + 1):
-        # ascending index multisets give descending exponent tuples
-        block = []
-        for indices in combinations_with_replacement(range(arity), degree):
-            exp = [0] * arity
-            for index in indices:
-                exp[index] += 1
-            block.append(tuple(exp))
-        out.extend(reversed(block))
-    return out
+def _monomials(arity: int, degree: int) -> List[Tuple[int, ...]]:
+    """Exponent tuples of total degree ``degree`` in ``arity`` variables, graded-lex order."""
+    block = []
+    for indices in combinations_with_replacement(range(arity), degree):
+        exp = [0] * arity
+        for index in indices:
+            exp[index] += 1
+        block.append(tuple(exp))
+    # ascending index multisets give descending exponent tuples
+    return block[::-1]
 
 
 def _kernel_series(
@@ -124,40 +100,42 @@ def _kernel_series(
     kappa: int,
     target: int,
     bound: int,
-    end: Optional[int] = None,
 ) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
     """Kernel of f -> f(components) over polynomials f with 1 <= deg f <= k, searched
-    for k = 1, 2, ... up to the first k whose linear rank is ``target``.
+    for k = 1, 2, ... up to the first k whose linear rank is ``target``, and
+    at most up to ``bound``.
 
-    The bound must lie in 1..kappa/2 (ValueError otherwise), and the
-    monomials up to it must pass check_kernel_caps.  At each k only the
-    monomials of degree k are composed with the components, each once, on
-    top of the products of degree k - 1 (one ``compose_many`` memo), and
-    ``linalg.sparse_kernel`` eliminates the images of every degree so far.
-    Its sparsest-row-first order beats extending one echelon column by
-    column, whose carried combinations fill in: 4-9 times slower at degree 4
-    on the dense h' and l4'.  The reduced row echelon basis over the
-    graded-lex monomial columns is unique, so the kernel at k is element for
-    element the one a search of degree <= k in one shot finds, and linear
-    parts surface as leading terms.  The linear rank is the number of kernel
-    elements with nonzero linear part; it never falls as k grows.  A target
-    not reached at ``bound`` sends the search on to ``end`` (default: the
-    bound), whose cap is checked on the way.  Returns the kernel elements at
-    the last k searched as series of order ``kappa``, the monomials up to k,
-    and the linear rank.
+    The bound must lie in 1..kappa/2 (ValueError otherwise).  A degree k
+    whose C(arity + k, k) - 1 monomials of degree 1..k pass MAX_MONOMIALS
+    raises InconclusiveError before any of its monomials is enumerated.  At
+    each k only the monomials of degree k are composed with the components,
+    each once, on top of the products of degree k - 1 (one ``compose_many``
+    memo), and ``linalg.sparse_kernel`` eliminates the images of every
+    degree so far.  Its sparsest-row-first order beats extending one echelon
+    column by column, whose carried combinations fill in: 4-9 times slower
+    at degree 4 on the dense h' and l4'.  The reduced row echelon basis over
+    the graded-lex monomial columns is unique, so the kernel at k is element
+    for element the one a search of degree <= k in one shot finds, and
+    linear parts surface as leading terms.  The linear rank is the number of
+    kernel elements with nonzero linear part; it never falls as k grows.
+    Returns the kernel elements at the last k searched as series of order
+    ``kappa``, the monomials up to k, and the linear rank.
     """
     if not 1 <= bound <= kappa // 2:
         raise ValueError(f"degree bound must lie in 1..kappa/2 = {kappa // 2}")
-    check_kernel_caps([arity], bound)
     inner = FormalMap(list(components))
-    end = bound if end is None else end
     memo: dict = {}
     monomials: List[Tuple[int, ...]] = []
     columns: List[dict] = []
-    for degree in range(1, end + 1):
-        if degree == bound + 1:
-            check_kernel_caps([arity], end)
-        block = _monomials(arity, degree, degree)
+    count = 1  # C(arity + k, k), exactly
+    for degree in range(1, bound + 1):
+        count = count * (arity + degree) // degree
+        if count - 1 > MAX_MONOMIALS:
+            raise InconclusiveError(
+                f"{count - 1} monomials of degree <= {degree} in {arity} variables "
+                f"exceed the cap MAX_MONOMIALS = {MAX_MONOMIALS}"
+            )
+        block = _monomials(arity, degree)
         outers = [_series(arity, kappa, {exp: ONE}) for exp in block]
         columns += [image.terms for image in compose_many(outers, inner, memo)]
         monomials += block
@@ -210,29 +188,25 @@ def orbit_annihilator(
 
     Solves the exact linear system "f composed with v^(k0) vanishes modulo
     the truncation order" over polynomials f(Z) of degree 1, then up to 2,
-    and so on (``_kernel_series``), and stops at the first degree whose
-    generators (the kernel elements with independent linear parts) number
-    N - Rk v^(k0).  A degree past the bound is an escalation: the search goes
-    on for at most 2 more degrees (capped at kappa/2), and reaching the count
-    there is recorded as ``degree_escalated``.  The count e is cross-checked,
-    unless ``lie_dim`` is None, against the Lie-hull value 2N - d - dim.  A
-    count that no degree reaches, or a mismatch, raises InconclusiveError
-    carrying both numbers: either the bound is still too small or a
-    truncation artifact slipped in, and neither should be silently trusted.
+    and so on up to ``degree_bound`` (``_kernel_series``), and stops at the
+    first degree whose generators (the kernel elements with independent
+    linear parts) number N - Rk v^(k0).  The count e is cross-checked, unless
+    ``lie_dim`` is None, against the Lie-hull value 2N - d - dim.  A count
+    that no degree up to the bound reaches, or a mismatch, raises
+    InconclusiveError carrying both numbers: either the bound is too small or
+    a truncation artifact slipped in, and neither should be silently trusted.
     """
     manifold, dims = segre.manifold, segre.dims
     k0 = profile.k0
     e_rank_route = dims.N - profile.rank_at_k0
-    escalated = min(degree_bound + 2, segre.kappa // 2)
-    generators, monomials, e_reported = _kernel_series(
-        list(segre.v(k0).components), dims.N, segre.kappa, e_rank_route, degree_bound, escalated
+    generators, _, e_reported = _kernel_series(
+        list(segre.v(k0).components), dims.N, segre.kappa, e_rank_route, degree_bound
     )
-    reached = sum(monomials[-1])
     # generators are the kernel elements whose leading (pivot) term is linear
     f_generators = [g for g in generators if sum(min(g.terms, key=grlex_key)) == 1]
     if e_reported != e_rank_route:
         raise InconclusiveError(
-            f"annihilator count {e_reported} (degree bound {reached}) "
+            f"annihilator count {e_reported} (degree bound {degree_bound}) "
             f"disagrees with N - Rk v^k0 = {e_rank_route}; escalate the degree bound"
         )
     checks: Dict[str, CheckResult] = {}
@@ -276,10 +250,6 @@ def orbit_annihilator(
     checks["annihilators_vanish"] = CheckResult(
         "annihilators_vanish", True, f"f_k . v^j = 0 for j <= {2 * k0}"
     )
-    if reached > degree_bound:
-        checks["degree_escalated"] = CheckResult(
-            "degree_escalated", True, f"degree bound raised {degree_bound} -> {escalated}"
-        )
     dim_orbit = 2 * dims.N - dims.d - e_reported
     return OrbitReport(
         dim_O=dim_orbit,
@@ -527,8 +497,6 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     def record(name: str, passed: bool, witness: str = ""):
         checks[name] = CheckResult(name, passed, witness)
 
-    # the annihilator kernel searches N variables, the orbit ideal 2N
-    check_kernel_caps([dims.N, dims.ambient_arity], config.resolve_degree())
     segre = SegreMapping(manifold)
     profile = rank_profile(segre, config.resolve_jmax(dims.d), config.seed)
     k0 = profile.k0

@@ -16,19 +16,20 @@ kernel oracle (``carried_kernel``, then ``sparse_rref``) shares
 it carries each column's combination along, where the engine eliminates the
 transposed rows and reads the kernel off their reduced form.  The one-shot
 kernel (``one_shot_kernel_series``) is the orbit kernel search without its
-early stop: every monomial up to the bound at once.  Last,
+early stop: every monomial up to the bound at once, enumerated by filtering
+a dense exponent box (``graded_lex_monomials``).  Last,
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, jacobian, linalg, manifold_from_rho_series
 from segre.maps import SegreMapping, make_theta_phi
-from segre.orbit import _mirror_parametrization, _monomials
+from segre.orbit import _mirror_parametrization
 from segre.config import top_order
 from segre.rank import _on_line
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
@@ -223,6 +224,13 @@ def sparse_rref(rows: Sequence[Dict]) -> List[Dict]:
     return echelon.reduced()
 
 
+def graded_lex_monomials(arity: int, max_degree: int) -> List[Tuple[int, ...]]:
+    """Every exponent tuple with 1 <= total degree <= max_degree, sorted by
+    total degree and then by the tuple: all of the dense box, filtered."""
+    box = product(range(max_degree + 1), repeat=arity)
+    return sorted((exp for exp in box if 1 <= sum(exp) <= max_degree), key=lambda exp: (sum(exp), exp))
+
+
 def one_shot_kernel_series(
     components: Sequence[TruncatedSeries], arity: int, max_degree: int, kappa: int
 ) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
@@ -234,7 +242,7 @@ def one_shot_kernel_series(
     order ``kappa``, the monomials and the number of kernel elements with
     nonzero linear part, as ``orbit._kernel_series`` does.
     """
-    monomials = _monomials(arity, max_degree)
+    monomials = graded_lex_monomials(arity, max_degree)
     outers = [TruncatedSeries(arity, kappa, {exp: GaussianRational(1)}) for exp in monomials]
     images = compose_many(outers, FormalMap(list(components)))
     kernel = linalg.sparse_kernel([image.terms for image in images])

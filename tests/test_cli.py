@@ -115,8 +115,8 @@ def test_orbit_c2_json_golden(capsys):
 
 
 def test_orbit_inconclusive_degree_bound(tmp_path, capsys):
-    # the annihilator here has degree 4, out of reach of bound 1 even after
-    # the single built-in escalation
+    # the annihilator here has degree 4, out of reach of bound 1, and the
+    # search stops at the bound
     manifold = tmp_path / "quartic.json"
     manifold.write_text(
         json.dumps(
@@ -128,9 +128,13 @@ def test_orbit_inconclusive_degree_bound(tmp_path, capsys):
             }
         )
     )
-    code, _, err = run_cli(capsys, "orbit", str(manifold), "--degree", "1")
+    code, out, err = run_cli(capsys, "orbit", str(manifold), "--degree", "1")
     assert code == cli.EXIT_INCONCLUSIVE
-    assert "inconclusive" in err
+    assert out == ""
+    assert err == (
+        "inconclusive: annihilator count 0 (degree bound 1) disagrees with "
+        "N - Rk v^k0 = 1; escalate the degree bound\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +470,17 @@ def _graph_file(expression: str) -> str:
         ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
         (b"\xff\xfe{}", "codec can't decode"),
         ('[{"N": 2}]', "expected a JSON object, got list"),
-        ('{"N": 1e999, "d": 1, "form": "graph", "expressions": ["ta1"]}', "float infinity"),
+        ('{"N": 1e999, "d": 1, "form": "graph", "expressions": ["ta1"]}', "N must be an integer, got float"),
+        ('{"N": 2.9, "d": 1.5, "form": "graph", "expressions": ["ta1"]}', "N must be an integer, got float"),
+        ('{"N": "2", "d": 1, "form": "graph", "expressions": ["ta1"]}', "N must be an integer, got str"),
+        ('{"N": 2, "d": true, "form": "graph", "expressions": ["ta1"]}', "d must be an integer, got bool"),
+        ('{"N": 3, "d": 2, "form": "graph", "expressions": "ab"}', "expressions must be a list of strings"),
+        ('{"N": 2, "d": 1, "form": "graph", "expressions": [7]}', "expressions must be a list of strings"),
+        (
+            '{"N": 3, "d": 2, "form": "rho", "expressions": ["Z2 - ze2", "Z3 - ze3"], "split": [1.7, 2.2]}',
+            "split must be a list of integers",
+        ),
+        ('{"N": ' + "1" * 5000 + ', "d": 1, "form": "graph", "expressions": ["ta1"]}', "Exceeds the limit (4300 digits)"),
         (_graph_file("ta1 + 2*i*z1*ch1 + " + "7" * 5000), "integer literal of 5000 digits is too long"),
         (
             '{"N": 2, "d": 1, "form": "rho", "expressions": ["Z2 - ze2 - 2*i*Z1*ze1"], "split": [1, 1]}',
@@ -483,6 +497,13 @@ def _graph_file(expression: str) -> str:
         "not-utf8",
         "not-an-object",
         "infinite-N",
+        "float-N-and-d",
+        "string-N",
+        "bool-d",
+        "string-expressions",
+        "number-expression",
+        "float-split",
+        "long-N",
         "long-literal",
         "repeated-split",
         "constant-power",
@@ -594,33 +615,42 @@ def test_degree_bound_below_rho_degree_is_inconclusive(argv, bound, degree):
     assert f"degree bound {bound} is below the degree {degree}" in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command, n, count, variables",
-    [
-        # the annihilator kernel searches N variables, the orbit ideal 2N
-        ("orbit", 40, 135750, 40),
-        ("verify", 40, 135750, 40),
-        ("verify", 20, 135750, 40),
-    ],
-    ids=["orbit-N40", "verify-N40", "verify-N20-ideal"],
-)
-def test_oversized_kernel_search_is_refused_before_series_work(
-    tmp_path, monkeypatch, capsys, command, n, count, variables
-):
-    def never(*args, **kwargs):
-        raise AssertionError("rank_profile ran before the monomial cap was checked")
-
-    monkeypatch.setattr(cli, "rank_profile", never)
-    monkeypatch.setattr(orbit, "rank_profile", never)
+@pytest.mark.parametrize("command", ["orbit", "verify"])
+def test_levi_flat_n20_kernel_searches_stop_at_degree_1(tmp_path, capsys, command):
+    # degree 4 of the orbit ideal in 40 variables would pass the monomial
+    # cap, but both searches stop at degree 1, after 20 and 40 monomials
     flat = tmp_path / "leviflat.json"
-    flat.write_text(json.dumps({"N": n, "d": 1, "form": "graph", "expressions": ["ta1"]}))
-    code, out, err = run_cli(capsys, command, str(flat))
+    flat.write_text(json.dumps({"N": 20, "d": 1, "form": "graph", "expressions": ["ta1"]}))
+    code, out, err = run_cli(capsys, command, str(flat), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["e"] == 1
+    if command == "verify":
+        assert (payload["ranks"], payload["k0"], payload["dim_g0"]) == ([19, 19, 19], 1, 38)
+
+
+def test_kernel_search_is_refused_at_the_degree_that_passes_the_cap(tmp_path, monkeypatch, capsys):
+    # w - i z^4 needs degree 4: 2, 5 and 9 monomials of degree <= 1, 2, 3
+    # pass a cap of 10, and the 14 of degree <= 4 do not
+    monkeypatch.setattr(orbit, "MAX_MONOMIALS", 10)
+    quartic = tmp_path / "quartic.json"
+    quartic.write_text(_graph_file("ta1 + i*z1^4 + i*ch1^4"))
+    code, out, err = run_cli(capsys, "orbit", str(quartic), "--degree", "4")
     assert code == cli.EXIT_INCONCLUSIVE
     assert out == ""
-    assert err == (
-        f"inconclusive: {count} monomials of degree <= 4 in {variables} variables "
-        "exceed the cap MAX_MONOMIALS = 100000\n"
+    assert err == "inconclusive: 14 monomials of degree <= 4 in 2 variables exceed the cap MAX_MONOMIALS = 10\n"
+
+
+def test_orbit_and_verify_give_one_reason_below_the_annihilator_degree(tmp_path, capsys):
+    # w - i z^2 is out of reach of bound 1 for both commands
+    curved = tmp_path / "curved.json"
+    curved.write_text(_graph_file("ta1 + i*z1^2 + i*ch1^2"))
+    reason = (
+        "inconclusive: annihilator count 0 (degree bound 1) disagrees with "
+        "N - Rk v^k0 = 1; escalate the degree bound\n"
     )
+    for command in ("orbit", "verify"):
+        assert run_cli(capsys, command, str(curved), "--degree", "1") == (cli.EXIT_INCONCLUSIVE, "", reason)
 
 
 # ---------------------------------------------------------------------------

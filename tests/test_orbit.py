@@ -6,6 +6,7 @@ import contextlib
 import gc
 import math
 import random
+import re
 from itertools import product
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from segre import orbit
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
 
 from conftest import count_loads, default_profile, load_fixture, random_rigid_manifold, working_order_only
-from oracles import linear_coordinate_change, one_shot_kernel_series
+from oracles import graded_lex_monomials, linear_coordinate_change, one_shot_kernel_series
 
 
 @pytest.fixture(scope="module")
@@ -90,24 +91,35 @@ def test_orbit_annihilator_curved_w(curved_w_manifold):
     assert f.terms == {(0, 1): gauss(1), (2, 0): gauss(0, -1)}
 
 
-def test_orbit_annihilator_escalates_degree_bound_once(curved_w_manifold):
-    # at degree 1 the kernel misses w - i z^2; one escalation (to 3) finds it
+def test_orbit_annihilator_stops_at_the_degree_bound(curved_w_manifold, monkeypatch):
+    # w - i z^2 is out of reach of bound 1, and the search does not look past it
     segre = SegreMapping(curved_w_manifold)
     profile = default_profile(segre)
-    report = orbit_annihilator(segre, profile, 1, None)
-    assert report.e == 1
-    assert "degree_escalated" in report.checks
+    degrees = []
+    real_compose_many = orbit.compose_many
+
+    def spy(outers, inner, *args):
+        degrees.extend(sum(exp) for outer in outers for exp in outer.terms)
+        return real_compose_many(outers, inner, *args)
+
+    monkeypatch.setattr(orbit, "compose_many", spy)
+    message = (
+        "annihilator count 0 (degree bound 1) disagrees with N - Rk v^k0 = 1; escalate the degree bound"
+    )
+    with pytest.raises(InconclusiveError, match=f"^{re.escape(message)}$"):
+        orbit_annihilator(segre, profile, 1, None)
+    assert degrees == [1, 1]
 
 
 def test_orbit_annihilator_inconclusive_when_degree_too_small():
-    # the annihilator w - i z^4 has degree 4; degree bound 1 escalates only
-    # to 3 and must report the mismatch rather than resolve it
+    # the annihilator w - i z^4 has degree 4, out of reach of bound 1: the
+    # mismatch is reported rather than resolved
     spec = ManifoldSpec(2, 1, "graph", ("ta1 + i*z1^4 + i*ch1^4",))
     manifold = load_manifold(spec, 8)
     segre = SegreMapping(manifold)
     profile = default_profile(segre)
     assert profile.ranks == (1, 1, 1)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError, match=r"^annihilator count 0 \(degree bound 1\) disagrees"):
         orbit_annihilator(segre, profile, 1, None)
     report = orbit_annihilator(segre, profile, 4, None)
     (f,) = report.f_generators
@@ -146,18 +158,24 @@ def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):
         orbit_annihilator(segre, profile, 5, None)
 
 
-def test_monomial_enumeration_is_capped_before_it_starts():
-    # the orbit ideal of a Levi-flat N=40 has 2N = 80 variables: C(84, 4) - 1
-    # monomials of degree 1..4, far over the cap; counting them is instant,
-    # enumerating them would not be
-    assert math.comb(84, 4) - 1 == 1929500 > orbit.MAX_MONOMIALS
-    with pytest.raises(InconclusiveError, match=r"1929500 monomials .* cap MAX_MONOMIALS = 100000"):
-        orbit._monomials(80, 4)
-    with pytest.raises(InconclusiveError):
-        orbit._monomials(10**6, 4)
-    # the orbit ideal of a Levi-flat N=16 (32 variables) stays admitted
-    monomials = orbit._monomials(32, 4)
-    assert len(monomials) == len(set(monomials)) == math.comb(36, 4) - 1 == 58904
+def test_monomial_enumeration_is_capped_before_it_starts(monkeypatch):
+    # the identity in 100 variables has no kernel, so target 1 is never
+    # reached: degrees 1 and 2 (5150 monomials) are searched, and degree 3
+    # (C(103, 3) - 1) is refused before any of its monomials is enumerated
+    assert math.comb(103, 3) - 1 == 176850 > orbit.MAX_MONOMIALS >= math.comb(102, 2) - 1
+    identity = [TruncatedSeries.variable(100, 8, index) for index in range(100)]
+    degrees = []
+    real_monomials = orbit._monomials
+
+    def spy(arity, degree):
+        degrees.append(degree)
+        return real_monomials(arity, degree)
+
+    monkeypatch.setattr(orbit, "_monomials", spy)
+    message = "176850 monomials of degree <= 3 in 100 variables exceed the cap MAX_MONOMIALS = 100000"
+    with pytest.raises(InconclusiveError, match=f"^{re.escape(message)}$"):
+        orbit._kernel_series(identity, 100, 8, 1, 4)
+    assert degrees == [1, 2]
 
 
 def test_verify_levi_flat_n12():
@@ -178,7 +196,7 @@ def test_monomials_come_in_graded_lex_order():
         for degree in range(5):
             everything = product(range(degree + 1), repeat=arity)
             expected = sorted((e for e in everything if 1 <= sum(e) <= degree), key=grlex_key)
-            assert orbit._monomials(arity, degree) == expected
+            assert [m for k in range(1, degree + 1) for m in orbit._monomials(arity, k)] == expected
 
 
 def test_verify_leaves_no_cyclic_garbage():
@@ -389,24 +407,11 @@ def test_kernel_search_stops_at_the_first_degree_that_reaches_its_target(spec, k
     assert _kernel_degrees(manifold) == degrees
 
 
-def test_escalation_is_the_tail_of_the_search(curved_w_manifold):
-    # w - i z^2 is out of reach of bound 1: the search goes on past it and
-    # stops at 2, inside the escalated bound 3 that the witness names
-    segre = SegreMapping(curved_w_manifold)
-    profile = default_profile(segre)
-    with _reached_degrees() as degrees:
-        report = orbit_annihilator(segre, profile, 1, None)
-        assert "degree_escalated" not in orbit_annihilator(segre, profile, 2, None).checks
-    assert degrees == [2, 2]
-    assert list(report.checks)[-1] == "degree_escalated"
-    assert report.checks["degree_escalated"].witness == "degree bound raised 1 -> 3"
-
-
 def test_monomials_of_one_degree_are_a_slice_of_all():
     for arity in range(1, 5):
-        everything = orbit._monomials(arity, 4)
-        assert [m for k in range(1, 5) for m in orbit._monomials(arity, k, k)] == everything
-        assert orbit._monomials(arity, 4, 3) == [m for m in everything if sum(m) >= 3]
+        everything = graded_lex_monomials(arity, 4)
+        assert [m for k in range(1, 5) for m in orbit._monomials(arity, k)] == everything
+        assert [m for k in (3, 4) for m in orbit._monomials(arity, k)] == [m for m in everything if sum(m) >= 3]
 
 
 def _orbit_outcome(segre, profile, bound):
@@ -438,12 +443,11 @@ def test_degree_by_degree_search_equals_the_one_shot_kernel_at_the_degree_reache
         patch.setattr(orbit, "_kernel_series", spy)
         searched = _orbit_outcome(segre, profile, bound)
     for args, result in calls:
-        components, arity, kappa, target, search_bound = args[:5]
-        end = args[5] if len(args) > 5 else search_bound
+        components, arity, kappa, target, search_bound = args
         degree = sum(result[1][-1])
         assert result == one_shot_kernel_series(components, arity, degree, kappa)
-        # the first degree that reaches the target, or the last one searched
-        assert result[2] == target or degree == end
+        # the first degree that reaches the target, or the bound
+        assert result[2] == target or degree == search_bound
         if degree > 1:
             assert one_shot_kernel_series(components, arity, degree - 1, kappa)[2] != target
     reached = iter([sum(monomials[-1]) for _, (_, monomials, _) in calls])

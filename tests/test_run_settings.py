@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import inspect
 from pathlib import Path
+from typing import List, Tuple
 
 import pytest
 
@@ -80,6 +81,29 @@ def test_reality_is_checked_in_one_place():
     # the load's gate at the top order; no command checks again
     sites = {path.name: _reality_checks(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
     assert {name: count for name, count in sites.items() if count} == {"expressions.py": 1}
+
+
+def _cap_reads(source: str, module: str) -> List[Tuple[str, bool]]:
+    """Each read of MAX_MONOMIALS: the top-level function (or ``<module>``)
+    around it, and whether a comparison makes it."""
+    reads = []
+    for top in ast.parse(source).body:
+        compared = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                compared.update(map(id, ast.walk(node)))
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name == "MAX_MONOMIALS" and isinstance(node.ctx, ast.Load):
+                reads.append((f"{module}.{getattr(top, 'name', '<module>')}", id(node) in compared))
+    return reads
+
+
+def test_the_monomial_cap_is_read_in_one_place():
+    # the kernel search counts the cap at each degree it enters, in one
+    # comparison; no command counts ahead of it up to the bound
+    reads = [read for path in sorted(SOURCE.glob("*.py")) for read in _cap_reads(path.read_text(), path.stem)]
+    assert {site for site, _ in reads} == {"orbit._kernel_series"}
+    assert sum(compared for _, compared in reads) == 1
 
 
 def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
