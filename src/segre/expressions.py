@@ -18,7 +18,6 @@ rho-form expressions in Z1..ZN, ze1..zeN.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -374,15 +373,6 @@ class GenericManifold(Record):
         return f"{self.label}: N={self.N} d={self.d} n={self.n} kappa={self.kappa}"
 
 
-def _choose_w_columns(linear: List[List[GaussianRational]], dims: Dims) -> Tuple[int, ...]:
-    """Lexicographically first d columns of the Z-differential forming an invertible minor."""
-    for cols in combinations(range(dims.N), dims.d):
-        minor = [[linear[j][c] for c in cols] for j in range(dims.d)]
-        if linalg.rank(minor) == dims.d:
-            return cols
-    raise GenericityError("no invertible d x d minor among the Z-differentials at 0")
-
-
 def _finish_load(
     dims: Dims,
     graph: GraphForm,
@@ -434,7 +424,13 @@ def manifold_from_rho_series(
     label: str = "manifold",
 ) -> GenericManifold:
     """Build a manifold at ``kappa`` from defining functions in the raw (Z, ze)
-    ring, read and solved for the graph at the top order ``top_order(kappa)``."""
+    ring, read and solved for the graph at the top order ``top_order(kappa)``.
+
+    One elimination of the Z-differential at 0 decides genericity (rank d)
+    and, when no ``split`` is declared, gives the w-columns: its pivot
+    columns, the greedy column basis, which is the lexicographically first
+    set of d columns with an invertible minor (Edmonds 1971).  A declared
+    split has its own minor checked."""
     top = top_order(kappa)
     raw = []
     for component in raw_components:
@@ -444,7 +440,8 @@ def manifold_from_rho_series(
             raise ManifoldError("the manifold must pass through the origin (rho has a constant term)")
         raw.append(component.with_order(top))
     linear = linear_part(raw, range(dims.N))
-    if linalg.rank(linear) != dims.d:
+    rank, _, pivots = linalg.rank_with_pivots(linear)
+    if rank != dims.d:
         raise GenericityError("rank of the Z-differentials at 0 is below d")
     if split is not None:
         w_columns = tuple(sorted(int(c) for c in split))
@@ -452,7 +449,7 @@ def manifold_from_rho_series(
         if linalg.rank(minor) != dims.d:
             raise SplitError("declared split does not give an invertible w-differential")
     else:
-        w_columns = _choose_w_columns(linear, dims)
+        w_columns = tuple(pivots)
     assignment = dims.raw_to_ambient(w_columns)
     rho = FormalMap([component.map_vars(dims.ambient_arity, assignment) for component in raw])
     return _finish_load(dims, solve_graph(rho, dims, top), rho, kappa, w_columns, label)

@@ -1,11 +1,12 @@
 """Iterated Segre mappings and their companion parametrizations.
 
-Everything here uses the graph-special convention: the mapping gamma sends
+Everything here uses the graph-special convention: the Segre map sends
 (zeta, t) to (t, Q(t, zeta)), so the z-part of the j-th iterate is the last
-block of t-variables.  Iterates are built by exact truncated composition,
+block of t-variables.  Iterates are built by exact truncated composition of
+Q (``GraphForm.q_of``),
 
-    v^1(t^1)              = gamma(0, t^1)
-    v^(j+1)(t^1..t^(j+1)) = gamma(conj(v^j)(t^1..t^j), t^(j+1)),
+    v^1(t^1)              = (t^1, Q(t^1, 0))
+    v^(j+1)(t^1..t^(j+1)) = (t^(j+1), Q(t^(j+1), conj(v^j)(t^1..t^j))),
 
 where conj conjugates coefficients only.  Two collapse identities pin the
 argument convention and are re-verified on every constructed iterate: setting
@@ -20,13 +21,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .coords import Dims
 from .errors import InternalConsistencyError, SegreError
 from .expressions import GenericManifold
 from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, linear_part, on_line, series_match
+from .series import FormalMap, TruncatedSeries, compose_many, on_line
 
 if TYPE_CHECKING:  # only make_T's annotations name it; a rank run never loads segre.fields
     from .fields import FormalVectorField
@@ -46,7 +46,8 @@ def default_var_cap(dims: Dims) -> int:
 class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
-    The iterates ``v`` are built at the manifold's order kappa only; any
+    The iterates ``v`` are built at the manifold's order kappa only, by
+    composing Q; their z-part is the last t-block, written as such.  Any
     order L up to the manifold's top is read on lines (``on_line``) from them
     and Q or rho at L, the truncations of its top form.
     """
@@ -58,7 +59,6 @@ class SegreMapping:
         self.graph: GraphForm = manifold.graph
         self.kappa = manifold.kappa
         self.var_cap = default_var_cap(dims)
-        self.gamma = self._build_gamma()
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
         self._phi: Dict[int, FormalMap] = {}
@@ -155,23 +155,6 @@ class SegreMapping:
             new_rows.append(chain + partials[:n])
         return [*z, *w], new_rows
 
-    def _build_gamma(self) -> FormalMap:
-        """gamma(zeta, t) = (t, Q(t, zeta)) in the (ch, ta, t) source ring.
-
-        The w-part relabels Q's variables.  rho(gamma(zeta, t), zeta) = 0 is
-        rho(z, Q, ch, ta) = 0 with z renamed t: true by construction for graph
-        input, checked by ``solve_graph`` for rho input.
-        """
-        dims = self.dims
-        arity = dims.N + dims.n
-        ts = [TruncatedSeries.variable(arity, self.kappa, dims.N + i) for i in range(dims.n)]
-        relabel = [dims.N + i for i in range(dims.n)] + list(range(dims.N))
-        gamma = FormalMap([*ts, *self.graph.Q.map_vars(arity, relabel).components])
-        # full t-rank at 0
-        if linalg.rank(linear_part(gamma, range(dims.N, arity))) != dims.n:
-            raise InternalConsistencyError("gamma has deficient t-rank at 0")
-        return gamma
-
     def v(self, j: int) -> FormalMap:
         """The j-th iterate as a map from j blocks of t-variables into Z-space."""
         if j < 1:
@@ -208,19 +191,15 @@ class IteratedSegre(Record):
 
 
 def iterate(gamma: SegreMapping, j: int) -> IteratedSegre:
-    """Build v^j and verify its structural identities exactly.
+    """Build v^j and verify its collapse identities exactly.
 
-    Checks, as series identities modulo truncation: the z-part is the last
-    block of variables, killing the first block drops the iterate by one,
-    and identifying the last block with block j-2 drops it by two.
+    Checks, as series identities modulo truncation: killing the first block
+    drops the iterate by one, and identifying the last block with block j-2
+    drops it by two.  The z-part needs no check: ``SegreMapping.v`` writes
+    the last block of variables there.
     """
     dims = gamma.dims
     mapping = gamma.v(j)
-    arity = j * dims.n
-    for i in range(dims.n):
-        expected = TruncatedSeries.variable(arity, gamma.kappa, (j - 1) * dims.n + i)
-        if not series_match(mapping.component(i), expected):
-            raise InternalConsistencyError("z-part of the iterate is not the last t-block")
     if j >= 2:
         collapsed = mapping.map_vars(
             (j - 1) * dims.n,
@@ -282,8 +261,9 @@ def chain_generator_pairs(k: int) -> Tuple[Tuple[Optional[int], Optional[int]], 
 def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
     """Assemble (v^k, conj v^(k-1), v^(k-2), ...) and verify it parametrizes the chain.
 
-    Verifies that every generator pair annihilates under the assembled map and
-    that the constant-term Jacobian has full rank k*n.
+    Verifies that every generator pair annihilates under the assembled map.
+    Its Jacobian at 0 has full rank k*n by construction: the z-part of slot s
+    is the t-block k - s, so the z-parts hold an identity block.
     """
     if k < 1:
         raise SegreError("chain parametrizations start at k = 1")
@@ -311,8 +291,6 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
                 raise InternalConsistencyError(
                     f"chain generator pair {(a, b)} does not annihilate under T^{k}"
                 )
-    if linalg.rank(linear_part(mapping, range(arity))) != arity:
-        raise InternalConsistencyError(f"T^{k} is rank-deficient at 0")
     return SegreManifoldParam(k, mapping, pairs)
 
 

@@ -100,7 +100,7 @@ def _kernel_series(
     kappa: int,
     target: int,
     bound: int,
-) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
+) -> Tuple[List[TruncatedSeries], int, int]:
     """Kernel of f -> f(components) over polynomials f with 1 <= deg f <= k, searched
     for k = 1, 2, ... up to the first k whose linear rank is ``target``, and
     at most up to ``bound``.
@@ -119,7 +119,7 @@ def _kernel_series(
     linear parts surface as leading terms.  The linear rank is the number of
     kernel elements with nonzero linear part; it never falls as k grows.
     Returns the kernel elements at the last k searched as series of order
-    ``kappa``, the monomials up to k, and the linear rank.
+    ``kappa``, that k, and the linear rank.
     """
     if not 1 <= bound <= kappa // 2:
         raise ValueError(f"degree bound must lie in 1..kappa/2 = {kappa // 2}")
@@ -145,7 +145,7 @@ def _kernel_series(
         if linear_rank == target:
             break
     series = [_series(arity, kappa, {monomials[c]: value for c, value in row.items()}) for row in kernel]
-    return series, monomials, linear_rank
+    return series, degree, linear_rank
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +407,9 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
     (a) the doubled iterate composes to zero along the parametrization, and
     (b) the rank of the doubled iterate's Jacobian along the locus equals
     the stabilized rank.  Both are recorded; the verification suite reports
-    a failure of either as a failed check.
+    a failure of either as a failed check.  The locus itself is fixed by
+    ``_mirror_pattern`` alone: its generators vanish on the parametrization,
+    which has rank k0*n at 0, for every manifold.
     """
     dims, kappa = segre.dims, segre.kappa
     k0 = profile.k0
@@ -415,13 +417,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
 
     param = _mirror_parametrization(dims, k0, kappa)
     gens = _mirror_generators(dims, k0, kappa)
-
-    if linalg.rank(linear_part(param, range(k0 * dims.n))) != k0 * dims.n:
-        raise InternalConsistencyError("mirror parametrization is rank-deficient at 0")
-    zero = [image.is_zero() for image in compose_many(gens + list(v2k.components), param)]
-    if not all(zero[: len(gens)]):
-        raise InternalConsistencyError("mirror parametrization does not satisfy its ideal")
-    annihilates = all(zero[len(gens) :])
+    annihilates = all(image.is_zero() for image in compose_many(list(v2k.components), param))
 
     cert = generic_rank(
         builder=lambda level: _mirror_lines(segre, k0, level),

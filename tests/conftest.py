@@ -33,6 +33,14 @@ def load_fixture(name: str, kappa: int = 8):
     return load_manifold_file(FIXTURE_DIR / f"{name}.json", kappa)
 
 
+def late_split_rho(N: int, d: int) -> dict:
+    """A rho-form manifold file whose invertible Z-columns are the last d:
+    rho_l = (Z_(n+l) - ze_(n+l)) / (2i) - Z1 ze1, for l = 1..d."""
+    n = N - d
+    expressions = [f"(Z{n + l} - ze{n + l})/(2*i) - Z1*ze1" for l in range(1, d + 1)]
+    return {"N": N, "d": d, "form": "rho", "expressions": expressions}
+
+
 def default_profile(segre):
     """The rank profile of the run's mapping with every option at its default."""
     config = RunConfig(kappa=segre.kappa)

@@ -17,7 +17,10 @@ it carries each column's combination along, where the engine eliminates the
 transposed rows and reads the kernel off their reduced form.  The one-shot
 kernel (``one_shot_kernel_series``) is the orbit kernel search without its
 early stop: every monomial up to the bound at once, enumerated by filtering
-a dense exponent box (``graded_lex_monomials``).  Last,
+a dense exponent box (``graded_lex_monomials``).  The split oracle
+(``first_invertible_columns``) finds the w-columns of a rho load by their
+definition, over every column subset, where the load reads them off one
+elimination's pivots.  Last,
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 """
@@ -160,6 +163,16 @@ def d_det(matrix: List[List[Dense]]) -> Dense:
     return out
 
 
+def first_invertible_columns(matrix: Sequence[Sequence[GaussianRational]], size: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first ``size`` columns whose minor over all rows
+    has a nonzero cofactor determinant, or None: every column subset tried in
+    ``combinations`` order, C(N, size) determinants at worst."""
+    for cols in combinations(range(len(matrix[0])), size):
+        if d_det([[d_const(0, row[c]) for c in cols] for row in matrix]):
+            return cols
+    return None
+
+
 def brute_force_rank(matrix: List[List[Dense]]) -> int:
     """Largest s such that some s x s minor has a nonzero dense determinant."""
     n_rows = len(matrix)
@@ -233,13 +246,13 @@ def graded_lex_monomials(arity: int, max_degree: int) -> List[Tuple[int, ...]]:
 
 def one_shot_kernel_series(
     components: Sequence[TruncatedSeries], arity: int, max_degree: int, kappa: int
-) -> Tuple[List[TruncatedSeries], List[Tuple[int, ...]], int]:
+) -> Tuple[List[TruncatedSeries], int, int]:
     """Kernel of f -> f(components) over every polynomial f with 1 <= deg f <= max_degree at once.
 
     The search the orbit kernels made before they went degree by degree:
     every monomial composed in one ``compose_many`` and eliminated in one
     ``linalg.sparse_kernel``.  Returns the kernel elements as series of
-    order ``kappa``, the monomials and the number of kernel elements with
+    order ``kappa``, ``max_degree`` and the number of kernel elements with
     nonzero linear part, as ``orbit._kernel_series`` does.
     """
     monomials = graded_lex_monomials(arity, max_degree)
@@ -248,7 +261,7 @@ def one_shot_kernel_series(
     kernel = linalg.sparse_kernel([image.terms for image in images])
     linear_rank = sum(1 for row in kernel if min(row) < arity)
     series = [TruncatedSeries(arity, kappa, {monomials[c]: value for c, value in row.items()}) for row in kernel]
-    return series, monomials, linear_rank
+    return series, max_degree, linear_rank
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from segre.errors import InternalConsistencyError
 from segre.expressions import MAX_N
 from segre.series import SeriesError
 
-from conftest import FIXTURE_DIR, count_loads
+from conftest import FIXTURE_DIR, count_loads, late_split_rho
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -63,6 +63,16 @@ def test_rank_json_values(capsys):
 def test_rank_accepts_file_path(capsys):
     code, out, _ = run_cli(capsys, "rank", str(FIXTURE_DIR / "h.json"))
     assert code == 0
+    assert "k0 = 2" in out
+
+
+def test_rank_of_a_late_split_at_n20(tmp_path, capsys):
+    # the w-columns are the last 10 of 20: one elimination finds them, where
+    # a search over column subsets would try C(20, 10) = 184,756 minors
+    manifold = tmp_path / "late20.json"
+    manifold.write_text(json.dumps(late_split_rho(20, 10)))
+    code, out, err = run_cli(capsys, "rank", str(manifold), "--kappa", "2")
+    assert code == 0, err
     assert "k0 = 2" in out
 
 

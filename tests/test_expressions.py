@@ -17,6 +17,7 @@ from segre import (
     RealityError,
     TruncatedSeries,
     gauss,
+    linalg,
     load_manifold,
     parse_expression,
     variable_table,
@@ -26,7 +27,7 @@ from segre.expressions import MAX_NESTING, load_manifold_file, manifold_from_gra
 from segre.implicit import GraphForm
 from segre.series import FormalMap
 
-from conftest import FIXTURE_DIR, random_real_rho, random_rigid_graph
+from conftest import FIXTURE_DIR, late_split_rho, random_real_rho, random_rigid_graph
 from oracles import degree_by_degree_graph
 from test_implicit import _bench_cases
 
@@ -265,6 +266,22 @@ def test_rho_form_split_selection():
         (0, 0, 1): gauss(1),
         (1, 1, 0): gauss(0, 2),
     }
+
+
+def test_a_late_split_loads_with_one_elimination(monkeypatch):
+    # the invertible columns come last, after C(12, 6) - 1 singular minors
+    # in lexicographic order; the rank check's one elimination reads them off
+    calls = []
+    real = linalg.rank_with_pivots
+
+    def counting(matrix):
+        calls.append((len(matrix), len(matrix[0])))
+        return real(matrix)
+
+    monkeypatch.setattr(linalg, "rank_with_pivots", counting)
+    manifold = load_manifold(ManifoldSpec.from_json(late_split_rho(12, 6)), 8)
+    assert manifold.w_columns == tuple(range(6, 12))
+    assert calls == [(6, 12)]
 
 
 def test_rho_form_declared_split_validated():

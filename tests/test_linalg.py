@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from segre import linalg
 from segre.series import ONE, ZERO, GaussianRational
 
-from oracles import brute_force_rank, carried_kernel, constant_rank, d_const, d_det, sparse_rref
+from oracles import (
+    brute_force_rank,
+    carried_kernel,
+    constant_rank,
+    d_const,
+    d_det,
+    first_invertible_columns,
+    sparse_rref,
+)
 
 _scalar = st.builds(
     lambda re, im, den: GaussianRational(Fraction(re, den), Fraction(im, den)),
@@ -64,6 +72,33 @@ def test_rank_with_pivots_cites_an_invertible_minor(matrix):
     assert rows == sorted(set(rows)) and cols == sorted(set(cols))
     if r:
         assert d_det([[d_const(0, matrix[i][j]) for j in cols] for i in rows])
+
+
+@st.composite
+def z_differentials(draw):
+    """A d x N matrix, N <= 7, whose columns are often zero or a multiple of an earlier one."""
+    d = draw(st.integers(1, 4))
+    N = draw(st.integers(d + 1, 7))
+    columns = []
+    for _ in range(N):
+        kind = draw(st.sampled_from(["zero", "repeat", "fresh"] if columns else ["zero", "fresh"]))
+        if kind == "zero":
+            columns.append([ZERO] * d)
+        elif kind == "repeat":
+            factor = draw(_scalar)
+            columns.append([factor * entry for entry in draw(st.sampled_from(columns))])
+        else:
+            columns.append([draw(_scalar) for _ in range(d)])
+    return [[column[row] for column in columns] for row in range(d)]
+
+
+@given(z_differentials())
+def test_the_pivot_columns_are_the_first_invertible_columns(linear):
+    # the greedy column basis of one elimination is the lexicographically
+    # first basis (Edmonds 1971): a rho load's w-columns
+    rank, _, pivots = linalg.rank_with_pivots(linear)
+    expected = first_invertible_columns(linear, len(linear))
+    assert (tuple(pivots) if rank == len(linear) else None) == expected
 
 
 @given(matrices(square=True))

@@ -30,39 +30,8 @@ def gamma_h(manifold_h):
 
 
 @pytest.fixture(scope="module")
-def gamma_flat(manifold_flat):
-    return SegreMapping(manifold_flat)
-
-
-@pytest.fixture(scope="module")
 def gamma_c2(manifold_c2):
     return SegreMapping(manifold_c2)
-
-
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-
-def test_gamma_h_components(gamma_h):
-    # source ring (ch1, ta1, t1): gamma = (t1, ta1 + 2i t1 ch1)
-    z_part, w_part = gamma_h.gamma.components
-    assert z_part.terms == {(0, 0, 1): gauss(1)}
-    assert w_part.terms == {(0, 1, 0): gauss(1), (1, 0, 1): gauss(0, 2)}
-
-
-def test_gamma_flat_components(gamma_flat):
-    z_part, w_part = gamma_flat.gamma.components
-    assert z_part.terms == {(0, 0, 1): gauss(1)}
-    assert w_part.terms == {(0, 1, 0): gauss(1)}
-
-
-def test_gamma_c2_components(gamma_c2):
-    # source ring (ch1, ta1, ta2, t1): (t, ta1 + 2i t ch, ta2 + 2i t^2 ch^2)
-    z_part, w1_part, w2_part = gamma_c2.gamma.components
-    assert z_part.terms == {(0, 0, 0, 1): gauss(1)}
-    assert w1_part.terms == {(0, 1, 0, 0): gauss(1), (1, 0, 0, 1): gauss(0, 2)}
-    assert w2_part.terms == {(0, 0, 1, 0): gauss(1), (2, 0, 0, 2): gauss(0, 2)}
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,9 @@ from segre import (
     verify_all,
 )
 
-from segre import orbit
-from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, unit_exponent
+from segre import linalg, orbit
+from segre.coords import Dims
+from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, linear_part, unit_exponent
 
 from conftest import count_loads, default_profile, load_fixture, random_rigid_manifold, working_order_only
 from oracles import graded_lex_monomials, linear_coordinate_change, one_shot_kernel_series
@@ -271,8 +272,8 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
     real_kernel = orbit_module._kernel_series
 
     def short(*args):
-        series, monomials, linear_rank = real_kernel(*args)
-        return series, monomials, linear_rank - 1
+        series, degree, linear_rank = real_kernel(*args)
+        return series, degree, linear_rank - 1
 
     monkeypatch.setattr(orbit_module, "_kernel_series", short)
     for bound in (2, 4):
@@ -337,8 +338,8 @@ def test_orbit_ideal_sigma_closure_of_a_substituted_basis(manifold_flat, monkeyp
     basis = [TruncatedSeries(arity, manifold_flat.kappa, terms)]
 
     def substituted(*args):
-        _, monomials, linear_rank = real_kernel(*args)
-        return basis, monomials, linear_rank
+        _, degree, linear_rank = real_kernel(*args)
+        return basis, degree, linear_rank
 
     monkeypatch.setattr(orbit, "_kernel_series", substituted)
     ideal = orbit_ideal_in_M(segre, profile.k0, report, 4)
@@ -360,7 +361,7 @@ def _reached_degrees():
 
     def spy(*args):
         result = real_kernel(*args)
-        degrees.append(sum(result[1][-1]))
+        degrees.append(result[1])
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -444,13 +445,13 @@ def test_degree_by_degree_search_equals_the_one_shot_kernel_at_the_degree_reache
         searched = _orbit_outcome(segre, profile, bound)
     for args, result in calls:
         components, arity, kappa, target, search_bound = args
-        degree = sum(result[1][-1])
+        degree = result[1]
         assert result == one_shot_kernel_series(components, arity, degree, kappa)
         # the first degree that reaches the target, or the bound
         assert result[2] == target or degree == search_bound
         if degree > 1:
             assert one_shot_kernel_series(components, arity, degree - 1, kappa)[2] != target
-    reached = iter([sum(monomials[-1]) for _, (_, monomials, _) in calls])
+    reached = iter([degree for _, (_, degree, _) in calls])
 
     def one_shot(components, arity, kappa, *_):
         return one_shot_kernel_series(components, arity, next(reached), kappa)
@@ -508,6 +509,19 @@ def test_mirror_l4(manifold_l4):
     mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.annihilates
     assert mirror.rank_certificate.rank == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k0", [1, 2, 3, 4])
+def test_mirror_locus_is_fixed_by_its_pattern(k0, n):
+    # what mirror_sigma takes as given, for every manifold of these sizes:
+    # the generators vanish on the parametrization, of rank k0 * n at 0
+    dims = Dims(n + 1, 1)
+    param = orbit._mirror_parametrization(dims, k0, 4)
+    gens = orbit._mirror_generators(dims, k0, 4)
+    assert len(gens) == k0 * n
+    assert all(image.is_zero() for image in compose_many(gens, param))
+    assert linalg.rank(linear_part(param, range(k0 * n))) == k0 * n
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import ast
 import inspect
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 import pytest
 
@@ -104,6 +104,46 @@ def test_the_monomial_cap_is_read_in_one_place():
     reads = [read for path in sorted(SOURCE.glob("*.py")) for read in _cap_reads(path.read_text(), path.stem)]
     assert {site for site, _ in reads} == {"orbit._kernel_series"}
     assert sum(compared for _, compared in reads) == 1
+
+
+def _itertools_names(source: str) -> List[str]:
+    """The names a module binds from ``itertools``, the module itself included."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name for alias in node.names if alias.name == "itertools"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def _callers(tree: ast.Module, callees: Set[str]) -> Set[str]:
+    """The top-level functions that call one of ``callees`` by name."""
+    return {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callees
+    }
+
+
+def test_only_the_capped_kernel_search_enumerates_combinations():
+    # a search over subsets or monomials grows combinatorially; the one the
+    # engine keeps enumerates monomials, and only where MAX_MONOMIALS caps it
+    sites = {path.name: _itertools_names(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: names for name, names in sites.items() if names} == {"orbit.py": ["combinations_with_replacement"]}
+    source = (SOURCE / "orbit.py").read_text()
+    tree = ast.parse(source)
+    enumerators = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(getattr(node, "id", None) == "combinations_with_replacement" for node in ast.walk(top))
+    }
+    assert enumerators == {"_monomials"}
+    assert _callers(tree, enumerators) == {"_kernel_series"}
+    assert ("orbit._kernel_series", True) in _cap_reads(source, "orbit")
 
 
 def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
