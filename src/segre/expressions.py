@@ -380,6 +380,7 @@ def _finish_load(
     kappa: int,
     w_columns: Tuple[int, ...],
     label: str,
+    memo: Optional[dict] = None,
 ) -> GenericManifold:
     """The manifold at ``kappa``, truncated from ``graph`` and ``rho`` at the
     top order after the reality gate there, the one order every certificate
@@ -388,9 +389,10 @@ def _finish_load(
 
     Genericity needs no check here: a graph's rho = w - Q has an identity
     w-differential, and ``manifold_from_rho_series`` checked the rank of the
-    Z-differentials before it solved for the graph.
+    Z-differentials before it solved for the graph.  ``memo`` carries the
+    products of ``solve_graph``'s check over w -> Q into the reality check.
     """
-    ok, witness = check_reality(graph, rho)
+    ok, witness = check_reality(graph, rho, memo)
     if not ok:
         raise RealityError(f"defining ideal is not real: reality identity fails at {witness}", witness or "")
     return GenericManifold(dims, graph.valid_order, graph, rho, w_columns, None, label).at_kappa(kappa)
@@ -452,7 +454,8 @@ def manifold_from_rho_series(
         w_columns = tuple(pivots)
     assignment = dims.raw_to_ambient(w_columns)
     rho = FormalMap([component.map_vars(dims.ambient_arity, assignment) for component in raw])
-    return _finish_load(dims, solve_graph(rho, dims, top), rho, kappa, w_columns, label)
+    memo: dict = {}  # one set of products over w -> Q for both checks
+    return _finish_load(dims, solve_graph(rho, dims, top, memo), rho, kappa, w_columns, label, memo)
 
 
 def load_manifold(spec: ManifoldSpec, kappa: int, label: str = "manifold") -> GenericManifold:

@@ -99,12 +99,13 @@ class GraphForm(Record):
         return FormalMap([*zs, *list(self.Q.components), *chs, *tas])
 
 
-def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
+def solve_graph(rho: FormalMap, dims: Dims, kappa: int, memo: Optional[dict] = None) -> GraphForm:
     """Solve rho(Z, zeta) = 0 for w as a series in (z, ch, ta) by ``lift``.
 
     Modulo degree > kappa the solution with Q(0) = 0 is unique, so this Q
     is, term for term, the one a degree-by-degree solve gives; the final
-    annihilation check is the one place that verifies it.
+    annihilation check is the one place that verifies it.  It composes over
+    w -> Q with the ``compose_many`` memo, which ``check_reality`` may share.
     """
     if rho.source_arity != dims.ambient_arity:
         raise ValueError("rho must live in the ambient (z, w, ch, ta) ring")
@@ -116,7 +117,7 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int) -> GraphForm:
     tas = [TruncatedSeries.variable(arity, kappa, dims.gta(l)) for l in range(dims.d)]
     q, _, _ = lift(rho, dims, kappa, zs, chs, tas)
     graph = GraphForm(dims, FormalMap(q))
-    for image in compose_many(list(rho.components), graph.membership_map()):
+    for image in compose_many(list(rho.components), graph.membership_map(), memo):
         if not image.is_zero():
             raise SplitError("graph solve failed to annihilate the defining functions")
     return graph
@@ -180,18 +181,19 @@ def matmul(a, b, kappa: int) -> List[List[TruncatedSeries]]:
     ]
 
 
-def check_reality(graph: GraphForm, rho: FormalMap) -> Tuple[bool, Optional[str]]:
+def check_reality(graph: GraphForm, rho: FormalMap, memo: Optional[dict] = None) -> Tuple[bool, Optional[str]]:
     """Exact test that the ideal is real modulo degree > valid_order.
 
     The ideal is real when the conjugation swap sigma maps it into itself,
     that is when sigma(rho_j)(z, Q, ch, ta) = 0 for each of its defining
     functions rho_j (for the canonical w - Q this amounts to
     Q(z, ch, Qbar(ch, z, w)) = w).  A sparse rho needs powers of Q only up to
-    its degree in w.  Returns (True, None) on success, else (False, witness)
-    where the witness names the first offending monomial in graded-lex order.
+    its degree in w, and ``memo`` reuses the products of ``solve_graph``'s
+    check.  Returns (True, None) on success, else (False, witness) where the
+    witness names the first offending monomial in graded-lex order.
     """
     dims = graph.dims
-    residuals = compose_many([c.sigma(dims.N) for c in rho.components], graph.membership_map())
+    residuals = compose_many([c.sigma(dims.N) for c in rho.components], graph.membership_map(), memo)
     worst = min(((grlex_key(r.leading_term()[0]), l) for l, r in enumerate(residuals) if r), default=None)
     if worst is None:
         return True, None

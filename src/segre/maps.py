@@ -361,34 +361,33 @@ def pushforward_residuals(
     theta_phis: List[ThetaPhi],
     fields_l: List[FormalVectorField],
     fields_lt: List[FormalVectorField],
-    fs: List[TruncatedSeries],
 ) -> List[List[List[TruncatedSeries]]]:
-    """Residuals of the differentiation-through-composition identities.
+    """Residuals of the pushforward identities d/dt_l (f o theta) = (Lt_l f) o theta
+    along theta's last block, and the same for phi with L_l, for the 2N
+    coordinate functions x_i: d/dt_l theta_i - c_(l,i) o theta, where c_(l,i)
+    is the field's coefficient of d/dx_i.
 
-    For each direction l, the t-derivative of f composed with theta in the
-    last block must equal (Lt_l f) composed with theta, and the phi version
-    holds with L_l; all residuals are exact modulo the shared valid order and
-    must vanish.  Each field is applied to each test function once, and each
-    map composes all of them at once.  Returns, for each pair in
-    ``theta_phis``, one residual list per test function.
+    The check is complete: by the chain rule the residual for any f is
+    sum_i (d_i f o theta) (d/dt_l theta_i - c_(l,i) o theta), so the identity
+    holds for every f modulo the shared order once these vanish.  Each map
+    composes only the fields' nonzero coefficients, in one ``compose_many``;
+    a zero coefficient leaves the partial alone (a Levi-flat field has one
+    nonzero slot).  Returns, for each pair in ``theta_phis``, one residual
+    list per coordinate, theta's directions before phi's.
     """
     n = gamma.dims.n
-    # [f, X_1 f, ..., X_n f] for each test function f, along theta's and phi's last block
-    theta_rows, phi_rows = (
-        [[f] + [field.apply(f) for field in fields] for f in fs] for fields in (fields_lt, fields_l)
-    )
     out = []
     for theta_phi in theta_phis:
-        residuals: List[List[TruncatedSeries]] = [[] for _ in fs]
-        pairs = [(theta_phi.theta, theta_phi.j, theta_rows)]
+        residuals: List[List[TruncatedSeries]] = [[] for _ in range(gamma.dims.ambient_arity)]
+        pairs = [(theta_phi.theta, theta_phi.j, fields_lt)]
         if theta_phi.phi is not None:
-            pairs.append((theta_phi.phi, theta_phi.j - 1, phi_rows))
-        for mapping, block, rows in pairs:
-            images = iter(compose_many([g for row in rows for g in row], mapping))
-            for own, row in zip(residuals, rows):
-                composed = next(images)
-                for l in range(len(row) - 1):
-                    lhs, right = composed.partial(block * n + l), next(images)
-                    own.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
+            pairs.append((theta_phi.phi, theta_phi.j - 1, fields_l))
+        for mapping, block, fields in pairs:
+            images = iter(compose_many([c for field in fields for c in field.coefficients if c], mapping))
+            for l, field in enumerate(fields):
+                for own, component, c in zip(residuals, mapping.components, field.coefficients):
+                    lhs = component.partial(block * n + l)
+                    lhs = lhs.truncate(min(lhs.kappa, c.kappa, mapping.kappa))
+                    own.append(lhs - next(images) if c else lhs)
         out.append(residuals)
     return out

@@ -27,7 +27,6 @@ manifold, not assumed.
 
 from __future__ import annotations
 
-import random
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,7 +53,6 @@ from .series import (
     ONE,
     ZERO,
     FormalMap,
-    GaussianRational,
     TruncatedSeries,
     _series,
     compose_many,
@@ -461,31 +459,13 @@ class VerificationReport(Record):
         return [name for name, check in self.checks.items() if not check.passed]
 
 
-# the random test functions of the pushforward check
-PUSHFORWARD_SAMPLES = 20
-
-
-def _random_ambient_polynomial(dims: Dims, kappa: int, rng: random.Random) -> TruncatedSeries:
-    """A sparse random polynomial test function on the ambient ring."""
-    arity = dims.ambient_arity
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        degree = rng.randint(0, 3)
-        exp = [0] * arity
-        for _ in range(degree):
-            exp[rng.randrange(arity)] += 1
-        coeff = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
-        if coeff:
-            terms[tuple(exp)] = coeff
-    return TruncatedSeries(arity, kappa, terms)
-
-
 def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationReport:
     """Run the whole battery and report pass/fail per named claim.
 
     Finite type must agree between the bracket route and the rank route;
     every identity is tested as an exact series statement at the working
-    truncation order.
+    truncation order.  The pushforward check is complete on the 2N coordinate
+    functions, so the one randomized step is the certificates' line draw.
     """
     dims = manifold.dims
     checks: Dict[str, CheckResult] = {}
@@ -550,15 +530,13 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         )
     record("theta_phi_ranks", rank_relation_ok, "; ".join(relation_notes))
 
-    failures = []
-    rng = random.Random(config.seed * 7919 + 17)
-    samples = [_random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(PUSHFORWARD_SAMPLES)]
     pairs = [segre.theta_phi(j) for j in range(0, k0 + 1)]
-    for j, per_sample in enumerate(pushforward_residuals(segre, pairs, *basis, samples)):
-        failures += [(s, j) for s, residuals in enumerate(per_sample) if any(residuals)]
-    push_note = f"{PUSHFORWARD_SAMPLES} random test functions"
-    if failures:  # the first failure in sample-major order
-        push_note = "sample {}, j={}".format(*min(failures))
+    residuals = pushforward_residuals(segre, pairs, *basis)
+    failures = [(i, j) for j, per_coordinate in enumerate(residuals) for i, r in enumerate(per_coordinate) if any(r)]
+    push_note = "2N coordinate functions"
+    if failures:  # the first failure in coordinate-major order
+        i, j = min(failures)
+        push_note = f"coordinate {dims.ambient_names()[i]}, j={j}"
     record("pushforward", not failures, push_note)
 
     try:

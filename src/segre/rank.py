@@ -7,8 +7,9 @@ order) onto Q(i)[eps]/(eps^(K+1)); a minor nonzero on a line is nonzero as
 a series, so the lower bound is exact.  Only tightness is randomized: by the
 Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * VALUE_BOUND), and each certificate
-draws up to TRIALS lines.  Because a minor could first become nonzero
-beyond the truncation order, the rank is read at every order of
+draws up to TRIALS lines, stopping at full rank: min(rows, cols) or a
+proven ``Lines.ceiling``, where the bound is 0.  Because a minor could first
+become nonzero beyond the truncation order, the rank is read at every order of
 ``config.ORDER_LADDER`` (kappa, kappa + 4, kappa + 8), and ``stable``
 records that nothing moved.  Each line is eliminated once, at the top order:
 over the discrete valuation ring Q(i)[eps]/(eps^(K+1)) the pivot valuations
@@ -48,9 +49,10 @@ class RankCertificate(Record):
     ``minor_rows`` x ``minor_cols`` has lowest term ``witness_value`` *
     eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
     larger minor was missed at ``kappa_used``: (K / (2 VALUE_BOUND))^TRIALS,
-    or 0 when none exists.  The line is one of those drawn at the top order
-    of the ladder, and the minor is the pivot prefix that its elimination
-    keeps at ``kappa_used``.  ``stable``: no order of the ladder changed it.
+    or 0 at full rank, min(rows, cols) or the proven ``Lines.ceiling``, where
+    none exists.  The line is one of those drawn at the top order of the
+    ladder, and the minor is the pivot prefix that its elimination keeps at
+    ``kappa_used``.  ``stable``: no order of the ladder changed it.
     """
 
     rank: int
@@ -104,13 +106,15 @@ def _on_line(matrix: Matrix, point: Sequence[int], order: int) -> Matrix:
 
 class Lines(Record):
     """A matrix of series in ``arity`` variables, read only on lines: ``at(point)``
-    is its restriction to x = eps * point, modulo eps^(order + 1)."""
+    is its restriction to x = eps * point, modulo eps^(order + 1), whose rank
+    is at most ``ceiling`` on every line when one is proven."""
 
     rows: int
     cols: int
     arity: int
     order: int
     at: Callable[[Sequence[int]], Matrix]
+    ceiling: Optional[int] = None
 
 
 def lines(matrix: Matrix) -> Lines:
@@ -136,7 +140,13 @@ def _block(rows: Matrix, cols: int, order: int, conjugate: bool = False) -> Matr
 def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
     """J theta^j for theta^j = (v^(j+1) o S, conj v^j), j >= 1, by the chain rule:
     S adds t^(j-1) to t^(j+1) (nothing for j = 1), so the top rows on x = eps * p
-    are J v^(j+1) on the line through S p, times S; S p and p share the first j blocks."""
+    are J v^(j+1) on the line through S p, times S; S p and p share the first j blocks.
+
+    Its ceiling is 2N - d = dim M_C: the w-part of v^(j+1) is Q, or solves
+    rho, at (t^(j+1), conj v^j), so Jrho(theta^j) J theta^j = 0 on each line
+    to its order.  rho's w-differential B is a unit, so the w-rows of
+    J theta^j are -B^-1 times the other rows combined: J theta^j factors
+    through 2N - d rows, and every larger minor vanishes (Cauchy-Binet)."""
     n = segre.dims.n
     last, fold, cols, order = j * n, (j - 2) * n, (j + 1) * n, level - 1  # fold: the first column of block j-1
 
@@ -148,18 +158,22 @@ def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
             row[fold : last - n] = [a + b for a, b in zip(row[fold : last - n], row[last:])]
         return top + _block(steps[j][1], cols, order, conjugate=True)
 
-    return Lines(2 * segre.dims.N, cols, cols, order, at)
+    return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
 
 
 def phi_lines(segre: SegreMapping, j: int, level: int) -> Lines:
-    """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0."""
+    """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0.
+
+    Its ceiling is 2N - d as for ``theta_lines``: phi^j lies in M_C by the
+    reality identity, which the load checked at the top order, the highest
+    order a line is read at."""
     cols, order = j * segre.dims.n, level - 1
 
     def at(point):
         steps = segre.on_line(point, level)
         return _block(steps[j - 1][1], cols, order) + _block(steps[j][1], cols, order, conjugate=True)
 
-    return Lines(2 * segre.dims.N, cols, cols, order, at)
+    return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
 
 
 def _divide(series: TruncatedSeries, divisor: TruncatedSeries, v: int) -> TruncatedSeries:
@@ -231,15 +245,18 @@ def _modulo(pivots: List[Pivot], order: int) -> List[Pivot]:
 def _certified_ranks(matrix: Lines, rng: random.Random, levels: Sequence[int]) -> List[RankCertificate]:
     """The most pivots over up to TRIALS random lines at every level, with
     their certificates, all read off one elimination per line at the top
-    level; lines are drawn until every level has full rank or TRIALS are."""
+    level; lines are drawn until every level has full rank, min(rows, cols,
+    ceiling), or TRIALS are.  A line above the ceiling raises."""
     if not matrix.rows or not matrix.cols:
         return [RankCertificate(0, (), (), (), None, None, Fraction(0), level, True) for level in levels]
     orders = [matrix.order - (levels[-1] - level) for level in levels]
-    full = min(matrix.rows, matrix.cols)
+    full = min(bound for bound in (matrix.rows, matrix.cols, matrix.ceiling) if bound is not None)
     best: List[Optional[Tuple[Tuple[int, ...], List[Pivot]]]] = [None] * len(levels)
     for _ in range(TRIALS):
         point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(matrix.arity))
         pivots = _eliminate(matrix.at(point))
+        if len(pivots) > full:
+            raise InternalConsistencyError(f"rank {len(pivots)} on a line exceeds the proven ceiling {full}")
         for k, order in enumerate(orders):
             kept = _modulo(pivots, order)
             if best[k] is None or len(kept) > len(best[k][1]):

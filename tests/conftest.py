@@ -71,9 +71,9 @@ def count_loads(monkeypatch):
         calls["parse"].append(kappa)
         return real_parse(text, table, kappa, arity)
 
-    def solve(rho, dims, kappa):
+    def solve(rho, dims, kappa, memo=None):
         calls["solve"].append(kappa)
-        return real_solve(rho, dims, kappa)
+        return real_solve(rho, dims, kappa, memo)
 
     monkeypatch.setattr(expressions, "parse_expression", parse)
     monkeypatch.setattr(expressions, "solve_graph", solve)

@@ -20,13 +20,17 @@ early stop: every monomial up to the bound at once, enumerated by filtering
 a dense exponent box (``graded_lex_monomials``).  The split oracle
 (``first_invertible_columns``) finds the w-columns of a rho load by their
 definition, over every column subset, where the load reads them off one
-elimination's pivots.  Last,
+elimination's pivots.  The generic pushforward residual
+(``pushforward_residuals_for``) differentiates f o theta for arbitrary test
+functions f (``random_ambient_polynomial``), where the engine checks the 2N
+coordinate functions alone.  Last,
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -347,6 +351,47 @@ def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSe
 
 
 # ---------------------------------------------------------------------------
+# the pushforward identities for arbitrary test functions
+# ---------------------------------------------------------------------------
+
+
+def random_ambient_polynomial(dims, kappa: int, rng: random.Random) -> TruncatedSeries:
+    """A sparse random polynomial test function on the ambient ring: 1 to 4
+    terms of degree <= 3 with Gaussian integer coefficients of height 4."""
+    arity = dims.ambient_arity
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        degree = rng.randint(0, 3)
+        exp = [0] * arity
+        for _ in range(degree):
+            exp[rng.randrange(arity)] += 1
+        coeff = GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+        if coeff:
+            terms[tuple(exp)] = coeff
+    return TruncatedSeries(arity, kappa, terms)
+
+
+def pushforward_residuals_for(gamma, theta_phis, fields_l, fields_lt, fs) -> List[List[List[TruncatedSeries]]]:
+    """d/dt_l (f o theta) - (Lt_l f) o theta along theta's last block, and the
+    same for phi with L_l, for each test function f in ``fs``: for each pair,
+    one residual list per test function, theta's directions before phi's."""
+    n = gamma.dims.n
+    out = []
+    for pair in theta_phis:
+        residuals: List[List[TruncatedSeries]] = [[] for _ in fs]
+        maps = [(pair.theta, pair.j, fields_lt)]
+        if pair.phi is not None:
+            maps.append((pair.phi, pair.j - 1, fields_l))
+        for mapping, block, fields in maps:
+            for own, f in zip(residuals, fs):
+                composed = f.compose(mapping)
+                for l, field in enumerate(fields):
+                    lhs, right = composed.partial(block * n + l), field.apply(f).compose(mapping)
+                    own.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
+        out.append(residuals)
+    return out
+
+
 # the multivariate route to the rank matrices
 # ---------------------------------------------------------------------------
 

@@ -268,9 +268,9 @@ def test_each_command_checks_reality_once_at_the_top_order(tmp_path, monkeypatch
     orders = []
     real_check = expressions.check_reality
 
-    def counting_check(graph, rho):
+    def counting_check(graph, rho, memo=None):
         orders.append(graph.valid_order)
-        return real_check(graph, rho)
+        return real_check(graph, rho, memo)
 
     monkeypatch.setattr(expressions, "check_reality", counting_check)
     code, out, _ = run_cli(capsys, command, *argv)

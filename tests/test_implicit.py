@@ -182,12 +182,32 @@ def test_solve_graph_composes_logarithmically_often(kappa, monkeypatch):
     calls = []
     real = implicit.compose_many
 
-    def counting(outers, inner):
+    def counting(outers, inner, memo=None):
         calls.append(len(outers))
-        return real(outers, inner)
+        return real(outers, inner, memo)
 
     monkeypatch.setattr(implicit, "compose_many", counting)
     graph = solve_graph(manifold.rho, manifold.dims, kappa)
     assert graph.Q == manifold.Q
     # one composition per Newton step, kappa.bit_length() of them, and the final check
     assert len(calls) == kappa.bit_length() + 1 <= math.ceil(math.log2(kappa)) + 2
+
+
+def test_a_rho_load_composes_once_over_w_to_q_for_both_checks(monkeypatch):
+    # solve_graph's annihilation check and the reality residuals share one
+    # memo over the inner map w -> Q, so the second builds only the products
+    # the first did not
+    from segre import implicit
+    from test_cli import C2_DENSE_RHO
+
+    memos = []
+    real = implicit.compose_many
+
+    def spy(outers, inner, memo=None):
+        memos.append(memo)
+        return real(outers, inner, memo)
+
+    monkeypatch.setattr(implicit, "compose_many", spy)
+    load_manifold(ManifoldSpec(3, 2, "rho", C2_DENSE_RHO), 8)
+    annihilation, reality = memos[-2:]
+    assert annihilation is reality and annihilation[None][0] == 16

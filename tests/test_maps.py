@@ -18,10 +18,16 @@ from segre import (
     make_theta_phi,
     pushforward_residuals,
 )
-from segre.orbit import _random_ambient_polynomial
 
 from conftest import load_fixture
-from oracles import brute_force_rank, d_compose, from_series, to_series
+from oracles import (
+    brute_force_rank,
+    d_compose,
+    from_series,
+    pushforward_residuals_for,
+    random_ambient_polynomial,
+    to_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -182,56 +188,98 @@ def test_theta_one_rank_h(gamma_h):
 
 
 def test_pushforward_identities(all_fixture_manifolds):
+    # the engine's coordinate residuals vanish, and so do the generic
+    # residuals of random test functions, which they imply by the chain rule
     rng = random.Random(23)
     for manifold in all_fixture_manifolds.values():
         gamma = SegreMapping(manifold)
         fields_l, fields_lt = cr_basis(manifold)
         for j in range(0, 3):
             pair = make_theta_phi(gamma, j)
-            fs = [_random_ambient_polynomial(manifold.dims, manifold.kappa, rng) for _ in range(5)]
-            (per_f,) = pushforward_residuals(gamma, [pair], fields_l, fields_lt, fs)
+            (per_coordinate,) = pushforward_residuals(gamma, [pair], fields_l, fields_lt)
+            assert len(per_coordinate) == manifold.dims.ambient_arity
+            assert all(r.is_zero() for residuals in per_coordinate for r in residuals)
+            fs = [random_ambient_polynomial(manifold.dims, manifold.kappa, rng) for _ in range(5)]
+            (per_f,) = pushforward_residuals_for(gamma, [pair], fields_l, fields_lt, fs)
             for residuals in per_f:
                 assert all(r.is_zero() for r in residuals)
 
 
-@pytest.mark.parametrize(
-    "name, family, slot, exponent",
-    [("h", "l", 3, (0, 0, 0, 3)), ("c2", "l", 0, (0, 3, 0, 0, 0, 0)), ("c2", "l", 3, (0, 3, 0, 0, 0, 0))],
-)
-def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exponent, monkeypatch):
-    # a monomial added to one coefficient of L_1 breaks the identities for
-    # some test functions only; the batched check must cite the same first
-    # failure, in sample-major order, as one call per sample and j
-    from segre import RunConfig, TruncatedSeries, orbit, verify_all
+def _corrupted(fields, slot, exponent):
+    """``fields`` with a monomial added to the ``slot`` coefficient of its first field."""
+    from segre import TruncatedSeries
     from segre.fields import FormalVectorField
+
+    coeffs = list(fields[0].coefficients)
+    coeffs[slot] = coeffs[slot] + TruncatedSeries(len(coeffs), coeffs[slot].kappa, {exponent: 1})
+    return [FormalVectorField(coeffs)] + fields[1:]
+
+
+@pytest.mark.parametrize(
+    "name, family, slot, exponent, witness",
+    [
+        ("h", "l", 3, (0, 0, 0, 3), "coordinate ta1, j=2"),
+        ("c2", "l", 0, (0, 3, 0, 0, 0, 0), "coordinate z1, j=3"),
+        ("c2", "l", 3, (0, 3, 0, 0, 0, 0), "coordinate ch1, j=3"),
+    ],
+    ids=["h-l-3-exponent0", "c2-l-0-exponent1", "c2-l-3-exponent2"],
+)
+def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exponent, witness, monkeypatch):
+    # a monomial added to one coefficient of L_1 breaks the identity for one
+    # coordinate function; the batched check must cite the first failure in
+    # coordinate-major order, as the generic residual of each coordinate
+    # function x_i, taken one call per coordinate and j, finds it
+    from segre import RunConfig, TruncatedSeries, orbit, verify_all
 
     manifold = load_fixture(name)
 
     def corrupted_basis(manifold):
         fields_l, fields_lt = cr_basis(manifold)
-        fields = fields_l if family == "l" else fields_lt
-        coeffs = list(fields[0].coefficients)
-        coeffs[slot] = coeffs[slot] + TruncatedSeries(len(coeffs), coeffs[slot].kappa, {exponent: 1})
-        fields[0] = FormalVectorField(coeffs)
-        return fields_l, fields_lt
+        if family == "l":
+            return _corrupted(fields_l, slot, exponent), fields_lt
+        return fields_l, _corrupted(fields_lt, slot, exponent)
 
-    config = RunConfig()
     monkeypatch.setattr(orbit, "cr_basis", corrupted_basis)
-    report = verify_all(manifold, config)
+    report = verify_all(manifold, RunConfig())
     check = report.checks["pushforward"]
     assert not check.passed
+    assert check.witness == witness
 
     gamma = SegreMapping(manifold)
     fields_l, fields_lt = corrupted_basis(manifold)
-    rng = random.Random(config.seed * 7919 + 17)
+    names, arity = manifold.dims.ambient_names(), manifold.dims.ambient_arity
     first = None
-    for sample in range(orbit.PUSHFORWARD_SAMPLES):
-        f = _random_ambient_polynomial(manifold.dims, manifold.kappa, rng)
+    for i in range(arity):
+        x_i = TruncatedSeries.variable(arity, manifold.kappa, i)
         for j in range(report.profile.k0 + 1):
-            ((residuals,),) = pushforward_residuals(gamma, [gamma.theta_phi(j)], fields_l, fields_lt, [f])
+            ((residuals,),) = pushforward_residuals_for(gamma, [gamma.theta_phi(j)], fields_l, fields_lt, [x_i])
             if first is None and any(not r.is_zero() for r in residuals):
-                first = f"sample {sample}, j={j}"
+                first = f"coordinate {names[i]}, j={j}"
     assert check.witness == first
+
+
+def test_a_wrong_coefficient_outside_the_old_sample_fails_the_coordinate_check():
+    # the 20 seeded random test functions that the check used to sample miss
+    # some of the 64 coordinates of a Levi-flat N=32; a wrong CR-field
+    # coefficient in such a slot passes that sample and fails the check
+    from segre import DEFAULT_SEED, TruncatedSeries
+
+    manifold = load_manifold(ManifoldSpec(N=32, d=1, form="graph", expressions=("ta1",)), 8)
+    dims = manifold.dims
+    rng = random.Random(DEFAULT_SEED * 7919 + 17)
+    samples = [random_ambient_polynomial(dims, manifold.kappa, rng) for _ in range(20)]
+    seen = {i for f in samples for exp in f.terms for i, e in enumerate(exp) if e}
+    slot = min(set(range(dims.ambient_arity)) - seen)
+    gamma = SegreMapping(manifold)
+    pairs = [gamma.theta_phi(j) for j in range(2)]  # k0 = 1
+    fields_l, fields_lt = cr_basis(manifold)
+    fields_lt = _corrupted(fields_lt, slot, (0,) * dims.ambient_arity)
+
+    old = pushforward_residuals_for(gamma, pairs, fields_l, fields_lt, samples)
+    assert not any(r for per_pair in old for residuals in per_pair for r in residuals)
+    new = pushforward_residuals(gamma, pairs, fields_l, fields_lt)
+    failing = {(i, j) for j, per_pair in enumerate(new) for i, residuals in enumerate(per_pair) if any(residuals)}
+    assert failing == {(slot, 0), (slot, 1)}
 
 
 def test_theta_restriction_equals_phi(gamma_h):

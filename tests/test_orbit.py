@@ -701,9 +701,9 @@ def test_verify_checks_reality_once_at_the_top_order(monkeypatch):
     calls = []
     real_check = expressions.check_reality
 
-    def counting_check(graph, rho):
+    def counting_check(graph, rho, memo=None):
         calls.append(graph.valid_order)
-        return real_check(graph, rho)
+        return real_check(graph, rho, memo)
 
     monkeypatch.setattr(expressions, "check_reality", counting_check)
     report = verify_all(load_fixture("h"), RunConfig())

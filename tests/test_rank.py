@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segre import (
@@ -22,6 +22,7 @@ from segre import (
 )
 from segre.config import ORDER_LADDER
 from segre.expressions import ManifoldSpec, load_manifold
+from segre.errors import InternalConsistencyError
 from segre.rank import TRIALS, VALUE_BOUND, lines
 
 from conftest import (
@@ -262,30 +263,114 @@ def _x(kappa, *exponents):
     return TruncatedSeries(2, kappa, {exponent: 1 for exponent in exponents})
 
 
+_DEFICIENT = [[_x(5, (1, 0)), _x(5, (0, 1))], [_x(5, (1, 0)), _x(5, (0, 1))]]
+
+
 @pytest.mark.parametrize(
-    "matrix, kappa, rank, drawn",
+    "matrix, kappa, ceiling, rank, drawn",
     [
-        ([[_x(5, (1, 0)), _x(5, (0, 0))], [_x(5, (0, 0)), _x(5, (0, 1))]], 5, 2, 1),
-        ([[_x(5, (1, 0)), _x(5, (0, 1))], [_x(5, (1, 0)), _x(5, (0, 1))]], 5, 1, TRIALS),
+        ([[_x(5, (1, 0)), _x(5, (0, 0))], [_x(5, (0, 0)), _x(5, (0, 1))]], 5, None, 2, 1),
+        (_DEFICIENT, 5, None, 1, TRIALS),
         # full rank from order 7 up only: the working order keeps drawing
-        ([[TruncatedSeries(1, 8, {(6,): 1})]], 3, 1, TRIALS),
+        ([[TruncatedSeries(1, 8, {(6,): 1})]], 3, None, 1, TRIALS),
+        # a proven ceiling below min(rows, cols) is full rank
+        (_DEFICIENT, 5, 1, 1, 1),
     ],
-    ids=["full-rank", "rank-deficient", "full-at-the-top-only"],
+    ids=["full-rank", "rank-deficient", "full-at-the-top-only", "rank-deficient-at-its-ceiling"],
 )
-def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, rank, drawn):
+def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, ceiling, rank, drawn):
     points, levels = [], []
 
     def builder(level):
         levels.append(level)
         built = lines([[entry.with_order(level) for entry in row] for row in matrix])
-        return built.replace(at=lambda point: points.append(point) or built.at(point))
+        return built.replace(at=lambda point: points.append(point) or built.at(point), ceiling=ceiling)
 
     cert = generic_rank(builder=builder, kappa=kappa, seed=DEFAULT_SEED)
     assert levels == [kappa + ORDER_LADDER[-1]]
     assert (cert.rank, len(points)) == (rank, drawn)
     # a plain matrix's order is its level
-    full = rank == min(len(matrix), len(matrix[0]))
+    full = rank == (ceiling or min(len(matrix), len(matrix[0])))
     assert cert.error_bound == (0 if full else Fraction(cert.kappa_used, 2 * VALUE_BOUND) ** TRIALS)
+
+
+def test_a_rank_above_the_proven_ceiling_raises():
+    identity = [[_x(5, (0, 0)), _x(5)], [_x(5), _x(5, (0, 0))]]
+    with pytest.raises(InternalConsistencyError, match="rank 2 on a line exceeds the proven ceiling 1"):
+        generic_rank(builder=lambda level: lines(identity).replace(ceiling=1), kappa=5, seed=DEFAULT_SEED)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_tangent_ceiling_changes_no_theta_phi_certificate(seed, rigid):
+    # theta^j and phi^j map into M_C, so 2N - d bounds their rank; with the
+    # ceiling a certificate may stop drawing lines sooner, and only its error
+    # bound may change
+    from segre.rank import phi_lines, theta_lines
+
+    rng = random.Random(seed)
+    manifold = random_rigid_manifold(rng) if rigid else random_real_rho_manifold(rng)
+    segre = SegreMapping(manifold)
+    k0 = default_profile(segre).k0
+    ceiling = 2 * manifold.N - manifold.d
+    for j in range(1, k0 + 2):
+        for build in (theta_lines, phi_lines):
+            with_ceiling, without = (
+                generic_rank(
+                    builder=lambda level: build(segre, j, level).replace(**options),
+                    kappa=manifold.kappa,
+                    seed=DEFAULT_SEED,
+                )
+                for options in ({}, {"ceiling": None})
+            )
+            assert build(segre, j, manifold.kappa).ceiling == ceiling
+            assert with_ceiling.rank <= ceiling
+            assert with_ceiling.replace(error_bound=without.error_bound) == without, (build.__name__, j)
+            if with_ceiling.rank == ceiling:
+                assert with_ceiling.error_bound == 0
+
+
+def _drawn_lines(manifold, monkeypatch):
+    """Lines drawn by each theta/phi certificate of ``verify_all``, keyed by (map, j)."""
+    from segre import RunConfig, orbit, verify_all
+
+    drawn = {}
+    for name in ("theta_lines", "phi_lines"):
+        real = getattr(orbit, name)
+
+        def counted(segre, j, level, real=real, key=name[: -len("_lines")]):
+            built = real(segre, j, level)
+            drawn[(key, j)] = 0
+
+            def at(point):
+                drawn[(key, j)] += 1
+                return built.at(point)
+
+            return built.replace(at=at)
+
+        monkeypatch.setattr(orbit, name, counted)
+    report = verify_all(manifold, RunConfig(kappa=manifold.kappa))
+    return drawn, report.profile.k0
+
+
+@pytest.mark.parametrize("name", ["h", "l4", "c2", "n2", "c3@10", "l4-dense", "flat"])
+def test_theta_phi_certificates_draw_one_line_at_the_ceiling(name, monkeypatch):
+    # of finite type, theta^(k0+1) and phi^(k0+1) have rank 2N - d; every
+    # other theta/phi has full column rank.  Flat is not of finite type:
+    # theta^(k0+1) has rank dim O = 2 < 2N - d = 3 and draws every line
+    from test_cli import L4_DENSE_RHO
+
+    specs = {
+        "n2": ManifoldSpec(3, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2)",)),
+        "c3@10": C3,
+        "l4-dense": ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)),
+    }
+    manifold = load_manifold(specs[name], 10 if name == "c3@10" else 8) if name in specs else load_fixture(name)
+    drawn, k0 = _drawn_lines(manifold, monkeypatch)
+    expected = {(key, j): 1 for key in ("theta", "phi") for j in range(1, k0 + 2)}
+    if name == "flat":
+        expected[("theta", k0 + 1)] = TRIALS
+    assert drawn == expected
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):

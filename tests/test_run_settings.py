@@ -106,13 +106,13 @@ def test_the_monomial_cap_is_read_in_one_place():
     assert sum(compared for _, compared in reads) == 1
 
 
-def _itertools_names(source: str) -> List[str]:
-    """The names a module binds from ``itertools``, the module itself included."""
+def _imported_names(source: str, module: str) -> List[str]:
+    """The names a module binds from ``module``, the module itself included."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            names += [alias.asname or alias.name for alias in node.names if alias.name == "itertools"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names += [alias.asname or alias.name for alias in node.names if alias.name == module]
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
             names += [alias.asname or alias.name for alias in node.names]
     return names
 
@@ -131,7 +131,7 @@ def _callers(tree: ast.Module, callees: Set[str]) -> Set[str]:
 def test_only_the_capped_kernel_search_enumerates_combinations():
     # a search over subsets or monomials grows combinatorially; the one the
     # engine keeps enumerates monomials, and only where MAX_MONOMIALS caps it
-    sites = {path.name: _itertools_names(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    sites = {path.name: _imported_names(path.read_text(), "itertools") for path in sorted(SOURCE.glob("*.py"))}
     assert {name: names for name, names in sites.items() if names} == {"orbit.py": ["combinations_with_replacement"]}
     source = (SOURCE / "orbit.py").read_text()
     tree = ast.parse(source)
@@ -146,6 +146,13 @@ def test_only_the_capped_kernel_search_enumerates_combinations():
     assert ("orbit._kernel_series", True) in _cap_reads(source, "orbit")
 
 
+def test_the_line_draw_is_the_one_randomized_step():
+    # every other check of a run is an exact identity, so the random lines of
+    # the rank certificates, which state their error bound, are all it draws
+    sites = {path.name: _imported_names(path.read_text(), "random") for path in sorted(SOURCE.glob("*.py"))}
+    assert {name: names for name, names in sites.items() if names} == {"rank.py": ["random"]}
+
+
 def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
     # only config's ladder is patched: the parse, the graph solve, the load's
     # reality gate and every rank certificate all read kappa alone
@@ -155,9 +162,9 @@ def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
     loads = count_loads(monkeypatch)
     realities, certificates = [], []
 
-    def check_reality(graph, rho):
+    def check_reality(graph, rho, memo=None):
         realities.append(graph.valid_order)
-        return real_check_reality(graph, rho)
+        return real_check_reality(graph, rho, memo)
 
     def generic_rank(*args, **kwargs):
         certificates.append(real_generic_rank(*args, **kwargs))
