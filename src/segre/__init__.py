@@ -48,12 +48,9 @@ _EXPORTS = {
         "bracket",
         "cr_basis",
         "lie_hull_dimension",
-        "sigma_field",
     ),
     "implicit": ("GraphForm", "check_reality", "ideal_member", "solve_graph"),
     "maps": (
-        "IteratedSegre",
-        "SegreManifoldParam",
         "SegreMapping",
         "ThetaPhi",
         "VariableCapError",
@@ -84,7 +81,6 @@ _EXPORTS = {
         "TruncatedSeries",
         "ZERO",
         "gauss",
-        "jacobian",
         "series_match",
     ),
 }

@@ -70,6 +70,11 @@ takes about 2 s; the kernel searches of ``orbit`` and ``verify`` cap the
 monomials of each degree they enter instead (``orbit.MAX_MONOMIALS``)."""
 
 
+# the ASCII digits alone: str.isdigit admits every Unicode digit, and int()
+# reads some of them (Arabic-Indic, fullwidth) as values
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
     tokens: List[Tuple[str, Union[int, str], int]] = []
     pos = 0
@@ -79,9 +84,9 @@ def _tokenize(text: str) -> List[Tuple[str, Union[int, str], int]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < size and text[pos].isdigit():
+            while pos < size and text[pos] in _DIGITS:
                 pos += 1
             try:
                 value = int(text[start:pos])

@@ -89,18 +89,6 @@ def bracket(x: FormalVectorField, y: FormalVectorField) -> FormalVectorField:
     return FormalVectorField(coeffs)
 
 
-def sigma_field(x: FormalVectorField, block: int) -> FormalVectorField:
-    """Conjugation involution on fields: swap the coefficient blocks and apply sigma.
-
-    Sends fields along the conjugate directions to fields along the
-    holomorphic directions and back; an involution.
-    """
-    if x.arity != 2 * block:
-        raise ValueError(f"sigma_field needs arity 2*{block}")
-    swapped = [c.sigma(block) for c in x.coefficients]
-    return FormalVectorField(swapped[block:] + swapped[:block])
-
-
 CRBasis = Tuple[List[FormalVectorField], List[FormalVectorField]]
 
 

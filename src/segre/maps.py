@@ -9,9 +9,10 @@ Q (``GraphForm.q_of``),
     v^(j+1)(t^1..t^(j+1)) = (t^(j+1), Q(t^(j+1), conj(v^j)(t^1..t^j))),
 
 where conj conjugates coefficients only.  Two collapse identities pin the
-argument convention and are re-verified on every constructed iterate: setting
-the first block to zero drops the iterate by one, and identifying the last
-block with the (j-2)-nd drops it by two.  The same recursion, run on one line
+argument convention: setting the first block to zero drops the iterate by
+one, and identifying the last block with the (j-2)-nd drops it by two.
+``iterate`` checks them, and ``verify_all`` calls it for j <= 2 k0;
+``SegreMapping.v`` never does.  The same recursion, run on one line
 x = eps * p in univariate series, gives the iterates and their Jacobian rows
 at any order up to the manifold's top from the graph or the defining
 functions at that order (``SegreMapping.on_line``).
@@ -28,7 +29,7 @@ from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
 from .series import FormalMap, TruncatedSeries, compose_many, on_line
 
-if TYPE_CHECKING:  # only make_T's annotations name it; a rank run never loads segre.fields
+if TYPE_CHECKING:  # only pushforward_residuals' annotations name it; a rank run never loads segre.fields
     from .fields import FormalVectorField
 
 Matrix = List[List[TruncatedSeries]]
@@ -178,20 +179,8 @@ class SegreMapping:
             )
 
 
-class IteratedSegre(Record):
-    """The j-th iterated Segre mapping with its verified structure.
-
-    ``mapping`` has j*n source variables and N components; the z-part equals
-    the last t-block identically, ``nu`` is the w-part.
-    """
-
-    j: int
-    mapping: FormalMap
-    nu: FormalMap
-
-
-def iterate(gamma: SegreMapping, j: int) -> IteratedSegre:
-    """Build v^j and verify its collapse identities exactly.
+def iterate(gamma: SegreMapping, j: int) -> FormalMap:
+    """v^j, with its collapse identities verified exactly.
 
     Checks, as series identities modulo truncation: killing the first block
     drops the iterate by one, and identifying the last block with block j-2
@@ -214,8 +203,7 @@ def iterate(gamma: SegreMapping, j: int) -> IteratedSegre:
         )
         if not reflected.equals_mod(gamma.v(j - 2).extend((j - 1) * dims.n)):
             raise InternalConsistencyError("reflection collapse identity failed")
-    nu = FormalMap(mapping.components[dims.n :])
-    return IteratedSegre(j, mapping, nu)
+    return mapping
 
 
 def _assignment_drop_first(n: int, j: int) -> List[Optional[int]]:
@@ -234,22 +222,9 @@ def _assignment_fold_last(n: int, j: int) -> List[Optional[int]]:
     return assignment
 
 
-class SegreManifoldParam(Record):
-    """Parametrization of the k-fold chain manifold, with its generator pairs.
-
-    ``mapping`` sends k blocks of t-variables to k blocks of Z-sized
-    coordinates; ``generator_pairs`` lists the (Z-side, zeta-side) chain-slot
-    indices whose defining-function compositions were verified to vanish
-    (None denotes the zero slot closing the chain).
-    """
-
-    k: int
-    mapping: FormalMap
-    generator_pairs: Tuple[Tuple[Optional[int], Optional[int]], ...]
-
-
 def chain_generator_pairs(k: int) -> Tuple[Tuple[Optional[int], Optional[int]], ...]:
-    """Slot pairs receiving the defining functions along the k-fold chain."""
+    """The (Z-side, zeta-side) chain-slot pairs receiving the defining
+    functions along the k-fold chain; None is the zero slot closing the chain."""
     pairs: List[Tuple[Optional[int], Optional[int]]] = [(0, 1 if k > 1 else None)]
     for g in range(1, k):
         a = 2 * ((g + 1) // 2)
@@ -258,12 +233,13 @@ def chain_generator_pairs(k: int) -> Tuple[Tuple[Optional[int], Optional[int]], 
     return tuple(pairs)
 
 
-def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
-    """Assemble (v^k, conj v^(k-1), v^(k-2), ...) and verify it parametrizes the chain.
+def make_T(gamma: SegreMapping, k: int) -> FormalMap:
+    """T^k = (v^k, conj v^(k-1), v^(k-2), ...), verified to parametrize the chain.
 
-    Verifies that every generator pair annihilates under the assembled map.
-    Its Jacobian at 0 has full rank k*n by construction: the z-part of slot s
-    is the t-block k - s, so the z-parts hold an identity block.
+    The map sends k blocks of t-variables to k Z-sized slots, and every pair
+    of ``chain_generator_pairs(k)`` is verified to annihilate under it.  Its
+    Jacobian at 0 has full rank k*n by construction: the z-part of slot s is
+    the t-block k - s, so the z-parts hold an identity block.
     """
     if k < 1:
         raise SegreError("chain parametrizations start at k = 1")
@@ -275,14 +251,8 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
         if s % 2 == 1:
             piece = piece.conjugate()
         slots.append(piece)
-    components: List[TruncatedSeries] = []
-    for piece in slots:
-        components.extend(piece.components)
-    mapping = FormalMap(components)
-
     zero_block = [TruncatedSeries.zero(arity, gamma.kappa) for _ in range(dims.N)]
-    pairs = chain_generator_pairs(k)
-    for a, b in pairs:
+    for a, b in chain_generator_pairs(k):
         z_side = list(slots[a].components) if a is not None else zero_block
         zeta_side = list(slots[b].components) if b is not None else zero_block
         inner = FormalMap([*z_side, *zeta_side])
@@ -291,7 +261,7 @@ def make_T(gamma: SegreMapping, k: int) -> SegreManifoldParam:
                 raise InternalConsistencyError(
                     f"chain generator pair {(a, b)} does not annihilate under T^{k}"
                 )
-    return SegreManifoldParam(k, mapping, pairs)
+    return FormalMap([c for piece in slots for c in piece.components])
 
 
 class ThetaPhi(Record):

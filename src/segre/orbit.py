@@ -455,9 +455,6 @@ class VerificationReport(Record):
     def passed(self) -> bool:
         return all(check.passed for check in self.checks.values())
 
-    def failed_checks(self) -> List[str]:
-        return [name for name, check in self.checks.items() if not check.passed]
-
 
 def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationReport:
     """Run the whole battery and report pass/fail per named claim.

@@ -327,7 +327,6 @@ class RankProfile(Record):
 
     ranks: Tuple[int, ...]
     k0: int
-    J: int
     certificates: Tuple[RankCertificate, ...]
     stable: bool
 
@@ -396,7 +395,6 @@ def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     return RankProfile(
         ranks=ranks,
         k0=k0,
-        J=J_max,
         certificates=tuple(certificates),
         stable=all(cert.stable for cert in certificates),
     )

@@ -345,10 +345,6 @@ class TruncatedSeries:
         exp = min(self.terms, key=grlex_key)
         return exp, self.terms[exp]
 
-    def homogeneous_part(self, degree: int) -> "TruncatedSeries":
-        part = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return _series(self.arity, self.kappa, part)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -448,20 +444,6 @@ class TruncatedSeries:
                 g = gcd(k, c._d)
                 out[exp[:index] + (k - 1,) + exp[index + 1 :]] = _triple(c._a * (k // g), c._b * (k // g), c._d // g)
         return _series(self.arity, self.kappa - 1, out)
-
-    def evaluate(self, point: Sequence[CoeffLike]) -> GaussianRational:
-        """Exact evaluation of the truncated polynomial representative."""
-        if len(point) != self.arity:
-            raise SeriesError(f"point length {len(point)} does not match arity {self.arity}")
-        values = [as_coeff(v) for v in point]
-        total = ZERO
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exp):
-                if e:
-                    term = term * value**e
-            total = total + term
-        return total
 
     # -- structural maps ---------------------------------------------------
 
@@ -697,10 +679,6 @@ class FormalMap:
     def __reduce__(self):
         return FormalMap, (self.components,)
 
-    @staticmethod
-    def identity(arity: int, kappa: int) -> "FormalMap":
-        return FormalMap(TruncatedSeries.variable(arity, kappa, i) for i in range(arity))
-
     @property
     def kappa(self) -> int:
         return min(c.kappa for c in self.components)
@@ -840,14 +818,6 @@ def compose_many(
                     pair[1] += ca * ia + cb * ra
         results.append(_series(source, kappa, packing.divided(sums, den)))
     return results
-
-
-def jacobian(mapping: FormalMap) -> list:
-    """The m x p matrix of partial derivatives; entries valid one order lower."""
-    return [
-        [component.partial(col) for col in range(mapping.source_arity)]
-        for component in mapping.components
-    ]
 
 
 def on_line(series: Sequence[TruncatedSeries], point: Sequence[int], order: int) -> list:

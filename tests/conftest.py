@@ -23,6 +23,7 @@ from segre import (
 )
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "src" / "segre" / "fixtures"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the same examples on every run, and no per-example deadline on a loaded host
 settings.register_profile("segre", derandomize=True, deadline=None)
@@ -31,6 +32,12 @@ settings.load_profile("segre")
 
 def load_fixture(name: str, kappa: int = 8):
     return load_manifold_file(FIXTURE_DIR / f"{name}.json", kappa)
+
+
+def readme_api() -> str:
+    """The code block of README's "Python API" section."""
+    section = README.read_text().split("## Python API", 1)[1]
+    return section.split("```python", 1)[1].split("```", 1)[0]
 
 
 def late_split_rho(N: int, d: int) -> dict:
@@ -45,6 +52,11 @@ def default_profile(segre):
     """The rank profile of the run's mapping with every option at its default."""
     config = RunConfig(kappa=segre.kappa)
     return rank_profile(segre, config.resolve_jmax(segre.dims.d), config.seed)
+
+
+def failed_checks(report):
+    """The names of a verification report's failed checks."""
+    return [name for name, check in report.checks.items() if not check.passed]
 
 
 @contextlib.contextmanager

@@ -23,9 +23,12 @@ definition, over every column subset, where the load reads them off one
 elimination's pivots.  The generic pushforward residual
 (``pushforward_residuals_for``) differentiates f o theta for arbitrary test
 functions f (``random_ambient_polynomial``), where the engine checks the 2N
-coordinate functions alone.  Last,
+coordinate functions alone.
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
+Last, the small multivariate helpers that no command needs (``jacobian``,
+``identity_map``, ``homogeneous_part``, ``evaluate`` and ``sigma_field``)
+live here, not in the engine.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ import random
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from segre import DEFAULT_SEED, GenericManifold, generic_rank, jacobian, linalg, manifold_from_rho_series
+from segre import DEFAULT_SEED, GenericManifold, generic_rank, linalg, manifold_from_rho_series
+from segre.fields import FormalVectorField
 from segre.maps import SegreMapping, make_theta_phi
 from segre.orbit import _mirror_parametrization
 from segre.config import top_order
 from segre.rank import _on_line
-from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, compose_many, unit_exponent
+from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, as_coeff, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
 
@@ -340,7 +344,7 @@ def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSe
         # below degree k, so the whole step can run in the order-k quotient
         inner = FormalMap([*zs, *[q.truncate(degree) for q in q_components], *chs, *tas])
         composed = compose_many(list(rho.components), inner)
-        residual = [composed[j].homogeneous_part(degree) for j in range(d)]
+        residual = [homogeneous_part(composed[j], degree) for j in range(d)]
         for l in range(d):
             correction = TruncatedSeries.zero(arity, kappa)
             for m in range(d):
@@ -415,7 +419,7 @@ def multivariate_matrices(manifold, level: int, k0: int) -> List[List[List[Trunc
 
 def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedSeries]]:
     """The Jacobian of ``mapping`` with every entry composed along ``locus``, in one call."""
-    rows = [[component.partial(col) for col in range(mapping.source_arity)] for component in mapping.components]
+    rows = jacobian(mapping)
     images = iter(compose_many([entry for row in rows for entry in row], locus))
     return [[next(images) for _ in row] for row in rows]
 
@@ -485,3 +489,33 @@ def linear_coordinate_change(
     # conjugate block, so it commutes with the conjugation involution and
     # reality is inherited: the load gate passes
     return manifold_from_rho_series(dims, transformed, manifold.kappa, label=f"{manifold.label}'")
+
+
+# ---------------------------------------------------------------------------
+# multivariate helpers that no command needs
+# ---------------------------------------------------------------------------
+
+
+def jacobian(mapping: FormalMap) -> List[List[TruncatedSeries]]:
+    """The m x p matrix of partial derivatives; entries valid one order lower."""
+    return [[component.partial(col) for col in range(mapping.source_arity)] for component in mapping.components]
+
+
+def identity_map(arity: int, kappa: int) -> FormalMap:
+    return FormalMap([TruncatedSeries.variable(arity, kappa, i) for i in range(arity)])
+
+
+def homogeneous_part(series: TruncatedSeries, degree: int) -> TruncatedSeries:
+    return TruncatedSeries(series.arity, series.kappa, {e: c for e, c in series.terms.items() if sum(e) == degree})
+
+
+def evaluate(series: TruncatedSeries, point: Sequence) -> GaussianRational:
+    """Exact value of the truncated polynomial representative at ``point``."""
+    return d_eval(from_series(series), [as_coeff(value) for value in point])
+
+
+def sigma_field(x: FormalVectorField, block: int) -> FormalVectorField:
+    """Conjugation involution on fields: swap the coefficient blocks and apply
+    sigma, which sends the conjugate directions to the holomorphic ones and back."""
+    swapped = [c.sigma(block) for c in x.coefficients]
+    return FormalVectorField(swapped[block:] + swapped[:block])

@@ -499,6 +499,10 @@ def _graph_file(expression: str) -> str:
         (_graph_file("ta1 + 2*i*z1*ch1 + 0*3^100000000"), "exceeds the cap MAX_POWER_BITS"),
         (_graph_file("ta1 + 2*i*z1*ch1 + 0*(3 + z1)^1000000"), "exceeds the cap MAX_POWER_BITS"),
         ('{"N": 10000000, "d": 1, "form": "graph", "expressions": ["ta1"]}', "exceeds the cap MAX_N = 64"),
+        # integer literals are ASCII digits: no other Unicode digit reads as a value
+        (_graph_file("ta1 + 2*i*z1*ch1 + z1^\u00b2"), "unexpected character '\u00b2'"),
+        (_graph_file("ta1 + \u0662*i*z1*ch1"), "unexpected character '\u0662'"),
+        (_graph_file("ta1 + 2*i*z1*ch1*\uff11"), "unexpected character '\uff11'"),
     ],
     ids=[
         "parentheses",
@@ -519,6 +523,9 @@ def _graph_file(expression: str) -> str:
         "constant-power",
         "series-power",
         "huge-N",
+        "superscript-digit",
+        "arabic-indic-digit",
+        "fullwidth-digit",
     ],
 )
 def test_hostile_file_exits_usage(tmp_path, content, message):

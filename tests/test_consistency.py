@@ -13,13 +13,12 @@ from segre import (
     TruncatedSeries,
     gauss,
     generic_rank,
-    jacobian,
     minor_determinant,
 )
 from segre.series import compose_many
 
 from conftest import default_profile
-from oracles import d_det, from_series, to_series
+from oracles import d_det, from_series, jacobian, to_series
 from test_rank import random_poly_matrix
 
 

@@ -1,9 +1,12 @@
 """No dead helpers in the engine: every module-level function and class of
-``src/segre/*.py`` must be referenced outside its own definition, somewhere in
-``src/segre`` (a name in ``__init__``'s export table counts) or in ``bench/``.
-Tests do not count as users; the interpreter does, for the package's PEP 562
-hooks ``__getattr__`` and ``__dir__``.  Nor dead imports: every module uses
-each name it imports."""
+``src/segre/*.py``, and every method of such a class, must be referenced
+outside its own definition, somewhere in ``src/segre``, in ``bench/`` or in
+the code block of README's "Python API" section.  The rule is that the engine
+keeps what a command reaches or that section names.  A name in
+``__init__``'s export table does not count as a use, and tests do not count
+as users; the interpreter does, for the package's PEP 562 hooks
+``__getattr__`` and ``__dir__`` and for every dunder method.  Nor dead
+imports: every module uses each name it imports."""
 
 from __future__ import annotations
 
@@ -11,53 +14,83 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
+from conftest import readme_api
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "segre"
 BENCH = ROOT / "bench"
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 # module-level hooks that the interpreter calls on attribute access and dir()
 INTERPRETER_HOOKS = {("__init__.py", "__getattr__"), ("__init__.py", "__dir__")}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source: str) -> List[str]:
-    return [node.name for node in ast.parse(source).body if isinstance(node, DEFINITIONS)]
+    """Top-level functions and classes, and ``Class.method`` for each method
+    of a top-level class that is not a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, DEFINITIONS):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            methods = [item.name for item in node.body if isinstance(item, FUNCTIONS)]
+            found += [f"{node.name}.{name}" for name in methods if not _is_dunder(name)]
+    return found
+
+
+def _names(tree: ast.AST, own: Set[str]) -> Set[str]:
+    found: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = node.value.split(".") if node.value.replace(".", "").isidentifier() else []
+        else:
+            continue
+        found.update(name for name in names if name not in own)
+    return found
 
 
 def references(source: str) -> Set[str]:
-    """Names used in ``source``, except a top-level definition's uses of its own name.
+    """Names used in ``source``, except a definition's uses of its own name:
+    a top-level function's or class's, and a method's inside that method.
 
     Names, attributes, imported names and identifier-like strings (the
     dotted targets of ``bench/spans.py``, string annotations) all count.
     """
     found: Set[str] = set()
     for top in ast.parse(source).body:
-        own = top.name if isinstance(top, DEFINITIONS) else ""
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.alias):
-                names = [node.name]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = node.value.split(".") if node.value.replace(".", "").isidentifier() else []
-            else:
-                continue
-            found.update(name for name in names if name != own)
+        if not isinstance(top, ast.ClassDef):
+            found |= _names(top, {top.name} if isinstance(top, DEFINITIONS) else set())
+            continue
+        for part in [*top.bases, *top.keywords, *top.decorator_list, *top.body]:
+            found |= _names(part, {top.name, part.name} if isinstance(part, FUNCTIONS) else {top.name})
     return found
 
 
 def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[str, str]]:
-    """(module, name) of every top-level definition in ``engine`` that nothing uses."""
+    """(module, name) of every definition in ``engine`` that nothing uses.
+
+    ``__init__.py``'s own references do not count: they are its export table.
+    """
     used: Set[str] = set()
-    for source in list(engine.values()) + list(others.values()):
-        used |= references(source)
+    for module, source in [*engine.items(), *others.items()]:
+        if module != "__init__.py":
+            used |= references(source)
     return [
         (module, name)
         for module, source in engine.items()
         for name in definitions(source)
-        if name not in used and (module, name) not in INTERPRETER_HOOKS
+        if name.rpartition(".")[2] not in used and (module, name) not in INTERPRETER_HOOKS
     ]
 
 
@@ -89,7 +122,7 @@ def _sources(directory: Path) -> Dict[str, str]:
 def test_every_engine_definition_is_used():
     engine = _sources(SOURCE)
     assert {"linalg.py", "fields.py", "__init__.py"} <= set(engine)
-    assert unreferenced(engine, _sources(BENCH)) == []
+    assert unreferenced(engine, {**_sources(BENCH), "README.md": readme_api()}) == []
 
 
 def test_scanner_flags_dead_helpers():
@@ -102,17 +135,33 @@ def test_scanner_flags_dead_helpers():
                 "    return recursive(n - 1) if n else used()",
                 "def dead():",
                 "    '''mentions used and dead in prose only'''",
-                "class Exported:",
-                "    def clone(self) -> 'Exported':",
-                "        return Exported()",
+                "class Kept:",
+                "    def __eq__(self, other):",
+                "        return self.clone() == other",
+                "    def clone(self) -> 'Kept':",
+                "        return Kept()",
+                "    def countdown(self, n):",
+                "        return self.countdown(n - 1) if n else 0",
                 "def traced():",
                 "    pass",
+                "def exported():",
+                "    pass",
+                "def documented():",
+                "    return Kept()",
             ]
         ),
-        "__init__.py": "from .a import Exported\n",
+        "__init__.py": "_EXPORTS = {'a': ('Kept', 'exported', 'documented')}\nfrom .a import exported\n",
     }
-    bench = {"spans.py": "TARGETS = (('x', 'pkg.a', 'traced'),)\n"}
-    assert unreferenced(engine, bench) == [("a.py", "recursive"), ("a.py", "dead")]
+    others = {
+        "spans.py": "TARGETS = (('x', 'pkg.a', 'traced'),)\n",
+        "README.md": "from pkg import documented\n",
+    }
+    assert unreferenced(engine, others) == [
+        ("a.py", "recursive"),
+        ("a.py", "dead"),
+        ("a.py", "Kept.countdown"),
+        ("a.py", "exported"),
+    ]
 
 
 def test_scanner_exempts_only_the_package_hooks():

@@ -14,10 +14,9 @@ from segre import (
     gauss,
     ideal_member,
     lie_hull_dimension,
-    sigma_field,
 )
 
-from oracles import dense_hull_dimension, from_series
+from oracles import dense_hull_dimension, from_series, sigma_field
 
 
 def coeff_terms(field, slot):

@@ -18,12 +18,15 @@ from segre import (
     make_theta_phi,
     pushforward_residuals,
 )
+from segre.maps import chain_generator_pairs
 
 from conftest import load_fixture
 from oracles import (
     brute_force_rank,
+    constant_rank,
     d_compose,
     from_series,
+    jacobian,
     pushforward_residuals_for,
     random_ambient_polynomial,
     to_series,
@@ -47,7 +50,7 @@ def gamma_c2(manifold_c2):
 
 def test_v1_is_base_case(gamma_h, manifold_h):
     # v^1(t) = (t, Q(t, 0, 0)) for any manifold; for this one Q(t,0,0) = 0
-    v1 = iterate(gamma_h, 1).mapping
+    v1 = iterate(gamma_h, 1)
     assert v1.component(0).terms == {(1,): gauss(1)}
     assert v1.component(1).is_zero()
 
@@ -62,7 +65,7 @@ def test_v1_with_nonzero_self_part():
 
 
 def test_v2_h_hand_value(gamma_h):
-    v2 = iterate(gamma_h, 2).mapping
+    v2 = iterate(gamma_h, 2)
     assert v2.component(0).terms == {(0, 1): gauss(1)}
     assert v2.component(1).terms == {(1, 1): gauss(0, 2)}
 
@@ -78,7 +81,7 @@ def test_v2_h_against_dense_composition_oracle(gamma_h, manifold_h):
 
 
 def test_v4_h_hand_value(gamma_h):
-    v4 = iterate(gamma_h, 4).mapping
+    v4 = iterate(gamma_h, 4)
     assert v4.component(0).terms == {(0, 0, 0, 1): gauss(1)}
     assert v4.component(1).terms == {
         (1, 1, 0, 0): gauss(0, 2),
@@ -124,27 +127,27 @@ def test_variable_cap(manifold_h):
 
 
 def test_chain_param_k1(gamma_h):
-    param = make_T(gamma_h, 1)
-    assert param.mapping.equals_mod(gamma_h.v(1))
-    assert param.generator_pairs == ((0, None),)
+    assert make_T(gamma_h, 1).equals_mod(gamma_h.v(1))
+    assert chain_generator_pairs(1) == ((0, None),)
 
 
 def test_chain_param_k2_h(gamma_h):
-    param = make_T(gamma_h, 2)
     # T^2 = (v^2, conj v^1) = ((t2, 2i t1 t2), (t1, 0))
-    comps = param.mapping.components
+    comps = make_T(gamma_h, 2).components
     assert comps[0].terms == {(0, 1): gauss(1)}
     assert comps[1].terms == {(1, 1): gauss(0, 2)}
     assert comps[2].terms == {(1, 0): gauss(1)}
     assert comps[3].is_zero()
-    assert param.generator_pairs == ((0, 1), (None, 1))
+    assert chain_generator_pairs(2) == ((0, 1), (None, 1))
 
 
 def test_chain_param_c2_rank(gamma_c2):
-    # the Jacobian at 0 has full rank 3n = 3; make_T verifies it internally
-    param = make_T(gamma_c2, 3)
-    assert param.mapping.source_arity == 3
-    assert len(param.mapping.components) == 9
+    # the Jacobian at 0 has full rank 3n = 3 by construction: the z-parts of
+    # the three slots are the three t-blocks
+    t3 = make_T(gamma_c2, 3)
+    assert t3.source_arity == 3
+    assert len(t3.components) == 9
+    assert constant_rank([[entry.constant_term() for entry in row] for row in jacobian(t3)]) == 3
 
 
 def test_chain_params_all_fixtures(all_fixture_manifolds):
@@ -178,7 +181,7 @@ def test_phi_two_h(gamma_h):
 
 
 def test_theta_one_rank_h(gamma_h):
-    from segre import DEFAULT_SEED, generic_rank, jacobian
+    from segre import DEFAULT_SEED, generic_rank
 
     pair = make_theta_phi(gamma_h, 1)
     cert = generic_rank(jacobian(pair.theta), seed=DEFAULT_SEED)

@@ -36,7 +36,14 @@ from segre import linalg, orbit
 from segre.coords import Dims
 from segre.series import FormalMap, TruncatedSeries, compose_many, grlex_key, linear_part, unit_exponent
 
-from conftest import count_loads, default_profile, load_fixture, random_rigid_manifold, working_order_only
+from conftest import (
+    count_loads,
+    default_profile,
+    failed_checks,
+    load_fixture,
+    random_rigid_manifold,
+    working_order_only,
+)
 from oracles import graded_lex_monomials, linear_coordinate_change, one_shot_kernel_series
 
 
@@ -185,7 +192,7 @@ def test_verify_levi_flat_n12():
     # pivot for every column, and takes seconds with the pivot heap
     spec = ManifoldSpec(N=12, d=1, form="graph", expressions=("ta1",))
     report = verify_all(load_manifold(spec, 8), RunConfig())
-    assert report.passed, report.failed_checks()
+    assert report.passed, failed_checks(report)
     assert report.profile.ranks == (11, 11, 11) and report.profile.k0 == 1
     assert report.lie.dim_g0 == 22
     assert report.orbit.e == 1
@@ -539,7 +546,7 @@ def test_verify_all_fixtures(all_fixture_manifolds):
     for name, manifold in all_fixture_manifolds.items():
         report = verify_all(manifold, RunConfig())
         want = expected[name]
-        assert report.passed, (name, report.failed_checks())
+        assert report.passed, (name, failed_checks(report))
         assert report.profile.k0 == want["k0"]
         assert report.lie.dim_g0 == want["dim_g0"]
         assert report.orbit.e == want["e"]
@@ -549,7 +556,7 @@ def test_verify_all_fixtures(all_fixture_manifolds):
 
 def test_verify_all_curved_w(curved_w_manifold):
     report = verify_all(curved_w_manifold, RunConfig())
-    assert report.passed, report.failed_checks()
+    assert report.passed, failed_checks(report)
     assert report.orbit.e == 1
     assert not report.lie.finite_type()
 
@@ -560,7 +567,7 @@ def test_central_identity_on_random_rigid_manifolds():
     for _ in range(4):
         manifold = random_rigid_manifold(rng)
         report = verify_all(manifold, config)
-        assert report.passed, report.failed_checks()
+        assert report.passed, failed_checks(report)
         if report.lie.stable:
             assert (
                 report.profile.rank_at_k0
@@ -614,7 +621,7 @@ def test_central_identity_on_random_finite_type_manifolds():
     for _ in range(4):
         manifold = random_levi_nondegenerate_manifold(rng)
         report = verify_all(manifold, config)
-        assert report.passed, report.failed_checks()
+        assert report.passed, failed_checks(report)
         assert report.lie.finite_type() and report.profile.finite_type(report.dims.N)
         assert report.lie.stable
         assert (
@@ -632,12 +639,11 @@ def test_central_identity_on_random_finite_type_manifolds():
 def test_verify_all_builds_each_order_once(monkeypatch):
     from collections import Counter
 
-    from segre import fields, maps, rank, series
+    from segre import fields, maps
 
     pairs = Counter()
     phis = Counter()
     iterates = Counter()
-    jacobians = []
     bases = []
     mappings = []
     real_theta_phi = maps.make_theta_phi
@@ -668,15 +674,11 @@ def test_verify_all_builds_each_order_once(monkeypatch):
 
     loads = count_loads(monkeypatch)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
-    monkeypatch.setattr(orbit, "make_theta_phi", counting_theta_phi, raising=False)
     monkeypatch.setattr(maps, "make_phi", counting_phi)
-    monkeypatch.setattr(orbit, "make_phi", counting_phi, raising=False)
     monkeypatch.setattr(maps.SegreMapping, "v", counting_v)
     monkeypatch.setattr(maps.SegreMapping, "__init__", counting_init)
     for module in (fields, orbit):
         monkeypatch.setattr(module, "cr_basis", counting_cr_basis)
-    for module in (series, maps, rank, orbit):
-        monkeypatch.setattr(module, "jacobian", lambda *args: jacobians.append(args), raising=False)
     report = verify_all(load_fixture("c2"), RunConfig())
     assert report.passed
     k0 = report.profile.k0
@@ -684,9 +686,8 @@ def test_verify_all_builds_each_order_once(monkeypatch):
     # lower order is its truncation
     assert loads == {"parse": [16, 16], "solve": []}
     # nothing multivariate is built above the run's order: the rank
-    # certificates read every order's iterates on lines, and no Jacobian is formed
+    # certificates read every order's iterates on lines
     assert set(iterates) == {8}
-    assert jacobians == []
     # theta^j is built for j <= k0 only, and phi^j once for each j <= k0 + 1
     assert pairs == {(8, j): 1 for j in range(k0 + 1)}
     assert phis == {(8, j): 1 for j in range(1, k0 + 2)}
