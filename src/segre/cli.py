@@ -8,8 +8,9 @@ Commands
 
 Exit codes: 0 success, 2 usage, parse or load error (an option out of range
 included), 3 inconclusive result (including a rank profile that moves under
-order escalation, for every command), 4 theorem-check failure, 5 internal
-consistency error.  JSON output is byte-deterministic for a fixed seed and
+order escalation, for every command, and an unstable bracket closure, for
+finite-type and verify), 4 theorem-check failure, 5 internal consistency
+error.  JSON output is byte-deterministic for a fixed seed and
 configuration; the SEGRE_SEED environment variable overrides --seed.
 """
 
@@ -185,22 +186,21 @@ def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
 def _exit_code(passed: bool, profile: RankProfile, lie: Optional[LieHullReport] = None) -> int:
     """The exit-code policy shared by every command.
 
-    3 when a rank moved under order escalation, whether or not a check
-    failed: a failure read off a moving rank is no theorem failure.  Else 4
-    when a check failed or the finite-type routes disagree; else 3 when,
-    with ``lie`` given, the bracket closure did not stabilize; else 0.  Each
-    3 gives its reasons on stderr.
+    3 when a rank moved under order escalation or, with ``lie`` given, the
+    bracket closure did not stabilize, whether or not a check failed: a
+    failure read off a moving rank or off dim g(0), which is then only a
+    lower bound, is no theorem failure.  Each 3 gives its reasons on
+    stderr.  Else 4 when a check failed or the finite-type routes disagree;
+    else 0.
     """
     moved = profile.moved_reason()
-    if not passed and moved is None:
-        return EXIT_CHECK_FAILED
     reasons = [moved] if moved else []
     if lie is not None and not lie.stable:
         reasons.append(f"dim g(0) still grew at bracket depth {lie.bracket_depth_used}")
     if reasons:
         print(f"inconclusive: {'; '.join(reasons)}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def _rank_table(manifold: GenericManifold, profile) -> List[str]:
@@ -299,7 +299,7 @@ def cmd_verify(args, config: RunConfig, manifold: GenericManifold) -> int:
             check = report.checks[name]
             print(f"[{'pass' if check.passed else 'FAIL'}] {name}: {check.witness}")
         print(f"result: {'all checks passed' if report.passed else 'CHECKS FAILED'}")
-    return _exit_code(report.passed, report.profile)
+    return _exit_code(report.passed, report.profile, report.lie)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,12 +1,15 @@
 """Formal vector fields, Lie brackets, and the CR Lie-hull dimension.
 
-A formal vector field on the ambient 2N-variable ring is stored as one
-truncated coefficient series per variable.  The tangent basis attached to a
-manifold in graph form consists of n fields along the conjugate directions
-and n along the holomorphic directions; iterated brackets of these, evaluated
-at the origin, span the same space as the full Lie algebra generated by all
-tangent fields of the two types, because multiplying a field by a series only
-rescales its value at 0.
+A formal vector field on the ambient 2N-variable ring is stored by its
+nonzero slots, as a series stores its nonzero terms: a dict from each slot
+to its truncated coefficient series, plus the order to which the field is
+valid.  A CR basis field has at most d + 1 nonzero slots, so ``apply`` and
+``bracket`` walk the support, not all 2N slots.  The tangent basis attached
+to a manifold in graph form consists of n fields along the conjugate
+directions and n along the holomorphic directions; iterated brackets of
+these, evaluated at the origin, span the same space as the full Lie algebra
+generated by all tangent fields of the two types, because multiplying a
+field by a series only rescales its value at 0.
 
 Both spans of the closure are ``linalg.Echelon``s: the values at 0, keyed by
 slot, give the hull dimension, and the fields themselves, keyed by
@@ -14,79 +17,73 @@ slot, give the hull dimension, and the fields themselves, keyed by
 combination of the words already kept.
 
 Every bracket costs one order of truncation, so a word of length k in fields
-with coefficients valid to order kappa - 1 is valid to order kappa - k; the
-reported hull dimension is therefore a certified lower bound with an explicit
-stability flag rather than a completeness claim.
+valid to order kappa - 1 is valid to order kappa - k; the reported hull
+dimension is therefore a certified lower bound with an explicit stability
+flag rather than a completeness claim.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .implicit import ideal_member
 from .linalg import Echelon
 from .record import Record
-from .series import GaussianRational, TruncatedSeries
+from .series import ZERO, FormalMap, GaussianRational, TruncatedSeries
 
 
-class FormalVectorField:
-    """A derivation of the truncated series ring: sum of coeff_i * d/dx_i."""
+class FormalVectorField(Record):
+    """A derivation of the truncated series ring, valid to order ``valid_order``:
+    the sum of c * d/dx_slot over the items of ``coefficients``, which maps
+    each slot in range(arity) to its nonzero coefficient c.  An absent slot
+    is zero."""
 
-    __slots__ = ("arity", "coefficients", "valid_order")
+    arity: int
+    valid_order: int
+    coefficients: Dict[int, TruncatedSeries]
 
-    def __init__(self, coefficients: Sequence[TruncatedSeries]):
-        coeffs = tuple(coefficients)
-        if not coeffs:
-            raise ValueError("a vector field needs at least one coefficient")
-        arity = len(coeffs)
-        for c in coeffs:
-            if c.arity != arity:
+    def __post_init__(self) -> None:
+        for slot, coeff in self.coefficients.items():
+            if not 0 <= slot < self.arity:
+                raise ValueError(f"slot {slot} out of range for arity {self.arity}")
+            if coeff.arity != self.arity:
                 raise ValueError("coefficient arities must equal the ambient arity")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "valid_order", min(c.kappa for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalVectorField is immutable")
-
-    def __reduce__(self):
-        return FormalVectorField, (self.coefficients,)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalVectorField):
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __repr__(self) -> str:
-        return f"FormalVectorField(arity={self.arity}, valid_order={self.valid_order})"
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
+            if not coeff:
+                raise ValueError(f"slot {slot} holds a zero coefficient; leave it out")
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """X(f) = sum coeff_i * df/dx_i, valid to min(valid_order, f.kappa - 1)."""
         if f.arity != self.arity:
             raise ValueError("series arity does not match the field")
         out = TruncatedSeries.zero(self.arity, min(self.valid_order, f.kappa - 1))
-        for index, coeff in enumerate(self.coefficients):
-            if coeff:
-                derivative = f.partial(index)
-                if derivative:
-                    out = out + coeff * derivative
+        for slot, coeff in self.coefficients.items():
+            derivative = f.partial(slot)
+            if derivative:
+                out = out + coeff * derivative
         return out
 
     def evaluate_at_origin(self) -> Tuple[GaussianRational, ...]:
-        return tuple(c.constant_term() for c in self.coefficients)
+        return tuple(
+            self.coefficients[slot].constant_term() if slot in self.coefficients else ZERO
+            for slot in range(self.arity)
+        )
 
 
 def bracket(x: FormalVectorField, y: FormalVectorField) -> FormalVectorField:
-    """Commutator [X, Y]; the result is valid one order lower than its arguments."""
+    """Commutator [X, Y] on the union of the two supports, valid one order
+    below the lower of its arguments."""
     if x.arity != y.arity:
         raise ValueError("bracket of fields with different ambient arities")
-    coeffs = [x.apply(b) - y.apply(a) for a, b in zip(x.coefficients, y.coefficients)]
-    return FormalVectorField(coeffs)
+    # an absent slot reads as a zero series that truncates nothing below the result's order
+    zero = TruncatedSeries.zero(x.arity, max(x.valid_order, y.valid_order) + 1)
+    coefficients = {}
+    for slot in sorted(x.coefficients.keys() | y.coefficients.keys()):
+        coeff = x.apply(y.coefficients.get(slot, zero)) - y.apply(x.coefficients.get(slot, zero))
+        if coeff:
+            coefficients[slot] = coeff
+    return FormalVectorField(x.arity, min(x.valid_order, y.valid_order) - 1, coefficients)
 
 
 CRBasis = Tuple[List[FormalVectorField], List[FormalVectorField]]
@@ -108,23 +105,17 @@ def cr_basis(manifold: GenericManifold) -> CRBasis:
     q_amb = graph.q_ambient()
     qbar_amb = graph.qbar_ambient()
 
-    def zero():
-        return TruncatedSeries.zero(arity, kappa - 1)
-
-    fields_l: List[FormalVectorField] = []
-    fields_lt: List[FormalVectorField] = []
-    for j in range(dims.n):
-        coeffs = [zero() for _ in range(arity)]
-        coeffs[dims.ch(j)] = TruncatedSeries.constant(arity, kappa - 1, 1)
+    def basis_field(slot: int, q: FormalMap, target: Callable[[int], int]) -> FormalVectorField:
+        """d/dx_slot + sum_l dq_l/dx_slot d/dx_target(l)."""
+        coefficients = {slot: TruncatedSeries.constant(arity, kappa - 1, 1)}
         for l in range(dims.d):
-            coeffs[dims.ta(l)] = qbar_amb.component(l).partial(dims.ch(j))
-        fields_l.append(FormalVectorField(coeffs))
+            coeff = q.component(l).partial(slot)
+            if coeff:
+                coefficients[target(l)] = coeff
+        return FormalVectorField(arity, kappa - 1, coefficients)
 
-        coeffs = [zero() for _ in range(arity)]
-        coeffs[dims.z(j)] = TruncatedSeries.constant(arity, kappa - 1, 1)
-        for l in range(dims.d):
-            coeffs[dims.w(l)] = q_amb.component(l).partial(dims.z(j))
-        fields_lt.append(FormalVectorField(coeffs))
+    fields_l = [basis_field(dims.ch(j), qbar_amb, dims.ta) for j in range(dims.n)]
+    fields_lt = [basis_field(dims.z(j), q_amb, dims.w) for j in range(dims.n)]
 
     for name, field in [(f"L{j + 1}", f) for j, f in enumerate(fields_l)] + [
         (f"Lt{j + 1}", f) for j, f in enumerate(fields_lt)
@@ -182,7 +173,7 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int
         """
         vec = {
             (sum(exp), exp, slot): value
-            for slot, coeff in enumerate(field.coefficients)
+            for slot, coeff in field.coefficients.items()
             for exp, value in coeff.terms.items()
         }
         rest = field_span.reduce(vec)
@@ -211,8 +202,6 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int
         for gen_name, gen_field in generators:
             for word_name, word_field in frontier:
                 candidate = bracket(gen_field, word_field)
-                if candidate.is_zero():
-                    continue
                 if not kept(candidate):
                     continue
                 name = f"[{gen_name},{word_name}]"

@@ -335,15 +335,15 @@ def pushforward_residuals(
     """Residuals of the pushforward identities d/dt_l (f o theta) = (Lt_l f) o theta
     along theta's last block, and the same for phi with L_l, for the 2N
     coordinate functions x_i: d/dt_l theta_i - c_(l,i) o theta, where c_(l,i)
-    is the field's coefficient of d/dx_i.
+    is the field's coefficient of d/dx_i, each valid to the field's order.
 
     The check is complete: by the chain rule the residual for any f is
     sum_i (d_i f o theta) (d/dt_l theta_i - c_(l,i) o theta), so the identity
     holds for every f modulo the shared order once these vanish.  Each map
-    composes only the fields' nonzero coefficients, in one ``compose_many``;
-    a zero coefficient leaves the partial alone (a Levi-flat field has one
-    nonzero slot).  Returns, for each pair in ``theta_phis``, one residual
-    list per coordinate, theta's directions before phi's.
+    composes only the fields' stored (nonzero) coefficients, in slot order,
+    in one ``compose_many``; an absent slot leaves the partial alone (a
+    Levi-flat field has one).  Returns, for each pair in ``theta_phis``, one
+    residual list per coordinate, theta's directions before phi's.
     """
     n = gamma.dims.n
     out = []
@@ -353,11 +353,12 @@ def pushforward_residuals(
         if theta_phi.phi is not None:
             pairs.append((theta_phi.phi, theta_phi.j - 1, fields_l))
         for mapping, block, fields in pairs:
-            images = iter(compose_many([c for field in fields for c in field.coefficients if c], mapping))
+            batch = [field.coefficients[slot] for field in fields for slot in sorted(field.coefficients)]
+            images = iter(compose_many(batch, mapping))
             for l, field in enumerate(fields):
-                for own, component, c in zip(residuals, mapping.components, field.coefficients):
+                for slot, (own, component) in enumerate(zip(residuals, mapping.components)):
                     lhs = component.partial(block * n + l)
-                    lhs = lhs.truncate(min(lhs.kappa, c.kappa, mapping.kappa))
-                    own.append(lhs - next(images) if c else lhs)
+                    lhs = lhs.truncate(min(lhs.kappa, field.valid_order, mapping.kappa))
+                    own.append(lhs - next(images) if slot in field.coefficients else lhs)
         out.append(residuals)
     return out

@@ -65,17 +65,6 @@ class RankCertificate(Record):
     kappa_used: int
     stable: bool
 
-    def verify(self, matrix: Matrix) -> bool:
-        """Recompute the cited minor on the cited line: one univariate determinant."""
-        if self.rank == 0:
-            return all(entry.is_zero() for row in matrix for entry in row)
-        rows, cols, point = self.minor_rows, self.minor_cols, self.line_point
-        in_range = all(0 <= i < len(matrix) for i in rows) and all(0 <= j < len(matrix[0]) for j in cols)
-        if not (len(rows) == len(cols) == self.rank and in_range and len(point) == matrix[0][0].arity):
-            return False
-        pivots = _eliminate(_on_line([[matrix[i][j] for j in cols] for i in rows], point, _order(matrix)))
-        return len(pivots) == self.rank and _witness(pivots) == (self.witness_exponent, self.witness_value)
-
 
 def minor_determinant(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> TruncatedSeries:
     """Exact truncated determinant of the cited submatrix, by cofactor expansion."""

@@ -1,4 +1,4 @@
-"""Immutable value records, the base of every report and parameter class.
+"""Immutable value records, the base of every report, parameter and field class.
 
 A record is written like a frozen data class (PEP 557): annotated fields,
 some with a default, and an optional ``__post_init__`` that validates them.

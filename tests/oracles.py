@@ -28,7 +28,8 @@ coordinate functions alone.
 same manifold in other linear coordinates, loaded through the rho route.
 Last, the small multivariate helpers that no command needs (``jacobian``,
 ``identity_map``, ``homogeneous_part``, ``evaluate`` and ``sigma_field``)
-live here, not in the engine.
+and the rank certificate checker ``verify_certificate`` live here, not in
+the engine.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from segre.fields import FormalVectorField
 from segre.maps import SegreMapping, make_theta_phi
 from segre.orbit import _mirror_parametrization
 from segre.config import top_order
-from segre.rank import _on_line
+from segre.rank import RankCertificate, _eliminate, _on_line, _order, _witness
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, as_coeff, compose_many, unit_exponent
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
@@ -517,5 +518,17 @@ def evaluate(series: TruncatedSeries, point: Sequence) -> GaussianRational:
 def sigma_field(x: FormalVectorField, block: int) -> FormalVectorField:
     """Conjugation involution on fields: swap the coefficient blocks and apply
     sigma, which sends the conjugate directions to the holomorphic ones and back."""
-    swapped = [c.sigma(block) for c in x.coefficients]
-    return FormalVectorField(swapped[block:] + swapped[:block])
+    coefficients = {(slot + block) % x.arity: c.sigma(block) for slot, c in x.coefficients.items()}
+    return FormalVectorField(x.arity, x.valid_order, coefficients)
+
+
+def verify_certificate(cert: RankCertificate, matrix: List[List[TruncatedSeries]]) -> bool:
+    """Recompute the cited minor on the cited line: one univariate determinant."""
+    if cert.rank == 0:
+        return all(entry.is_zero() for row in matrix for entry in row)
+    rows, cols, point = cert.minor_rows, cert.minor_cols, cert.line_point
+    in_range = all(0 <= i < len(matrix) for i in rows) and all(0 <= j < len(matrix[0]) for j in cols)
+    if not (len(rows) == len(cols) == cert.rank and in_range and len(point) == matrix[0][0].arity):
+        return False
+    pivots = _eliminate(_on_line([[matrix[i][j] for j in cols] for i in rows], point, _order(matrix)))
+    return len(pivots) == cert.rank and _witness(pivots) == (cert.witness_exponent, cert.witness_value)

@@ -392,6 +392,19 @@ def test_unstable_profile_exits_inconclusive(capsys, command):
     assert all(check["pass"] for check in payload["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "command, fixture, depth",
+    [("finite-type", "c2", 2), ("verify", "c2", 2), ("verify", "h", 1), ("finite-type", "h", 1)],
+)
+def test_an_unstable_bracket_closure_exits_inconclusive(capsys, command, fixture, depth):
+    # c2 and h are of finite type; cut off while it still grows, dim g(0) is
+    # only a lower bound, so the checks and the route it fails are no theorem failure
+    code, out, err = run_cli(capsys, command, "--fixture", fixture, "--depth", str(depth))
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert err == f"inconclusive: dim g(0) still grew at bracket depth {depth}\n"
+    assert ("routes agree: NO" if command == "finite-type" else "CHECKS FAILED") in out
+
+
 # c4 (N=5, d=4) at the default order: Rk v^4 first reads 4 at order 12, so
 # its profile moves, and every command names the moved ranks
 C4 = {"N": 5, "d": 4, "form": "graph", "expressions": [f"ta{k} + 2*i*z1^{k}*ch1^{k}" for k in range(1, 5)]}
@@ -774,3 +787,6 @@ def test_cli_exit_code_contract_holds_on_hostile_input(command, document, flags,
         assert out.endswith("\n")
         if as_json:
             assert json.loads(out)["schema"] == cli.SCHEMA
+    if command == "finite-type" and as_json and out and not json.loads(out)["stable"]:
+        # a moved rank or an unstable bracket closure is inconclusive, never a failure
+        assert code == cli.EXIT_INCONCLUSIVE, (argv, document, err)

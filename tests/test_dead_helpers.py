@@ -1,8 +1,10 @@
 """No dead helpers in the engine: every module-level function and class of
 ``src/segre/*.py``, and every method of such a class, must be referenced
 outside its own definition, somewhere in ``src/segre``, in ``bench/`` or in
-the code block of README's "Python API" section.  The rule is that the engine
-keeps what a command reaches or that section names.  A name in
+the code block of README's "Python API" section: a function or class by its
+name, a method by an attribute access or a ``"Class.method"`` string, never
+by a local name or a plain string that happens to match.  The rule is that
+the engine keeps what a command reaches or that section names.  A name in
 ``__init__``'s export table does not count as a use, and tests do not count
 as users; the interpreter does, for the package's PEP 562 hooks
 ``__getattr__`` and ``__dir__`` and for every dunder method.  Nor dead
@@ -43,54 +45,78 @@ def definitions(source: str) -> List[str]:
     return found
 
 
-def _names(tree: ast.AST, own: Set[str]) -> Set[str]:
-    found: Set[str] = set()
+def _names(tree: ast.AST, own: Set[str]) -> Tuple[Set[str], Set[str]]:
+    names: Set[str] = set()
+    members: Set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names = [node.id]
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names = [node.attr]
+            names.add(node.attr)
+            members.add(node.attr)
         elif isinstance(node, ast.alias):
-            names = [node.name]
+            names.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names = node.value.split(".") if node.value.replace(".", "").isidentifier() else []
-        else:
-            continue
-        found.update(name for name in names if name not in own)
-    return found
+            if node.value.replace(".", "").isidentifier():
+                names.update(node.value.split("."))
+                if "." in node.value:
+                    members.add(node.value)
+    return names - own, members - own
 
 
-def references(source: str) -> Set[str]:
-    """Names used in ``source``, except a definition's uses of its own name:
-    a top-level function's or class's, and a method's inside that method.
+def references(source: str) -> Tuple[Set[str], Set[str]]:
+    """The names used in ``source``, and its member uses, except a
+    definition's uses of its own name: a top-level function's or class's,
+    and a method's inside that method.
 
     Names, attributes, imported names and identifier-like strings (the
-    dotted targets of ``bench/spans.py``, string annotations) all count.
+    dotted targets of ``bench/spans.py``, string annotations) all count as
+    names.  Member uses are attribute names (``x.verify``) and dotted
+    strings (``"Class.method"``) only, so a method is not kept alive by a
+    local variable or a plain string that shares its name.
     """
-    found: Set[str] = set()
+    names: Set[str] = set()
+    members: Set[str] = set()
     for top in ast.parse(source).body:
         if not isinstance(top, ast.ClassDef):
-            found |= _names(top, {top.name} if isinstance(top, DEFINITIONS) else set())
-            continue
-        for part in [*top.bases, *top.keywords, *top.decorator_list, *top.body]:
-            found |= _names(part, {top.name, part.name} if isinstance(part, FUNCTIONS) else {top.name})
-    return found
+            parts = [(top, {top.name} if isinstance(top, DEFINITIONS) else set())]
+        else:
+            parts = [
+                (part, {top.name, part.name} if isinstance(part, FUNCTIONS) else {top.name})
+                for part in [*top.bases, *top.keywords, *top.decorator_list, *top.body]
+            ]
+        for part, own in parts:
+            found_names, found_members = _names(part, own)
+            names |= found_names
+            members |= found_members
+    return names, members
 
 
 def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[str, str]]:
     """(module, name) of every definition in ``engine`` that nothing uses.
 
-    ``__init__.py``'s own references do not count: they are its export table.
+    A top-level function or class is used by its name, a method
+    ``Class.method`` by an attribute access ``.method`` or the string
+    ``"Class.method"``.  ``__init__.py``'s own references do not count: they
+    are its export table.
     """
-    used: Set[str] = set()
+    names: Set[str] = set()
+    members: Set[str] = set()
     for module, source in [*engine.items(), *others.items()]:
         if module != "__init__.py":
-            used |= references(source)
+            found_names, found_members = references(source)
+            names |= found_names
+            members |= found_members
+
+    def used(name: str) -> bool:
+        owner, _, method = name.rpartition(".")
+        return name in members or method in members if owner else name in names
+
     return [
         (module, name)
         for module, source in engine.items()
         for name in definitions(source)
-        if name.rpartition(".")[2] not in used and (module, name) not in INTERPRETER_HOOKS
+        if not used(name) and (module, name) not in INTERPRETER_HOOKS
     ]
 
 
@@ -142,6 +168,10 @@ def test_scanner_flags_dead_helpers():
                 "        return Kept()",
                 "    def countdown(self, n):",
                 "        return self.countdown(n - 1) if n else 0",
+                "    def verify(self):",
+                "        return True",
+                "    def wrapped(self):",
+                "        return True",
                 "def traced():",
                 "    pass",
                 "def exported():",
@@ -153,13 +183,14 @@ def test_scanner_flags_dead_helpers():
         "__init__.py": "_EXPORTS = {'a': ('Kept', 'exported', 'documented')}\nfrom .a import exported\n",
     }
     others = {
-        "spans.py": "TARGETS = (('x', 'pkg.a', 'traced'),)\n",
+        "spans.py": "TARGETS = (('x', 'pkg.a', 'traced'), ('y', 'pkg.a', 'Kept.wrapped'))\nverify = 'verify'\n",
         "README.md": "from pkg import documented\n",
     }
     assert unreferenced(engine, others) == [
         ("a.py", "recursive"),
         ("a.py", "dead"),
         ("a.py", "Kept.countdown"),
+        ("a.py", "Kept.verify"),
         ("a.py", "exported"),
     ]
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre import (
     FormalVectorField,
@@ -16,22 +18,33 @@ from segre import (
     lie_hull_dimension,
 )
 
+from segre import fields
+from segre.expressions import ManifoldSpec, load_manifold
+
+from conftest import random_real_rho_manifold, random_rigid_manifold
 from oracles import dense_hull_dimension, from_series, sigma_field
 
 
+def coefficient(field, slot):
+    """The coefficient of d/dx_slot; an absent slot reads as zero."""
+    return field.coefficients.get(slot, TruncatedSeries.zero(field.arity, field.valid_order))
+
+
 def coeff_terms(field, slot):
-    return field.coefficients[slot].terms
+    return coefficient(field, slot).terms
+
+
+def dense_field(field):
+    return [from_series(coefficient(field, slot)) for slot in range(field.arity)]
 
 
 def constant_field(arity, kappa, slot):
-    coeffs = [TruncatedSeries.zero(arity, kappa) for _ in range(arity)]
-    coeffs[slot] = TruncatedSeries.constant(arity, kappa, 1)
-    return FormalVectorField(coeffs)
+    return FormalVectorField(arity, kappa, {slot: TruncatedSeries.constant(arity, kappa, 1)})
 
 
 def random_field(arity, kappa, rng):
-    coeffs = []
-    for _ in range(arity):
+    coefficients = {}
+    for slot in range(arity):
         terms = {}
         for _ in range(rng.randint(0, 2)):
             exp = [0] * arity
@@ -40,8 +53,9 @@ def random_field(arity, kappa, rng):
             value = gauss(rng.randint(-3, 3), rng.randint(-3, 3))
             if value:
                 terms[tuple(exp)] = value
-        coeffs.append(TruncatedSeries(arity, kappa, terms))
-    return FormalVectorField(coeffs)
+        if terms:
+            coefficients[slot] = TruncatedSeries(arity, kappa, terms)
+    return FormalVectorField(arity, kappa, coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +108,7 @@ def test_cr_basis_tangency(all_fixture_manifolds):
 def test_bracket_constant_fields_commute():
     x = constant_field(4, 6, 2)
     y = constant_field(4, 6, 0)
-    assert bracket(x, y).is_zero()
+    assert not bracket(x, y).coefficients
 
 
 def test_bracket_h_value(manifold_h):
@@ -112,7 +126,7 @@ def test_bracket_antisymmetry_random():
     rng = random.Random(11)
     for _ in range(10):
         x = random_field(4, 6, rng)
-        assert bracket(x, x).is_zero()
+        assert not bracket(x, x).coefficients
 
 
 def test_bracket_arity_mismatch():
@@ -127,10 +141,7 @@ def test_jacobi_identity_random():
         lhs = bracket(bracket(x, y), z)
         mid = bracket(bracket(y, z), x)
         rhs = bracket(bracket(z, x), y)
-        total = [
-            a + b + c
-            for a, b, c in zip(lhs.coefficients, mid.coefficients, rhs.coefficients)
-        ]
+        total = [coefficient(lhs, s) + coefficient(mid, s) + coefficient(rhs, s) for s in range(3)]
         assert all(t.is_zero() for t in total)
 
 
@@ -188,9 +199,7 @@ def test_lie_hull_l4_needs_depth_four(manifold_l4):
 
 def test_lie_hull_l4_against_dense_bracket_oracle(manifold_l4):
     fields_l, fields_lt = cr_basis(manifold_l4)
-    generators = [
-        [from_series(c) for c in field.coefficients] for field in fields_l + fields_lt
-    ]
+    generators = [dense_field(field) for field in fields_l + fields_lt]
     arity = manifold_l4.dims.ambient_arity
     assert dense_hull_dimension(generators, arity, 3) == 2
     assert dense_hull_dimension(generators, arity, 4) == 3
@@ -199,12 +208,53 @@ def test_lie_hull_l4_against_dense_bracket_oracle(manifold_l4):
 
 def test_lie_hull_c2_against_dense_bracket_oracle(manifold_c2):
     fields_l, fields_lt = cr_basis(manifold_c2)
-    generators = [
-        [from_series(c) for c in field.coefficients] for field in fields_l + fields_lt
-    ]
+    generators = [dense_field(field) for field in fields_l + fields_lt]
     arity = manifold_c2.dims.ambient_arity
     assert dense_hull_dimension(generators, arity, 4) == 4
     assert lie_hull_dimension(manifold_c2, (fields_l, fields_lt), 8).dim_g0 == 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rigid=st.booleans())
+def test_lie_hull_against_dense_bracket_oracle_on_random_manifolds(seed, rigid):
+    manifold = (random_rigid_manifold if rigid else random_real_rho_manifold)(random.Random(seed))
+    fields_l, fields_lt = cr_basis(manifold)
+    generators = [dense_field(field) for field in fields_l + fields_lt]
+    arity = manifold.dims.ambient_arity
+    for depth in (1, 2, 3):
+        report = lie_hull_dimension(manifold, (fields_l, fields_lt), depth)
+        assert report.dim_g0 == dense_hull_dimension(generators, arity, depth), depth
+
+
+def test_levi_flat_closure_walks_only_the_nonzero_slots(monkeypatch):
+    # a Levi-flat basis field has one nonzero slot of 64, so each bracket
+    # differentiates a handful of coefficients, not 64 x 64 slots
+    manifold = load_manifold(ManifoldSpec(N=32, d=1, form="graph", expressions=("ta1",)), 8)
+    basis = cr_basis(manifold)
+    calls = {"partial": 0, "bracket": 0}
+    real_partial, real_bracket = TruncatedSeries.partial, fields.bracket
+
+    def partial(series, index):
+        calls["partial"] += 1
+        return real_partial(series, index)
+
+    def counted_bracket(x, y):
+        calls["bracket"] += 1
+        return real_bracket(x, y)
+
+    monkeypatch.setattr(TruncatedSeries, "partial", partial)
+    monkeypatch.setattr(fields, "bracket", counted_bracket)
+    report = lie_hull_dimension(manifold, basis, 8)
+    assert (report.dim_g0, report.stable) == (62, True)
+    assert calls["bracket"] == 62 * 62
+    assert calls["partial"] <= 4 * calls["bracket"]
+
+
+def test_field_refuses_zero_out_of_range_and_foreign_coefficients():
+    one = TruncatedSeries.constant(4, 6, 1)
+    for slot, coeff in [(1, TruncatedSeries.zero(4, 6)), (4, one), (-1, one), (0, TruncatedSeries.constant(3, 6, 1))]:
+        with pytest.raises(ValueError):
+            FormalVectorField(4, 6, {slot: coeff})
 
 
 def test_lie_hull_monotone_in_depth(manifold_l4):

@@ -213,9 +213,10 @@ def _corrupted(fields, slot, exponent):
     from segre import TruncatedSeries
     from segre.fields import FormalVectorField
 
-    coeffs = list(fields[0].coefficients)
-    coeffs[slot] = coeffs[slot] + TruncatedSeries(len(coeffs), coeffs[slot].kappa, {exponent: 1})
-    return [FormalVectorField(coeffs)] + fields[1:]
+    field = fields[0]
+    coeff = field.coefficients.get(slot, TruncatedSeries.zero(field.arity, field.valid_order))
+    coeff = coeff + TruncatedSeries(field.arity, coeff.kappa, {exponent: 1})
+    return [FormalVectorField(field.arity, field.valid_order, {**field.coefficients, slot: coeff})] + fields[1:]
 
 
 @pytest.mark.parametrize(
