@@ -49,7 +49,7 @@ _EXPORTS = {
         "cr_basis",
         "lie_hull_dimension",
     ),
-    "implicit": ("GraphForm", "check_reality", "ideal_member", "solve_graph"),
+    "implicit": ("GraphForm", "check_reality", "solve_graph"),
     "maps": (
         "SegreMapping",
         "ThetaPhi",

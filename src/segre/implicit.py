@@ -1,11 +1,11 @@
-"""Formal implicit function theorem and truncated ideal membership.
+"""Formal implicit function theorem and the reality check.
 
 Converts defining functions rho(Z, zeta) with invertible w-differential into
 the graph form w = Q(z, ch, ta) by Newton lifting, which doubles the valid
-order per composition, verifies the conjugation identity that makes
-the ideal real, and decides membership in the truncated ideal by substituting
-the graph.  Substitution is a complete decision procedure here because the
-ideal is freely generated by the coordinate graph w - Q.
+order per composition, and verifies the conjugation identity that makes the
+ideal real.  Both checks substitute the graph (``membership_map``), which
+decides membership in the truncated ideal, as w - Q generates it freely.
+The identities that the phases use of the CR fields and of phi^j follow.
 """
 
 from __future__ import annotations
@@ -202,13 +202,3 @@ def check_reality(graph: GraphForm, rho: FormalMap, memo: Optional[dict] = None)
     monomial = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exp) if e) or "1"
     return False, f"component {l + 1}, monomial {monomial}"
 
-
-def ideal_member(g: TruncatedSeries, graph: GraphForm) -> bool:
-    """Membership of g(Z, zeta) in the truncated ideal of the manifold.
-
-    True iff g(z, Q(z, ch, ta), ch, ta) = 0 modulo degree > valid_order;
-    exact for the truncated ideal because w - Q generates it freely.
-    """
-    if g.arity != graph.dims.ambient_arity:
-        raise ValueError("ideal membership expects a series in the ambient ring")
-    return g.compose(graph.membership_map()).is_zero()

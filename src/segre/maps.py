@@ -67,14 +67,14 @@ class SegreMapping:
         self._lines: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
 
     def theta_phi(self, j: int) -> "ThetaPhi":
-        """The verified theta/phi pair of index j at this order, made once."""
+        """The theta/phi pair of index j at this order, made once."""
         pair = self._theta_phi.get(j)
         if pair is None:
             pair = self._theta_phi[j] = make_theta_phi(self, j)
         return pair
 
     def phi(self, j: int) -> FormalMap:
-        """The verified phi^j at this order, made once."""
+        """phi^j at this order, made once; it maps into M by the load's gates (``make_phi``)."""
         phi = self._phi.get(j)
         if phi is None:
             phi = self._phi[j] = make_phi(self, j)
@@ -269,7 +269,7 @@ class ThetaPhi(Record):
 
     theta has j+1 source blocks and 2N components; phi has j source blocks
     (absent for j = 0).  Both map into the manifold, and for j >= 1 theta
-    restricted to a zero last block equals phi (``make_phi``).
+    restricted to a zero last block equals phi, by the load's gates (``make_phi``).
     """
 
     j: int
@@ -305,25 +305,19 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
 
 
 def make_phi(gamma: SegreMapping, j: int) -> FormalMap:
-    """phi^j = (v^(j-1), conj v^j), v^0 = 0, verified to map into M and to be
-    theta^j with a zero last block: v^(j+1) with t^(j+1) -> t^(j-1) (or 0).
-    Reality implies both.  theta^j maps into M by ``solve_graph``'s own
-    check: rho(v^(j+1), conj v^j) is rho(z, Q, ch, ta) at (t^(j+1), conj v^j)."""
-    dims = gamma.dims
-    n, arity = dims.n, j * dims.n
-    if j == 1:
-        head = [TruncatedSeries.zero(arity, gamma.kappa) for _ in range(dims.N)]
-        folded = gamma.v(2).map_vars(arity, [*range(n), *[None] * n])
-    else:
-        head = list(gamma.v(j - 1).extend(arity).components)
-        folded = gamma.v(j + 1).map_vars(arity, _assignment_fold_last(n, j + 1))
-    phi = FormalMap([*head, *gamma.v(j).conjugate().components])
-    for image in compose_many(list(gamma.manifold.rho.components), phi):
-        if not image.is_zero():
-            raise InternalConsistencyError(f"phi^{j} does not map into the manifold")
-    if not folded.equals_mod(FormalMap(head)):
-        raise InternalConsistencyError("theta with zero last block does not equal phi")
-    return phi
+    """phi^j = (v^(j-1), conj v^j), v^0 = 0, on j blocks of t-variables.
+
+    Nothing is checked: the load's reality gate, as Q(z, ch, Qbar(ch, z, w))
+    = w and, conjugated, rho(z, w, ch, Qbar(ch, z, w)) = 0 (``GraphForm``),
+    taken at (z, w) = v^(j-1) and ch = t^j, where conj v^j = (t^j, Qbar(t^j,
+    v^(j-1))), says that phi^j is theta^j with a zero last block (v^(j+1)
+    with t^(j+1) -> t^(j-1), or 0 if j = 1, is v^(j-1)) and maps into M.
+    theta^j maps into M by ``solve_graph``'s identity: rho(v^(j+1), conj
+    v^j) is rho(z, Q, ch, ta) at (t^(j+1), conj v^j).
+    """
+    n, N = gamma.dims.n, gamma.dims.N
+    head = gamma.v(j - 1).extend(j * n) if j > 1 else [TruncatedSeries.zero(j * n, gamma.kappa)] * N
+    return FormalMap([*head, *gamma.v(j).conjugate()])
 
 
 def pushforward_residuals(
@@ -353,12 +347,13 @@ def pushforward_residuals(
         if theta_phi.phi is not None:
             pairs.append((theta_phi.phi, theta_phi.j - 1, fields_l))
         for mapping, block, fields in pairs:
+            order = mapping.kappa
             batch = [field.coefficients[slot] for field in fields for slot in sorted(field.coefficients)]
             images = iter(compose_many(batch, mapping))
             for l, field in enumerate(fields):
                 for slot, (own, component) in enumerate(zip(residuals, mapping.components)):
                     lhs = component.partial(block * n + l)
-                    lhs = lhs.truncate(min(lhs.kappa, field.valid_order, mapping.kappa))
+                    lhs = lhs.truncate(min(lhs.kappa, field.valid_order, order))
                     own.append(lhs - next(images) if slot in field.coefficients else lhs)
         out.append(residuals)
     return out

@@ -288,11 +288,11 @@ def orbit_ideal_in_M(
     The kernel of composition with phi^(k0+1) is searched degree by degree
     (``_kernel_series``) up to the bound, and the search stops at the first
     degree whose linear part has the expected codimension d + e.  The
-    defining functions and the Z-only annihilators lie in the kernel by the
-    checks that built its inputs: ``make_phi`` composes rho with phi, and
-    ``orbit_annihilator`` the annihilators with v^(k0), the first block of
-    phi^(k0+1); each raises when its identity fails.  Reports whether the
-    codimension was reached, and whether the kernel is closed under the
+    defining functions and the Z-only annihilators lie in the kernel: rho
+    kills phi by the load's reality gate (``make_phi``), and
+    ``orbit_annihilator`` raises unless the annihilators kill v^(k0), the
+    first block of phi^(k0+1).  Reports whether the codimension was
+    reached, and whether the kernel is closed under the
     conjugation involution, reality of the orbit ideal (each sigma(g)
     reduces to 0 against the kernel basis).  A short linear part with the
     degree bound below the degree of the defining functions raises
@@ -336,16 +336,15 @@ def orbit_ideal_in_M(
 class MirrorManifold(Record):
     """Linear locus of dimension n*k0 on which the doubled iterate collapses.
 
-    ``generators`` cut the locus inside the 2*k0 blocks of t-variables and
-    ``parametrization`` is the reflected linear embedding (t-block b is
-    s-block b for b <= k0, s-block 2*k0 - b for k0 < b < 2*k0, and zero for
-    b = 2*k0); whether it annihilates the doubled iterate is recorded, not
-    assumed.
+    ``generators`` cut the locus inside the 2*k0 blocks of t-variables; it
+    is the image of the reflected linear embedding ``_mirror_pattern`` (t-block
+    b is s-block b for b <= k0, s-block 2*k0 - b for k0 < b < 2*k0, and zero
+    for b = 2*k0).  Whether the doubled iterate vanishes there is recorded,
+    not assumed.
     """
 
     k0: int
     generators: Tuple[TruncatedSeries, ...]
-    parametrization: FormalMap
     annihilates: bool
     rank_certificate: RankCertificate
     expected_rank: int
@@ -363,15 +362,6 @@ def _mirror_pattern(dims: Dims, k0: int) -> List[Optional[int]]:
     """The s-variable on each t-variable of the mirror locus, or None for 0."""
     blocks = [*range(k0), *range(k0 - 2, -1, -1), None]
     return [None if b is None else b * dims.n + i for b in blocks for i in range(dims.n)]
-
-
-def _mirror_parametrization(dims: Dims, k0: int, kappa: int) -> FormalMap:
-    """Linear map of s-blocks onto t-blocks realizing the mirror pattern."""
-    source = k0 * dims.n
-    return FormalMap(
-        TruncatedSeries.zero(source, kappa) if s is None else TruncatedSeries.variable(source, kappa, s)
-        for s in _mirror_pattern(dims, k0)
-    )
 
 
 def _mirror_lines(segre: SegreMapping, k0: int, level: int) -> Lines:
@@ -402,20 +392,18 @@ def _mirror_generators(dims: Dims, k0: int, kappa: int) -> List[TruncatedSeries]
 def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> MirrorManifold:
     """Construct the mirror locus of the run's mapping and verify both of its defining properties.
 
-    (a) the doubled iterate composes to zero along the parametrization, and
-    (b) the rank of the doubled iterate's Jacobian along the locus equals
-    the stabilized rank.  Both are recorded; the verification suite reports
-    a failure of either as a failed check.  The locus itself is fixed by
-    ``_mirror_pattern`` alone: its generators vanish on the parametrization,
-    which has rank k0*n at 0, for every manifold.
+    (a) the doubled iterate vanishes on the locus, and (b) the rank of the
+    doubled iterate's Jacobian along the locus equals the stabilized rank.
+    Both are recorded; the verification suite reports a failure of either
+    as a failed check.  The locus itself is fixed by ``_mirror_pattern``
+    alone: its generators vanish on the pattern's linear embedding, which
+    has rank k0*n at 0, for every manifold.  That embedding sends each
+    variable to one variable or to 0, so (a) is a monomial substitution.
     """
     dims, kappa = segre.dims, segre.kappa
     k0 = profile.k0
-    v2k = segre.v(2 * k0)
-
-    param = _mirror_parametrization(dims, k0, kappa)
-    gens = _mirror_generators(dims, k0, kappa)
-    annihilates = all(image.is_zero() for image in compose_many(list(v2k.components), param))
+    restricted = segre.v(2 * k0).map_vars(k0 * dims.n, _mirror_pattern(dims, k0))
+    annihilates = all(component.is_zero() for component in restricted)
 
     cert = generic_rank(
         builder=lambda level: _mirror_lines(segre, k0, level),
@@ -424,8 +412,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
     )
     return MirrorManifold(
         k0=k0,
-        generators=tuple(gens),
-        parametrization=param,
+        generators=tuple(_mirror_generators(dims, k0, kappa)),
         annihilates=annihilates,
         rank_certificate=cert,
         expected_rank=profile.rank_at_k0,
@@ -489,10 +476,12 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         record("collapse_identities", False, str(exc))
 
     # every load checked reality at the top order and refused an ideal that
-    # failed it; reality implies the identities of phi^j
+    # failed it.  With solve_graph's identity, reality implies that the CR
+    # fields are tangent (cr_basis) and that theta^j and phi^j map into M
+    # (make_phi), so those two records rest on the load as well
     record("reality", True, "identity holds")
 
-    basis = cr_basis(manifold)  # raises InternalConsistencyError on a field that is not tangent
+    basis = cr_basis(manifold)
     record("cr_basis_tangent", True, f"{2 * dims.n} fields tangent")
 
     lie = lie_hull_dimension(manifold, basis, config.resolve_depth())
@@ -548,7 +537,8 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         ideal = orbit_ideal_in_M(segre, k0, orbit, config.resolve_degree())
     for check in orbit.checks.values():
         checks[check.name] = check
-    # make_phi and orbit_annihilator raise when either membership fails
+    # rho kills phi by the load's reality gate (make_phi), and the annihilators
+    # kill v^k0, the first block of phi^(k0+1), or orbit_annihilator raised
     record("orbit_ideal_membership", True, "defining functions and annihilators kill phi")
     record(
         "orbit_ideal_codimension",

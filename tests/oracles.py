@@ -24,6 +24,11 @@ elimination's pivots.  The generic pushforward residual
 (``pushforward_residuals_for``) differentiates f o theta for arbitrary test
 functions f (``random_ambient_polynomial``), where the engine checks the 2N
 coordinate functions alone.
+The ideal membership test (``ideal_member``) substitutes the graph, as the
+load's own checks do; no command needs it, because the load's gates imply
+every membership that the phases use.  ``mirror_parametrization`` is the
+mirror pattern as a linear map, which the engine applies as a monomial
+substitution.
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 Last, the small multivariate helpers that no command needs (``jacobian``,
@@ -41,7 +46,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, linalg, manifold_from_rho_series
 from segre.fields import FormalVectorField
 from segre.maps import SegreMapping, make_theta_phi
-from segre.orbit import _mirror_parametrization
+from segre.implicit import GraphForm
+from segre.orbit import _mirror_pattern
 from segre.config import top_order
 from segre.rank import RankCertificate, _eliminate, _on_line, _order, _witness
 from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, as_coeff, compose_many, unit_exponent
@@ -355,6 +361,15 @@ def degree_by_degree_graph(rho: FormalMap, dims, kappa: int) -> List[TruncatedSe
     return q_components
 
 
+def ideal_member(g: TruncatedSeries, graph: GraphForm) -> bool:
+    """Membership of g(Z, zeta) in the truncated ideal of the manifold:
+    g(z, Q(z, ch, ta), ch, ta) = 0 modulo degree > valid_order, exact because
+    w - Q generates the ideal freely."""
+    if g.arity != graph.dims.ambient_arity:
+        raise ValueError("ideal membership expects a series in the ambient ring")
+    return g.compose(graph.membership_map()).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # the pushforward identities for arbitrary test functions
 # ---------------------------------------------------------------------------
@@ -414,8 +429,17 @@ def multivariate_matrices(manifold, level: int, k0: int) -> List[List[List[Trunc
     for j in range(1, k0 + 2):
         pair = make_theta_phi(segre, j)
         matrices += [jacobian(pair.theta), jacobian(pair.phi)]
-    locus = _mirror_parametrization(manifold.dims, k0, level)
+    locus = mirror_parametrization(manifold.dims, k0, level)
     return matrices + [jacobian_along(segre.v(2 * k0), locus)]
+
+
+def mirror_parametrization(dims, k0: int, kappa: int) -> FormalMap:
+    """The linear map of s-blocks onto t-blocks that realizes the mirror pattern."""
+    source = k0 * dims.n
+    return FormalMap(
+        TruncatedSeries.zero(source, kappa) if s is None else TruncatedSeries.variable(source, kappa, s)
+        for s in _mirror_pattern(dims, k0)
+    )
 
 
 def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedSeries]]:

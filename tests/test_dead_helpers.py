@@ -8,7 +8,8 @@ the engine keeps what a command reaches or that section names.  A name in
 ``__init__``'s export table does not count as a use, and tests do not count
 as users; the interpreter does, for the package's PEP 562 hooks
 ``__getattr__`` and ``__dir__`` and for every dunder method.  Nor dead
-imports: every module uses each name it imports."""
+imports: every module uses each name it imports, in code or in an
+annotation, a string annotation included."""
 
 from __future__ import annotations
 
@@ -120,11 +121,26 @@ def unreferenced(engine: Dict[str, str], others: Dict[str, str]) -> List[Tuple[s
     ]
 
 
+def _annotations(tree: ast.AST) -> List[ast.expr]:
+    """Every annotation in ``tree``: of arguments, returns and annotated assignments."""
+    found: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            found.append(node.annotation)
+        elif isinstance(node, FUNCTIONS) and node.returns is not None:
+            found.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+    return found
+
+
 def unused_imports(source: str) -> List[str]:
     """Names that ``source`` imports (``__future__`` aside) but never uses.
 
-    A use is a bare name anywhere in the module or an identifier string (a
-    string annotation); ``import a.b`` binds and is used as ``a``.
+    A use is a bare name anywhere in the module, or a name inside a string
+    annotation (``-> "Optional[Field]"``), which is parsed as the expression
+    it spells; ``import a.b`` binds and is used as ``a``.  A plain string
+    that matches an imported name is not a use.
     """
     tree = ast.parse(source)
     imported: List[str] = []
@@ -136,8 +152,11 @@ def unused_imports(source: str) -> List[str]:
             imported += [alias.asname or alias.name for alias in node.names]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            used.add(node.value)
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                spelled = ast.parse(node.value, mode="eval")
+                used.update(name.id for name in ast.walk(spelled) if isinstance(name, ast.Name))
     return [name for name in imported if name not in used]
 
 
@@ -216,10 +235,11 @@ def test_scanner_flags_unused_imports():
             "from __future__ import annotations",
             "import os.path",
             "import json as j",
-            "from typing import List, Optional",
-            "from .a import used, annotated, dead",
-            "def f(x: List[int]) -> 'annotated':",
-            "    return used(os.sep)",
+            "from typing import Dict, List, Optional",
+            "from .a import used, annotated, nested, kept, dead, mentioned",
+            "def f(x: List[int], y: 'Optional[nested]') -> 'annotated':",
+            "    table: 'Dict[str, kept]' = {}",
+            "    return used(os.sep, 'mentioned', table)",
         ]
     )
-    assert unused_imports(source) == ["j", "Optional", "dead"]
+    assert unused_imports(source) == ["j", "dead", "mentioned"]

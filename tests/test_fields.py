@@ -14,7 +14,6 @@ from segre import (
     bracket,
     cr_basis,
     gauss,
-    ideal_member,
     lie_hull_dimension,
 )
 
@@ -22,7 +21,7 @@ from segre import fields
 from segre.expressions import ManifoldSpec, load_manifold
 
 from conftest import random_real_rho_manifold, random_rigid_manifold
-from oracles import dense_hull_dimension, from_series, sigma_field
+from oracles import dense_hull_dimension, from_series, ideal_member, sigma_field
 
 
 def coefficient(field, slot):

@@ -19,7 +19,6 @@ from segre import (
     TruncatedSeries,
     check_reality,
     gauss,
-    ideal_member,
     load_manifold,
     load_manifold_file,
     solve_graph,
@@ -27,7 +26,7 @@ from segre import (
 from segre.errors import SplitError
 
 from conftest import random_real_rho_manifold
-from oracles import degree_by_degree_graph
+from oracles import degree_by_degree_graph, ideal_member
 
 BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
 

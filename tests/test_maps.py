@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segre import (
+    FormalMap,
     ManifoldSpec,
     SegreMapping,
     VariableCapError,
@@ -18,14 +22,16 @@ from segre import (
     make_theta_phi,
     pushforward_residuals,
 )
+from segre import maps, series
 from segre.maps import chain_generator_pairs
 
-from conftest import load_fixture
+from conftest import load_fixture, random_real_rho_manifold, random_rigid_manifold
 from oracles import (
     brute_force_rank,
     constant_rank,
     d_compose,
     from_series,
+    ideal_member,
     jacobian,
     pushforward_residuals_for,
     random_ambient_polynomial,
@@ -291,3 +297,55 @@ def test_theta_restriction_equals_phi(gamma_h):
     restricted = pair.theta.map_vars(2, [0, 1, None])
     assert restricted.equals_mod(pair.phi)
 
+
+
+# ---------------------------------------------------------------------------
+# what the load's gates imply
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rigid=st.booleans())
+def test_the_load_gates_imply_tangency_and_the_identities_of_phi(seed, rigid):
+    # cr_basis and make_phi check nothing: a manifold that passed its load has
+    # tangent CR fields, and phi^j maps into M and is theta^j with a zero
+    # last block, for every j up to d + 2 >= k0 + 1
+    manifold = (random_rigid_manifold if rigid else random_real_rho_manifold)(random.Random(seed))
+    dims, n = manifold.dims, manifold.dims.n
+    fields_l, fields_lt = cr_basis(manifold)
+    for field in fields_l + fields_lt:
+        for rho in manifold.rho:
+            assert ideal_member(field.apply(rho), manifold.graph)
+    gamma = SegreMapping(manifold)
+    for j in range(1, dims.d + 3):
+        phi = gamma.phi(j)
+        assert all(image.is_zero() for image in manifold.rho.compose(phi))
+        # t^(j+1) -> t^(j-1), or 0 when j = 1
+        last = range((j - 2) * n, (j - 1) * n) if j >= 2 else [None] * n
+        folded = gamma.v(j + 1).map_vars(j * n, [*range(j * n), *last])
+        assert folded.equals_mod(FormalMap(phi.components[: dims.N]))
+
+
+def test_cr_basis_and_make_phi_compose_nothing(all_fixture_manifolds, monkeypatch):
+    # both rest on the load's gates; the iterates that phi^j is made of are
+    # built before the spy goes in
+    gammas = [SegreMapping(manifold) for manifold in all_fixture_manifolds.values()]
+    for gamma in gammas:
+        gamma.v(4)
+    calls = []
+    real = series.compose_many
+
+    def spy(outers, inner, memo=None):
+        calls.append(len(outers))
+        return real(outers, inner, memo)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("segre") and getattr(module, "compose_many", None) is real:
+            monkeypatch.setattr(module, "compose_many", spy)
+    for gamma in gammas:
+        cr_basis(gamma.manifold)
+        for j in range(1, 4):
+            maps.make_phi(gamma, j)
+    assert calls == []
+    gamma.v(5)
+    assert calls  # the spy sees the compositions that build an iterate

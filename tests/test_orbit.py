@@ -44,7 +44,7 @@ from conftest import (
     random_rigid_manifold,
     working_order_only,
 )
-from oracles import graded_lex_monomials, linear_coordinate_change, one_shot_kernel_series
+from oracles import graded_lex_monomials, linear_coordinate_change, mirror_parametrization, one_shot_kernel_series
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +290,9 @@ def test_orbit_ideal_short_rank_and_degree_bound(manifold_h, monkeypatch):
 
 def test_orbit_ideal_composes_only_the_monomials(manifold_flat, monkeypatch):
     # only the monomials are composed: sigma-closure is a reduction against
-    # the kernel basis, and rho and the annihilators were composed with phi
-    # and v^k0 by make_phi and orbit_annihilator, which raise on a failure
+    # the kernel basis, rho kills phi by the load's reality gate, and the
+    # annihilators were composed with v^k0 by orbit_annihilator, which raises
+    # on a failure
     segre = SegreMapping(manifold_flat)
     profile = default_profile(segre)
     report = orbit_annihilator(segre, profile, 4, None)
@@ -479,7 +480,7 @@ def test_mirror_h(manifold_h):
     mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.k0 == 2
     # parametrization (s1, s2) -> (s1, s2, s1, 0)
-    comps = mirror.parametrization.components
+    comps = mirror_parametrization(segre.dims, mirror.k0, segre.kappa).components
     assert comps[0].terms == {(1, 0): gauss(1)}
     assert comps[1].terms == {(0, 1): gauss(1)}
     assert comps[2].terms == {(1, 0): gauss(1)}
@@ -494,7 +495,7 @@ def test_mirror_flat(manifold_flat):
     profile = default_profile(segre)
     mirror = mirror_sigma(segre, profile, DEFAULT_SEED)
     assert mirror.k0 == 1
-    comps = mirror.parametrization.components
+    comps = mirror_parametrization(segre.dims, mirror.k0, segre.kappa).components
     assert comps[0].terms == {(1,): gauss(1)}
     assert comps[1].is_zero()
     assert mirror.annihilates
@@ -524,7 +525,7 @@ def test_mirror_locus_is_fixed_by_its_pattern(k0, n):
     # what mirror_sigma takes as given, for every manifold of these sizes:
     # the generators vanish on the parametrization, of rank k0 * n at 0
     dims = Dims(n + 1, 1)
-    param = orbit._mirror_parametrization(dims, k0, 4)
+    param = mirror_parametrization(dims, k0, 4)
     gens = orbit._mirror_generators(dims, k0, 4)
     assert len(gens) == k0 * n
     assert all(image.is_zero() for image in compose_many(gens, param))

@@ -38,7 +38,7 @@ EXPORTS = {
         "variable_table",
     ],
     "fields": ["FormalVectorField", "LieHullReport", "bracket", "cr_basis", "lie_hull_dimension"],
-    "implicit": ["GraphForm", "check_reality", "ideal_member", "solve_graph"],
+    "implicit": ["GraphForm", "check_reality", "solve_graph"],
     "maps": [
         "SegreMapping",
         "ThetaPhi",
