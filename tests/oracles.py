@@ -26,7 +26,10 @@ functions f (``random_ambient_polynomial``), where the engine checks the 2N
 coordinate functions alone.
 The ideal membership test (``ideal_member``) substitutes the graph, as the
 load's own checks do; no command needs it, because the load's gates imply
-every membership that the phases use.  ``mirror_parametrization`` is the
+every membership that the phases use.  They imply the collapse identities
+of the iterates and the chain identities of T^k too, which the run no
+longer checks: ``collapse_failures`` and ``chain_pair_failures`` check them
+by substitution and composition.  ``mirror_parametrization`` is the
 mirror pattern as a linear map, which the engine applies as a monomial
 substitution.
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
@@ -45,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, linalg, manifold_from_rho_series
 from segre.fields import FormalVectorField
-from segre.maps import SegreMapping, make_theta_phi
+from segre.maps import SegreMapping, make_T, make_theta_phi
 from segre.implicit import GraphForm
 from segre.orbit import _mirror_pattern
 from segre.config import top_order
@@ -410,6 +413,72 @@ def pushforward_residuals_for(gamma, theta_phis, fields_l, fields_lt, fs) -> Lis
                     own.append(lhs.truncate(min(lhs.kappa, right.kappa)) - right)
         out.append(residuals)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the collapse and chain identities, which the load's gates imply
+# ---------------------------------------------------------------------------
+
+
+def _assignment_drop_first(n: int, j: int) -> List[Optional[int]]:
+    """t^1 -> 0, t^b -> t^(b-1): source j blocks, target j-1 blocks."""
+    assignment: List[Optional[int]] = [None] * n
+    for b in range(1, j):
+        assignment.extend(range((b - 1) * n, b * n))
+    return assignment
+
+
+def _assignment_fold_last(n: int, j: int) -> List[Optional[int]]:
+    """t^j -> t^(j-2), other blocks fixed: source j blocks, target j-1 blocks."""
+    assignment: List[Optional[int]] = []
+    for b in range(1, j):
+        assignment.extend(range((b - 1) * n, b * n))
+    assignment.extend(range((j - 3) * n, (j - 2) * n))
+    return assignment
+
+
+def collapse_failures(gamma: SegreMapping, j: int) -> List[str]:
+    """The collapse identities of v^j that fail, as series identities modulo
+    truncation: killing the first block drops the iterate by one (j >= 2),
+    and identifying the last block with block j-2 drops it by two (j >= 3)."""
+    n, mapping = gamma.dims.n, gamma.v(j)
+    failed = []
+    if j >= 2:
+        dropped = mapping.map_vars((j - 1) * n, _assignment_drop_first(n, j))
+        if not dropped.equals_mod(gamma.v(j - 1)):
+            failed.append("zero-first-block")
+    if j >= 3:
+        reflected = mapping.map_vars((j - 1) * n, _assignment_fold_last(n, j))
+        if not reflected.equals_mod(gamma.v(j - 2).extend((j - 1) * n)):
+            failed.append("reflection")
+    return failed
+
+
+def chain_generator_pairs(k: int) -> Tuple[Tuple[Optional[int], Optional[int]], ...]:
+    """The (Z-side, zeta-side) chain-slot pairs receiving the defining
+    functions along the k-fold chain; None is the zero slot closing the chain."""
+    pairs: List[Tuple[Optional[int], Optional[int]]] = [(0, 1 if k > 1 else None)]
+    for g in range(1, k):
+        a = 2 * ((g + 1) // 2)
+        b = 2 * (g // 2) + 1
+        pairs.append((a if a < k else None, b if b < k else None))
+    return tuple(pairs)
+
+
+def chain_pair_failures(gamma: SegreMapping, k: int) -> List[Tuple[Optional[int], Optional[int]]]:
+    """The pairs of ``chain_generator_pairs(k)`` that some defining function
+    does not annihilate under T^k, read slot by slot (N components each) off
+    ``make_T``'s assembly."""
+    N, rho = gamma.dims.N, list(gamma.manifold.rho.components)
+    chain = make_T(gamma, k)
+    slots = [list(chain.components[s * N : (s + 1) * N]) for s in range(k)]
+    zero_block = [TruncatedSeries.zero(chain.source_arity, gamma.kappa)] * N
+    failed = []
+    for a, b in chain_generator_pairs(k):
+        inner = FormalMap([*(zero_block if a is None else slots[a]), *(zero_block if b is None else slots[b])])
+        if not all(image.is_zero() for image in compose_many(rho, inner)):
+            failed.append((a, b))
+    return failed
 
 
 # the multivariate route to the rank matrices

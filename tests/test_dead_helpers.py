@@ -170,6 +170,17 @@ def test_every_engine_definition_is_used():
     assert unreferenced(engine, {**_sources(BENCH), "README.md": readme_api()}) == []
 
 
+def test_only_the_tracer_keeps_these_alive():
+    # what bench/spans.py alone keeps in the engine, which ROADMAP item 8
+    # step 2 deletes; a new bench-only survivor fails here
+    engine = _sources(SOURCE)
+    assert unreferenced(engine, {"README.md": readme_api()}) == [
+        ("maps.py", "iterate"),
+        ("maps.py", "make_T"),
+        ("rank.py", "minor_determinant"),
+    ]
+
+
 def test_scanner_flags_dead_helpers():
     engine = {
         "a.py": "\n".join(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from segre import (
     FormalMap,
     ManifoldSpec,
+    RunConfig,
     SegreMapping,
     VariableCapError,
     cr_basis,
@@ -21,13 +22,16 @@ from segre import (
     make_T,
     make_theta_phi,
     pushforward_residuals,
+    verify_all,
 )
 from segre import maps, series
-from segre.maps import chain_generator_pairs
 
 from conftest import load_fixture, random_real_rho_manifold, random_rigid_manifold
 from oracles import (
     brute_force_rank,
+    chain_generator_pairs,
+    chain_pair_failures,
+    collapse_failures,
     constant_rank,
     d_compose,
     from_series,
@@ -97,11 +101,11 @@ def test_v4_h_hand_value(gamma_h):
 
 
 def test_collapse_identities_all_fixtures(all_fixture_manifolds):
-    # construction re-verifies the zero-first-block and reflection collapses
-    for manifold in all_fixture_manifolds.values():
+    # the zero-first-block and reflection collapses hold, checked by the oracle
+    for name, manifold in all_fixture_manifolds.items():
         gamma = SegreMapping(manifold)
         for j in range(1, 2 * (manifold.d + 1) + 1):
-            iterate(gamma, j)
+            assert collapse_failures(gamma, j) == [], (name, j)
 
 
 def test_collapse_identity_explicit(gamma_h):
@@ -157,10 +161,11 @@ def test_chain_param_c2_rank(gamma_c2):
 
 
 def test_chain_params_all_fixtures(all_fixture_manifolds):
-    for manifold in all_fixture_manifolds.values():
+    # rho annihilates every chain pair of T^k, checked by the oracle
+    for name, manifold in all_fixture_manifolds.items():
         gamma = SegreMapping(manifold)
         for k in range(1, 2 * (manifold.d + 1) + 1):
-            make_T(gamma, k)
+            assert chain_pair_failures(gamma, k) == [], (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +354,52 @@ def test_cr_basis_and_make_phi_compose_nothing(all_fixture_manifolds, monkeypatc
     assert calls == []
     gamma.v(5)
     assert calls  # the spy sees the compositions that build an iterate
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rigid=st.booleans())
+def test_the_load_gates_imply_the_chain_and_collapse_identities(seed, rigid):
+    # iterate and make_T check nothing: a manifold that passed its load has
+    # both collapses of v^j and rho vanishing on every chain pair of T^k,
+    # for every j, k up to 2 (d + 1) >= 2 k0
+    manifold = (random_rigid_manifold if rigid else random_real_rho_manifold)(random.Random(seed))
+    gamma = SegreMapping(manifold)
+    for j in range(1, 2 * (manifold.d + 1) + 1):
+        assert collapse_failures(gamma, j) == [], j
+        assert chain_pair_failures(gamma, j) == [], j
+
+
+@pytest.mark.parametrize("name", ["rho-quadric", "c2-dense"])
+def test_verify_all_composes_nothing_for_the_chains_or_the_collapses(name, monkeypatch):
+    # after the load, no composition takes rho itself as its outer list, and
+    # neither make_T nor iterate is reached; c2 in dense coordinates takes
+    # the rho route on lines, whose lifts compose rho truncated to each order
+    from oracles import linear_coordinate_change
+    from test_orbit import random_invertible
+
+    if name == "rho-quadric":
+        manifold = load_manifold(ManifoldSpec(2, 1, "rho", ("-(i/2)*(Z2 - ze2) - Z1*ze1",)), 8)
+    else:
+        manifold = linear_coordinate_change(load_fixture("c2"), random_invertible(random.Random(1), 3))
+    rho = manifold.rho.components
+    calls, on_rho = [], []
+    real = series.compose_many
+
+    def spy(outers, inner, memo=None):
+        calls.append(len(outers))
+        if len(outers) == len(rho) and all(a is b for a, b in zip(outers, rho)):
+            on_rho.append(inner.source_arity)
+        return real(outers, inner, memo)
+
+    def unreachable(*args):
+        raise AssertionError("verify_all reached a chain or collapse helper")
+
+    replacements = [(real, spy), (maps.make_T, unreachable), (maps.iterate, unreachable)]
+    for module_name, module in list(sys.modules.items()):
+        for original, replacement in replacements:
+            if module_name.startswith("segre") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, replacement)
+    report = verify_all(manifold, RunConfig())
+    assert report.passed
+    assert calls  # the spy sees the run's compositions
+    assert on_rho == []
