@@ -31,7 +31,8 @@ from .errors import (
     ManifoldError,
     SegreError,
 )
-from .expressions import GenericManifold, load_manifold_file
+from .coords import Dims
+from .expressions import GenericManifold, ManifoldSpec, load_manifold_file
 from .maps import SegreMapping, default_var_cap
 from .rank import RankProfile, rank_profile
 
@@ -122,14 +123,18 @@ def _load(args, config: RunConfig) -> GenericManifold:
         path = Path(args.manifold)
     else:
         raise ManifoldError("provide a manifold file or --fixture")
-    manifold = load_manifold_file(path, config.kappa)
-    jmax = config.resolve_jmax(manifold.d)
-    if jmax < manifold.d + 2:
-        raise ConfigError(f"jmax must be at least d + 2 = {manifold.d + 2}")
-    cap = default_var_cap(manifold.dims)
-    if jmax * manifold.n > cap:
-        raise ConfigError(f"jmax {jmax} needs {jmax * manifold.n} iterate variables, cap is {cap}")
-    return manifold
+    # --jmax is checked against the file's dimensions before the load parses,
+    # solves and checks anything.  The load reads the file again, as
+    # ``load_manifold_file``, where ``bench/spans.py`` times every load
+    spec = ManifoldSpec.from_file(path)
+    dims = Dims(spec.N, spec.d)
+    jmax = config.resolve_jmax(dims.d)
+    if jmax < dims.d + 2:
+        raise ConfigError(f"jmax must be at least d + 2 = {dims.d + 2}")
+    cap = default_var_cap(dims)
+    if jmax * dims.n > cap:
+        raise ConfigError(f"jmax {jmax} needs {jmax * dims.n} iterate variables, cap is {cap}")
+    return load_manifold_file(path, config.kappa)
 
 
 def _emit_json(payload: dict) -> None:

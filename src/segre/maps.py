@@ -15,8 +15,8 @@ Both follow from the load's gates, as rho vanishing on the chain T^k does
 (the proofs are ``iterate``'s and ``make_T``'s), so no run checks them.
 The same recursion, run on one line
 x = eps * p in univariate series, gives the iterates and their Jacobian rows
-at any order up to the manifold's top from the graph or the defining
-functions at that order (``SegreMapping.on_line``).
+at the manifold's top order from the graph or the defining functions there
+(``SegreMapping.on_line``).
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ class SegreMapping:
     """The graph-special Segre variety mapping of a manifold, with iterate cache.
 
     The iterates ``v`` are built at the manifold's order kappa only, by
-    composing Q; their z-part is the last t-block, written as such.  Any
-    order L up to the manifold's top is read on lines (``on_line``) from them
-    and Q or rho at L, the truncations of its top form.
+    composing Q; their z-part is the last t-block, written as such.
+    ``top`` is the manifold at its top order, the one order every
+    certificate reads: ``on_line`` evaluates the iterates there on lines,
+    from them and Q or rho of the top form.
     """
 
     def __init__(self, manifold: GenericManifold):
@@ -60,12 +61,13 @@ class SegreMapping:
         self.manifold = manifold
         self.graph: GraphForm = manifold.graph
         self.kappa = manifold.kappa
+        self.top = manifold.top or manifold
         self.var_cap = default_var_cap(dims)
         self._cache: Dict[int, FormalMap] = {}
         self._theta_phi: Dict[int, ThetaPhi] = {}
         self._phi: Dict[int, FormalMap] = {}
-        self._orders: Dict[int, tuple] = {}
-        self._lines: Dict[Tuple[int, Tuple[int, ...]], tuple] = {}
+        self._outers: Optional[tuple] = None
+        self._lines: Dict[Tuple[int, ...], tuple] = {}
 
     def theta_phi(self, j: int) -> "ThetaPhi":
         """The theta/phi pair of index j at this order, made once."""
@@ -81,28 +83,23 @@ class SegreMapping:
             phi = self._phi[j] = make_phi(self, j)
         return phi
 
-    def _outers_at(self, level: int) -> tuple:
-        """What ``on_line`` composes at order ``level``: None with Q and its
-        partials when Q has no more terms than rho, else rho with its partials.
-
-        Q and rho are the manifold's at order ``level``, truncated from its
-        top form (``GenericManifold.at_kappa``).
-        """
-        if level not in self._orders:
-            at = self.manifold.at_kappa(level)
-            q, rho = at.graph.Q, at.rho
+    def _line_outers(self) -> tuple:
+        """What ``on_line`` composes: None with Q and its partials when Q has
+        no more terms than rho, else rho with its partials, both at the top."""
+        if self._outers is None:
+            q, rho = self.top.graph.Q, self.top.rho
             if sum(len(c.terms) for c in q) <= sum(len(c.terms) for c in rho):
                 rho, outers = None, [*q, *(c.partial(s) for c in q for s in range(self.dims.graph_arity))]
             else:
                 outers = [c.partial(s) for c in rho for s in range(self.dims.ambient_arity)]
-            self._orders[level] = rho, outers
-        return self._orders[level]
+            self._outers = rho, outers
+        return self._outers
 
-    def on_line(self, point: Sequence[int], level: int) -> List[Tuple[List[TruncatedSeries], Matrix]]:
+    def on_line(self, point: Sequence[int]) -> List[Tuple[List[TruncatedSeries], Matrix]]:
         """v^k(eps p) mod eps^(L+1) and the rows of J v^k(eps p) mod eps^L, at
-        order L = ``level``, for k = 0..j (v^0 = 0, with no columns) and the
-        j blocks of ``point``: the order-L iterates and Jacobians restricted
-        to the line, term for term.
+        the top order L, for k = 0..j (v^0 = 0, with no columns) and the j
+        blocks of ``point``: the order-L iterates and Jacobians restricted to
+        the line, term for term.
 
         Forward mode (Griewank & Walther, *Evaluating Derivatives*, 2008),
         one block at a time (``_line_step``), in univariate series only: p is
@@ -110,15 +107,15 @@ class SegreMapping:
         """
         n, N = self.dims.n, self.dims.N
         self._check_cap(len(point))
-        steps = [([TruncatedSeries.zero(1, level)] * N, [[]] * N)]
+        steps = [([TruncatedSeries.zero(1, self.top.kappa)] * N, [[]] * N)]
         for k in range(n, len(point) + 1, n):
-            key = (level, tuple(point[:k]))
+            key = tuple(point[:k])
             if key not in self._lines:
-                self._lines[key] = self._line_step(*steps[-1], point[:k], level)
+                self._lines[key] = self._line_step(*steps[-1], point[:k])
             steps.append(self._lines[key])
         return steps
 
-    def _line_step(self, values, rows: Matrix, point: Sequence[int], level: int):
+    def _line_step(self, values, rows: Matrix, point: Sequence[int]):
         """v^k and its rows on the line through ``point`` (k blocks) from v^(k-1)'s.
 
         The w-part of v^k is Q(eps p^k, conj v^(k-1)(eps p)).  A sparse Q is
@@ -129,29 +126,28 @@ class SegreMapping:
         w-rows are dQ/dz on block k and dQ/d(ch, ta) times conj J v^(k-1) on
         the earlier ones.
         """
-        dims, n, d = self.dims, self.dims.n, self.dims.d
-        rho, outers = self._outers_at(level)
-        z = [TruncatedSeries(1, level, {(1,): x}) for x in point[-n:]]
+        dims, n, d, order = self.dims, self.dims.n, self.dims.d, self.top.kappa
+        rho, outers = self._line_outers()
+        z = [TruncatedSeries(1, order, {(1,): x}) for x in point[-n:]]
         bar = [v.conjugate() for v in values]
         if rho is None:
             images = compose_many(outers, FormalMap([*z, *bar]))
             width = dims.graph_arity
             w, dq = images[:d], [images[d + l * width : d + (l + 1) * width] for l in range(d)]
         else:
-            valid = min(self.kappa, level)
-            seed = on_line(self.v(len(point) // n).components[n:], point, valid)
-            w, x, x_order = lift(rho, dims, level, z, bar[:n], bar[n:], seed, valid)
+            seed = on_line(self.v(len(point) // n).components[n:], point, self.kappa)
+            w, x, x_order = lift(rho, dims, order, z, bar[:n], bar[n:], seed, self.kappa)
             images = compose_many(outers, FormalMap([*z, *w, *bar]))
             grid = [images[j * dims.ambient_arity : (j + 1) * dims.ambient_arity] for j in range(d)]
-            x, _ = refine(x, x_order, [[row[dims.w(l)] for l in range(d)] for row in grid], level - 1)
+            x, _ = refine(x, x_order, [[row[dims.w(l)] for l in range(d)] for row in grid], order - 1)
             slots = [*range(n), *range(dims.N, dims.ambient_arity)]  # z, ch, ta
-            dq = matmul(x, [[-row[s] for s in slots] for row in grid], level - 1)
-        zero, one = TruncatedSeries.zero(1, level - 1), TruncatedSeries.constant(1, level - 1, 1)
+            dq = matmul(x, [[-row[s] for s in slots] for row in grid], order - 1)
+        zero, one = TruncatedSeries.zero(1, order - 1), TruncatedSeries.constant(1, order - 1, 1)
         earlier = range(len(rows[0]))
         new_rows = [[zero for _ in earlier] + [one if c == i else zero for c in range(n)] for i in range(n)]
         bar_rows = [[entry.conjugate() if entry else entry for entry in row] for row in rows]
         for partials in dq:
-            # many dQ/d(ch, ta) vanish identically: each adds only a 0 of order >= level - 1
+            # many dQ/d(ch, ta) vanish identically: each adds only a 0 of order >= order - 1
             live = [(partial, row) for partial, row in zip(partials[n:], bar_rows) if partial]
             chain = [sum((partial * row[c] for partial, row in live if row[c]), zero) for c in earlier]
             new_rows.append(chain + partials[:n])

@@ -370,9 +370,9 @@ def _mirror_pattern(dims: Dims, k0: int) -> List[Optional[int]]:
     return [None if b is None else b * dims.n + i for b in blocks for i in range(dims.n)]
 
 
-def _mirror_lines(segre: SegreMapping, k0: int, level: int) -> Lines:
+def _mirror_lines(segre: SegreMapping, k0: int) -> Lines:
     """J v^(2 k0) along the (linear) mirror locus, on the line through its image of s."""
-    full = iterate_lines(segre, 2 * k0, level)
+    full = iterate_lines(segre, 2 * k0)
     pattern = _mirror_pattern(segre.dims, k0)
     return full.replace(
         arity=k0 * segre.dims.n, at=lambda point: full.at([0 if c is None else point[c] for c in pattern])
@@ -411,11 +411,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
     restricted = segre.v(2 * k0).map_vars(k0 * dims.n, _mirror_pattern(dims, k0))
     annihilates = all(component.is_zero() for component in restricted)
 
-    cert = generic_rank(
-        builder=lambda level: _mirror_lines(segre, k0, level),
-        kappa=kappa,
-        seed=seed,
-    )
+    cert = generic_rank(_mirror_lines(segre, k0), kappa=kappa, seed=seed)
     return MirrorManifold(
         k0=k0,
         generators=tuple(_mirror_generators(dims, k0, kappa)),
@@ -496,16 +492,8 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     relation_notes = []
     theta_ranks: Dict[int, int] = {}
     for j in range(1, k0 + 2):
-        theta_cert = generic_rank(
-            builder=lambda level, j=j: theta_lines(segre, j, level),
-            kappa=manifold.kappa,
-            seed=config.seed,
-        )
-        phi_cert = generic_rank(
-            builder=lambda level, j=j: phi_lines(segre, j, level),
-            kappa=manifold.kappa,
-            seed=config.seed,
-        )
+        theta_cert = generic_rank(theta_lines(segre, j), kappa=manifold.kappa, seed=config.seed)
+        phi_cert = generic_rank(phi_lines(segre, j), kappa=manifold.kappa, seed=config.seed)
         theta_ranks[j] = theta_cert.rank
         expected_theta = profile.rank_at(j) + dims.n
         expected_phi = (profile.rank_at(j - 1) if j >= 2 else 0) + dims.n

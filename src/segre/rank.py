@@ -17,9 +17,9 @@ of a least-valuation elimination never decrease and the first s of them sum
 to the valuation of the s-th determinantal divisor (the Smith form), so
 every lower order keeps the longest pivot prefix its order allows.
 
-A matrix is read only on lines (``Lines``): a given one by evaluation
-(``on_line``), the iterates' Jacobians in forward mode (``SegreMapping.on_line``),
-and theta^j, phi^j and the mirror locus off those rows by the chain rule
+A matrix is read only on lines (``Lines``), at the top order of the ladder:
+the iterates' Jacobians in forward mode (``SegreMapping.on_line``), and
+theta^j, phi^j and the mirror locus off those rows by the chain rule
 (Griewank & Walther, *Evaluating Derivatives*, 2008).
 """
 
@@ -33,7 +33,7 @@ from . import config
 from .errors import InternalConsistencyError
 from .maps import Matrix, SegreMapping
 from .record import Record
-from .series import GaussianRational, TruncatedSeries, on_line
+from .series import GaussianRational, TruncatedSeries
 
 Pivot = Tuple[int, int, int, GaussianRational]
 
@@ -83,16 +83,6 @@ def minor_determinant(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) 
     return total
 
 
-def _order(matrix: Matrix) -> int:
-    return min(entry.kappa for row in matrix for entry in row)
-
-
-def _on_line(matrix: Matrix, point: Sequence[int], order: int) -> Matrix:
-    """Every entry restricted to x = eps * point: univariate, modulo eps^(order + 1)."""
-    flat = iter(on_line([entry for row in matrix for entry in row], point, order))
-    return [[next(flat) for _ in row] for row in matrix]
-
-
 class Lines(Record):
     """A matrix of series in ``arity`` variables, read only on lines: ``at(point)``
     is its restriction to x = eps * point, modulo eps^(order + 1), whose rank
@@ -106,17 +96,10 @@ class Lines(Record):
     ceiling: Optional[int] = None
 
 
-def lines(matrix: Matrix) -> Lines:
-    if not matrix or not matrix[0]:
-        return Lines(len(matrix), 0, 0, 0, None)
-    order = _order(matrix)
-    return Lines(len(matrix), len(matrix[0]), matrix[0][0].arity, order, lambda point: _on_line(matrix, point, order))
-
-
-def iterate_lines(segre: SegreMapping, j: int, level: int) -> Lines:
-    """J v^j at order ``level``, read on lines by ``SegreMapping.on_line``."""
+def iterate_lines(segre: SegreMapping, j: int) -> Lines:
+    """J v^j at the top order, read on lines by ``SegreMapping.on_line``."""
     cols = j * segre.dims.n
-    return Lines(segre.dims.N, cols, cols, level - 1, lambda point: segre.on_line(point, level)[j][1])
+    return Lines(segre.dims.N, cols, cols, segre.top.kappa - 1, lambda point: segre.on_line(point)[j][1])
 
 
 def _block(rows: Matrix, cols: int, order: int, conjugate: bool = False) -> Matrix:
@@ -126,7 +109,7 @@ def _block(rows: Matrix, cols: int, order: int, conjugate: bool = False) -> Matr
     return [[e.conjugate() if conjugate else e for e in row] + [zero] * (cols - len(row)) for row in rows]
 
 
-def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
+def theta_lines(segre: SegreMapping, j: int) -> Lines:
     """J theta^j for theta^j = (v^(j+1) o S, conj v^j), j >= 1, by the chain rule:
     S adds t^(j-1) to t^(j+1) (nothing for j = 1), so the top rows on x = eps * p
     are J v^(j+1) on the line through S p, times S; S p and p share the first j blocks.
@@ -137,11 +120,12 @@ def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
     J theta^j are -B^-1 times the other rows combined: J theta^j factors
     through 2N - d rows, and every larger minor vanishes (Cauchy-Binet)."""
     n = segre.dims.n
-    last, fold, cols, order = j * n, (j - 2) * n, (j + 1) * n, level - 1  # fold: the first column of block j-1
+    # fold: the first column of block j-1
+    last, fold, cols, order = j * n, (j - 2) * n, (j + 1) * n, segre.top.kappa - 1
 
     def at(point):
         shifted = list(point[:last]) + [x + point[fold + i] if j >= 2 else x for i, x in enumerate(point[last:])]
-        steps = segre.on_line(shifted, level)
+        steps = segre.on_line(shifted)
         top = _block(steps[j + 1][1], cols, order)
         for row in top if j >= 2 else ():
             row[fold : last - n] = [a + b for a, b in zip(row[fold : last - n], row[last:])]
@@ -150,16 +134,16 @@ def theta_lines(segre: SegreMapping, j: int, level: int) -> Lines:
     return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
 
 
-def phi_lines(segre: SegreMapping, j: int, level: int) -> Lines:
+def phi_lines(segre: SegreMapping, j: int) -> Lines:
     """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0.
 
     Its ceiling is 2N - d as for ``theta_lines``: phi^j lies in M_C by the
     reality identity, which the load checked at the top order, the highest
     order a line is read at."""
-    cols, order = j * segre.dims.n, level - 1
+    cols, order = j * segre.dims.n, segre.top.kappa - 1
 
     def at(point):
-        steps = segre.on_line(point, level)
+        steps = segre.on_line(point)
         return _block(steps[j - 1][1], cols, order) + _block(steps[j][1], cols, order, conjugate=True)
 
     return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
@@ -231,19 +215,39 @@ def _modulo(pivots: List[Pivot], order: int) -> List[Pivot]:
     return pivots
 
 
-def _certified_ranks(matrix: Lines, rng: random.Random, levels: Sequence[int]) -> List[RankCertificate]:
-    """The most pivots over up to TRIALS random lines at every level, with
-    their certificates, all read off one elimination per line at the top
-    level; lines are drawn until every level has full rank, min(rows, cols,
-    ceiling), or TRIALS are.  A line above the ceiling raises."""
-    if not matrix.rows or not matrix.cols:
-        return [RankCertificate(0, (), (), (), None, None, Fraction(0), level, True) for level in levels]
-    orders = [matrix.order - (levels[-1] - level) for level in levels]
-    full = min(bound for bound in (matrix.rows, matrix.cols, matrix.ceiling) if bound is not None)
+def _exact_entry_builder(matrix: Matrix) -> Callable[[int], Matrix]:
+    """The given entries as exact polynomials at any order.  No engine code
+    calls it: the name is kept only for the benchmark tracer
+    (``bench/spans.py``) and goes with ROADMAP item 8 step 2."""
+
+    def build(kappa: int) -> Matrix:
+        return [[entry.with_order(kappa) for entry in row] for row in matrix]
+
+    return build
+
+
+def generic_rank(lines: Lines, *, kappa: int, seed: int) -> RankCertificate:
+    """Certified generic rank at every order kappa + step of ``config.ORDER_LADDER``.
+
+    ``lines`` is the matrix at the top order of the ladder, whose line
+    generator (seeded from ``seed`` and that order) draws up to TRIALS
+    lines, until every order has full rank, min(rows, cols, ceiling); a
+    line above the ceiling raises.  Each line is eliminated once at the top
+    order and read at every order of the ladder (``_modulo``).  A lower
+    order keeps a pivot prefix of the same eliminations, so its rank is at
+    most the top order's, which is the final rank; the lowest order at the
+    final rank gives the certificate.
+    """
+    levels = [kappa + step for step in config.ORDER_LADDER]
+    if not lines.rows or not lines.cols:
+        return RankCertificate(0, (), (), (), None, None, Fraction(0), levels[0], True)
+    rng = random.Random(seed * 1000003 + levels[-1])
+    orders = [lines.order - (levels[-1] - level) for level in levels]
+    full = min(bound for bound in (lines.rows, lines.cols, lines.ceiling) if bound is not None)
     best: List[Optional[Tuple[Tuple[int, ...], List[Pivot]]]] = [None] * len(levels)
     for _ in range(TRIALS):
-        point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(matrix.arity))
-        pivots = _eliminate(matrix.at(point))
+        point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(lines.arity))
+        pivots = _eliminate(lines.at(point))
         if len(pivots) > full:
             raise InternalConsistencyError(f"rank {len(pivots)} on a line exceeds the proven ceiling {full}")
         for k, order in enumerate(orders):
@@ -252,63 +256,14 @@ def _certified_ranks(matrix: Lines, rng: random.Random, levels: Sequence[int]) -
                 best[k] = (point, kept)
         if all(len(kept) == full for _, kept in best):
             break
-    certificates = []
-    for (point, pivots), order, level in zip(best, orders, levels):
-        exponent, value = _witness(pivots) if pivots else (None, None)
-        error = Fraction(0) if len(pivots) == full else Fraction(order, 2 * VALUE_BOUND) ** TRIALS
-        rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
-        certificates.append(RankCertificate(len(pivots), rows, cols, point, exponent, value, error, level, True))
-    return certificates
-
-
-def _exact_entry_builder(matrix: Matrix) -> Callable[[int], Matrix]:
-    """Escalation builder that treats the given entries as exact polynomials."""
-
-    def build(kappa: int) -> Matrix:
-        return [[entry.with_order(kappa) for entry in row] for row in matrix]
-
-    return build
-
-
-def generic_rank(
-    matrix: Optional[Matrix] = None,
-    *,
-    builder: Optional[Callable[[int], Matrix]] = None,
-    kappa: Optional[int] = None,
-    seed: int,
-) -> RankCertificate:
-    """Certified generic rank at every order of ``config.ORDER_LADDER``.
-
-    ``builder(kappa)`` must return the matrix at that order, or its
-    ``Lines``, with higher orders refining lower ones.  It is called once,
-    at the top order of the ladder, whose line generator (seeded from
-    ``seed`` and that order) draws the lines.  Each line is eliminated once
-    at the top order and read at every order of the ladder (``_modulo``).
-    A lower order keeps a pivot prefix of the same eliminations, so its
-    rank is at most the top order's, which is the final rank; the lowest
-    order at the final rank gives the certificate.  When only a
-    plain matrix is given, its entries are treated as exact polynomial
-    data, which holds for every matrix this engine constructs from parsed
-    polynomial input.
-    """
-    if builder is None:
-        if matrix is None:
-            raise ValueError("need a matrix or a builder")
-        builder = _exact_entry_builder(matrix)
-        if kappa is None:
-            kappa = _order(matrix)
-    if kappa is None:
-        raise ValueError("builder form needs an explicit base truncation order")
-
-    levels = [kappa + step for step in config.ORDER_LADDER]
-    built = builder(levels[-1])
-    built = built if isinstance(built, Lines) else lines(built)
-    certificates = _certified_ranks(built, random.Random(seed * 1000003 + levels[-1]), levels)
-
-    ranks = [cert.rank for cert in certificates]
-    final = ranks[-1]
-    first = next(cert for cert in certificates if cert.rank == final)
-    return first.replace(stable=all(r == final for r in ranks))
+    final = len(best[-1][1])
+    k = next(k for k, (_, kept) in enumerate(best) if len(kept) == final)
+    point, pivots = best[k]
+    exponent, value = _witness(pivots) if pivots else (None, None)
+    error = Fraction(0) if final == full else Fraction(orders[k], 2 * VALUE_BOUND) ** TRIALS
+    rows, cols = tuple(sorted(p[0] for p in pivots)), tuple(sorted(p[1] for p in pivots))
+    stable = all(len(kept) == final for _, kept in best)
+    return RankCertificate(final, rows, cols, point, exponent, value, error, levels[k], stable)
 
 
 class RankProfile(Record):
@@ -344,9 +299,9 @@ def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     """Certified ranks of v^1 .. v^J with detection of the stabilization index.
 
     Requires J_max >= d + 2 so the first repeated value is observable; the
-    monotone and strict-increase laws are validated and any violation is
-    reported as an internal-consistency error (it would indicate a
-    truncation artifact, not a property of the manifold).  ``segre`` is the
+    monotone and stabilization laws are validated and any violation is
+    reported as an internal-consistency error (it would indicate a missed
+    line or a truncation artifact, not a property of the manifold).  ``segre`` is the
     run's mapping of the manifold; each certificate reads J v^j on lines
     from it at the top order (``iterate_lines``), so the later phases share
     its top order's outer series and line evaluations.
@@ -355,30 +310,21 @@ def rank_profile(segre: SegreMapping, J_max: int, seed: int) -> RankProfile:
     if J_max < dims.d + 2:
         raise ValueError(f"J_max must be at least d + 2 = {dims.d + 2}")
 
-    certificates = []
-    for j in range(1, J_max + 1):
-        certificates.append(
-            generic_rank(
-                builder=lambda level, j=j: iterate_lines(segre, j, level),
-                kappa=segre.kappa,
-                seed=seed,
-            )
-        )
+    certificates = [generic_rank(iterate_lines(segre, j), kappa=segre.kappa, seed=seed) for j in range(1, J_max + 1)]
     ranks = tuple(cert.rank for cert in certificates)
 
-    if ranks[0] != dims.n:
-        raise InternalConsistencyError(f"rank of v^1 is {ranks[0]}, expected n = {dims.n}")
+    # three laws need no check.  Rk v^1 = n: on every line the z-rows of
+    # J v^1 are the identity block that ``_line_step`` writes, in n columns.
+    # Rk v^j <= N: an elimination keeps at most min(rows, cols) pivots, and
+    # J v^j has N rows.  A strict increase before k0: k0 is the first repeat
+    # of ranks that the next line checks to be monotone
     if any(b < a for a, b in zip(ranks, ranks[1:])):
         raise InternalConsistencyError(f"ranks not monotone: {ranks}")
-    if ranks[-1] > dims.N:
-        raise InternalConsistencyError(f"rank exceeds N: {ranks}")
     k0 = next((j for j in range(1, J_max) if ranks[j - 1] == ranks[j]), None)
     if k0 is None:
         raise InternalConsistencyError(f"stabilization not observed up to J_max={J_max}: {ranks}")
     if any(ranks[j] != ranks[k0 - 1] for j in range(k0, J_max)):
         raise InternalConsistencyError(f"ranks move again after stabilizing: {ranks}")
-    if any(ranks[j - 1] >= ranks[j] for j in range(1, k0)):
-        raise InternalConsistencyError(f"ranks not strictly increasing before k0: {ranks}")
     if k0 > dims.d + 1:
         raise InternalConsistencyError(f"stabilization index {k0} exceeds d + 1 = {dims.d + 1}")
     return RankProfile(

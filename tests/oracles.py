@@ -35,9 +35,10 @@ substitution.
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 Last, the small multivariate helpers that no command needs (``jacobian``,
-``identity_map``, ``homogeneous_part``, ``evaluate`` and ``sigma_field``)
-and the rank certificate checker ``verify_certificate`` live here, not in
-the engine.
+``identity_map``, ``homogeneous_part``, ``evaluate`` and ``sigma_field``),
+the certified rank of a plain matrix (``matrix_rank``, read on lines by
+``matrix_lines``) and the rank certificate checker ``verify_certificate``
+live here, not in the engine.
 """
 
 from __future__ import annotations
@@ -52,8 +53,17 @@ from segre.maps import SegreMapping, make_T, make_theta_phi
 from segre.implicit import GraphForm
 from segre.orbit import _mirror_pattern
 from segre.config import top_order
-from segre.rank import RankCertificate, _eliminate, _on_line, _order, _witness
-from segre.series import FormalMap, GaussianRational, TruncatedSeries, ZERO, as_coeff, compose_many, unit_exponent
+from segre.rank import Lines, RankCertificate, _eliminate, _witness
+from segre.series import (
+    FormalMap,
+    GaussianRational,
+    TruncatedSeries,
+    ZERO,
+    as_coeff,
+    compose_many,
+    on_line,
+    unit_exponent,
+)
 
 Dense = Dict[Tuple[int, ...], GaussianRational]
 
@@ -487,7 +497,7 @@ def chain_pair_failures(gamma: SegreMapping, k: int) -> List[Tuple[Optional[int]
 
 def line_jacobian(segre: SegreMapping, j: int, point: Sequence[int]):
     """J v^j on x = eps * point: v^j built at the mapping's order, differentiated, restricted."""
-    return _on_line(jacobian(segre.v(j)), point, segre.kappa - 1)
+    return matrix_on_line(jacobian(segre.v(j)), point, segre.kappa - 1)
 
 
 def multivariate_matrices(manifold, level: int, k0: int) -> List[List[List[TruncatedSeries]]]:
@@ -530,7 +540,7 @@ def rank_along(mapping: FormalMap, locus: FormalMap):
     for component in locus.components:
         if component.constant_term():
             raise ValueError("locus components must vanish at the origin")
-    return generic_rank(jacobian_along(mapping, locus), seed=DEFAULT_SEED)
+    return matrix_rank(jacobian_along(mapping, locus))
 
 
 def linear_coordinate_change(
@@ -590,6 +600,33 @@ def linear_coordinate_change(
 # ---------------------------------------------------------------------------
 
 
+def matrix_order(matrix: List[List[TruncatedSeries]]) -> int:
+    """The smallest order of the matrix's entries."""
+    return min(entry.kappa for row in matrix for entry in row)
+
+
+def matrix_on_line(matrix: List[List[TruncatedSeries]], point: Sequence[int], order: int):
+    """Every entry restricted to x = eps * point: univariate, modulo eps^(order + 1)."""
+    flat = iter(on_line([entry for row in matrix for entry in row], point, order))
+    return [[next(flat) for _ in row] for row in matrix]
+
+
+def matrix_lines(matrix: List[List[TruncatedSeries]], order: int) -> Lines:
+    """The entries as exact polynomials at ``order``, read on lines."""
+    exact = [[entry.with_order(order) for entry in row] for row in matrix]
+    return Lines(
+        len(matrix), len(matrix[0]), matrix[0][0].arity, order, lambda point: matrix_on_line(exact, point, order)
+    )
+
+
+def matrix_rank(matrix: List[List[TruncatedSeries]], seed: int = DEFAULT_SEED) -> RankCertificate:
+    """``generic_rank`` of a plain matrix whose entries are exact polynomials,
+    as every matrix built from parsed polynomial input is: read at the top
+    order of the ladder above the entries' order, which is its kappa."""
+    kappa = matrix_order(matrix)
+    return generic_rank(matrix_lines(matrix, top_order(kappa)), kappa=kappa, seed=seed)
+
+
 def jacobian(mapping: FormalMap) -> List[List[TruncatedSeries]]:
     """The m x p matrix of partial derivatives; entries valid one order lower."""
     return [[component.partial(col) for col in range(mapping.source_arity)] for component in mapping.components]
@@ -623,5 +660,5 @@ def verify_certificate(cert: RankCertificate, matrix: List[List[TruncatedSeries]
     in_range = all(0 <= i < len(matrix) for i in rows) and all(0 <= j < len(matrix[0]) for j in cols)
     if not (len(rows) == len(cols) == cert.rank and in_range and len(point) == matrix[0][0].arity):
         return False
-    pivots = _eliminate(_on_line([[matrix[i][j] for j in cols] for i in rows], point, _order(matrix)))
+    pivots = _eliminate(matrix_on_line([[matrix[i][j] for j in cols] for i in rows], point, matrix_order(matrix)))
     return len(pivots) == cert.rank and _witness(pivots) == (cert.witness_exponent, cert.witness_value)

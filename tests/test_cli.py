@@ -278,6 +278,29 @@ def test_each_command_checks_reality_once_at_the_top_order(tmp_path, monkeypatch
     assert orders == [16]
 
 
+C2_DENSE = {"N": 3, "d": 2, "form": "rho", "expressions": list(C2_DENSE_RHO)}
+
+
+@pytest.mark.parametrize(
+    "data, jmax, message",
+    [
+        (C2_DENSE, "3", "jmax must be at least d + 2 = 4"),
+        (C2_DENSE, "13", "jmax 13 needs 13 iterate variables, cap is 12"),
+        # a load fault too: the --jmax fault is found first
+        (UNREAL_ABOVE_8, "2", "jmax must be at least d + 2 = 3"),
+    ],
+    ids=["below-d-plus-2", "past-variable-cap", "unreal-too"],
+)
+def test_jmax_is_refused_before_the_load(tmp_path, monkeypatch, capsys, data, jmax, message):
+    # the file's dimensions decide --jmax, so nothing is parsed or solved
+    manifold = tmp_path / "manifold.json"
+    manifold.write_text(json.dumps(data))
+    loads = count_loads(monkeypatch)
+    code, out, err = run_cli(capsys, "rank", str(manifold), "--jmax", jmax)
+    assert (code, out, err) == (cli.EXIT_LOAD, "", f"error: {message}\n")
+    assert loads == {"parse": [], "solve": []}
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(capsys, "verify", "--fixture", "h", "--json")
     assert code == 0

@@ -178,6 +178,7 @@ def test_only_the_tracer_keeps_these_alive():
         ("maps.py", "iterate"),
         ("maps.py", "make_T"),
         ("rank.py", "minor_determinant"),
+        ("rank.py", "_exact_entry_builder"),
     ]
 
 

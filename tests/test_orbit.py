@@ -748,12 +748,12 @@ def random_invertible(rng, size):
             continue
 
 
-def test_rank_invariance_under_linear_coordinate_changes(manifold_h, manifold_c2):
+def test_rank_invariance_under_linear_coordinate_changes():
     # rank values at the working order; escalation would re-solve the
     # transformed (non-rigid) graph at higher orders for no extra content
     rng = random.Random(7)
     with working_order_only():
-        for manifold in (manifold_h, manifold_c2):
+        for manifold in (load_fixture("h"), load_fixture("c2")):
             base = default_profile(SegreMapping(manifold))
             for _ in range(3):
                 matrix = random_invertible(rng, manifold.N)

@@ -19,10 +19,10 @@ from segre import (
     minor_determinant,
     rank_profile,
 )
-from segre.config import ORDER_LADDER
+from segre.config import top_order
 from segre.expressions import ManifoldSpec, load_manifold
 from segre.errors import InternalConsistencyError
-from segre.rank import TRIALS, VALUE_BOUND, lines
+from segre.rank import TRIALS, VALUE_BOUND
 
 from conftest import (
     count_loads,
@@ -39,6 +39,10 @@ from oracles import (
     homogeneous_part,
     identity_map,
     jacobian,
+    matrix_lines,
+    matrix_on_line,
+    matrix_order,
+    matrix_rank,
     rank_along,
     verify_certificate,
 )
@@ -99,7 +103,7 @@ def test_jacobian_constant_component_gives_zero_row():
 
 def test_generic_rank_h_v2(manifold_h):
     gamma = SegreMapping(manifold_h)
-    cert = generic_rank(jacobian(gamma.v(2)), seed=DEFAULT_SEED)
+    cert = matrix_rank(jacobian(gamma.v(2)))
     assert cert.rank == 2
     assert cert.stable
     # the full 2x2 minor has determinant -2i t2
@@ -110,7 +114,7 @@ def test_generic_rank_h_v2(manifold_h):
 
 def test_generic_rank_zero_matrix():
     matrix = [[TruncatedSeries.zero(2, 5) for _ in range(3)] for _ in range(2)]
-    cert = generic_rank(matrix, seed=DEFAULT_SEED)
+    cert = matrix_rank(matrix)
     assert cert.rank == 0
     assert cert.stable
     assert cert.witness_exponent is None
@@ -121,7 +125,7 @@ def test_generic_rank_l4_v2(manifold_l4):
     matrix = jacobian(gamma.v(2))
     # rows (0, 1) and (4i t1 t2^2, 4i t1^2 t2) by hand
     assert matrix[1][0].terms == {(1, 2): gauss(0, 4)}
-    cert = generic_rank(matrix, seed=DEFAULT_SEED)
+    cert = matrix_rank(matrix)
     assert cert.rank == 2
     det = minor_determinant(matrix, (0, 1), (0, 1))
     assert det.terms == {(1, 2): gauss(0, -4)}
@@ -134,7 +138,7 @@ def test_generic_rank_matches_brute_force_oracle():
         n_cols = rng.randint(1, 4)
         matrix = random_poly_matrix(rng, n_rows, n_cols)
         dense = [[from_series(e) for e in row] for row in matrix]
-        assert generic_rank(matrix, seed=DEFAULT_SEED).rank == brute_force_rank(dense)
+        assert matrix_rank(matrix).rank == brute_force_rank(dense)
 
 
 # entries of total degree <= 3, so every minor of a 4x4 matrix lies below order 12
@@ -155,7 +159,7 @@ def _poly_matrices(draw):
 @given(_poly_matrices())
 def test_generic_rank_property_against_oracle(matrix):
     with working_order_only():
-        cert = generic_rank(matrix, seed=DEFAULT_SEED)
+        cert = matrix_rank(matrix)
     dense = [[from_series(e) for e in row] for row in matrix]
     assert cert.rank == brute_force_rank(dense)
     assert verify_certificate(cert, matrix)
@@ -194,7 +198,7 @@ def _cancelling(kappa):
 )
 def test_generic_rank_at_the_truncation_order(matrix, rank, exponent):
     with working_order_only():
-        cert = generic_rank(matrix, seed=DEFAULT_SEED)
+        cert = matrix_rank(matrix)
     assert cert.rank == rank
     assert cert.witness_exponent == exponent
     assert verify_certificate(cert, matrix)
@@ -203,11 +207,11 @@ def test_generic_rank_at_the_truncation_order(matrix, rank, exponent):
 def test_generic_rank_determinism(manifold_h):
     gamma = SegreMapping(manifold_h)
     matrix = jacobian(gamma.v(2))
-    first = generic_rank(matrix, seed=123)
-    second = generic_rank(matrix, seed=123)
+    first = matrix_rank(matrix, seed=123)
+    second = matrix_rank(matrix, seed=123)
     assert first == second
     # a different seed may pick a different witness but the same rank
-    assert generic_rank(matrix, seed=321).rank == first.rank
+    assert matrix_rank(matrix, seed=321).rank == first.rank
 
 
 def test_certified_rank_monotone_in_order():
@@ -216,22 +220,19 @@ def test_certified_rank_monotone_in_order():
     low = [[full.truncate(3)]]
     high = [[full]]
     with working_order_only():
-        assert generic_rank(low, seed=DEFAULT_SEED).rank == 0
-        assert generic_rank(high, seed=DEFAULT_SEED).rank == 1
+        assert matrix_rank(low).rank == 0
+        assert matrix_rank(high).rank == 1
 
 
 def test_certificate_escalation_detects_instability():
     # truncated entry that becomes nonzero only past the base order
     entry = TruncatedSeries(1, 8, {(6,): 1})
     base = [[entry.truncate(3).with_order(3)]]
-
-    def builder(kappa):
-        return [[entry.truncate(min(8, kappa)).with_order(kappa)]]
-
-    cert = generic_rank(builder=builder, kappa=3, seed=DEFAULT_SEED)
+    # at the top order 3 + 8 the entry is x^6
+    cert = generic_rank(matrix_lines([[entry]], top_order(3)), kappa=3, seed=DEFAULT_SEED)
     assert cert.rank == 1
     assert not cert.stable
-    assert generic_rank(base, seed=DEFAULT_SEED).rank == 0
+    assert matrix_rank(base).rank == 0
 
 
 # univariate entries at order 8 with valuations up to 10, so that some vanish at every order
@@ -287,17 +288,12 @@ _DEFICIENT = [[_x(5, (1, 0)), _x(5, (0, 1))], [_x(5, (1, 0)), _x(5, (0, 1))]]
     ids=["full-rank", "rank-deficient", "full-at-the-top-only", "rank-deficient-at-its-ceiling"],
 )
 def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, ceiling, rank, drawn):
-    points, levels = [], []
-
-    def builder(level):
-        levels.append(level)
-        built = lines([[entry.with_order(level) for entry in row] for row in matrix])
-        return built.replace(at=lambda point: points.append(point) or built.at(point), ceiling=ceiling)
-
-    cert = generic_rank(builder=builder, kappa=kappa, seed=DEFAULT_SEED)
-    assert levels == [kappa + ORDER_LADDER[-1]]
+    points = []
+    top = matrix_lines(matrix, top_order(kappa))
+    counted = top.replace(at=lambda point: points.append(point) or top.at(point), ceiling=ceiling)
+    cert = generic_rank(counted, kappa=kappa, seed=DEFAULT_SEED)
     assert (cert.rank, len(points)) == (rank, drawn)
-    # a plain matrix's order is its level
+    # a plain matrix is read at each level itself (its lines' order is the top level)
     full = rank == (ceiling or min(len(matrix), len(matrix[0])))
     assert cert.error_bound == (0 if full else Fraction(cert.kappa_used, 2 * VALUE_BOUND) ** TRIALS)
 
@@ -305,7 +301,7 @@ def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, ceiling,
 def test_a_rank_above_the_proven_ceiling_raises():
     identity = [[_x(5, (0, 0)), _x(5)], [_x(5), _x(5, (0, 0))]]
     with pytest.raises(InternalConsistencyError, match="rank 2 on a line exceeds the proven ceiling 1"):
-        generic_rank(builder=lambda level: lines(identity).replace(ceiling=1), kappa=5, seed=DEFAULT_SEED)
+        generic_rank(matrix_lines(identity, 5).replace(ceiling=1), kappa=5, seed=DEFAULT_SEED)
 
 
 @settings(max_examples=30)
@@ -324,14 +320,10 @@ def test_the_tangent_ceiling_changes_no_theta_phi_certificate(seed, rigid):
     for j in range(1, k0 + 2):
         for build in (theta_lines, phi_lines):
             with_ceiling, without = (
-                generic_rank(
-                    builder=lambda level: build(segre, j, level).replace(**options),
-                    kappa=manifold.kappa,
-                    seed=DEFAULT_SEED,
-                )
+                generic_rank(build(segre, j).replace(**options), kappa=manifold.kappa, seed=DEFAULT_SEED)
                 for options in ({}, {"ceiling": None})
             )
-            assert build(segre, j, manifold.kappa).ceiling == ceiling
+            assert build(segre, j).ceiling == ceiling
             assert with_ceiling.rank <= ceiling
             assert with_ceiling.replace(error_bound=without.error_bound) == without, (build.__name__, j)
             if with_ceiling.rank == ceiling:
@@ -346,8 +338,8 @@ def _drawn_lines(manifold, monkeypatch):
     for name in ("theta_lines", "phi_lines"):
         real = getattr(orbit, name)
 
-        def counted(segre, j, level, real=real, key=name[: -len("_lines")]):
-            built = real(segre, j, level)
+        def counted(segre, j, real=real, key=name[: -len("_lines")]):
+            built = real(segre, j)
             drawn[(key, j)] = 0
 
             def at(point):
@@ -388,14 +380,9 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
     loads = count_loads(monkeypatch)
     manifold = load_fixture("h")
     segre = SegreMapping(manifold)
-    levels = []
-
-    def builder(level):
-        levels.append(level)
-        return iterate_lines(segre, 2, level)
-
-    cert = generic_rank(builder=builder, kappa=8, seed=DEFAULT_SEED)
-    assert levels == [16]
+    lines = iterate_lines(segre, 2)
+    cert = generic_rank(lines, kappa=8, seed=DEFAULT_SEED)
+    assert lines.order == 15
     # the one expression is parsed once, at the top order, and every lower
     # order is read off the lines of the top form
     assert loads == {"parse": [16], "solve": []}
@@ -403,6 +390,33 @@ def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, 
     # the certificate's line reads the multivariate Jacobian at the run's order
     assert cert.rank == 2 and cert.kappa_used == 8 and cert.stable
     assert verify_certificate(cert, matrix)
+
+
+@pytest.mark.parametrize("name", ["c2", "l4-dense"])
+def test_every_certificate_reads_its_lines_at_the_top_order(name, monkeypatch):
+    # c2 composes its graph onto each line, l4-dense lifts the w-part from rho:
+    # both routes read the top form the load kept, and truncate nothing
+    from segre import GenericManifold, RunConfig, orbit, rank, verify_all
+    from test_cli import L4_DENSE_RHO
+
+    manifold = load_fixture("c2") if name == "c2" else load_manifold(ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)), 8)
+    assert (SegreMapping(manifold)._line_outers()[0] is None) == (name == "c2")
+    orders, truncations = [], []
+    real_generic_rank = rank.generic_rank
+
+    def generic_rank(lines, **kwargs):
+        orders.append(lines.order)
+        return real_generic_rank(lines, **kwargs)
+
+    for module in (rank, orbit):
+        monkeypatch.setattr(module, "generic_rank", generic_rank)
+    monkeypatch.setattr(GenericManifold, "at_kappa", lambda self, kappa: truncations.append(kappa))
+    report = verify_all(manifold, RunConfig())
+    assert report.passed
+    # the profile's d + 2 iterates, theta and phi at j = 1..k0 + 1, and the mirror
+    assert len(orders) == manifold.d + 2 + 2 * (report.profile.k0 + 1) + 1
+    assert set(orders) == {top_order(manifold.kappa) - 1}
+    assert truncations == []
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +457,8 @@ def test_rank_profile_random_manifolds_obey_the_laws():
     # laws at the working order; stability escalation is exercised separately
     rng = random.Random(41)
     for index in range(10):
-        manifold = (
-            random_rigid_manifold(rng) if index % 2 == 0 else random_real_rho_manifold(rng)
-        )
         with working_order_only():
+            manifold = random_rigid_manifold(rng) if index % 2 == 0 else random_real_rho_manifold(rng)
             profile = default_profile(SegreMapping(manifold))
         assert profile.ranks[0] == manifold.n
         assert profile.k0 <= manifold.d + 1
@@ -493,7 +505,7 @@ def test_rank_along_identity_locus(manifold_h):
     gamma = SegreMapping(manifold_h)
     v2 = gamma.v(2)
     cert = rank_along(v2, identity_map(2, 8))
-    assert cert.rank == generic_rank(jacobian(v2), seed=DEFAULT_SEED).rank
+    assert cert.rank == matrix_rank(jacobian(v2)).rank
 
 
 def test_rank_along_zero_locus_gives_rank_at_origin(all_fixture_manifolds):
@@ -531,12 +543,14 @@ N5 = ManifoldSpec(6, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2 + z3*ch3 + z4*ch4 
     "name, k0", [("h", 2), ("c2", 3), ("c3", 4), ("l4-dense", 2), ("c2-dense", 3), ("n5", 2)]
 )
 def test_line_jacobians_equal_the_multivariate_route(name, k0):
-    # the rank builders never form v^j, theta^j, phi^j or their Jacobians above
-    # the run's order; on every order a certificate reads, their lines must
-    # equal the multivariate Jacobians, built from the manifold rebuilt at that
-    # order and restricted to the same line, term for term
+    # the line readers never form v^j, theta^j, phi^j or their Jacobians above
+    # the run's order; at the top order, the one a certificate reads, their
+    # lines must equal the multivariate Jacobians, built from the manifold
+    # rebuilt there and restricted to the same line, term for term.  Every
+    # lower order is a pivot prefix of the top elimination
+    # (test_every_lower_order_is_a_pivot_prefix_of_the_top_elimination)
     from segre.orbit import _mirror_lines
-    from segre.rank import _on_line, _order, phi_lines, theta_lines
+    from segre.rank import phi_lines, theta_lines
 
     from conftest import load_fixture
     from oracles import multivariate_matrices
@@ -552,22 +566,22 @@ def test_line_jacobians_equal_the_multivariate_route(name, k0):
     manifold = load_manifold(specs[name], kappa) if name in specs else load_fixture(name)
     rng = random.Random(301)
     segre = SegreMapping(manifold)
-    # top-down, as generic_rank asks for them: the lower orders cut the top graph
-    for level in (kappa + 8, kappa + 4, kappa):
-        engine = [build(segre, j, level) for j in range(1, k0 + 2) for build in (theta_lines, phi_lines)]
-        engine.append(_mirror_lines(segre, k0, level))
-        for lines, matrix in zip(engine, multivariate_matrices(manifold, level, k0), strict=True):
-            shape = (len(matrix), len(matrix[0]), matrix[0][0].arity, _order(matrix))
-            assert (lines.rows, lines.cols, lines.arity, lines.order) == shape
-            assert lines.order == level - 1
-            for _ in range(2):
-                point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16) for _ in range(lines.arity)]
-                assert lines.at(point) == _on_line(matrix, point, lines.order), (name, level)
+    top = top_order(kappa)
+    engine = [build(segre, j) for j in range(1, k0 + 2) for build in (theta_lines, phi_lines)]
+    engine.append(_mirror_lines(segre, k0))
+    for lines, matrix in zip(engine, multivariate_matrices(manifold, top, k0), strict=True):
+        shape = (len(matrix), len(matrix[0]), matrix[0][0].arity, matrix_order(matrix))
+        assert (lines.rows, lines.cols, lines.arity, lines.order) == shape
+        assert lines.order == top - 1
+        for _ in range(2):
+            point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16) for _ in range(lines.arity)]
+            assert lines.at(point) == matrix_on_line(matrix, point, lines.order), name
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3))
 def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
-    # random real rho manifolds (d <= 2) on random lines, zero coordinates included
+    # random real rho manifolds (d <= 2) on random lines, zero coordinates
+    # included; the lines are read at the top order and cut to the run's
     from segre.series import on_line
 
     from oracles import line_jacobian
@@ -577,8 +591,8 @@ def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
     n = manifold.n
     segre = SegreMapping(manifold)
     point = [rng.randint(-9, 9) for _ in range(j * n)]
-    steps = segre.on_line(point, kappa)
+    steps = segre.on_line(point)
     assert len(steps) == j + 1 and steps[0][1] == [[]] * manifold.N
     for k, (values, rows) in enumerate(steps[1:], start=1):
-        assert values == on_line(segre.v(k).components, point[: k * n], kappa)
-        assert rows == line_jacobian(segre, k, point[: k * n])
+        assert [value.truncate(kappa) for value in values] == on_line(segre.v(k).components, point[: k * n], kappa)
+        assert [[e.truncate(kappa - 1) for e in row] for row in rows] == line_jacobian(segre, k, point[: k * n])

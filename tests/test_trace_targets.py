@@ -31,3 +31,20 @@ def test_every_trace_target_resolves_and_installs():
     with tracer:
         assert segre.verify_all is not originals["verify_all"]
     assert {attr: getattr(segre, attr) for attr in originals} == originals
+
+
+def test_the_tracer_times_every_certificate_and_changes_no_report():
+    from conftest import load_fixture
+
+    spans = _load_spans()
+    manifold, config = load_fixture("h"), segre.RunConfig()
+    plain = segre.verify_all(manifold, config)
+    tracer = spans.Tracer()
+    with tracer:
+        traced = segre.verify_all(manifold, config)
+    assert traced == plain
+    # the profile's d + 2 iterates, theta and phi at j = 1..k0 + 1, and the mirror
+    calls = len(plain.profile.certificates) + 2 * (plain.profile.k0 + 1) + 1
+    assert tracer.summary()["rank.generic_rank"]["calls"] == calls
+    # a certificate takes its lines at the top order, so no order is built on demand
+    assert tracer.counts["rank.levels_built"] == 0
