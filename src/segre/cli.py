@@ -54,12 +54,6 @@ SCHEMA = 2
 FIXTURES = ("h", "flat", "l4", "c2")
 
 
-def _fixture_path(name: str) -> Path:
-    if name not in FIXTURES:
-        raise ManifoldError(f"unknown fixture {name!r}; available: {', '.join(FIXTURES)}")
-    return Path(__file__).with_name("fixtures") / f"{name}.json"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segre",
@@ -73,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("verify", "run the full verification suite"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("manifold", nargs="?", help="manifold definition file (JSON)")
-        cmd.add_argument("--fixture", choices=FIXTURES, help="use a bundled fixture instead of a file")
+        source = cmd.add_mutually_exclusive_group()
+        source.add_argument("manifold", nargs="?", help="manifold definition file (JSON)")
+        source.add_argument("--fixture", choices=FIXTURES, help="use a bundled fixture instead of a file")
         cmd.add_argument("--kappa", type=int, default=8, help="truncation order (default 8)")
         cmd.add_argument("--jmax", type=int, default=None, help="largest iterate (default d+2)")
         cmd.add_argument("--depth", type=int, default=None, help="bracket depth (default kappa)")
@@ -118,7 +113,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _load(args, config: RunConfig) -> GenericManifold:
     if args.fixture:
-        path = _fixture_path(args.fixture)
+        path = Path(__file__).with_name("fixtures") / f"{args.fixture}.json"
     elif args.manifold:
         path = Path(args.manifold)
     else:

@@ -73,14 +73,6 @@ class Dims(Record):
 
     # -- name tables -----------------------------------------------------
 
-    def ambient_names(self) -> List[str]:
-        return (
-            [f"z{i + 1}" for i in range(self.n)]
-            + [f"w{l + 1}" for l in range(self.d)]
-            + [f"ch{i + 1}" for i in range(self.n)]
-            + [f"ta{l + 1}" for l in range(self.d)]
-        )
-
     def graph_names(self) -> List[str]:
         return (
             [f"z{i + 1}" for i in range(self.n)]

@@ -65,9 +65,11 @@ degree k <= kappa."""
 
 MAX_N = 64
 """Largest ambient dimension N a manifold file may declare, refused at load
-before any variable is named.  ``segre rank`` on a Levi-flat N = 64 graph
-takes about 2 s; the kernel searches of ``orbit`` and ``verify`` cap the
-monomials of each degree they enter instead (``orbit.MAX_MONOMIALS``)."""
+before any variable is named.  On a Levi-flat N = 64 graph a fresh process
+of ``segre rank`` takes about 0.15 s, ``orbit`` 0.5 s and ``verify`` 0.6 s
+(medians of 5, Python 3.11.7, shared 2-core host); the kernel searches of
+``orbit`` and ``verify`` cap the monomials of each degree they enter
+instead (``orbit.MAX_MONOMIALS``)."""
 
 
 # the ASCII digits alone: str.isdigit admits every Unicode digit, and int()

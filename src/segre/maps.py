@@ -64,24 +64,8 @@ class SegreMapping:
         self.top = manifold.top or manifold
         self.var_cap = default_var_cap(dims)
         self._cache: Dict[int, FormalMap] = {}
-        self._theta_phi: Dict[int, ThetaPhi] = {}
-        self._phi: Dict[int, FormalMap] = {}
         self._outers: Optional[tuple] = None
         self._lines: Dict[Tuple[int, ...], tuple] = {}
-
-    def theta_phi(self, j: int) -> "ThetaPhi":
-        """The theta/phi pair of index j at this order, made once."""
-        pair = self._theta_phi.get(j)
-        if pair is None:
-            pair = self._theta_phi[j] = make_theta_phi(self, j)
-        return pair
-
-    def phi(self, j: int) -> FormalMap:
-        """phi^j at this order, made once; it maps into M by the load's gates (``make_phi``)."""
-        phi = self._phi.get(j)
-        if phi is None:
-            phi = self._phi[j] = make_phi(self, j)
-        return phi
 
     def _line_outers(self) -> tuple:
         """What ``on_line`` composes: None with Q and its partials when Q has
@@ -218,7 +202,7 @@ def make_T(gamma: SegreMapping, k: int) -> FormalMap:
 
 
 class ThetaPhi(Record):
-    """The paired mappings into the manifold used for orbit rank bookkeeping.
+    """The paired mappings into the manifold (``make_theta_phi``).
 
     theta has j+1 source blocks and 2N components; phi has j source blocks
     (absent for j = 0).  Both map into the manifold, and for j >= 1 theta
@@ -231,6 +215,11 @@ class ThetaPhi(Record):
 
 
 def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
+    """theta^j = (v^(j+1) with t^(j+1) -> t^(j+1) + t^(j-1) if j >= 2, conj v^j),
+    theta^0 = (v^1, 0), and phi^j (``make_phi``).  Kept for the benchmark
+    tracer (``bench/spans.py``) and as the tests' reference for the
+    pushforward identities and the theta/phi ranks; goes with ROADMAP item 8
+    step 2."""
     if j < 0:
         raise SegreError("theta/phi indices start at j = 0")
     dims = gamma.dims
@@ -254,7 +243,7 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
         first = gamma.v(j + 1).compose(FormalMap(shift_components))
         second = gamma.v(j).conjugate().extend(arity)
         theta = FormalMap([*first.components, *second.components])
-    return ThetaPhi(j, theta, gamma.phi(j) if j >= 1 else None)
+    return ThetaPhi(j, theta, make_phi(gamma, j) if j >= 1 else None)
 
 
 def make_phi(gamma: SegreMapping, j: int) -> FormalMap:
@@ -282,15 +271,29 @@ def pushforward_residuals(
     """Residuals of the pushforward identities d/dt_l (f o theta) = (Lt_l f) o theta
     along theta's last block, and the same for phi with L_l, for the 2N
     coordinate functions x_i: d/dt_l theta_i - c_(l,i) o theta, where c_(l,i)
-    is the field's coefficient of d/dx_i, each valid to the field's order.
+    is the field's coefficient of d/dx_i.  By the chain rule the residual for
+    any f is sum_i (d_i f o theta) (d/dt_l theta_i - c_(l,i) o theta).  Kept
+    for the benchmark tracer (``bench/spans.py``) and as the tests' reference;
+    goes with ROADMAP item 8 step 2.
 
-    The check is complete: by the chain rule the residual for any f is
-    sum_i (d_i f o theta) (d/dt_l theta_i - c_(l,i) o theta), so the identity
-    holds for every f modulo the shared order once these vanish.  Each map
-    composes only the fields' stored (nonzero) coefficients, in slot order,
-    in one ``compose_many``; an absent slot leaves the partial alone (a
-    Levi-flat field has one).  Returns, for each pair in ``theta_phis``, one
-    residual list per coordinate, theta's directions before phi's.
+    The residuals vanish modulo degree > kappa - 1, the fields' order, for
+    every Q, real or not, so ``verify_all`` computes none.  theta, phi and the
+    fields (``fields.cr_basis``) come from one Q at kappa, and as v^j(0) = 0
+    truncation commutes with substitution and, one order down, with d/dt:
+    - theta^j = (s, Q(s, conj v^j), conj v^j), with s = t^(j+1) (+ t^(j-1) if
+      j >= 2) and conj v^j on t^1..t^j (0 if j = 0).  Only s depends on
+      t^(j+1), with ds/dt^(j+1)_l = e_l, so d/dt^(j+1)_l theta^j is (e_l,
+      dQ/dz_l (s, conj v^j), 0, 0): Lt_l = d/dz_l + sum_m dQ_m/dz_l (z, ch,
+      ta) d/dw_m at theta^j, whose (z, ch, ta) is (s, conj v^j).
+    - phi^j = (v^(j-1), conj v^j), with v^(j-1) on t^1..t^(j-1) and conj v^j
+      = (t^j, Qbar(t^j, v^(j-1))), so d/dt^j_l phi^j is (0, 0, e_l,
+      dQbar/dch_l (t^j, v^(j-1))): L_l = d/dch_l + sum_m dQbar_m/dch_l (ch,
+      z, w) d/dta_m at phi^j, whose (ch, z, w) is (t^j, v^(j-1)).
+
+    Each map composes only the fields' stored (nonzero) coefficients, in
+    slot order, in one ``compose_many``; an absent slot leaves the partial
+    alone (a Levi-flat field has one).  Returns, for each pair, one residual
+    list per coordinate, theta's directions before phi's.
     """
     n = gamma.dims.n
     out = []

@@ -167,6 +167,11 @@ def from_series(series: TruncatedSeries) -> Dense:
     return dict(series.terms)
 
 
+def ambient_names(dims) -> List[str]:
+    """The ambient ring's variable names, in slot order: z, w, ch, ta."""
+    return dims.z_names() + [f"ch{i + 1}" for i in range(dims.n)] + [f"ta{l + 1}" for l in range(dims.d)]
+
+
 # ---------------------------------------------------------------------------
 # rank oracle: all minors, dense determinants, no truncation
 # ---------------------------------------------------------------------------

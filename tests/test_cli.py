@@ -651,6 +651,24 @@ def test_unknown_fixture(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "/nonexistent.json", "--fixture", "h"],
+        ["verify", "--fixture", "h", "/nonexistent.json", "--json"],
+    ],
+    ids=["file-first", "fixture-first"],
+)
+def test_a_manifold_file_with_a_fixture_is_a_usage_error(argv, capsys):
+    # the file used to be ignored silently, and the run gave the fixture's report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_LOAD == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
     "argv, bound, degree",
     [
         (["verify", "--fixture", "h", "--degree", "1"], 1, 2),

@@ -177,6 +177,8 @@ def test_only_the_tracer_keeps_these_alive():
     assert unreferenced(engine, {"README.md": readme_api()}) == [
         ("maps.py", "iterate"),
         ("maps.py", "make_T"),
+        ("maps.py", "make_theta_phi"),
+        ("maps.py", "pushforward_residuals"),
         ("rank.py", "minor_determinant"),
         ("rank.py", "_exact_entry_builder"),
     ]

@@ -28,13 +28,13 @@ from segre.implicit import GraphForm
 from segre.series import FormalMap
 
 from conftest import FIXTURE_DIR, late_split_rho, random_real_rho, random_rigid_graph
-from oracles import degree_by_degree_graph
+from oracles import ambient_names, degree_by_degree_graph
 from test_implicit import _bench_cases
 
 
 H_DIMS = Dims(2, 1)
 GRAPH_TABLE = variable_table(H_DIMS.graph_names())  # z1, ch1, ta1
-AMBIENT_TABLE = variable_table(H_DIMS.ambient_names())  # z1, w1, ch1, ta1
+AMBIENT_TABLE = variable_table(ambient_names(H_DIMS))  # z1, w1, ch1, ta1
 
 
 def test_parse_fixture_expression():

@@ -26,7 +26,7 @@ from segre import (
 from segre.errors import SplitError
 
 from conftest import random_real_rho_manifold
-from oracles import degree_by_degree_graph, ideal_member
+from oracles import ambient_names, degree_by_degree_graph, ideal_member
 
 BENCH_CASES = Path(__file__).resolve().parent.parent / "bench" / "cases.py"
 
@@ -71,7 +71,7 @@ def test_solve_graph_geometric_series_against_picard_oracle():
     from segre import parse_expression, variable_table
 
     dims = Dims(2, 1)
-    table = variable_table(dims.ambient_names())
+    table = variable_table(ambient_names(dims))
     rho = FormalMap([parse_expression("w1 - ta1 - z1*ch1*w1", table, 8)])
     graph = solve_graph(rho, dims, 8)
     oracle = picard_solve_graph(graph, dims, 8)

@@ -26,8 +26,9 @@ from segre import (
 )
 from segre import maps, series
 
-from conftest import load_fixture, random_real_rho_manifold, random_rigid_manifold
+from conftest import default_profile, load_fixture, random_real_rho_manifold, random_rigid_manifold
 from oracles import (
+    ambient_names,
     brute_force_rank,
     chain_generator_pairs,
     chain_pair_failures,
@@ -218,6 +219,48 @@ def test_pushforward_identities(all_fixture_manifolds):
                 assert all(r.is_zero() for r in residuals)
 
 
+def random_unreal_manifold(rng: random.Random, kappa: int = 8):
+    """A graph Q_l = ta_l + P_l, with P_l random of degree 2..3 in (z, ch, ta),
+    whose ideal is not real: built without the load, whose gate refuses it."""
+    from segre import Dims, GenericManifold, TruncatedSeries
+    from segre.implicit import GraphForm, check_reality
+
+    from conftest import random_coefficient
+
+    while True:
+        N = rng.randint(2, 4)
+        dims = Dims(N, rng.randint(1, min(2, N - 1)))
+        arity = dims.graph_arity
+        components = []
+        for l in range(dims.d):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exp = [0] * arity
+                for _ in range(rng.randint(2, 3)):
+                    exp[rng.randrange(arity)] += 1
+                terms[tuple(exp)] = random_coefficient(rng)
+            q = TruncatedSeries.variable(arity, kappa, dims.gta(l)) + TruncatedSeries(arity, kappa, terms)
+            components.append(q)
+        graph = GraphForm(dims, FormalMap(components))
+        if not check_reality(graph, graph.rho())[0]:
+            return GenericManifold(dims, kappa, graph, graph.rho(), tuple(range(dims.n, N)), None, "random-unreal")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["rigid", "rho", "unreal"]))
+def test_the_pushforward_identities_hold_by_the_chain_rule(seed, kind):
+    # verify_all records pushforward without composing: theta^j, phi^j and
+    # the CR fields are built from one Q, so the chain rule makes every
+    # residual vanish, for every j up to d + 1 >= k0 and every Q, real or not
+    make = {"rigid": random_rigid_manifold, "rho": random_real_rho_manifold, "unreal": random_unreal_manifold}
+    manifold = make[kind](random.Random(seed))
+    gamma = SegreMapping(manifold)
+    pairs = [make_theta_phi(gamma, j) for j in range(manifold.d + 2)]
+    residuals = pushforward_residuals(gamma, pairs, *cr_basis(manifold))
+    assert [len(per_pair) for per_pair in residuals] == [manifold.dims.ambient_arity] * len(pairs)
+    assert not any(r for per_pair in residuals for per_coordinate in per_pair for r in per_coordinate)
+
+
 def _corrupted(fields, slot, exponent):
     """``fields`` with a monomial added to the ``slot`` coefficient of its first field."""
     from segre import TruncatedSeries
@@ -238,38 +281,37 @@ def _corrupted(fields, slot, exponent):
     ],
     ids=["h-l-3-exponent0", "c2-l-0-exponent1", "c2-l-3-exponent2"],
 )
-def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exponent, witness, monkeypatch):
+def test_pushforward_witness_is_the_first_failing_sample(name, family, slot, exponent, witness):
     # a monomial added to one coefficient of L_1 breaks the identity for one
-    # coordinate function; the batched check must cite the first failure in
-    # coordinate-major order, as the generic residual of each coordinate
+    # coordinate function; the batched residuals must put their first failure,
+    # in coordinate-major order, where the generic residual of each coordinate
     # function x_i, taken one call per coordinate and j, finds it
-    from segre import RunConfig, TruncatedSeries, orbit, verify_all
+    from segre import TruncatedSeries
 
     manifold = load_fixture(name)
-
-    def corrupted_basis(manifold):
-        fields_l, fields_lt = cr_basis(manifold)
-        if family == "l":
-            return _corrupted(fields_l, slot, exponent), fields_lt
-        return fields_l, _corrupted(fields_lt, slot, exponent)
-
-    monkeypatch.setattr(orbit, "cr_basis", corrupted_basis)
-    report = verify_all(manifold, RunConfig())
-    check = report.checks["pushforward"]
-    assert not check.passed
-    assert check.witness == witness
-
     gamma = SegreMapping(manifold)
-    fields_l, fields_lt = corrupted_basis(manifold)
-    names, arity = manifold.dims.ambient_names(), manifold.dims.ambient_arity
+    k0 = default_profile(gamma).k0
+    fields_l, fields_lt = cr_basis(manifold)
+    if family == "l":
+        fields_l = _corrupted(fields_l, slot, exponent)
+    else:
+        fields_lt = _corrupted(fields_lt, slot, exponent)
+    pairs = [make_theta_phi(gamma, j) for j in range(k0 + 1)]
+    names, arity = ambient_names(manifold.dims), manifold.dims.ambient_arity
+
+    residuals = pushforward_residuals(gamma, pairs, fields_l, fields_lt)
+    failures = [(i, j) for j, per_coordinate in enumerate(residuals) for i, r in enumerate(per_coordinate) if any(r)]
+    i, j = min(failures)
+    assert f"coordinate {names[i]}, j={j}" == witness
+
     first = None
     for i in range(arity):
         x_i = TruncatedSeries.variable(arity, manifold.kappa, i)
-        for j in range(report.profile.k0 + 1):
-            ((residuals,),) = pushforward_residuals_for(gamma, [gamma.theta_phi(j)], fields_l, fields_lt, [x_i])
-            if first is None and any(not r.is_zero() for r in residuals):
+        for j, pair in enumerate(pairs):
+            ((per_x,),) = pushforward_residuals_for(gamma, [pair], fields_l, fields_lt, [x_i])
+            if first is None and any(not r.is_zero() for r in per_x):
                 first = f"coordinate {names[i]}, j={j}"
-    assert check.witness == first
+    assert first == witness
 
 
 def test_a_wrong_coefficient_outside_the_old_sample_fails_the_coordinate_check():
@@ -285,7 +327,7 @@ def test_a_wrong_coefficient_outside_the_old_sample_fails_the_coordinate_check()
     seen = {i for f in samples for exp in f.terms for i, e in enumerate(exp) if e}
     slot = min(set(range(dims.ambient_arity)) - seen)
     gamma = SegreMapping(manifold)
-    pairs = [gamma.theta_phi(j) for j in range(2)]  # k0 = 1
+    pairs = [make_theta_phi(gamma, j) for j in range(2)]  # k0 = 1
     fields_l, fields_lt = cr_basis(manifold)
     fields_lt = _corrupted(fields_lt, slot, (0,) * dims.ambient_arity)
 
@@ -322,7 +364,7 @@ def test_the_load_gates_imply_tangency_and_the_identities_of_phi(seed, rigid):
             assert ideal_member(field.apply(rho), manifold.graph)
     gamma = SegreMapping(manifold)
     for j in range(1, dims.d + 3):
-        phi = gamma.phi(j)
+        phi = maps.make_phi(gamma, j)
         assert all(image.is_zero() for image in manifold.rho.compose(phi))
         # t^(j+1) -> t^(j-1), or 0 when j = 1
         last = range((j - 2) * n, (j - 1) * n) if j >= 2 else [None] * n
@@ -371,8 +413,9 @@ def test_the_load_gates_imply_the_chain_and_collapse_identities(seed, rigid):
 @pytest.mark.parametrize("name", ["rho-quadric", "c2-dense"])
 def test_verify_all_composes_nothing_for_the_chains_or_the_collapses(name, monkeypatch):
     # after the load, no composition takes rho itself as its outer list, and
-    # neither make_T nor iterate is reached; c2 in dense coordinates takes
-    # the rho route on lines, whose lifts compose rho truncated to each order
+    # none of make_T, iterate, make_theta_phi and pushforward_residuals is
+    # reached; c2 in dense coordinates takes the rho route on lines, whose
+    # lifts compose rho truncated to each order
     from oracles import linear_coordinate_change
     from test_orbit import random_invertible
 
@@ -391,9 +434,10 @@ def test_verify_all_composes_nothing_for_the_chains_or_the_collapses(name, monke
         return real(outers, inner, memo)
 
     def unreachable(*args):
-        raise AssertionError("verify_all reached a chain or collapse helper")
+        raise AssertionError("verify_all reached a helper that only the tracer and the tests need")
 
-    replacements = [(real, spy), (maps.make_T, unreachable), (maps.iterate, unreachable)]
+    helpers = (maps.make_T, maps.iterate, maps.make_theta_phi, maps.pushforward_residuals)
+    replacements = [(real, spy), *((helper, unreachable) for helper in helpers)]
     for module_name, module in list(sys.modules.items()):
         for original, replacement in replacements:
             if module_name.startswith("segre") and getattr(module, original.__name__, None) is original:

@@ -675,7 +675,8 @@ def test_verify_all_builds_each_order_once(monkeypatch):
 
     loads = count_loads(monkeypatch)
     monkeypatch.setattr(maps, "make_theta_phi", counting_theta_phi)
-    monkeypatch.setattr(maps, "make_phi", counting_phi)
+    for module in (maps, orbit):
+        monkeypatch.setattr(module, "make_phi", counting_phi)
     monkeypatch.setattr(maps.SegreMapping, "v", counting_v)
     monkeypatch.setattr(maps.SegreMapping, "__init__", counting_init)
     for module in (fields, orbit):
@@ -689,9 +690,9 @@ def test_verify_all_builds_each_order_once(monkeypatch):
     # nothing multivariate is built above the run's order: the rank
     # certificates read every order's iterates on lines
     assert set(iterates) == {8}
-    # theta^j is built for j <= k0 only, and phi^j once for each j <= k0 + 1
-    assert pairs == {(8, j): 1 for j in range(k0 + 1)}
-    assert phis == {(8, j): 1 for j in range(1, k0 + 2)}
+    # no theta^j is built, and phi only once, for the orbit ideal
+    assert pairs == {}
+    assert phis == {(8, k0 + 1): 1}
     # one CR basis and one Segre mapping serve every phase
     assert bases == [8]
     assert mappings == [8]
