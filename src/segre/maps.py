@@ -28,7 +28,7 @@ from .errors import SegreError
 from .expressions import GenericManifold
 from .implicit import GraphForm, lift, matmul, refine
 from .record import Record
-from .series import FormalMap, TruncatedSeries, compose_many, on_line
+from .series import FormalMap, TruncatedSeries, compose_many
 
 if TYPE_CHECKING:  # only pushforward_residuals' annotations name it; a rank run never loads segre.fields
     from .fields import FormalVectorField
@@ -105,10 +105,10 @@ class SegreMapping:
         The w-part of v^k is Q(eps p^k, conj v^(k-1)(eps p)).  A sparse Q is
         composed there with its partials dQ/ds.  Otherwise (a dense graph of
         sparse defining functions) the w-part solves rho(eps p^k, w,
-        conj v^(k-1)(eps p)) = 0, which ``lift`` takes on from the
-        multivariate v^k at kappa, and dQ/ds = -(drho/dw)^-1 drho/ds.  The
-        w-rows are dQ/dz on block k and dQ/d(ch, ta) times conj J v^(k-1) on
-        the earlier ones.
+        conj v^(k-1)(eps p)) = 0, which ``lift`` solves from w = 0, and
+        dQ/ds = -(drho/dw)^-1 drho/ds; w and that inverse are unique modulo
+        their orders, so they are Q's on the line.  The w-rows are dQ/dz on
+        block k and dQ/d(ch, ta) times conj J v^(k-1) on the earlier ones.
         """
         dims, n, d, order = self.dims, self.dims.n, self.dims.d, self.top.kappa
         rho, outers = self._line_outers()
@@ -119,8 +119,7 @@ class SegreMapping:
             width = dims.graph_arity
             w, dq = images[:d], [images[d + l * width : d + (l + 1) * width] for l in range(d)]
         else:
-            seed = on_line(self.v(len(point) // n).components[n:], point, self.kappa)
-            w, x, x_order = lift(rho, dims, order, z, bar[:n], bar[n:], seed, self.kappa)
+            w, x, x_order = lift(rho, dims, order, z, bar[:n], bar[n:])
             images = compose_many(outers, FormalMap([*z, *w, *bar]))
             grid = [images[j * dims.ambient_arity : (j + 1) * dims.ambient_arity] for j in range(d)]
             x, _ = refine(x, x_order, [[row[dims.w(l)] for l in range(d)] for row in grid], order - 1)

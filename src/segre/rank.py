@@ -7,20 +7,19 @@ order) onto Q(i)[eps]/(eps^(K+1)); a minor nonzero on a line is nonzero as
 a series, so the lower bound is exact.  Only tightness is randomized: by the
 Schwartz-Zippel lemma (Schwartz 1980; Zippel 1979) a line misses a nonzero
 minor with probability at most K / (2 * VALUE_BOUND), and each certificate
-draws up to TRIALS lines, stopping at full rank: min(rows, cols) or a
-proven ``Lines.ceiling``, where the bound is 0.  Because a minor could first
-become nonzero beyond the truncation order, the rank is read at every order of
-``config.ORDER_LADDER`` (kappa, kappa + 4, kappa + 8), and ``stable``
-records that nothing moved.  Each line is eliminated once, at the top order:
+draws up to TRIALS lines, stopping at full rank, min(rows, cols), where the
+bound is 0.  Because a minor could first become nonzero beyond the
+truncation order, the rank is read at every order of ``config.ORDER_LADDER``
+(kappa, kappa + 4, kappa + 8), and ``stable`` records that nothing moved.  Each line is eliminated once, at the top order:
 over the discrete valuation ring Q(i)[eps]/(eps^(K+1)) the pivot valuations
 of a least-valuation elimination never decrease and the first s of them sum
 to the valuation of the s-th determinantal divisor (the Smith form), so
 every lower order keeps the longest pivot prefix its order allows.
 
 A matrix is read only on lines (``Lines``), at the top order of the ladder:
-the iterates' Jacobians in forward mode (``SegreMapping.on_line``), and
-theta^j, phi^j and the mirror locus off those rows by the chain rule
-(Griewank & Walther, *Evaluating Derivatives*, 2008).
+the iterates' Jacobians in forward mode (``SegreMapping.on_line``), and the
+mirror locus off those rows through a linear map.  The ranks of theta^j and
+phi^j are read off the iterates' certificates (``orbit.verify_all``).
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ class RankCertificate(Record):
     ``minor_rows`` x ``minor_cols`` has lowest term ``witness_value`` *
     eps^``witness_exponent``.  ``error_bound`` bounds the chance that a
     larger minor was missed at ``kappa_used``: (K / (2 VALUE_BOUND))^TRIALS,
-    or 0 at full rank, min(rows, cols) or the proven ``Lines.ceiling``, where
-    none exists.  The line is one of those drawn at the top order of the
+    or 0 at full rank, min(rows, cols), where none exists.  The line is one of those drawn at the top order of the
     ladder, and the minor is the pivot prefix that its elimination keeps at
     ``kappa_used``.  ``stable``: no order of the ladder changed it.
     """
@@ -85,68 +83,19 @@ def minor_determinant(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) 
 
 class Lines(Record):
     """A matrix of series in ``arity`` variables, read only on lines: ``at(point)``
-    is its restriction to x = eps * point, modulo eps^(order + 1), whose rank
-    is at most ``ceiling`` on every line when one is proven."""
+    is its restriction to x = eps * point, modulo eps^(order + 1)."""
 
     rows: int
     cols: int
     arity: int
     order: int
     at: Callable[[Sequence[int]], Matrix]
-    ceiling: Optional[int] = None
 
 
 def iterate_lines(segre: SegreMapping, j: int) -> Lines:
     """J v^j at the top order, read on lines by ``SegreMapping.on_line``."""
     cols = j * segre.dims.n
     return Lines(segre.dims.N, cols, cols, segre.top.kappa - 1, lambda point: segre.on_line(point)[j][1])
-
-
-def _block(rows: Matrix, cols: int, order: int, conjugate: bool = False) -> Matrix:
-    """Line rows of J v^k, conjugated when asked (p is real, so that commutes),
-    padded with zero columns."""
-    zero = TruncatedSeries.zero(1, order)
-    return [[e.conjugate() if conjugate else e for e in row] + [zero] * (cols - len(row)) for row in rows]
-
-
-def theta_lines(segre: SegreMapping, j: int) -> Lines:
-    """J theta^j for theta^j = (v^(j+1) o S, conj v^j), j >= 1, by the chain rule:
-    S adds t^(j-1) to t^(j+1) (nothing for j = 1), so the top rows on x = eps * p
-    are J v^(j+1) on the line through S p, times S; S p and p share the first j blocks.
-
-    Its ceiling is 2N - d = dim M_C: the w-part of v^(j+1) is Q, or solves
-    rho, at (t^(j+1), conj v^j), so Jrho(theta^j) J theta^j = 0 on each line
-    to its order.  rho's w-differential B is a unit, so the w-rows of
-    J theta^j are -B^-1 times the other rows combined: J theta^j factors
-    through 2N - d rows, and every larger minor vanishes (Cauchy-Binet)."""
-    n = segre.dims.n
-    # fold: the first column of block j-1
-    last, fold, cols, order = j * n, (j - 2) * n, (j + 1) * n, segre.top.kappa - 1
-
-    def at(point):
-        shifted = list(point[:last]) + [x + point[fold + i] if j >= 2 else x for i, x in enumerate(point[last:])]
-        steps = segre.on_line(shifted)
-        top = _block(steps[j + 1][1], cols, order)
-        for row in top if j >= 2 else ():
-            row[fold : last - n] = [a + b for a, b in zip(row[fold : last - n], row[last:])]
-        return top + _block(steps[j][1], cols, order, conjugate=True)
-
-    return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
-
-
-def phi_lines(segre: SegreMapping, j: int) -> Lines:
-    """J phi^j for phi^j = (v^(j-1), conj v^j), j >= 1, with v^0 = 0.
-
-    Its ceiling is 2N - d as for ``theta_lines``: phi^j lies in M_C by the
-    reality identity, which the load checked at the top order, the highest
-    order a line is read at."""
-    cols, order = j * segre.dims.n, segre.top.kappa - 1
-
-    def at(point):
-        steps = segre.on_line(point)
-        return _block(steps[j - 1][1], cols, order) + _block(steps[j][1], cols, order, conjugate=True)
-
-    return Lines(2 * segre.dims.N, cols, cols, order, at, 2 * segre.dims.N - segre.dims.d)
 
 
 def _divide(series: TruncatedSeries, divisor: TruncatedSeries, v: int) -> TruncatedSeries:
@@ -231,25 +180,22 @@ def generic_rank(lines: Lines, *, kappa: int, seed: int) -> RankCertificate:
 
     ``lines`` is the matrix at the top order of the ladder, whose line
     generator (seeded from ``seed`` and that order) draws up to TRIALS
-    lines, until every order has full rank, min(rows, cols, ceiling); a
-    line above the ceiling raises.  Each line is eliminated once at the top
-    order and read at every order of the ladder (``_modulo``).  A lower
-    order keeps a pivot prefix of the same eliminations, so its rank is at
-    most the top order's, which is the final rank; the lowest order at the
-    final rank gives the certificate.
+    lines, until every order has full rank, min(rows, cols).  Each line is
+    eliminated once at the top order and read at every order of the ladder
+    (``_modulo``).  A lower order keeps a pivot prefix of the same
+    eliminations, so its rank is at most the top order's, which is the final
+    rank; the lowest order at the final rank gives the certificate.
     """
     levels = [kappa + step for step in config.ORDER_LADDER]
     if not lines.rows or not lines.cols:
         return RankCertificate(0, (), (), (), None, None, Fraction(0), levels[0], True)
     rng = random.Random(seed * 1000003 + levels[-1])
     orders = [lines.order - (levels[-1] - level) for level in levels]
-    full = min(bound for bound in (lines.rows, lines.cols, lines.ceiling) if bound is not None)
+    full = min(lines.rows, lines.cols)
     best: List[Optional[Tuple[Tuple[int, ...], List[Pivot]]]] = [None] * len(levels)
     for _ in range(TRIALS):
         point = tuple(rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range(lines.arity))
         pivots = _eliminate(lines.at(point))
-        if len(pivots) > full:
-            raise InternalConsistencyError(f"rank {len(pivots)} on a line exceeds the proven ceiling {full}")
         for k, order in enumerate(orders):
             kept = _modulo(pivots, order)
             if best[k] is None or len(kept) > len(best[k][1]):

@@ -51,9 +51,8 @@ Order bookkeeping follows three rules:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from operator import getitem, mul
+from operator import mul
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import SegreError
@@ -817,41 +816,4 @@ def compose_many(
                     pair[0] += ca * ra - cb * ia
                     pair[1] += ca * ia + cb * ra
         results.append(_series(source, kappa, packing.divided(sums, den)))
-    return results
-
-
-def on_line(series: Sequence[TruncatedSeries], point: Sequence[int], order: int) -> list:
-    """Each series restricted to the line x = eps * point: univariate, modulo eps^(order + 1).
-
-    The coefficient of eps^k is the sum of c_a * point^a over |a| = k, so
-    each series takes one pass over its terms with integer power tables of
-    the point, over one common denominator, and one division per power of
-    eps.  The results equal ``compose_many`` onto the map eps -> eps * point.
-    """
-    powers = []
-    for x in point:
-        row = [1]
-        for _ in range(order):
-            row.append(row[-1] * x)
-        powers.append(row)
-    results = []
-    for entry in series:
-        if entry.arity != len(powers):
-            raise SeriesError(f"point of length {len(powers)} for a series in {entry.arity} variables")
-        kappa = min(entry.kappa, order)
-        kept = []
-        den = 1
-        for exp, coeff in entry.terms.items():
-            degree = sum(exp)
-            if degree <= kappa:
-                kept.append((degree, reduce(mul, map(getitem, powers, exp), 1), coeff))
-                if den % coeff._d:
-                    den = den // gcd(den, coeff._d) * coeff._d
-        re, im = [0] * (kappa + 1), [0] * (kappa + 1)
-        for degree, value, coeff in kept:
-            value *= den // coeff._d
-            re[degree] += coeff._a * value
-            im[degree] += coeff._b * value
-        terms = {(k,): _reduced(re[k], im[k], den) for k in range(kappa + 1) if re[k] or im[k]}
-        results.append(_series(1, kappa, terms))
     return results

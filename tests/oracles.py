@@ -30,12 +30,13 @@ every membership that the phases use.  They imply the collapse identities
 of the iterates and the chain identities of T^k too, which the run no
 longer checks: ``collapse_failures`` and ``chain_pair_failures`` check them
 by substitution and composition.  ``mirror_parametrization`` is the
-mirror pattern as a linear map, which the engine applies as a monomial
-substitution.
+mirror pattern as a linear map, and ``mirror_restriction`` restricts the
+doubled iterate to it, whose vanishing the engine proves.
 ``linear_coordinate_change`` makes the inputs of the invariance checks: the
 same manifold in other linear coordinates, loaded through the rho route.
 Last, the small multivariate helpers that no command needs (``jacobian``,
-``identity_map``, ``homogeneous_part``, ``evaluate`` and ``sigma_field``),
+``identity_map``, ``homogeneous_part``, ``evaluate``, ``sigma_field`` and
+``on_line``, which restricts series to a line for the multivariate route),
 the certified rank of a plain matrix (``matrix_rank``, read on lines by
 ``matrix_lines``) and the rank certificate checker ``verify_certificate``
 live here, not in the engine.
@@ -44,12 +45,15 @@ live here, not in the engine.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from itertools import combinations, product
+from math import gcd
+from operator import getitem, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, linalg, manifold_from_rho_series
 from segre.fields import FormalVectorField
-from segre.maps import SegreMapping, make_T, make_theta_phi
+from segre.maps import SegreMapping, make_T
 from segre.implicit import GraphForm
 from segre.orbit import _mirror_pattern
 from segre.config import top_order
@@ -57,11 +61,13 @@ from segre.rank import Lines, RankCertificate, _eliminate, _witness
 from segre.series import (
     FormalMap,
     GaussianRational,
+    SeriesError,
     TruncatedSeries,
     ZERO,
+    _reduced,
+    _series,
     as_coeff,
     compose_many,
-    on_line,
     unit_exponent,
 )
 
@@ -506,13 +512,10 @@ def line_jacobian(segre: SegreMapping, j: int, point: Sequence[int]):
 
 
 def multivariate_matrices(manifold, level: int, k0: int) -> List[List[List[TruncatedSeries]]]:
-    """J theta^j and J phi^j for j = 1..k0+1, then J v^(2 k0) along the mirror
-    locus, all built from the manifold rebuilt at order ``level``."""
+    """J v^j for j = 1..k0+1, then J v^(2 k0) along the mirror locus, all
+    built from the manifold rebuilt at order ``level``."""
     segre = SegreMapping(manifold.at_kappa(level))
-    matrices = []
-    for j in range(1, k0 + 2):
-        pair = make_theta_phi(segre, j)
-        matrices += [jacobian(pair.theta), jacobian(pair.phi)]
+    matrices = [jacobian(segre.v(j)) for j in range(1, k0 + 2)]
     locus = mirror_parametrization(manifold.dims, k0, level)
     return matrices + [jacobian_along(segre.v(2 * k0), locus)]
 
@@ -524,6 +527,12 @@ def mirror_parametrization(dims, k0: int, kappa: int) -> FormalMap:
         TruncatedSeries.zero(source, kappa) if s is None else TruncatedSeries.variable(source, kappa, s)
         for s in _mirror_pattern(dims, k0)
     )
+
+
+def mirror_restriction(segre: SegreMapping, k0: int) -> FormalMap:
+    """v^(2 k0) on the mirror pattern, by monomial substitution; ``mirror_sigma``
+    proves that it vanishes and composes nothing."""
+    return segre.v(2 * k0).map_vars(k0 * segre.dims.n, _mirror_pattern(segre.dims, k0))
 
 
 def jacobian_along(mapping: FormalMap, locus: FormalMap) -> List[List[TruncatedSeries]]:
@@ -608,6 +617,43 @@ def linear_coordinate_change(
 def matrix_order(matrix: List[List[TruncatedSeries]]) -> int:
     """The smallest order of the matrix's entries."""
     return min(entry.kappa for row in matrix for entry in row)
+
+
+def on_line(series: Sequence[TruncatedSeries], point: Sequence[int], order: int) -> list:
+    """Each series restricted to the line x = eps * point: univariate, modulo eps^(order + 1).
+
+    The coefficient of eps^k is the sum of c_a * point^a over |a| = k, so
+    each series takes one pass over its terms with integer power tables of
+    the point, over one common denominator, and one division per power of
+    eps.  The results equal ``compose_many`` onto the map eps -> eps * point.
+    """
+    powers = []
+    for x in point:
+        row = [1]
+        for _ in range(order):
+            row.append(row[-1] * x)
+        powers.append(row)
+    results = []
+    for entry in series:
+        if entry.arity != len(powers):
+            raise SeriesError(f"point of length {len(powers)} for a series in {entry.arity} variables")
+        kappa = min(entry.kappa, order)
+        kept = []
+        den = 1
+        for exp, coeff in entry.terms.items():
+            degree = sum(exp)
+            if degree <= kappa:
+                kept.append((degree, reduce(mul, map(getitem, powers, exp), 1), coeff))
+                if den % coeff._d:
+                    den = den // gcd(den, coeff._d) * coeff._d
+        re, im = [0] * (kappa + 1), [0] * (kappa + 1)
+        for degree, value, coeff in kept:
+            value *= den // coeff._d
+            re[degree] += coeff._a * value
+            im[degree] += coeff._b * value
+        terms = {(k,): _reduced(re[k], im[k], den) for k in range(kappa + 1) if re[k] or im[k]}
+        results.append(_series(1, kappa, terms))
+    return results
 
 
 def matrix_on_line(matrix: List[List[TruncatedSeries]], point: Sequence[int], order: int):

@@ -35,6 +35,7 @@ from oracles import (
     jacobian,
     linear_coordinate_change,
     matrix_rank,
+    mirror_restriction,
     pushforward_residuals_for,
     random_ambient_polynomial,
 )
@@ -182,11 +183,11 @@ def test_criterion_09_rank_laws_on_random_manifolds():
             assert profile.k0 <= manifold.d + 1
 
 
-def test_criterion_10_mirror(reports):
+def test_criterion_10_mirror(reports, gammas):
     with criterion(10, "mirror locus: doubled iterate collapses and keeps the stabilized rank"):
         for name in FIXTURES:
             mirror = reports[name].mirror
-            assert mirror.annihilates, name
+            assert all(c.is_zero() for c in mirror_restriction(gammas[name], mirror.k0)), name
             assert mirror.rank_certificate.rank == mirror.expected_rank, name
 
 

@@ -21,7 +21,6 @@ from segre import (
 )
 from segre.config import top_order
 from segre.expressions import ManifoldSpec, load_manifold
-from segre.errors import InternalConsistencyError
 from segre.rank import TRIALS, VALUE_BOUND
 
 from conftest import (
@@ -276,101 +275,24 @@ _DEFICIENT = [[_x(5, (1, 0)), _x(5, (0, 1))], [_x(5, (1, 0)), _x(5, (0, 1))]]
 
 
 @pytest.mark.parametrize(
-    "matrix, kappa, ceiling, rank, drawn",
+    "matrix, kappa, rank, drawn",
     [
-        ([[_x(5, (1, 0)), _x(5, (0, 0))], [_x(5, (0, 0)), _x(5, (0, 1))]], 5, None, 2, 1),
-        (_DEFICIENT, 5, None, 1, TRIALS),
+        ([[_x(5, (1, 0)), _x(5, (0, 0))], [_x(5, (0, 0)), _x(5, (0, 1))]], 5, 2, 1),
+        (_DEFICIENT, 5, 1, TRIALS),
         # full rank from order 7 up only: the working order keeps drawing
-        ([[TruncatedSeries(1, 8, {(6,): 1})]], 3, None, 1, TRIALS),
-        # a proven ceiling below min(rows, cols) is full rank
-        (_DEFICIENT, 5, 1, 1, 1),
+        ([[TruncatedSeries(1, 8, {(6,): 1})]], 3, 1, TRIALS),
     ],
-    ids=["full-rank", "rank-deficient", "full-at-the-top-only", "rank-deficient-at-its-ceiling"],
+    ids=["full-rank", "rank-deficient", "full-at-the-top-only"],
 )
-def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, ceiling, rank, drawn):
+def test_lines_are_drawn_until_every_order_has_full_rank(matrix, kappa, rank, drawn):
     points = []
     top = matrix_lines(matrix, top_order(kappa))
-    counted = top.replace(at=lambda point: points.append(point) or top.at(point), ceiling=ceiling)
+    counted = top.replace(at=lambda point: points.append(point) or top.at(point))
     cert = generic_rank(counted, kappa=kappa, seed=DEFAULT_SEED)
     assert (cert.rank, len(points)) == (rank, drawn)
     # a plain matrix is read at each level itself (its lines' order is the top level)
-    full = rank == (ceiling or min(len(matrix), len(matrix[0])))
+    full = rank == min(len(matrix), len(matrix[0]))
     assert cert.error_bound == (0 if full else Fraction(cert.kappa_used, 2 * VALUE_BOUND) ** TRIALS)
-
-
-def test_a_rank_above_the_proven_ceiling_raises():
-    identity = [[_x(5, (0, 0)), _x(5)], [_x(5), _x(5, (0, 0))]]
-    with pytest.raises(InternalConsistencyError, match="rank 2 on a line exceeds the proven ceiling 1"):
-        generic_rank(matrix_lines(identity, 5).replace(ceiling=1), kappa=5, seed=DEFAULT_SEED)
-
-
-@settings(max_examples=30)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_the_tangent_ceiling_changes_no_theta_phi_certificate(seed, rigid):
-    # theta^j and phi^j map into M_C, so 2N - d bounds their rank; with the
-    # ceiling a certificate may stop drawing lines sooner, and only its error
-    # bound may change
-    from segre.rank import phi_lines, theta_lines
-
-    rng = random.Random(seed)
-    manifold = random_rigid_manifold(rng) if rigid else random_real_rho_manifold(rng)
-    segre = SegreMapping(manifold)
-    k0 = default_profile(segre).k0
-    ceiling = 2 * manifold.N - manifold.d
-    for j in range(1, k0 + 2):
-        for build in (theta_lines, phi_lines):
-            with_ceiling, without = (
-                generic_rank(build(segre, j).replace(**options), kappa=manifold.kappa, seed=DEFAULT_SEED)
-                for options in ({}, {"ceiling": None})
-            )
-            assert build(segre, j).ceiling == ceiling
-            assert with_ceiling.rank <= ceiling
-            assert with_ceiling.replace(error_bound=without.error_bound) == without, (build.__name__, j)
-            if with_ceiling.rank == ceiling:
-                assert with_ceiling.error_bound == 0
-
-
-def _drawn_lines(manifold, monkeypatch):
-    """Lines drawn by each theta/phi certificate of ``verify_all``, keyed by (map, j)."""
-    from segre import RunConfig, orbit, verify_all
-
-    drawn = {}
-    for name in ("theta_lines", "phi_lines"):
-        real = getattr(orbit, name)
-
-        def counted(segre, j, real=real, key=name[: -len("_lines")]):
-            built = real(segre, j)
-            drawn[(key, j)] = 0
-
-            def at(point):
-                drawn[(key, j)] += 1
-                return built.at(point)
-
-            return built.replace(at=at)
-
-        monkeypatch.setattr(orbit, name, counted)
-    report = verify_all(manifold, RunConfig(kappa=manifold.kappa))
-    return drawn, report.profile.k0
-
-
-@pytest.mark.parametrize("name", ["h", "l4", "c2", "n2", "c3@10", "l4-dense", "flat"])
-def test_theta_phi_certificates_draw_one_line_at_the_ceiling(name, monkeypatch):
-    # of finite type, theta^(k0+1) and phi^(k0+1) have rank 2N - d; every
-    # other theta/phi has full column rank.  Flat is not of finite type:
-    # theta^(k0+1) has rank dim O = 2 < 2N - d = 3 and draws every line
-    from test_cli import L4_DENSE_RHO
-
-    specs = {
-        "n2": ManifoldSpec(3, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2)",)),
-        "c3@10": C3,
-        "l4-dense": ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)),
-    }
-    manifold = load_manifold(specs[name], 10 if name == "c3@10" else 8) if name in specs else load_fixture(name)
-    drawn, k0 = _drawn_lines(manifold, monkeypatch)
-    expected = {(key, j): 1 for key in ("theta", "phi") for j in range(1, k0 + 2)}
-    if name == "flat":
-        expected[("theta", k0 + 1)] = TRIALS
-    assert drawn == expected
 
 
 def test_escalated_orders_are_certified_top_down_on_evaluated_lines(manifold_h, monkeypatch):
@@ -413,8 +335,8 @@ def test_every_certificate_reads_its_lines_at_the_top_order(name, monkeypatch):
     monkeypatch.setattr(GenericManifold, "at_kappa", lambda self, kappa: truncations.append(kappa))
     report = verify_all(manifold, RunConfig())
     assert report.passed
-    # the profile's d + 2 iterates, theta and phi at j = 1..k0 + 1, and the mirror
-    assert len(orders) == manifold.d + 2 + 2 * (report.profile.k0 + 1) + 1
+    # the profile's d + 2 iterates and the mirror; theta's and phi's ranks are read off the profile
+    assert len(orders) == manifold.d + 2 + 1
     assert set(orders) == {top_order(manifold.kappa) - 1}
     assert truncations == []
 
@@ -529,7 +451,7 @@ def test_rank_along_rejects_bad_locus(manifold_h):
 
 
 # ---------------------------------------------------------------------------
-# theta/phi and mirror matrices read off the iterates' Jacobians on lines
+# iterate and mirror lines, and the theta/phi ranks read off the iterates'
 # ---------------------------------------------------------------------------
 
 
@@ -543,14 +465,14 @@ N5 = ManifoldSpec(6, 1, "graph", ("ta1 + 2*i*(z1*ch1 + z2*ch2 + z3*ch3 + z4*ch4 
     "name, k0", [("h", 2), ("c2", 3), ("c3", 4), ("l4-dense", 2), ("c2-dense", 3), ("n5", 2)]
 )
 def test_line_jacobians_equal_the_multivariate_route(name, k0):
-    # the line readers never form v^j, theta^j, phi^j or their Jacobians above
-    # the run's order; at the top order, the one a certificate reads, their
-    # lines must equal the multivariate Jacobians, built from the manifold
-    # rebuilt there and restricted to the same line, term for term.  Every
-    # lower order is a pivot prefix of the top elimination
-    # (test_every_lower_order_is_a_pivot_prefix_of_the_top_elimination)
+    # the line readers never form v^j or their Jacobians above the run's
+    # order; at the top order, the one a certificate reads, the lines of
+    # J v^j and of the mirror locus must equal the multivariate Jacobians,
+    # built from the manifold rebuilt there and restricted to the same line,
+    # term for term.  Every lower order is a pivot prefix of the top
+    # elimination (test_every_lower_order_is_a_pivot_prefix_of_the_top_elimination)
     from segre.orbit import _mirror_lines
-    from segre.rank import phi_lines, theta_lines
+    from segre.rank import iterate_lines
 
     from conftest import load_fixture
     from oracles import multivariate_matrices
@@ -567,7 +489,7 @@ def test_line_jacobians_equal_the_multivariate_route(name, k0):
     rng = random.Random(301)
     segre = SegreMapping(manifold)
     top = top_order(kappa)
-    engine = [build(segre, j) for j in range(1, k0 + 2) for build in (theta_lines, phi_lines)]
+    engine = [iterate_lines(segre, j) for j in range(1, k0 + 2)]
     engine.append(_mirror_lines(segre, k0))
     for lines, matrix in zip(engine, multivariate_matrices(manifold, top, k0), strict=True):
         shape = (len(matrix), len(matrix[0]), matrix[0][0].arity, matrix_order(matrix))
@@ -582,9 +504,7 @@ def test_line_jacobians_equal_the_multivariate_route(name, k0):
 def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
     # random real rho manifolds (d <= 2) on random lines, zero coordinates
     # included; the lines are read at the top order and cut to the run's
-    from segre.series import on_line
-
-    from oracles import line_jacobian
+    from oracles import line_jacobian, on_line
 
     rng = random.Random(seed)
     manifold = random_real_rho_manifold(rng, kappa=kappa)
@@ -596,3 +516,66 @@ def test_line_evaluator_equals_the_multivariate_iterates(seed, kappa, j):
     for k, (values, rows) in enumerate(steps[1:], start=1):
         assert [value.truncate(kappa) for value in values] == on_line(segre.v(k).components, point[: k * n], kappa)
         assert [[e.truncate(kappa - 1) for e in row] for row in rows] == line_jacobian(segre, k, point[: k * n])
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_theta_and_phi_ranks_are_the_iterates_plus_n_at_every_order(seed, rigid):
+    # on every line, row operations take J theta^j to I_n + conj J v^j and
+    # J phi^j to I_n + J v^(j-1) (verify_all's derivation), so at every order
+    # of the ladder their pivot counts are n plus the iterates'.  The
+    # multivariate Jacobians come from the manifold at its top order; their
+    # certified ranks, read on lines at the run's orders as every certificate
+    # is, must give verify_all's witness when the run concludes
+    from segre import RunConfig, config, verify_all
+    from segre.errors import InconclusiveError
+    from segre.maps import make_theta_phi
+    from segre.rank import _eliminate, _modulo, iterate_lines
+
+    rng = random.Random(seed)
+    manifold = random_rigid_manifold(rng) if rigid else random_real_rho_manifold(rng)
+    kappa, n = manifold.kappa, manifold.n
+    try:
+        witness = verify_all(manifold, RunConfig(kappa=kappa)).checks["theta_phi_ranks"].witness
+    except InconclusiveError:  # a moved rank, or an orbit count the degree bound misses
+        witness = None
+    segre, top = SegreMapping(manifold), SegreMapping(manifold.top)
+    order = top.kappa - 1
+    # the Jacobians' orders at the ladder's levels kappa + step
+    orders = [kappa + step - 1 for step in config.ORDER_LADDER]
+    notes = []
+    for j in range(1, default_profile(segre).k0 + 2):
+        pair = make_theta_phi(top, j)
+        theta, phi = jacobian(pair.theta), jacobian(pair.phi)
+        for _ in range(2):
+            point = [rng.choice((-1, 1)) * rng.randint(1, VALUE_BOUND) for _ in range((j + 1) * n)]
+            pivots = [
+                _eliminate(matrix_on_line(theta, point, order)),
+                _eliminate(iterate_lines(segre, j).at(point[: j * n])),
+                _eliminate(matrix_on_line(phi, point[: j * n], order)),
+                _eliminate(iterate_lines(segre, j - 1).at(point[: (j - 1) * n])),
+            ]
+            for level in orders:
+                theta_count, v_count, phi_count, before_count = (len(_modulo(p, level)) for p in pivots)
+                assert (theta_count, phi_count) == (v_count + n, before_count + n), (j, level)
+        ranks = [generic_rank(matrix_lines(m, order), kappa=kappa, seed=DEFAULT_SEED).rank for m in (theta, phi)]
+        notes.append(f"j={j}: Rk theta={ranks[0]} (exp {ranks[0]}), Rk phi={ranks[1]} (exp {ranks[1]})")
+    assert witness in (None, "; ".join(notes))
+
+
+@pytest.mark.parametrize("name", ["c2", "l4-dense", "c2-dense"])
+def test_the_rank_profile_builds_no_multivariate_iterate(name, monkeypatch):
+    # c2 composes its graph onto each line, and the dense rho inputs lift
+    # the w-part there from w = 0: no route reads the order-kappa iterates
+    from test_cli import C2_DENSE_RHO, L4_DENSE_RHO
+
+    specs = {"l4-dense": ManifoldSpec(2, 1, "rho", (L4_DENSE_RHO,)), "c2-dense": ManifoldSpec(3, 2, "rho", C2_DENSE_RHO)}
+    manifold = load_manifold(specs[name], 6) if name in specs else load_fixture(name)
+    segre = SegreMapping(manifold)
+    assert (segre._line_outers()[0] is None) == (name == "c2")
+
+    def v(self, j):
+        raise AssertionError(f"the rank profile built v^{j}")
+
+    monkeypatch.setattr(SegreMapping, "v", v)
+    assert default_profile(segre).ranks[0] == manifold.n

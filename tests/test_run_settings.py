@@ -179,8 +179,8 @@ def test_lowering_the_one_ladder_lowers_every_order_of_a_run(monkeypatch):
     assert report.passed
     assert loads == {"parse": [8], "solve": [8]}
     assert realities == [8]
-    # the profile's J = d + 2 = 3, theta and phi at j = 1..k0 + 1 = 3, and the mirror
-    assert len(certificates) == 3 + 2 * 3 + 1
+    # the profile's J = d + 2 = 3 and the mirror; theta's and phi's ranks are read off the profile
+    assert len(certificates) == 3 + 1
     assert {cert.kappa_used for cert in certificates} == {8}
 
 

@@ -21,7 +21,7 @@ from segre import (
     gauss,
     series_match,
 )
-from segre.series import _Packing, as_coeff, compose_many, linear_part, on_line, unit_exponent
+from segre.series import _Packing, as_coeff, compose_many, linear_part, unit_exponent
 
 from oracles import (
     d_add,
@@ -32,6 +32,7 @@ from oracles import (
     evaluate,
     from_series,
     identity_map,
+    on_line,
     to_series,
 )
 

@@ -43,8 +43,8 @@ def test_the_tracer_times_every_certificate_and_changes_no_report():
     with tracer:
         traced = segre.verify_all(manifold, config)
     assert traced == plain
-    # the profile's d + 2 iterates, theta and phi at j = 1..k0 + 1, and the mirror
-    calls = len(plain.profile.certificates) + 2 * (plain.profile.k0 + 1) + 1
+    # the profile's d + 2 iterates and the mirror; theta's and phi's ranks are read off the profile
+    calls = len(plain.profile.certificates) + 1
     assert tracer.summary()["rank.generic_rank"]["calls"] == calls
     # a certificate takes its lines at the top order, so no order is built on demand
     assert tracer.counts["rank.levels_built"] == 0
