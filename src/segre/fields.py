@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from .errors import InternalConsistencyError
 from .expressions import GenericManifold
 from .linalg import Echelon
 from .record import Record
@@ -144,7 +143,9 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int
     Words are explored by length; each new word is reduced against the span
     of all previously kept words (over constants) and dropped if dependent.
     The search stops early once the evaluations at 0 span the full tangent
-    dimension 2N - d, or when no new word survives.
+    dimension 2N - d, or when no new word survives.  The span never passes
+    that cap: depth 1 absorbs at most 2n <= 2N - d values, and every later
+    absorb stops the closure at the cap.
     """
     dims = manifold.dims
     cap = 2 * dims.N - dims.d
@@ -161,7 +162,6 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int
     witnesses: List[Tuple[str, Tuple[GaussianRational, ...]]] = []
     frontier: List[Tuple[str, FormalVectorField]] = []
     grew_last = False
-    depth_used = 0
 
     def kept(field: FormalVectorField) -> bool:
         """Reduce mod the kept words at the field's own order; True if independent.
@@ -212,12 +212,8 @@ def lie_hull_dimension(manifold: GenericManifold, basis: CRBasis, max_depth: int
                 break
         frontier = next_frontier
         depth_used = current_depth
-        if len(values) >= cap:
-            break
 
     stable = len(values) >= cap or not frontier or not grew_last
-    if len(values) > cap:
-        raise InternalConsistencyError("Lie hull dimension exceeded the tangent dimension")
     return LieHullReport(
         dim_g0=len(values),
         bracket_depth_used=depth_used,

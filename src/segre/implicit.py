@@ -22,7 +22,7 @@ from .series import FormalMap, TruncatedSeries, compose_many, grlex_key, linear_
 class GraphForm(Record):
     """The solved graph w = Q(z, ch, ta) of a generic manifold.
 
-    ``Q`` lives in the graph ring (slots z, ch, ta).  ``Qbar`` is the
+    ``Q`` lives in the graph ring (slots z, ch, ta).  Qbar is the
     coefficientwise conjugate of Q with its slots read in the order
     (ch, z, w); both identities below hold modulo degree > valid_order,
     the truncation order of Q:
@@ -43,22 +43,6 @@ class GraphForm(Record):
     @property
     def valid_order(self) -> int:
         return self.Q.kappa
-
-    @property
-    def Qbar(self) -> FormalMap:
-        return self.Q.conjugate()
-
-    # -- slot-disciplined substitution --------------------------------------
-
-    def q_of(
-        self,
-        z: List[TruncatedSeries],
-        chi: List[TruncatedSeries],
-        tau: List[TruncatedSeries],
-    ) -> List[TruncatedSeries]:
-        """Q(z, chi, tau) for series arguments in a common source ring."""
-        inner = FormalMap([*z, *chi, *tau])
-        return compose_many(list(self.Q.components), inner)
 
     # -- derived ambient objects ---------------------------------------------
 
@@ -86,7 +70,7 @@ class GraphForm(Record):
             + [dims.z(i) for i in range(dims.n)]
             + [dims.w(l) for l in range(dims.d)]
         )
-        return self.Qbar.map_vars(dims.ambient_arity, assignment)
+        return self.Q.conjugate().map_vars(dims.ambient_arity, assignment)
 
     def membership_map(self) -> FormalMap:
         """Ambient -> graph-ring substitution sending w to Q and fixing z, ch, ta."""

@@ -2,8 +2,7 @@
 
 Everything here uses the graph-special convention: the Segre map sends
 (zeta, t) to (t, Q(t, zeta)), so the z-part of the j-th iterate is the last
-block of t-variables.  Iterates are built by exact truncated composition of
-Q (``GraphForm.q_of``),
+block of t-variables.  Iterates are built by exact truncated composition of Q,
 
     v^1(t^1)              = (t^1, Q(t^1, 0))
     v^(j+1)(t^1..t^(j+1)) = (t^(j+1), Q(t^(j+1), conj(v^j)(t^1..t^j))),
@@ -149,7 +148,8 @@ class SegreMapping:
                 bar = [TruncatedSeries.zero(arity, self.kappa)] * self.dims.N
             else:
                 bar = self.v(j - 1).conjugate().extend(arity).components
-            cached = self._cache[j] = FormalMap([*ts, *self.graph.q_of(ts, bar[:n], bar[n:])])
+            q = compose_many(list(self.graph.Q.components), FormalMap([*ts, *bar]))
+            cached = self._cache[j] = FormalMap([*ts, *q])
         return cached
 
     def _check_cap(self, variables: int) -> None:

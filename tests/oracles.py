@@ -37,9 +37,12 @@ same manifold in other linear coordinates, loaded through the rho route.
 Last, the small multivariate helpers that no command needs (``jacobian``,
 ``identity_map``, ``homogeneous_part``, ``evaluate``, ``sigma_field`` and
 ``on_line``, which restricts series to a line for the multivariate route),
-the certified rank of a plain matrix (``matrix_rank``, read on lines by
-``matrix_lines``) and the rank certificate checker ``verify_certificate``
-live here, not in the engine.
+the certified rank of a plain matrix of exact polynomials (``matrix_rank``,
+read on lines by ``matrix_lines``), the certified ranks of J theta^j and
+J phi^j (``theta_phi_ranks``), the rank of the annihilators' and the
+defining functions' differentials at 0 that ``orbit_annihilator`` proves
+(``joint_differential_rank``) and the rank certificate checker
+``verify_certificate`` live here, not in the engine.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from segre import DEFAULT_SEED, GenericManifold, generic_rank, linalg, manifold_from_rho_series
 from segre.fields import FormalVectorField
-from segre.maps import SegreMapping, make_T
+from segre.maps import SegreMapping, make_T, make_theta_phi
 from segre.implicit import GraphForm
 from segre.orbit import _mirror_pattern
 from segre.config import top_order
@@ -68,6 +71,7 @@ from segre.series import (
     _series,
     as_coeff,
     compose_many,
+    linear_part,
     unit_exponent,
 )
 
@@ -672,10 +676,37 @@ def matrix_lines(matrix: List[List[TruncatedSeries]], order: int) -> Lines:
 
 def matrix_rank(matrix: List[List[TruncatedSeries]], seed: int = DEFAULT_SEED) -> RankCertificate:
     """``generic_rank`` of a plain matrix whose entries are exact polynomials,
-    as every matrix built from parsed polynomial input is: read at the top
-    order of the ladder above the entries' order, which is its kappa."""
+    read at the top order of the ladder above the entries' order, which is
+    its kappa.  Only for such matrices: the Jacobian of maps truncated at
+    order K holds their terms up to K - 1 alone, and read higher it can have
+    minors that the maps do not (``theta_phi_ranks`` reads those)."""
     kappa = matrix_order(matrix)
     return generic_rank(matrix_lines(matrix, top_order(kappa)), kappa=kappa, seed=seed)
+
+
+def theta_phi_ranks(manifold: GenericManifold, top_j: int, seed: int = DEFAULT_SEED) -> List[Tuple[int, int]]:
+    """The certified (Rk J theta^j, Rk J phi^j) for j = 1..top_j: both maps
+    built from the manifold at its top order, their Jacobians read on lines
+    at the order they are valid to and certified at the manifold's kappa,
+    as the run reads the iterates' certificates."""
+    top = SegreMapping(manifold.top)
+    ranks = []
+    for j in range(1, top_j + 1):
+        pair = make_theta_phi(top, j)
+        lines = [matrix_lines(jacobian(m), top.kappa - 1) for m in (pair.theta, pair.phi)]
+        theta, phi = (generic_rank(m, kappa=manifold.kappa, seed=seed).rank for m in lines)
+        ranks.append((theta, phi))
+    return ranks
+
+
+def joint_differential_rank(manifold: GenericManifold, orbit) -> int:
+    """The rank of the linear parts at 0 of the orbit annihilators, zero on
+    the conjugate block, and of the defining functions, by one elimination:
+    the matrix ``orbit_annihilator`` once ranked, whose rank d + e it proves."""
+    N = manifold.dims.N
+    rows = [row + [ZERO] * N for row in linear_part(orbit.f_generators, range(N))]
+    rows += linear_part(manifold.rho, range(manifold.dims.ambient_arity))
+    return linalg.rank(rows)
 
 
 def jacobian(mapping: FormalMap) -> List[List[TruncatedSeries]]:

@@ -11,7 +11,7 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segre import (
@@ -41,11 +41,13 @@ from conftest import (
     default_profile,
     failed_checks,
     load_fixture,
+    random_real_rho_manifold,
     random_rigid_manifold,
     working_order_only,
 )
 from oracles import (
     graded_lex_monomials,
+    joint_differential_rank,
     linear_coordinate_change,
     mirror_parametrization,
     mirror_restriction,
@@ -163,6 +165,54 @@ def test_an_inconclusive_orbit_phase_names_the_moved_ranks_on_a_moved_profile_on
     with pytest.raises(InconclusiveError, match=r"^ranks moved under order escalation \(Rk v\^1 = 1 from order 8\)$"):
         with orbit.moved_ranks_first(moved):
             orbit_annihilator(segre, moved, 4, 99)
+
+
+@settings(max_examples=30)
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(("rigid", "rho")), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("fixture"), st.sampled_from(("h", "flat", "l4", "c2"))),
+    )
+)
+@example(("rho", 27))
+def test_the_differentials_are_independent_without_a_rank(source):
+    # orbit_annihilator proves that the linear parts of the generators and of
+    # rho have rank d + e, and ranks nothing; the one elimination it used to
+    # make must agree, and give the witness it records
+    kind, key = source
+    if kind == "fixture":
+        manifold = load_fixture(key)
+    else:
+        manifold = (random_rigid_manifold if kind == "rigid" else random_real_rho_manifold)(random.Random(key))
+    segre = SegreMapping(manifold)
+    try:
+        report = orbit_annihilator(segre, default_profile(segre), RunConfig().resolve_degree(), None)
+    except InconclusiveError:  # a moved rank, or a count the degree bound misses
+        return
+    assert len(report.f_generators) == report.e
+    rank = joint_differential_rank(manifold, report)
+    assert rank == manifold.d + report.e
+    assert report.checks["differentials_independent"].witness == f"rank {rank} = d + e"
+
+
+def test_the_generators_are_the_kernel_rows_with_a_linear_pivot(monkeypatch):
+    # the pinned example above: N = 3, d = 2, e = 2, and the kernel stops at
+    # degree 2 with three more rows, whose pivots are quadratic
+    manifold = random_real_rho_manifold(random.Random(27))
+    segre = SegreMapping(manifold)
+    calls = []
+    real_kernel = orbit._kernel_series
+
+    def spy(*args):
+        calls.append(real_kernel(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(orbit, "_kernel_series", spy)
+    report = orbit_annihilator(segre, default_profile(segre), RunConfig().resolve_degree(), None)
+    ((kernel, degree, _),) = calls
+    assert (manifold.N, manifold.d, report.e, degree) == (3, 2, 2, 2)
+    assert sorted(sum(g.leading_term()[0]) for g in kernel) == [1, 1, 2, 2, 2]
+    assert report.f_generators == tuple(g for g in kernel if sum(g.leading_term()[0]) == 1)
 
 
 def test_orbit_annihilator_rejects_degree_beyond_half_order(manifold_h):

@@ -43,6 +43,7 @@ from oracles import (
     matrix_order,
     matrix_rank,
     rank_along,
+    theta_phi_ranks,
     verify_certificate,
 )
 
@@ -543,8 +544,8 @@ def test_theta_and_phi_ranks_are_the_iterates_plus_n_at_every_order(seed, rigid)
     order = top.kappa - 1
     # the Jacobians' orders at the ladder's levels kappa + step
     orders = [kappa + step - 1 for step in config.ORDER_LADDER]
-    notes = []
-    for j in range(1, default_profile(segre).k0 + 2):
+    k0 = default_profile(segre).k0
+    for j in range(1, k0 + 2):
         pair = make_theta_phi(top, j)
         theta, phi = jacobian(pair.theta), jacobian(pair.phi)
         for _ in range(2):
@@ -558,9 +559,22 @@ def test_theta_and_phi_ranks_are_the_iterates_plus_n_at_every_order(seed, rigid)
             for level in orders:
                 theta_count, v_count, phi_count, before_count = (len(_modulo(p, level)) for p in pivots)
                 assert (theta_count, phi_count) == (v_count + n, before_count + n), (j, level)
-        ranks = [generic_rank(matrix_lines(m, order), kappa=kappa, seed=DEFAULT_SEED).rank for m in (theta, phi)]
-        notes.append(f"j={j}: Rk theta={ranks[0]} (exp {ranks[0]}), Rk phi={ranks[1]} (exp {ranks[1]})")
+    ranks = enumerate(theta_phi_ranks(manifold, k0 + 1), 1)
+    notes = [f"j={j}: Rk theta={theta} (exp {theta}), Rk phi={phi} (exp {phi})" for j, (theta, phi) in ranks]
     assert witness in (None, "; ".join(notes))
+
+
+@pytest.mark.parametrize("seed", [10, 21])
+def test_theta_and_phi_ranks_read_where_the_maps_are_valid_are_the_iterates_plus_n(seed):
+    # N = 2, d = 1, ranks (1, 2, 2).  theta^3 of the maps truncated at kappa,
+    # read as exact polynomials eight orders above, has a 4 x 4 minor, more
+    # than 2N - d; read at the order it is valid to, Rk theta^3 = Rk v^3 + n
+    manifold = random_real_rho_manifold(random.Random(seed))
+    profile = default_profile(SegreMapping(manifold))
+    assert profile.ranks == (1, 2, 2)
+    n = manifold.n
+    expected = [(profile.rank_at(j) + n, (profile.rank_at(j - 1) if j >= 2 else 0) + n) for j in (1, 2, 3)]
+    assert theta_phi_ranks(manifold, 3) == expected == [(2, 1), (3, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("name", ["c2", "l4-dense", "c2-dense"])
