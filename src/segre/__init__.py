@@ -50,15 +50,7 @@ _EXPORTS = {
         "lie_hull_dimension",
     ),
     "implicit": ("GraphForm", "check_reality", "solve_graph"),
-    "maps": (
-        "SegreMapping",
-        "ThetaPhi",
-        "VariableCapError",
-        "iterate",
-        "make_T",
-        "make_theta_phi",
-        "pushforward_residuals",
-    ),
+    "maps": ("SegreMapping", "VariableCapError"),
     "orbit": (
         "CheckResult",
         "MirrorManifold",
@@ -70,7 +62,7 @@ _EXPORTS = {
         "orbit_ideal_in_M",
         "verify_all",
     ),
-    "rank": ("RankCertificate", "RankProfile", "generic_rank", "minor_determinant", "rank_profile"),
+    "rank": ("RankCertificate", "RankProfile", "generic_rank", "rank_profile"),
     "series": (
         "CompositionError",
         "FormalMap",
@@ -81,7 +73,6 @@ _EXPORTS = {
         "TruncatedSeries",
         "ZERO",
         "gauss",
-        "series_match",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

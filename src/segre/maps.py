@@ -10,8 +10,9 @@ block of t-variables.  Iterates are built by exact truncated composition of Q,
 where conj conjugates coefficients only.  Two collapse identities pin the
 argument convention: setting the first block to zero drops the iterate by
 one, and identifying the last block with the (j-2)-nd drops it by two.
-Both follow from the load's gates, as rho vanishing on the chain T^k does
-(the proofs are ``iterate``'s and ``make_T``'s), so no run checks them.
+Both follow from the load's gates (the proof is ``SegreMapping.v``'s), as
+rho vanishing on the chain T^k does (``orbit.verify_all``), so no run checks
+them.
 The same recursion, run on one line
 x = eps * p in univariate series, gives the iterates and their Jacobian rows
 at the manifold's top order from the graph or the defining functions there
@@ -136,7 +137,18 @@ class SegreMapping:
         return [*z, *w], new_rows
 
     def v(self, j: int) -> FormalMap:
-        """The j-th iterate as a map from j blocks of t-variables into Z-space."""
+        """The j-th iterate as a map from j blocks of t-variables into Z-space.
+
+        Both collapse identities hold modulo degree > kappa, as truncation
+        commutes with substitution.  Zero first block, v^j(0, t^2..t^j) =
+        v^(j-1)(t^2..t^j): by induction from v^0 = 0, as v^1(0) = (0, Q(0)) = 0,
+        and v^j(0, t^2..t^j) = (t^j, Q(t^j, conj v^(j-1)(0, t^2..t^(j-1)))),
+        where the induction puts conj v^(j-2)(t^2..t^(j-1)).  Reflection, j >=
+        3: v^j with t^j -> t^(j-2) is (t^(j-2), Q(t^(j-2), t^(j-1),
+        Qbar(t^(j-1), v^(j-2)))), as conj v^(j-1) = (t^(j-1), Qbar(t^(j-1),
+        v^(j-2))), and Q(z, ch, Qbar(ch, z, w)) = w (``GraphForm``) at (z, w) =
+        v^(j-2), ch = t^(j-1) makes it v^(j-2).
+        """
         if j < 1:
             raise SegreError("iterated Segre mappings start at j = 1")
         self._check_cap(j * self.dims.n)
@@ -160,37 +172,12 @@ class SegreMapping:
 
 
 def iterate(gamma: SegreMapping, j: int) -> FormalMap:
-    """v^j; the name is kept only for the benchmark tracer (``bench/spans.py``)
-    and goes with ROADMAP item 8 step 2.
-
-    Both collapse identities hold modulo degree > kappa, as truncation
-    commutes with substitution.  Zero first block, v^j(0, t^2..t^j) =
-    v^(j-1)(t^2..t^j): by induction from v^0 = 0, as v^1(0) = (0, Q(0)) = 0,
-    and v^j(0, t^2..t^j) = (t^j, Q(t^j, conj v^(j-1)(0, t^2..t^(j-1)))),
-    where the induction puts conj v^(j-2)(t^2..t^(j-1)).  Reflection, j >=
-    3: v^j with t^j -> t^(j-2) is (t^(j-2), Q(t^(j-2), t^(j-1),
-    Qbar(t^(j-1), v^(j-2)))), as conj v^(j-1) = (t^(j-1), Qbar(t^(j-1),
-    v^(j-2))), and Q(z, ch, Qbar(ch, z, w)) = w (``GraphForm``) at (z, w) =
-    v^(j-2), ch = t^(j-1) makes it v^(j-2).
-    """
+    """v^j; only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
     return gamma.v(j)
 
 
 def make_T(gamma: SegreMapping, k: int) -> FormalMap:
-    """T^k = (v^k, conj v^(k-1), v^(k-2), ...) on k blocks of t-variables; the
-    name is kept only for the benchmark tracer (``bench/spans.py``) and goes
-    with ROADMAP item 8 step 2.
-
-    Slot s is v^(k-s), conjugated when s is odd; slot k, the zero slot
-    closing the chain, is v^0 = 0.  rho vanishes, modulo degree > kappa as
-    truncation commutes with substitution, on each chain pair: an even
-    (Z-side) slot a and an odd (zeta-side) slot a +- 1.  A pair (v^m, conj
-    v^(m-1)) is ``solve_graph``'s rho(z, Q, ch, ta) = 0 at (t^m, conj
-    v^(m-1)).  A pair (v^(m-1), conj v^m) is the reality gate, conjugated,
-    rho(z, w, ch, Qbar(ch, z, w)) = 0 (``GraphForm``) at (z, w) = v^(m-1),
-    ch = t^m, as conj v^m = (t^m, Qbar(t^m, v^(m-1))).  The Jacobian at 0
-    has full rank k*n: the z-part of slot s is the t-block k - s.
-    """
+    """T^k = (v^k, conj v^(k-1), ...); only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
     if k < 1:
         raise SegreError("chain parametrizations start at k = 1")
     components: List[TruncatedSeries] = []
@@ -201,12 +188,7 @@ def make_T(gamma: SegreMapping, k: int) -> FormalMap:
 
 
 class ThetaPhi(Record):
-    """The paired mappings into the manifold (``make_theta_phi``).
-
-    theta has j+1 source blocks and 2N components; phi has j source blocks
-    (absent for j = 0).  Both map into the manifold, and for j >= 1 theta
-    restricted to a zero last block equals phi, by the load's gates (``make_phi``).
-    """
+    """theta^j and phi^j (None for j = 0), as ``make_theta_phi`` builds them."""
 
     j: int
     theta: FormalMap
@@ -214,11 +196,7 @@ class ThetaPhi(Record):
 
 
 def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
-    """theta^j = (v^(j+1) with t^(j+1) -> t^(j+1) + t^(j-1) if j >= 2, conj v^j),
-    theta^0 = (v^1, 0), and phi^j (``make_phi``).  Kept for the benchmark
-    tracer (``bench/spans.py``) and as the tests' reference for the
-    pushforward identities and the theta/phi ranks; goes with ROADMAP item 8
-    step 2."""
+    """theta^j and phi^j (``make_phi``); only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
     if j < 0:
         raise SegreError("theta/phi indices start at j = 0")
     dims = gamma.dims
@@ -239,9 +217,9 @@ def make_theta_phi(gamma: SegreMapping, j: int) -> ThetaPhi:
             if j >= 2:
                 last = last + TruncatedSeries.variable(arity, kappa, (j - 2) * dims.n + i)
             shift_components.append(last)
-        first = gamma.v(j + 1).compose(FormalMap(shift_components))
+        first = compose_many(list(gamma.v(j + 1).components), FormalMap(shift_components))
         second = gamma.v(j).conjugate().extend(arity)
-        theta = FormalMap([*first.components, *second.components])
+        theta = FormalMap([*first, *second.components])
     return ThetaPhi(j, theta, make_phi(gamma, j) if j >= 1 else None)
 
 
@@ -267,33 +245,7 @@ def pushforward_residuals(
     fields_l: List[FormalVectorField],
     fields_lt: List[FormalVectorField],
 ) -> List[List[List[TruncatedSeries]]]:
-    """Residuals of the pushforward identities d/dt_l (f o theta) = (Lt_l f) o theta
-    along theta's last block, and the same for phi with L_l, for the 2N
-    coordinate functions x_i: d/dt_l theta_i - c_(l,i) o theta, where c_(l,i)
-    is the field's coefficient of d/dx_i.  By the chain rule the residual for
-    any f is sum_i (d_i f o theta) (d/dt_l theta_i - c_(l,i) o theta).  Kept
-    for the benchmark tracer (``bench/spans.py``) and as the tests' reference;
-    goes with ROADMAP item 8 step 2.
-
-    The residuals vanish modulo degree > kappa - 1, the fields' order, for
-    every Q, real or not, so ``verify_all`` computes none.  theta, phi and the
-    fields (``fields.cr_basis``) come from one Q at kappa, and as v^j(0) = 0
-    truncation commutes with substitution and, one order down, with d/dt:
-    - theta^j = (s, Q(s, conj v^j), conj v^j), with s = t^(j+1) (+ t^(j-1) if
-      j >= 2) and conj v^j on t^1..t^j (0 if j = 0).  Only s depends on
-      t^(j+1), with ds/dt^(j+1)_l = e_l, so d/dt^(j+1)_l theta^j is (e_l,
-      dQ/dz_l (s, conj v^j), 0, 0): Lt_l = d/dz_l + sum_m dQ_m/dz_l (z, ch,
-      ta) d/dw_m at theta^j, whose (z, ch, ta) is (s, conj v^j).
-    - phi^j = (v^(j-1), conj v^j), with v^(j-1) on t^1..t^(j-1) and conj v^j
-      = (t^j, Qbar(t^j, v^(j-1))), so d/dt^j_l phi^j is (0, 0, e_l,
-      dQbar/dch_l (t^j, v^(j-1))): L_l = d/dch_l + sum_m dQbar_m/dch_l (ch,
-      z, w) d/dta_m at phi^j, whose (ch, z, w) is (t^j, v^(j-1)).
-
-    Each map composes only the fields' stored (nonzero) coefficients, in
-    slot order, in one ``compose_many``; an absent slot leaves the partial
-    alone (a Levi-flat field has one).  Returns, for each pair, one residual
-    list per coordinate, theta's directions before phi's.
-    """
+    """The pushforward identities' residuals; only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
     n = gamma.dims.n
     out = []
     for theta_phi in theta_phis:

@@ -180,7 +180,7 @@ def orbit_annihilator(
     The generators kill v^j for j <= 2 k0, each fact checked once: at j = k0
     the kernel search proved f o v^(k0) = 0 modulo degree > kappa, exactly;
     for j < k0, v^j is v^(k0) with its first k0 - j blocks set to zero (the
-    zero-first-block collapse, ``maps.iterate``), and a substitution of
+    zero-first-block collapse, ``SegreMapping.v``), and a substitution of
     variables commutes with composition.  Only j = k0+1..2k0 are composed.
 
     ``differentials_independent`` takes no rank: the linear parts of the
@@ -391,7 +391,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
     load's gates, so nothing composes it.  On the pattern t^b = s^b for b <=
     k0, and v^(k0+i) is v^(k0-i)(s^1..s^(k0-i)) for i = 1..k0-1, by
     induction.  For i = 1, v^(k0+1)(s^1..s^k0, s^(k0-1)) has its last block
-    equal to the (k0-1)-st, which the reflection collapse (``maps.iterate``)
+    equal to the (k0-1)-st, which the reflection collapse (``SegreMapping.v``)
     drops to v^(k0-1).  From i to i + 1 < k0, v^(k0+i+1) = (t, Q(t,
     conj v^(k0+i))) at t = s^(k0-i-1) is, by the induction, v^(k0-i+1) on
     (s^1..s^(k0-i), s^(k0-i-1)), which the reflection drops to v^(k0-i-1).
@@ -418,9 +418,7 @@ def mirror_sigma(segre: SegreMapping, profile: RankProfile, seed: int) -> Mirror
 class VerificationReport(Record):
     """Everything the engine can say about one manifold, with named checks."""
 
-    label: str
     dims: Dims
-    kappa: int
     config: RunConfig
     profile: RankProfile
     lie: LieHullReport
@@ -461,9 +459,10 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
 
     # every load checked reality at the top order and refused an ideal that
     # failed it.  With solve_graph's identity, reality implies the collapse
-    # identities (maps.iterate), that the CR fields are tangent (cr_basis),
+    # identities (SegreMapping.v), that the CR fields are tangent (cr_basis),
     # that theta^j and phi^j map into M (make_phi) and that rho kills the
-    # chain pairs of T^k (maps.make_T), so those records rest on the load too
+    # chain pairs of T^k (segre_chain_parametrizations below), so those
+    # records rest on the load too
     record("collapse_identities", True, f"verified for j <= {2 * k0}")
     record("reality", True, "identity holds")
 
@@ -473,10 +472,10 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
 
     # Rk theta^j = Rk v^j + n and Rk phi^j = Rk v^(j-1) + n (v^0 = 0) by row
     # operations, on every line x = eps * p, over Q(i)[eps]/(eps^(K+1)) at
-    # every order K of the ladder.  theta^j = (v^(j+1) o S, conj v^j): its
-    # z-rows are the identity on block j+1 (and, by S, on block j-1 if j >=
-    # 2), and its w-rows are dQ/dz times the z-rows plus dQ/d(ch, ta) times
-    # the rows of conj J v^j, which vanish on block j+1.  Subtracting both
+    # every order K of the ladder.  theta^j = (v^(j+1) o S, conj v^j), where S
+    # adds t^(j-1) to t^(j+1) if j >= 2: its z-rows are the identity on block
+    # j+1 (and, by S, on block j-1), and its w-rows are dQ/dz times the z-rows
+    # plus dQ/d(ch, ta) times the rows of conj J v^j, which vanish on block j+1.  Subtracting both
     # combinations, then block j+1's columns from block j-1's, leaves
     # I_n + conj J v^j on p's first j blocks.  Its Smith form is n units and
     # then conj J v^j's, whose valuations are J v^j's as p is real, so every
@@ -493,9 +492,35 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
         relation_notes.append(f"j={j}: Rk theta={theta} (exp {theta}), Rk phi={phi} (exp {phi})")
     record("theta_phi_ranks", True, "; ".join(relation_notes))
 
-    # the chain rule proves the pushforward identities (maps.pushforward_residuals)
+    # the chain rule proves the pushforward identities d/dt_l (f o theta) =
+    # (Lt_l f) o theta along theta's last block, and the same for phi with
+    # L_l: the residual for any f is sum_i (d_i f o theta) (d/dt_l theta_i -
+    # c_(l,i) o theta), where c_(l,i) is the field's coefficient of d/dx_i,
+    # and each factor d/dt_l theta_i - c_(l,i) o theta vanishes modulo degree
+    # > kappa - 1, the fields' order, for every Q, real or not.  theta, phi
+    # and the fields (cr_basis) come from one Q at kappa, and as v^j(0) = 0
+    # truncation commutes with substitution and, one order down, with d/dt:
+    # - theta^j = (s, Q(s, conj v^j), conj v^j), with s = t^(j+1) (+ t^(j-1)
+    #   if j >= 2) and conj v^j on t^1..t^j (0 if j = 0).  Only s depends on
+    #   t^(j+1), with ds/dt^(j+1)_l = e_l, so d/dt^(j+1)_l theta^j is (e_l,
+    #   dQ/dz_l (s, conj v^j), 0, 0): Lt_l = d/dz_l + sum_m dQ_m/dz_l (z, ch,
+    #   ta) d/dw_m at theta^j, whose (z, ch, ta) is (s, conj v^j).
+    # - phi^j = (v^(j-1), conj v^j), with v^(j-1) on t^1..t^(j-1) and conj
+    #   v^j = (t^j, Qbar(t^j, v^(j-1))), so d/dt^j_l phi^j is (0, 0, e_l,
+    #   dQbar/dch_l (t^j, v^(j-1))): L_l = d/dch_l + sum_m dQbar_m/dch_l (ch,
+    #   z, w) d/dta_m at phi^j, whose (ch, z, w) is (t^j, v^(j-1)).
     record("pushforward", True, "2N coordinate functions")
 
+    # T^k = (v^k, conj v^(k-1), v^(k-2), ...) on k blocks of t-variables:
+    # slot s is v^(k-s), conjugated when s is odd, and slot k, closing the
+    # chain, is v^0 = 0.  rho vanishes, modulo degree > kappa as truncation
+    # commutes with substitution, on each chain pair: an even (Z-side) slot
+    # a and an odd (zeta-side) slot a +- 1.  A pair (v^m, conj v^(m-1)) is
+    # solve_graph's rho(z, Q, ch, ta) = 0 at (t^m, conj v^(m-1)).  A pair
+    # (v^(m-1), conj v^m) is the reality gate, conjugated, rho(z, w, ch,
+    # Qbar(ch, z, w)) = 0 (GraphForm) at (z, w) = v^(m-1), ch = t^m, as
+    # conj v^m = (t^m, Qbar(t^m, v^(m-1))).  The Jacobian of T^k at 0 has
+    # full rank k*n: the z-part of slot s is the t-block k - s.
     record("segre_chain_parametrizations", True, f"verified for k <= {2 * k0}")
 
     with moved_ranks_first(profile):
@@ -547,9 +572,7 @@ def verify_all(manifold: GenericManifold, config: RunConfig) -> VerificationRepo
     )
 
     return VerificationReport(
-        label=manifold.label,
         dims=dims,
-        kappa=manifold.kappa,
         config=config,
         profile=profile,
         lie=lie,

@@ -65,7 +65,7 @@ class RankCertificate(Record):
 
 
 def minor_determinant(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]) -> TruncatedSeries:
-    """Exact truncated determinant of the cited submatrix, by cofactor expansion."""
+    """A minor by cofactor expansion; only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
     rows, cols = list(rows), list(cols)
     if len(rows) != len(cols) or not rows:
         raise ValueError("minor needs equally many, and at least one, rows and columns")
@@ -165,9 +165,7 @@ def _modulo(pivots: List[Pivot], order: int) -> List[Pivot]:
 
 
 def _exact_entry_builder(matrix: Matrix) -> Callable[[int], Matrix]:
-    """The given entries as exact polynomials at any order.  No engine code
-    calls it: the name is kept only for the benchmark tracer
-    (``bench/spans.py``) and goes with ROADMAP item 8 step 2."""
+    """The entries at any order; only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
 
     def build(kappa: int) -> Matrix:
         return [[entry.with_order(kappa) for entry in row] for row in matrix]

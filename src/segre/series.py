@@ -158,7 +158,8 @@ class GaussianRational:
         return _triple(self._a, -self._b, self._d)
 
     def power_bits(self, exponent: int) -> int:
-        """A bound on the bit length of each part of the triple of self**exponent.
+        """A b with |part| <= 2^b for each part of the triple of this value to
+        the power ``exponent``.
 
         |a + b*i|^e and d^e bound the parts, so it is e times the larger of
         ceil(log2(a^2 + b^2)) / 2 and ceil(log2 d), read off this triple
@@ -166,11 +167,6 @@ class GaussianRational:
         """
         norm = self._a * self._a + self._b * self._b
         return exponent * max(((norm - 1).bit_length() + 1) // 2, (self._d - 1).bit_length())
-
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if exponent < 0:
-            return ONE / (self ** (-exponent))
-        return _binary_power(self, exponent, ONE)
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -204,18 +200,6 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
             a, b, d = a // g, b // g, d // g
     value._a, value._b, value._d = a, b, d
     return value
-
-
-def _binary_power(base, n: int, one):
-    """base**n for n >= 0 by repeated squaring, starting from ``one``."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
 
 
 def _imag_str(im: Fraction) -> str:
@@ -405,9 +389,17 @@ class TruncatedSeries:
         return _series(self.arity, kappa, packing.divided(sums, a_den * b_den))
 
     def power(self, exponent: int) -> "TruncatedSeries":
+        """self**exponent for exponent >= 0, by repeated squaring."""
         if exponent < 0:
             raise SeriesError("negative power of a series")
-        return _binary_power(self, exponent, TruncatedSeries.constant(self.arity, self.kappa, ONE))
+        result, base = TruncatedSeries.constant(self.arity, self.kappa, ONE), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def truncate(self, kappa: int) -> "TruncatedSeries":
         """Image in the quotient at a lower (or equal) order."""
@@ -500,11 +492,7 @@ class TruncatedSeries:
         return _series(target_arity, self.kappa, {e + pad: c for e, c in self.terms.items()})
 
     def compose(self, inner: "FormalMap") -> "TruncatedSeries":
-        """Substitute the components of ``inner`` for the variables of this series.
-
-        Requires every inner component to vanish at the origin; the result
-        is exact modulo degree > min(self.kappa, inner component kappas).
-        """
+        """``compose_many`` of this series; only ``bench/spans.py`` keeps it (ROADMAP item 2)."""
         return compose_many([self], inner)[0]
 
     # -- canonical text ----------------------------------------------------
@@ -700,9 +688,6 @@ class FormalMap:
         """Coefficientwise conjugation of every component (no variable swap)."""
         return FormalMap(c.conjugate() for c in self.components)
 
-    def compose(self, inner: "FormalMap") -> "FormalMap":
-        return FormalMap(compose_many(list(self.components), inner))
-
     def map_vars(self, target_arity: int, assignment: Sequence[Optional[int]]) -> "FormalMap":
         return FormalMap(c.map_vars(target_arity, assignment) for c in self.components)
 
@@ -711,20 +696,6 @@ class FormalMap:
 
     def truncate(self, kappa: int) -> "FormalMap":
         return FormalMap(c.truncate(min(kappa, c.kappa)) for c in self.components)
-
-    def equals_mod(self, other: "FormalMap") -> bool:
-        """Componentwise equality after truncating both sides to the shared order."""
-        if self.target_arity != other.target_arity or self.source_arity != other.source_arity:
-            return False
-        return all(series_match(a, b) for a, b in zip(self.components, other.components))
-
-
-def series_match(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Equality in the quotient at the shared (minimum) truncation order."""
-    if a.arity != b.arity:
-        return False
-    kappa = min(a.kappa, b.kappa)
-    return a.truncate(kappa).terms == b.truncate(kappa).terms
 
 
 def compose_many(

@@ -11,8 +11,8 @@ from segre import (
     SegreMapping,
     TruncatedSeries,
     gauss,
-    minor_determinant,
 )
+from segre.rank import minor_determinant
 from segre.series import compose_many
 
 from conftest import default_profile

@@ -14,10 +14,13 @@ annotation, a string annotation included."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
-from conftest import readme_api
+import segre
+
+from conftest import README, readme_api
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "segre"
@@ -170,9 +173,41 @@ def test_every_engine_definition_is_used():
     assert unreferenced(engine, {**_sources(BENCH), "README.md": readme_api()}) == []
 
 
+# the functions that bench/spans.py alone keeps in the engine, and ThetaPhi,
+# the record that only they build and read
+TRACER_ONLY = (
+    "iterate",
+    "make_T",
+    "make_theta_phi",
+    "pushforward_residuals",
+    "minor_determinant",
+    "_exact_entry_builder",
+    "ThetaPhi",
+)
+
+
+def without_definitions(source: str, names: Sequence[str]) -> str:
+    """``source`` without the top-level definitions of ``names`` and without
+    its ``if TYPE_CHECKING:`` blocks, the imports that annotations need."""
+    lines = source.splitlines(keepends=True)
+    for node in reversed(ast.parse(source).body):
+        defined = isinstance(node, DEFINITIONS) and node.name in names
+        guarded = isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"
+        if defined or guarded:
+            start = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", []))])
+            del lines[start - 1 : node.end_lineno]
+    return "".join(lines)
+
+
+def named_in_text(text: str, name: str) -> bool:
+    """Whether prose or code in ``text`` names ``name`` as code: in backticks,
+    as an attribute or as a call, so that the noun "iterate" does not count."""
+    return re.search(rf"`{name}\b|\.{name}\b|\b{name}\(", text) is not None
+
+
 def test_only_the_tracer_keeps_these_alive():
-    # what bench/spans.py alone keeps in the engine, which ROADMAP item 8
-    # step 2 deletes; a new bench-only survivor fails here
+    # what bench/spans.py alone keeps in the engine, which ROADMAP item 2
+    # deletes; a new bench-only survivor fails here
     engine = _sources(SOURCE)
     assert unreferenced(engine, {"README.md": readme_api()}) == [
         ("maps.py", "iterate"),
@@ -181,7 +216,39 @@ def test_only_the_tracer_keeps_these_alive():
         ("maps.py", "pushforward_residuals"),
         ("rank.py", "minor_determinant"),
         ("rank.py", "_exact_entry_builder"),
+        ("series.py", "TruncatedSeries.compose"),
     ]
+    # nothing else ties to them, so that deleting them deletes nothing more:
+    # the package does not export them, README does not name them, and no
+    # engine text outside their own definitions names them
+    assert set(TRACER_ONLY).isdisjoint(segre.__all__)
+    assert [name for name in TRACER_ONLY if named_in_text(README.read_text(), name)] == []
+    for module, source in engine.items():
+        rest = without_definitions(source, TRACER_ONLY)
+        names, _ = references(rest)
+        assert names.isdisjoint(TRACER_ONLY), module
+        assert [name for name in TRACER_ONLY if named_in_text(rest, name)] == [], module
+
+
+def test_the_isolation_scan_sees_every_kind_of_mention():
+    source = "\n".join(
+        [
+            "from typing import TYPE_CHECKING",
+            "if TYPE_CHECKING:  # only helper's annotations name it",
+            "    from .b import Field",
+            "@decorated",
+            "def helper(x: 'Field'):",
+            "    '''``helper`` may name itself'''",
+            "def kept():",
+            "    '''each iterate is kept'''",
+            "    return 1",
+        ]
+    )
+    rest = without_definitions(source, ["helper"])
+    assert rest == "from typing import TYPE_CHECKING\ndef kept():\n    '''each iterate is kept'''\n    return 1"
+    assert not named_in_text(rest, "iterate")
+    for mention in ("``iterate``", "maps.iterate", "iterate(gamma, 2)", "`iterate`'s"):
+        assert named_in_text(f"see {mention} here", "iterate"), mention
 
 
 def test_scanner_flags_dead_helpers():

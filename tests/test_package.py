@@ -39,15 +39,7 @@ EXPORTS = {
     ],
     "fields": ["FormalVectorField", "LieHullReport", "bracket", "cr_basis", "lie_hull_dimension"],
     "implicit": ["GraphForm", "check_reality", "solve_graph"],
-    "maps": [
-        "SegreMapping",
-        "ThetaPhi",
-        "VariableCapError",
-        "iterate",
-        "make_T",
-        "make_theta_phi",
-        "pushforward_residuals",
-    ],
+    "maps": ["SegreMapping", "VariableCapError"],
     "orbit": [
         "CheckResult",
         "MirrorManifold",
@@ -59,7 +51,7 @@ EXPORTS = {
         "orbit_ideal_in_M",
         "verify_all",
     ],
-    "rank": ["RankCertificate", "RankProfile", "generic_rank", "minor_determinant", "rank_profile"],
+    "rank": ["RankCertificate", "RankProfile", "generic_rank", "rank_profile"],
     "series": [
         "CompositionError",
         "FormalMap",
@@ -70,7 +62,6 @@ EXPORTS = {
         "TruncatedSeries",
         "ZERO",
         "gauss",
-        "series_match",
     ],
 }
 PAIRS = [(module, name) for module, names in EXPORTS.items() for name in names]

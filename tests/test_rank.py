@@ -16,12 +16,11 @@ from segre import (
     TruncatedSeries,
     gauss,
     generic_rank,
-    minor_determinant,
     rank_profile,
 )
 from segre.config import top_order
 from segre.expressions import ManifoldSpec, load_manifold
-from segre.rank import TRIALS, VALUE_BOUND
+from segre.rank import TRIALS, VALUE_BOUND, minor_determinant
 
 from conftest import (
     count_loads,

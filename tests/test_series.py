@@ -19,7 +19,6 @@ from segre import (
     SeriesError,
     TruncatedSeries,
     gauss,
-    series_match,
 )
 from segre.series import _Packing, as_coeff, compose_many, linear_part, unit_exponent
 
@@ -77,9 +76,9 @@ def ref_div(x, y):
 
 def ref_pow(x, k):
     result = (Fraction(1), Fraction(0))
-    for _ in range(abs(k)):
+    for _ in range(k):
         result = ref_mul(result, x)
-    return result if k >= 0 else ref_div((Fraction(1), Fraction(0)), result)
+    return result
 
 
 def ref_str(x):
@@ -128,14 +127,13 @@ def test_gaussian_rational_against_fraction_pairs(x, y):
             b.inverse()
 
 
-@given(pairs, st.integers(min_value=-5, max_value=5))
-def test_gaussian_rational_powers_against_fraction_pairs(x, k):
-    a = GaussianRational(*x)
-    if k < 0 and not any(x):
-        with pytest.raises(ZeroDivisionError):
-            a**k
-    else:
-        assert_matches(a**k, ref_pow(x, k))
+@given(pairs, st.integers(min_value=0, max_value=5))
+def test_power_bits_bounds_the_triple_of_the_exact_power(x, k):
+    # the parser's power cap reads this bound before it squares anything
+    re, im = ref_pow(x, k)
+    d = math.lcm(re.denominator, im.denominator)
+    bits = GaussianRational(*x).power_bits(k)
+    assert all(abs(part) <= 2**bits for part in (re * d, im * d, d))
 
 
 small = st.integers(min_value=-9, max_value=9)
@@ -790,7 +788,6 @@ def test_on_line_needs_one_coordinate_per_variable():
 
 def test_strict_equality_includes_order():
     assert ts(1, 3, {(1,): 1}) != ts(1, 5, {(1,): 1})
-    assert series_match(ts(1, 3, {(1,): 1}), ts(1, 5, {(1,): 1}))
 
 
 def test_constructor_truncates_and_drops_zeros():
